@@ -7,6 +7,7 @@ scale (n_b up to a couple thousand) the eigenproblem is solved densely,
 which keeps every downstream test exact.
 """
 
+import itertools
 import threading
 from dataclasses import dataclass, field
 
@@ -151,35 +152,32 @@ def fermi_and_occupations(eps, n_electrons, temperature, smearing="fermi_dirac")
 
 # -- external potential -----------------------------------------------------
 
-def _lattice_shifts(lattice: Lattice, r_cut: float) -> np.ndarray:
-    """Lattice translations forming a box that covers |R| <= r_cut."""
-    # spacing between lattice planes along a_d is 2 pi / |b_d|
-    spacing = 2 * np.pi / np.linalg.norm(lattice.b, axis=1)
-    nmax = np.ceil(r_cut / spacing).astype(int)
-    ranges = [np.arange(-m, m + 1) for m in nmax]
-    n1, n2, n3 = np.meshgrid(*ranges, indexing="ij")
-    ints = np.stack([n1.ravel(), n2.ravel(), n3.ravel()], axis=1)
-    return ints @ lattice.a
+# exp(-r^2 / 2w^2) < 1e-18 beyond r_tail = w * _TAIL_WIDTHS
+_TAIL_WIDTHS = np.sqrt(2 * np.log(1e18))
 
 
-def _gaussian_cutoff_radius(model: ModelSpec) -> float:
-    # tail < 1e-12 of the amplitude beyond 3*max-width + cell diameter
-    widths = [g.width for g in model.gaussians] or [0.0]
-    diameter = float(np.sum(np.linalg.norm(model.lattice.a, axis=1)))
-    return 3.0 * max(widths) + diameter
+def _image_displacements(grids: FourierGrids, well: GaussianWell):
+    """Yield r - (c + R) on the grid for every image of `well` within its tail.
+
+    Fractional offsets are reduced to the minimum image, df in [-1/2, 1/2].
+    The component of (df + n) @ a along b_k is (df_k + n_k) 2 pi / |b_k|,
+    so an image nearer than r_tail has |n_k| <= r_tail |b_k| / 2 pi + 1/2;
+    the plane spacing makes this hold for non-orthogonal cells too.
+    """
+    a = grids.lattice.a
+    df = grids.real_space_points() @ np.linalg.inv(a) - np.asarray(well.center, dtype=float)
+    df -= np.round(df)
+    base = df @ a
+    reach = well.width * _TAIL_WIDTHS * np.linalg.norm(grids.lattice.b, axis=1) / (2 * np.pi)
+    for n in itertools.product(*(range(-m, m + 1) for m in np.floor(reach + 0.5).astype(int))):
+        yield base + np.asarray(n, dtype=float) @ a
 
 
 def external_potential(model: ModelSpec, grids: FourierGrids) -> np.ndarray:
     """Lattice-summed Gaussian wells evaluated on the cube grid."""
     v = np.zeros(grids.n_g)
-    if not model.gaussians:
-        return v
-    points = grids.real_space_points()
-    shifts = _lattice_shifts(model.lattice, _gaussian_cutoff_radius(model))
     for g in model.gaussians:
-        center = np.asarray(g.center, dtype=float) @ model.lattice.a
-        for shift in shifts:
-            d = points - (center + shift)
+        for d in _image_displacements(grids, g):
             v += g.amplitude * np.exp(-np.einsum("ij,ij->i", d, d) / (2 * g.width**2))
     return v
 
@@ -195,12 +193,8 @@ def external_potential_derivative(model: ModelSpec, grids: FourierGrids,
         raise ConfigurationError("perturbation direction must be a nonzero vector")
     direction = direction / norm
     g = model.gaussians[index]
-    points = grids.real_space_points()
-    shifts = _lattice_shifts(model.lattice, _gaussian_cutoff_radius(model))
-    center = np.asarray(g.center, dtype=float) @ model.lattice.a
     dv = np.zeros(grids.n_g)
-    for shift in shifts:
-        d = points - (center + shift)
+    for d in _image_displacements(grids, g):
         gauss = np.exp(-np.einsum("ij,ij->i", d, d) / (2 * g.width**2))
         dv += g.amplitude * gauss * (d @ direction) / g.width**2
     return dv

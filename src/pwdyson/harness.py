@@ -9,15 +9,16 @@ applications (one per inner CG iteration), the metric every report uses.
 import csv
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .archive import atomic_write, load_ground_state, save_ground_state
-from .config import ExperimentConfig
+from .config import ExperimentConfig, model_to_dict
 from .errors import ConfigurationError, InvariantViolationError, NonConvergenceError
 from .groundstate import (
     GroundState,
+    _image_displacements,
     diagonalize_dense,
     external_potential_derivative,
     ham_counter,
@@ -105,10 +106,15 @@ def _atomic_text(path: str, text: str):
 
 
 def ensure_ground_state(config: ExperimentConfig, archive_path: str = None) -> GroundState:
-    """Load the configured archive if present, otherwise run the SCF."""
+    """Load the archive if it holds the configured model, otherwise run the SCF.
+
+    A fresh SCF overwrites an archive of another model.
+    """
     path = archive_path or config.archive
     if path and os.path.exists(os.path.join(path, "meta.json")):
-        return load_ground_state(path)
+        gs = load_ground_state(path)
+        if model_to_dict(gs.model) == model_to_dict(config.model):
+            return gs
     gs = run_scf(
         config.model, tol=config.scf.tol, max_iter=config.scf.max_iter,
         mixing=config.scf.mixing, kerker_alpha=config.scf.kerker_alpha,
@@ -155,16 +161,9 @@ def build_perturbation(gs: GroundState, pert, spec: StrategySpec, threads: int =
         frac_step = h * direction @ np.linalg.inv(model.lattice.a)
 
         def shifted(sign):
-            from .groundstate import GaussianWell, external_potential
-            center = tuple(np.asarray(base.center) + sign * frac_step)
-            well = GaussianWell(center=center, amplitude=base.amplitude, width=base.width)
-            shifted_model = type(model)(
-                lattice=model.lattice, e_cut=model.e_cut,
-                n_electrons=model.n_electrons, temperature=model.temperature,
-                smearing=model.smearing, occupation_threshold=model.occupation_threshold,
-                xc=model.xc, gaussians=(well,),
-            )
-            return external_potential(shifted_model, grids)
+            well = replace(base, center=tuple(np.asarray(base.center) + sign * frac_step))
+            return sum(well.amplitude * np.exp(-np.einsum("ij,ij->i", d, d) / (2 * well.width**2))
+                       for d in _image_displacements(grids, well))
 
         dv0 = (shifted(+1) - shifted(-1)) / (2 * h)
 
@@ -196,11 +195,19 @@ def build_perturbation(gs: GroundState, pert, spec: StrategySpec, threads: int =
 
 
 def true_residual(gs: GroundState, kernel: KernelSpec, x: np.ndarray,
-                  b: np.ndarray, threads: int = 1) -> float:
-    """||b - E x|| with every Sternheimer tolerance tightened to 1e-16."""
+                  b: np.ndarray, threads: int = 1, kerker: KerkerSpec = None):
+    """||b - E x|| with every Sternheimer tolerance tightened to 1e-16.
+
+    With `kerker`, returns the pair (||b - E x||, ||P (b - E x)||) from the
+    same application of E.
+    """
     app = apply_dielectric(gs, kernel, np.asarray(x, dtype=float),
                            np.full(gs.n_occ, TIGHT_CG_TOL), threads=threads)
-    return float(np.linalg.norm(b - app.output))
+    residual = b - app.output
+    if kerker:
+        return (float(np.linalg.norm(residual)),
+                float(np.linalg.norm(apply_kerker(kerker, gs.grids, residual))))
+    return float(np.linalg.norm(residual))
 
 
 def run_response(config: ExperimentConfig, gs: GroundState = None,
@@ -270,13 +277,11 @@ def run_response(config: ExperimentConfig, gs: GroundState = None,
         converged = False
 
     n_ham = ham_counter.value - ham_start
-    final_true = true_residual(gs, kernel, report.solution, b, threads=threads)
     if kerker:
-        exact = apply_dielectric(gs, kernel, report.solution,
-                                 np.full(gs.n_occ, TIGHT_CG_TOL), threads=threads)
-        final_true_precond = float(np.linalg.norm(
-            apply_kerker(kerker, grids, b - exact.output)))
+        final_true, final_true_precond = true_residual(
+            gs, kernel, report.solution, b, threads=threads, kerker=kerker)
     else:
+        final_true = true_residual(gs, kernel, report.solution, b, threads=threads)
         final_true_precond = np.nan
     true0 = b_norm
     eta = (-np.log10(final_true / true0) / n_ham
@@ -325,18 +330,7 @@ def compare_strategies(config: ExperimentConfig, strategies, out_dir: str = None
         gs = ensure_ground_state(config)
     rows = []
     for name in strategies:
-        run_config = ExperimentConfig(
-            model=config.model, scf=config.scf,
-            response=type(config.response)(
-                strategy=name, tau=config.response.tau, m=config.response.m,
-                kerker_alpha=config.response.kerker_alpha,
-                use_gap=config.response.use_gap,
-                perturbation=config.response.perturbation,
-                true_residual_every=config.response.true_residual_every,
-                seed=config.response.seed,
-            ),
-            output_dir=config.output_dir, archive=config.archive,
-        )
+        run_config = replace(config, response=replace(config.response, strategy=name))
         try:
             metrics = run_response(run_config, gs=gs)
             rows.append({"strategy": metrics.strategy, "converged": True,

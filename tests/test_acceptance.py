@@ -1,8 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
-The toy-model ground states are built once per session (a couple of
-minutes of SCF for the metal).  Set PWDYSON_TEST_CACHE to a directory to
-persist the archives between sessions.
+The toy-model ground states are built once per session (about 20 s of
+SCF for the metal).  Set PWDYSON_TEST_CACHE to a directory to persist the
+archives between sessions.
 
 Criterion 2 checks the static-tolerance failure against the floor the
 restarted solver provably settles at: each restart refreshes the residual
@@ -20,10 +20,9 @@ import numpy as np
 import pytest
 
 from pwdyson import Lattice, build_grids
-from pwdyson.archive import load_ground_state, save_ground_state
-from pwdyson.config import Perturbation, model_to_dict, reference_config
+from pwdyson.config import Perturbation, reference_config
 from pwdyson.groundstate import GaussianWell, ModelSpec, run_scf
-from pwdyson.harness import TIGHT_CG_TOL, check_bound_dominance, run_response
+from pwdyson.harness import TIGHT_CG_TOL, check_bound_dominance, ensure_ground_state, run_response
 from pwdyson.igmres import igmres_solve
 from pwdyson.kernels import KernelSpec, KerkerSpec, apply_kerker
 from pwdyson.response import apply_chi0, apply_dielectric
@@ -43,23 +42,12 @@ def report(number, passed, detail):
 def build_or_load(name, config):
     """The ground state of `config.model`, reused from PWDYSON_TEST_CACHE.
 
-    A cached archive is reused only when it holds the configured model;
-    otherwise it is rebuilt and overwritten, so a stale archive cannot
-    decide a criterion.
+    `ensure_ground_state` reuses a cached archive only when it holds the
+    configured model and otherwise rebuilds and overwrites it, so a stale
+    archive cannot decide a criterion.
     """
     cache = os.environ.get("PWDYSON_TEST_CACHE")
-    if cache:
-        path = os.path.join(cache, name)
-        if os.path.exists(os.path.join(path, "meta.json")):
-            gs = load_ground_state(path)
-            if model_to_dict(gs.model) == model_to_dict(config.model):
-                return gs
-    gs = run_scf(config.model, tol=config.scf.tol, max_iter=config.scf.max_iter,
-                 mixing=config.scf.mixing, kerker_alpha=config.scf.kerker_alpha,
-                 damping=config.scf.damping)
-    if cache:
-        save_ground_state(os.path.join(cache, name), gs)
-    return gs
+    return ensure_ground_state(config, archive_path=os.path.join(cache, name) if cache else None)
 
 
 @pytest.fixture(scope="session")

@@ -1,9 +1,11 @@
 """Tests for the toy-solid Hamiltonian, smearing and SCF."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from pwdyson import Lattice, NonConvergenceError, build_grids
+from pwdyson import Lattice, NonConvergenceError, build_grids, groundstate
 from pwdyson.groundstate import (
     GaussianWell,
     ModelSpec,
@@ -12,6 +14,7 @@ from pwdyson.groundstate import (
     dense_hamiltonian,
     diagonalize_dense,
     external_potential,
+    external_potential_derivative,
     fermi_and_occupations,
     ham_counter,
     hartree_potential,
@@ -90,6 +93,76 @@ def test_counter_increments_per_application():
     for _ in range(7):
         apply_hamiltonian(grids, v, psi)
     assert ham_counter.value - before == 7
+
+
+# -- lattice sums of Gaussian wells ---------------------------------------------
+
+DIRECTION = np.array([0.48, -0.6, 0.64])
+
+
+def sheared_model(centers=((0.1, 0.8, 0.3), (0.95, 0.05, 0.5))):
+    """A non-orthogonal cell with one well wider than the plane spacing and one narrow well."""
+    lattice = Lattice.from_vectors([3.2, 0, 0], [1.3, 2.9, 0], [0.7, -0.9, 3.1])
+    wells = (GaussianWell(center=centers[0], amplitude=-2.0, width=1.4),
+             GaussianWell(center=centers[1], amplitude=-4.0, width=0.4))
+    return ModelSpec(lattice=lattice, e_cut=3.0, n_electrons=2, temperature=1e-2,
+                     gaussians=wells)
+
+
+def box_image_sum(model, grids, well, n=10):
+    """Well `well` summed over every image with |n_k| <= n, plus its derivative along DIRECTION.
+
+    Images outside the box lie beyond 9 plane spacings (> 20 Bohr here),
+    where exp(-r^2 / 2w^2) < 1e-44 for w = 1.4.
+    """
+    g = model.gaussians[well]
+    points = grids.real_space_points()
+    center = np.asarray(g.center) @ model.lattice.a
+    v, dv = np.zeros(grids.n_g), np.zeros(grids.n_g)
+    span = np.arange(-n, n + 1)
+    n2, n3 = (m.ravel() for m in np.meshgrid(span, span, indexing="ij"))
+    for n1 in span:
+        ints = np.stack([np.full(n2.size, n1), n2, n3], axis=1)
+        d = points[None, :, :] - center - (ints @ model.lattice.a)[:, None, :]
+        gauss = g.amplitude * np.exp(-np.einsum("sij,sij->si", d, d) / (2 * g.width**2))
+        v += gauss.sum(axis=0)
+        dv += (gauss * (d @ DIRECTION) / g.width**2).sum(axis=0)
+    return v, dv
+
+
+@pytest.fixture(scope="module")
+def sheared_reference():
+    model = sheared_model()
+    grids = build_grids(model.lattice, model.e_cut)
+    return model, grids, [box_image_sum(model, grids, k) for k in range(2)]
+
+
+def test_lattice_sum_matches_box_on_sheared_cell(sheared_reference):
+    model, grids, ref = sheared_reference
+    v = external_potential(model, grids)
+    assert np.max(np.abs(v - ref[0][0] - ref[1][0])) <= 1e-13
+    for k in range(2):
+        dv = external_potential_derivative(model, grids, k, DIRECTION)
+        assert np.max(np.abs(dv - ref[k][1])) <= 1e-13
+
+
+def test_lattice_sum_invariant_under_integer_center_shift():
+    model = sheared_model()
+    grids = build_grids(model.lattice, model.e_cut)
+    moved = sheared_model(((1.1, -1.2, 3.3), (-0.05, 2.05, -1.5)))
+    assert np.max(np.abs(external_potential(moved, grids)
+                         - external_potential(model, grids))) <= 1e-13
+    for k in range(2):
+        assert np.max(np.abs(external_potential_derivative(moved, grids, k, DIRECTION)
+                             - external_potential_derivative(model, grids, k, DIRECTION))) <= 1e-13
+
+
+def test_lattice_sum_tail_bound_is_needed(sheared_reference, monkeypatch):
+    # a 3-width tail radius, without the cell diameter, misses images of the wide well
+    model, grids, ref = sheared_reference
+    monkeypatch.setattr(groundstate, "_TAIL_WIDTHS", 3.0)
+    wide = dataclasses.replace(model, gaussians=model.gaussians[:1])
+    assert np.max(np.abs(external_potential(wide, grids) - ref[0][0])) > 1e-4
 
 
 # -- dense diagonalisation -----------------------------------------------------

@@ -20,14 +20,17 @@ from pwdyson.config import (
 )
 from pwdyson.groundstate import GaussianWell, ModelSpec, external_potential, ham_counter
 from pwdyson.harness import (
+    TIGHT_CG_TOL,
     build_perturbation,
     check_orthonormality,
     compare_strategies,
+    ensure_ground_state,
     run_response,
     true_residual,
     verify_suite,
 )
-from pwdyson.kernels import KernelSpec
+from pwdyson.kernels import KernelSpec, KerkerSpec, apply_kerker
+from pwdyson.response import apply_dielectric
 from pwdyson.strategies import StrategySpec, parse_strategy
 
 
@@ -130,6 +133,26 @@ def test_archive_version_mismatch(metal_gs, tmp_path):
         load_ground_state(path)
 
 
+def test_ensure_ground_state_rebuilds_archive_of_another_model(tmp_path, monkeypatch):
+    def config(amplitude):
+        model = ModelSpec(
+            lattice=Lattice.cubic(4.0), e_cut=3.0, n_electrons=2, temperature=1e-3,
+            gaussians=(GaussianWell(center=(0.5, 0.5, 0.5), amplitude=amplitude, width=0.8),),
+        )
+        return ExperimentConfig(model=model, scf=ScfParams(tol=1e-9, damping=0.3))
+
+    path = str(tmp_path / "gs")
+    first = ensure_ground_state(config(-5.0), archive_path=path)
+    second = ensure_ground_state(config(-3.0), archive_path=path)
+    assert model_to_dict(second.model) == model_to_dict(config(-3.0).model)
+    assert second.eps[0] > first.eps[0]
+    # the archive now holds the second model and is reused for it without an SCF
+    assert model_to_dict(load_ground_state(path).model) == model_to_dict(second.model)
+    monkeypatch.setattr("pwdyson.harness.run_scf", lambda *args, **kwargs: pytest.fail("SCF rerun"))
+    again = ensure_ground_state(config(-3.0), archive_path=path)
+    np.testing.assert_array_equal(again.rho, second.rho)
+
+
 def test_archive_meta_matches_grid_rebuild(metal_gs, tmp_path):
     path = str(tmp_path / "archive")
     save_ground_state(path, metal_gs)
@@ -167,6 +190,23 @@ def test_run_response_counts_hamiltonian(metal_gs):
     spent = ham_counter.value - before
     # final true-residual evaluation spends extra applications on top of n_ham
     assert spent >= metrics.n_ham > metrics.n_ham_rhs > 0
+
+
+def test_run_response_applies_tight_operator_once(metal_gs):
+    config = tiny_config(metal_gs, strategy="pbal", tau=1e-7)
+    before = ham_counter.value
+    metrics = run_response(config, gs=metal_gs)
+    spent = ham_counter.value - before
+    tight = apply_dielectric(metal_gs, KernelSpec(xc=config.model.xc), metrics.solution,
+                             np.full(metal_gs.n_occ, TIGHT_CG_TOL))
+    # both final residuals come from one tight application, outside n_ham
+    assert tight.ham_applications > 0
+    assert spent - metrics.n_ham == tight.ham_applications
+    residual = metrics.rhs - tight.output
+    assert metrics.final_true_res == np.linalg.norm(residual)
+    kerker = KerkerSpec(alpha=config.response.kerker_alpha)
+    assert metrics.final_true_res_precond == np.linalg.norm(
+        apply_kerker(kerker, metal_gs.grids, residual))
 
 
 def test_run_response_est_res_monotone_within_cycles(metal_gs):
