@@ -182,17 +182,22 @@ def external_potential(model: ModelSpec, grids: FourierGrids) -> np.ndarray:
     return v
 
 
+def gaussian_well(model: ModelSpec, index: int) -> GaussianWell:
+    """The model's well `index`; negative or too large indices raise."""
+    if not 0 <= index < len(model.gaussians):
+        raise ConfigurationError(f"gaussian index {index} out of range")
+    return model.gaussians[index]
+
+
 def external_potential_derivative(model: ModelSpec, grids: FourierGrids,
                                   index: int, direction: np.ndarray) -> np.ndarray:
     """d/dc [lattice-summed well `index`] contracted with a unit direction."""
-    if not 0 <= index < len(model.gaussians):
-        raise ConfigurationError(f"gaussian index {index} out of range")
+    g = gaussian_well(model, index)
     direction = np.asarray(direction, dtype=float)
     norm = np.linalg.norm(direction)
     if norm == 0 or not np.all(np.isfinite(direction)):
         raise ConfigurationError("perturbation direction must be a nonzero vector")
     direction = direction / norm
-    g = model.gaussians[index]
     dv = np.zeros(grids.n_g)
     for d in _image_displacements(grids, g):
         gauss = np.exp(-np.einsum("ij,ij->i", d, d) / (2 * g.width**2))
@@ -290,7 +295,7 @@ class GroundState:
     n_occ: int
     v_local: np.ndarray      # (n_g,) total local potential defining phi/eps
     scf_residual: float = 0.0
-    _row_norm_cache: dict = field(default_factory=dict, repr=False)
+    _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n_kept(self) -> int:
@@ -299,6 +304,28 @@ class GroundState:
     @property
     def phi_occ(self) -> np.ndarray:
         return self.phi[:, : self.n_occ]
+
+    @property
+    def phi_occ_h(self) -> np.ndarray:
+        """Phi^H of the occupied orbitals, (n_occ, n_b), computed once."""
+        return self.derived("phi_occ_h", lambda: self.phi_occ.conj().T)
+
+    @property
+    def psi_occ_real(self) -> np.ndarray:
+        """to_real of every occupied orbital, (n_occ, n_g), computed once."""
+        return self.derived("psi_occ_real", lambda: self.grids.to_real_many(self.phi_occ.T))
+
+    def derived(self, key: str, compute):
+        """The quantity `key` derived from this state: `compute()` on first use.
+
+        Arrays are kept read-only, so no caller can change them for the next.
+        """
+        if key not in self._derived:
+            value = compute()
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+            self._derived[key] = value
+        return self._derived[key]
 
     @property
     def occ_occ(self) -> np.ndarray:

@@ -21,6 +21,7 @@ from .groundstate import (
     _image_displacements,
     diagonalize_dense,
     external_potential_derivative,
+    gaussian_well,
     ham_counter,
     run_scf,
 )
@@ -28,6 +29,7 @@ from .igmres import igmres_solve
 from .kernels import KernelSpec, KerkerSpec, apply_kerker
 from .pwbasis import build_grids
 from .response import (
+    _cached_row_norm,
     apply_chi0,
     apply_dielectric,
     dielectric_error_bound,
@@ -131,7 +133,7 @@ def _base_context(gs: GroundState, spec: StrategySpec, iteration: int,
     return ToleranceContext(
         iteration=iteration, n_occ=gs.n_occ, occ=gs.occ_occ,
         volume=grids.lattice.volume, n_g=grids.n_g,
-        row_norm=orbital_row_norm(grids, gs.phi_occ, real_part=True),
+        row_norm=_cached_row_norm(gs, real_part=True),
         rhs_norm=rhs_norm,
         eps_gap=(gs.eps_gap_ref - gs.eps_occ) if spec.use_gap else None,
     )
@@ -157,7 +159,7 @@ def build_perturbation(gs: GroundState, pert, spec: StrategySpec, threads: int =
         if norm == 0:
             raise ConfigurationError("perturbation direction must be a nonzero vector")
         direction = direction / norm
-        base = model.gaussians[pert.gaussian]
+        base = gaussian_well(model, pert.gaussian)
         frac_step = h * direction @ np.linalg.inv(model.lattice.a)
 
         def shifted(sign):

@@ -16,7 +16,9 @@ unscaled function values on the grid and `to_fourier . to_real` is the
 identity on sphere coefficients.
 
 Real-space vectors are stored flat with x fastest:
-index = ix + Nx * (iy + Ny * iz).
+index = ix + Nx * (iy + Ny * iz), so `flat.reshape(Nz, Ny, Nx)` is a view.
+The sphere <-> grid transforms are sphere-pruned: they skip the FFT lines
+that hold no sphere point.
 """
 
 from dataclasses import dataclass
@@ -142,6 +144,7 @@ class FourierGrids:
         self.w = np.sqrt(lattice.volume) / np.sqrt(self.n_g)
 
         nx, ny, nz = self.cube_dims
+        self._cube_shape = (nz, ny, nx)        # C-order view of a flat x-fastest vector
         wrapped = self.g_int % np.array(self.cube_dims)
         self.sphere_flat = np.ascontiguousarray(
             wrapped[:, 0] + nx * (wrapped[:, 1] + ny * wrapped[:, 2])
@@ -149,79 +152,101 @@ class FourierGrids:
         if len(np.unique(self.sphere_flat)) != self.n_b:
             raise ConfigurationError("cube grid cannot hold the sphere without aliasing")
 
+        # Pruning tables.  `to_real` transforms along x only the sticks
+        # (x-lines holding sphere points) and along y only the z-planes
+        # holding sticks; `to_fourier` transforms along y only the sphere's
+        # x values and along z only the (x, y) lines holding sphere points.
+        wx, wy, wz = wrapped.T
+        sticks, stick_of = np.unique(wy + ny * wz, return_inverse=True)
+        self._stick_y = sticks % ny
+        self._planes, self._stick_plane = np.unique(sticks // ny, return_inverse=True)
+        self._sphere_in_sticks = stick_of * nx + wx
+        self._sphere_x, x_of = np.unique(wx, return_inverse=True)
+        n_x = len(self._sphere_x)
+        lines, line_of = np.unique(x_of + n_x * wy, return_inverse=True)
+        self._line_x, self._line_y = lines % n_x, lines // n_x
+        self._sphere_in_lines = wz * len(lines) + line_of
+
         # Signed integer coordinates of every cube point, x fastest.
         freqs = [np.fft.fftfreq(n, 1.0 / n).astype(int) for n in self.cube_dims]
-        ix, iy, iz = np.meshgrid(*freqs, indexing="ij")
-        cube_int = np.stack(
-            [ix.ravel(order="F"), iy.ravel(order="F"), iz.ravel(order="F")], axis=1
-        )
+        iz, iy, ix = np.meshgrid(*freqs[::-1], indexing="ij")
+        cube_int = np.stack([ix.ravel(), iy.ravel(), iz.ravel()], axis=1)
         cube_cart = cube_int @ lattice.b
         self.g2_cube = np.einsum("ij,ij->i", cube_cart, cube_cart)
 
         self._to_real_scale = self.n_g / np.sqrt(lattice.volume)
         self._to_fourier_scale = np.sqrt(lattice.volume) / self.n_g
 
-    # -- layout helpers ---------------------------------------------------
-
-    def cube_view(self, flat: np.ndarray) -> np.ndarray:
-        """Reshape a flat x-fastest vector to (Nx, Ny, Nz)."""
-        return flat.reshape(self.cube_dims, order="F")
-
-    def flat_view(self, cube: np.ndarray) -> np.ndarray:
-        return cube.ravel(order="F")
-
     def real_space_points(self) -> np.ndarray:
         """(n_g, 3) Cartesian grid points, flat x-fastest order."""
         fracs = [np.arange(n) / n for n in self.cube_dims]
-        fx, fy, fz = np.meshgrid(*fracs, indexing="ij")
-        frac = np.stack(
-            [fx.ravel(order="F"), fy.ravel(order="F"), fz.ravel(order="F")], axis=1
-        )
+        fz, fy, fx = np.meshgrid(*fracs[::-1], indexing="ij")
+        frac = np.stack([fx.ravel(), fy.ravel(), fz.ravel()], axis=1)
         return frac @ self.lattice.a
 
     # -- sphere <-> real space --------------------------------------------
+    #
+    # Both transforms run the same 1-D passes, in the same x -> y -> z order,
+    # as a full-cube `ifftn`/`fftn`, and skip only lines that are zero on
+    # input or unused on output, so they agree bit for bit with the plain
+    # transforms of the zero-padded cube.
 
     def to_real(self, coeffs: np.ndarray) -> np.ndarray:
         """Inverse transform w^-1 W^-1 Z: sphere coefficients -> grid values."""
         if coeffs.shape != (self.n_b,):
             raise ValueError(f"expected sphere vector of length {self.n_b}, got {coeffs.shape}")
-        full = np.zeros(self.n_g, dtype=np.complex128)
-        full[self.sphere_flat] = coeffs
-        vals = scipy.fft.ifftn(self.cube_view(full))
-        return self.flat_view(vals) * self._to_real_scale
+        _, ny, nx = self._cube_shape
+        sticks = np.zeros((len(self._stick_y), nx), dtype=np.complex128)
+        sticks.ravel()[self._sphere_in_sticks] = coeffs
+        sticks = scipy.fft.ifft(sticks, axis=1, norm="forward", overwrite_x=True)
+        sticks *= 1.0 / self.n_g        # where ifftn applies its 1/N
+        planes = np.zeros((len(self._planes), ny, nx), dtype=np.complex128)
+        planes[self._stick_plane, self._stick_y] = sticks
+        cube = np.zeros(self._cube_shape, dtype=np.complex128)
+        cube[self._planes] = scipy.fft.ifft(planes, axis=1, norm="forward", overwrite_x=True)
+        cube = scipy.fft.ifft(cube, axis=0, norm="forward", overwrite_x=True)
+        cube *= self._to_real_scale
+        return cube.ravel()
 
     def to_fourier(self, values: np.ndarray) -> np.ndarray:
         """Forward transform w Z^T W: grid values -> sphere coefficients."""
         if values.shape != (self.n_g,):
             raise ValueError(f"expected grid vector of length {self.n_g}, got {values.shape}")
-        coeffs = scipy.fft.fftn(self.cube_view(values.astype(np.complex128)))
-        return self.flat_view(coeffs)[self.sphere_flat] * self._to_fourier_scale
+        cube = np.asarray(values, dtype=np.complex128).reshape(self._cube_shape)
+        cube = scipy.fft.fft(cube, axis=2)
+        cube = scipy.fft.fft(cube[:, :, self._sphere_x], axis=1, overwrite_x=True)
+        lines = scipy.fft.fft(cube[:, self._line_y, self._line_x], axis=0, overwrite_x=True)
+        return lines.ravel()[self._sphere_in_lines] * self._to_fourier_scale
+
+    # The batched forms return column-major (k, n) arrays: the band sums
+    # downstream (density, chi0) round differently on row-major input, and
+    # this layout reproduces the archived ground states bit for bit.
 
     def to_real_many(self, coeffs: np.ndarray) -> np.ndarray:
-        """Batched `to_real` over rows of a (k, n_b) array -> (k, n_g)."""
-        k = coeffs.shape[0]
-        full = np.zeros((k, self.n_g), dtype=np.complex128)
-        full[:, self.sphere_flat] = coeffs
-        cube = full.reshape((k, *self.cube_dims), order="F")
-        vals = scipy.fft.ifftn(cube, axes=(1, 2, 3))
-        return vals.reshape(k, self.n_g, order="F") * self._to_real_scale
+        """`to_real` of each row of a (k, n_b) array -> (k, n_g)."""
+        out = np.empty((self.n_g, len(coeffs)), dtype=np.complex128)
+        for j, c in enumerate(coeffs):
+            out[:, j] = self.to_real(c)
+        return out.T
 
     def to_fourier_many(self, values: np.ndarray) -> np.ndarray:
-        """Batched `to_fourier` over rows of a (k, n_g) array -> (k, n_b)."""
-        k = values.shape[0]
-        cube = values.astype(np.complex128).reshape((k, *self.cube_dims), order="F")
-        coeffs = scipy.fft.fftn(cube, axes=(1, 2, 3))
-        return coeffs.reshape(k, self.n_g, order="F")[:, self.sphere_flat] * self._to_fourier_scale
+        """`to_fourier` of each row of a (k, n_g) array -> (k, n_b)."""
+        out = np.empty((self.n_b, len(values)), dtype=np.complex128)
+        for j, v in enumerate(values):
+            out[:, j] = self.to_fourier(v)
+        return out.T
 
     # -- full-cube FFTs (for Fourier-diagonal operators) --------------------
+    # axes=(2, 1, 0) keeps the x -> y -> z pass order on the C-order view.
 
     def cube_fft(self, values: np.ndarray) -> np.ndarray:
         """Plain forward DFT of a flat grid vector (no normalisation)."""
-        return self.flat_view(scipy.fft.fftn(self.cube_view(values.astype(np.complex128))))
+        cube = values.astype(np.complex128).reshape(self._cube_shape)
+        return scipy.fft.fftn(cube, axes=(2, 1, 0)).ravel()
 
     def cube_ifft(self, coeffs: np.ndarray) -> np.ndarray:
         """Plain inverse DFT of a flat coefficient vector (1/N normalised)."""
-        return self.flat_view(scipy.fft.ifftn(self.cube_view(coeffs)))
+        return scipy.fft.ifftn(coeffs.reshape(self._cube_shape), axes=(2, 1, 0)).ravel()
 
 
 def build_grids(lattice: Lattice, e_cut: float) -> FourierGrids:

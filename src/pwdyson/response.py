@@ -49,12 +49,25 @@ def delta_eigen_occupations(gs: GroundState, dv: np.ndarray):
     occupation change so that sum_n delta_f_n = 0.  For gapped systems
     (all f'_n ~ 0) the Fermi level is pinned and delta_eps_F = 0.
     """
-    grids = gs.grids
-    psi_r = grids.to_real_many(gs.phi_occ.T)
-    dvpsi = grids.to_fourier_many(dv[None, :] * psi_r)
-    raw = np.einsum("bn,nb->n", gs.phi_occ.conj(), dvpsi)
+    _, m = _occupied_matrix(gs, dv)
+    return _first_order_occupations(gs, m, dv)
+
+
+def _occupied_matrix(gs: GroundState, dv: np.ndarray):
+    """Rows dv phi_n on the sphere, (n_occ, n_b), and M[m, n] = <phi_m, dv phi_n>."""
+    dvpsi = gs.grids.to_fourier_many(dv[None, :] * gs.psi_occ_real)
+    return dvpsi, gs.phi_occ_h @ dvpsi.T
+
+
+def _first_order_occupations(gs: GroundState, m: np.ndarray, dv: np.ndarray):
+    """(delta_eps, delta_eps_F, delta_f) from M[m, n] = <phi_m, dv phi_n>.
+
+    Raises FloatingPointError when the diagonal of M, real for a real dv,
+    has an imaginary part above FFT round-off.
+    """
+    raw = np.diag(m)
     # FFT roundoff puts ~eps * |dv| of noise on each matrix element
-    scale = max(np.max(np.abs(raw), initial=0.0), float(np.linalg.norm(dv)) * grids.w)
+    scale = max(np.max(np.abs(raw), initial=0.0), float(np.linalg.norm(dv)) * gs.grids.w)
     if scale > 0 and np.max(np.abs(raw.imag)) > IMAG_EIGENSHIFT_RTOL * scale:
         raise FloatingPointError(
             f"first-order eigenvalue shifts have imaginary part "
@@ -100,10 +113,11 @@ def _occupied_pair_weights(gs: GroundState) -> np.ndarray:
 
 def delta_phi_occupied(gs: GroundState, dv: np.ndarray) -> np.ndarray:
     """Occupied-subspace orbital response, one column per occupied band."""
-    grids = gs.grids
-    psi_r = grids.to_real_many(gs.phi_occ.T)
-    dvpsi = grids.to_fourier_many(dv[None, :] * psi_r).T      # (n_b, n_occ)
-    m = gs.phi_occ.conj().T @ dvpsi                           # M[m, n] = <phi_m, dv phi_n>
+    _, m = _occupied_matrix(gs, dv)
+    return _occupied_orbital_response(gs, m)
+
+
+def _occupied_orbital_response(gs: GroundState, m: np.ndarray) -> np.ndarray:
     return gs.phi_occ @ (_occupied_pair_weights(gs) * m)
 
 
@@ -124,21 +138,13 @@ def apply_chi0(gs: GroundState, dv: np.ndarray, tolerances,
     if np.any(tolerances <= 0):
         raise ValueError("Sternheimer tolerances must be positive")
 
-    psi_r = grids.to_real_many(gs.phi_occ.T)                  # (n_occ, n_g)
-    dvpsi = grids.to_fourier_many(dv[None, :] * psi_r)        # (n_occ, n_b)
-    m = gs.phi_occ.conj().T @ dvpsi.T                         # (n_occ, n_occ)
-
-    raw_eps = np.diag(m)
-    delta_eps = raw_eps.real
-    fprime = gs.fprime_occ()
-    fp_sum = fprime.sum()
-    delta_eps_f = float(fprime @ delta_eps / fp_sum) if abs(fp_sum) > 1e-14 * n_occ else 0.0
-    delta_f = fprime * (delta_eps - delta_eps_f)
-
-    dphi_p = gs.phi_occ @ (_occupied_pair_weights(gs) * m)    # (n_b, n_occ)
+    psi_r = gs.psi_occ_real                                   # (n_occ, n_g)
+    dvpsi, m = _occupied_matrix(gs, dv)
+    _, _, delta_f = _first_order_occupations(gs, m, dv)
+    dphi_p = _occupied_orbital_response(gs, m)                # (n_b, n_occ)
 
     def solve_band(n):
-        rhs = -project_out_occupied(gs.phi_occ, dvpsi[n])
+        rhs = -project_out_occupied(gs.phi_occ, dvpsi[n], gs.phi_occ_h)
         return solve_sternheimer(gs, gs.v_local, n, rhs, tolerances[n])
 
     if threads > 1 and n_occ > 1:
@@ -194,7 +200,10 @@ def orbital_row_norm(grids, phi: np.ndarray, real_part: bool = False) -> float:
     sqrt(n_g/|Omega|).  With `real_part` the imaginary parts are dropped,
     which for orbitals that can be chosen real costs at most sqrt(2).
     """
-    psi_r = grids.to_real_many(phi.T)
+    return _max_row_norm(grids.to_real_many(phi.T), real_part)
+
+
+def _max_row_norm(psi_r: np.ndarray, real_part: bool) -> float:
     mat = psi_r.real if real_part else psi_r
     return float(np.sqrt(np.max(np.sum(np.abs(mat) ** 2, axis=0))))
 
@@ -215,7 +224,6 @@ def dielectric_error_bound(gs: GroundState, kv_norm: float, tolerances) -> float
 
 
 def _cached_row_norm(gs: GroundState, real_part: bool = False) -> float:
-    key = "re" if real_part else "abs"
-    if key not in gs._row_norm_cache:
-        gs._row_norm_cache[key] = orbital_row_norm(gs.grids, gs.phi_occ, real_part)
-    return gs._row_norm_cache[key]
+    """`orbital_row_norm` of the occupied orbitals, computed once per state."""
+    return gs.derived("row_norm_re" if real_part else "row_norm_abs",
+                      lambda: _max_row_norm(gs.psi_occ_real, real_part))

@@ -25,9 +25,16 @@ class SternheimerResult:
     cg_iterations: int
 
 
-def project_out_occupied(phi: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """Q psi = psi - Phi (Phi^H psi); idempotent for orthonormal Phi."""
-    return psi - phi @ (phi.conj().T @ psi)
+def project_out_occupied(phi: np.ndarray, psi: np.ndarray,
+                         phi_h: np.ndarray = None) -> np.ndarray:
+    """Q psi = psi - Phi (Phi^H psi); idempotent for orthonormal Phi.
+
+    Callers that project many times pass `phi_h` = Phi^H, which saves a
+    copy of Phi per call.
+    """
+    if phi_h is None:
+        phi_h = phi.conj().T
+    return psi - phi @ (phi_h @ psi)
 
 
 def solve_sternheimer(gs: GroundState, v_local: np.ndarray, n: int,
@@ -52,7 +59,7 @@ def solve_sternheimer(gs: GroundState, v_local: np.ndarray, n: int,
             iterations; carries the last residual norm.
     """
     grids = gs.grids
-    phi = gs.phi_occ
+    phi, phi_h = gs.phi_occ, gs.phi_occ_h
     eps_n = float(gs.eps[n])
     if max_iter is None:
         max_iter = 10 * grids.n_b
@@ -61,25 +68,25 @@ def solve_sternheimer(gs: GroundState, v_local: np.ndarray, n: int,
 
     def apply_a(p):
         hp = apply_hamiltonian(grids, v_local, p)
-        return project_out_occupied(phi, hp - eps_n * p)
+        return project_out_occupied(phi, hp - eps_n * p, phi_h)
 
     x = np.zeros(grids.n_b, dtype=np.complex128)
     r = np.array(rhs, dtype=np.complex128, copy=True)
-    z = project_out_occupied(phi, minv * r)
+    z = project_out_occupied(phi, minv * r, phi_h)
     p = z.copy()
     rz = np.vdot(r, z).real
     iterations = 0
 
     while True:
-        p = project_out_occupied(phi, p)
+        p = project_out_occupied(phi, p, phi_h)
         ap = apply_a(p)
         iterations += 1
         denom = np.vdot(p, ap).real
         alpha = rz / denom if denom > 0 else 0.0
         x += alpha * p
         r -= alpha * ap
-        x = project_out_occupied(phi, x)
-        r = project_out_occupied(phi, r)
+        x = project_out_occupied(phi, x, phi_h)
+        r = project_out_occupied(phi, r, phi_h)
         res = float(np.linalg.norm(r))
         if res <= tol:
             break
@@ -88,7 +95,7 @@ def solve_sternheimer(gs: GroundState, v_local: np.ndarray, n: int,
                 f"Sternheimer CG for band {n} stalled at {res:.3e} (target {tol:.3e})",
                 residual=res,
             )
-        z = project_out_occupied(phi, minv * r)
+        z = project_out_occupied(phi, minv * r, phi_h)
         rz_next = np.vdot(r, z).real
         beta = rz_next / rz if rz != 0 else 0.0
         rz = rz_next

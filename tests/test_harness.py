@@ -21,6 +21,7 @@ from pwdyson.config import (
 from pwdyson.groundstate import GaussianWell, ModelSpec, external_potential, ham_counter
 from pwdyson.harness import (
     TIGHT_CG_TOL,
+    _base_context,
     build_perturbation,
     check_orthonormality,
     compare_strategies,
@@ -30,7 +31,7 @@ from pwdyson.harness import (
     verify_suite,
 )
 from pwdyson.kernels import KernelSpec, KerkerSpec, apply_kerker
-from pwdyson.response import apply_dielectric
+from pwdyson.response import apply_dielectric, orbital_row_norm
 from pwdyson.strategies import StrategySpec, parse_strategy
 
 
@@ -62,9 +63,31 @@ def test_perturbation_zero_direction_rejected(metal_gs):
 
 
 def test_perturbation_index_out_of_range(metal_gs):
+    # both the analytic and the finite-difference branch, below and above the range
     spec = StrategySpec("d10", False, 1e-7, 8)
-    with pytest.raises(ConfigurationError):
-        build_perturbation(metal_gs, Perturbation(gaussian=99, direction=(1, 0, 0)), spec)
+    for analytic in (True, False):
+        for index in (-1, 99):
+            pert = Perturbation(gaussian=index, direction=(1, 0, 0), analytic=analytic)
+            with pytest.raises(ConfigurationError):
+                build_perturbation(metal_gs, pert, spec)
+
+
+def test_base_context_reuses_row_norm(metal_gs, monkeypatch):
+    gs = metal_gs
+    spec = StrategySpec("bal", False, 1e-7, 8)
+    first = _base_context(gs, spec, iteration=1)
+    calls = []
+    grids_type = type(gs.grids)
+    for name in ("to_real", "to_real_many"):
+        def counted(self, arg, _name=name, _original=getattr(grids_type, name)):
+            calls.append(_name)
+            return _original(self, arg)
+        monkeypatch.setattr(grids_type, name, counted)
+    second = _base_context(gs, spec, iteration=1)
+    assert calls == []
+    monkeypatch.undo()
+    assert first.row_norm == second.row_norm
+    assert second.row_norm == orbital_row_norm(gs.grids, gs.phi_occ, real_part=True)
 
 
 def test_perturbation_mean_vanishes(metal_gs):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from pwdyson import ConfigurationError, Lattice, build_grids
 
@@ -152,6 +153,70 @@ def test_to_fourier_matches_direct_projection():
     phases = np.exp(-1j * points @ grids.g_cart.T) / np.sqrt(grids.lattice.volume)
     direct = (grids.lattice.volume / grids.n_g) * (phases.T @ values)
     np.testing.assert_allclose(grids.to_fourier(values), direct, rtol=1e-12, atol=1e-12)
+
+
+def test_to_fourier_matches_direct_projection_sheared():
+    rng = np.random.default_rng(12)
+    grids = build_grids(Lattice.from_vectors([2.2, 0.2, 0], [0, 2.0, 0.1], [0.1, 0, 1.9]), 6.0)
+    values = rng.standard_normal(grids.n_g) + 1j * rng.standard_normal(grids.n_g)
+    points = grids.real_space_points()
+    phases = np.exp(-1j * points @ grids.g_cart.T) / np.sqrt(grids.lattice.volume)
+    direct = (grids.lattice.volume / grids.n_g) * (phases.T @ values)
+    np.testing.assert_allclose(grids.to_fourier(values), direct, rtol=1e-12, atol=1e-12)
+
+
+def full_cube_transforms(grids):
+    """Reference transforms: plain `ifftn`/`fftn` of the zero-padded (Nx, Ny, Nz) cube."""
+    dims = grids.cube_dims
+    index = tuple((grids.g_int % np.array(dims)).T)
+    to_real_scale = grids.n_g / np.sqrt(grids.lattice.volume)
+
+    def to_real(coeffs):
+        cube = np.zeros(dims, dtype=complex)
+        cube[index] = coeffs
+        return scipy.fft.ifftn(cube).ravel(order="F") * to_real_scale
+
+    def to_fourier(values):
+        return scipy.fft.fftn(values.reshape(dims, order="F"))[index] / to_real_scale
+
+    return to_real, to_fourier
+
+
+@pytest.mark.parametrize("cell, e_cut", [
+    (([87.5, 0, 0], [0, 2.6, 0], [0, 0, 2.6]), 6.5),       # elongated, like toy_metal
+    (([2.2, 0.2, 0], [0, 2.0, 0.1], [0.1, 0, 1.9]), 30.0),   # sheared
+])
+def test_pruned_transforms_match_full_cube_fft(cell, e_cut):
+    rng = np.random.default_rng(13)
+    grids = build_grids(Lattice.from_vectors(*cell), e_cut)
+    ref_real, ref_fourier = full_cube_transforms(grids)
+    xs = rng.standard_normal((3, grids.n_b)) + 1j * rng.standard_normal((3, grids.n_b))
+    us = rng.standard_normal((3, grids.n_g)) + 1j * rng.standard_normal((3, grids.n_g))
+    us[0] = us[0].real
+    many_real, many_fourier = grids.to_real_many(xs), grids.to_fourier_many(us)
+    for k in range(3):
+        expected = ref_real(xs[k])
+        for got in (grids.to_real(xs[k]), many_real[k]):
+            assert np.linalg.norm(got - expected) <= 1e-13 * np.linalg.norm(expected)
+        expected = ref_fourier(us[k])
+        for got in (grids.to_fourier(us[k]), many_fourier[k]):
+            assert np.linalg.norm(got - expected) <= 1e-13 * np.linalg.norm(expected)
+
+
+def test_gamma_only_grid_transforms():
+    rng = np.random.default_rng(14)
+    grids = build_grids(Lattice.cubic(2 * np.pi), 0.4)
+    assert grids.n_b == 1
+    root_vol = np.sqrt(grids.lattice.volume)
+    coeffs = np.array([1.5 - 0.5j])
+    np.testing.assert_allclose(grids.to_real(coeffs), np.full(grids.n_g, coeffs[0] / root_vol),
+                               rtol=1e-14)
+    values = rng.standard_normal(grids.n_g) + 1j * rng.standard_normal(grids.n_g)
+    np.testing.assert_allclose(grids.to_fourier(values), [values.sum() * root_vol / grids.n_g],
+                               rtol=1e-13)
+    np.testing.assert_allclose(grids.to_fourier(grids.to_real(coeffs)), coeffs, rtol=1e-14)
+    assert grids.to_real_many(np.ones((2, 1))).shape == (2, grids.n_g)
+    assert grids.to_fourier_many(values[None, :]).shape == (1, 1)
 
 
 def test_roundtrip_identity_on_sphere():

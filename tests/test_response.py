@@ -63,6 +63,27 @@ def test_eigenvalue_shift_finite_difference(metal_gs):
     np.testing.assert_allclose(de, fd, atol=5e-7)
 
 
+def test_complex_perturbation_trips_imaginary_shift_guard(metal_gs):
+    # a complex dv has complex <phi_n, dv phi_n>: both the helper and the
+    # production chi0 path must refuse it rather than drop the imaginary part
+    gs = metal_gs
+    rng = np.random.default_rng(4)
+    dv = rng.standard_normal(gs.grids.n_g) + 1j * rng.standard_normal(gs.grids.n_g)
+    with pytest.raises(FloatingPointError):
+        delta_eigen_occupations(gs, dv)
+    with pytest.raises(FloatingPointError):
+        apply_chi0(gs, dv, tight_tols(gs))
+
+
+def test_occupied_orbitals_in_real_space_are_kept_read_only(metal_gs):
+    gs = metal_gs
+    psi_r = gs.psi_occ_real
+    assert psi_r is gs.psi_occ_real
+    np.testing.assert_array_equal(psi_r, gs.grids.to_real_many(gs.phi_occ.T))
+    with pytest.raises(ValueError):
+        psi_r[0, 0] = 0.0
+
+
 # -- delta_phi_occupied ---------------------------------------------------------
 
 

@@ -37,6 +37,14 @@ def dense_operator(gs, n):
     return q @ (h - gs.eps[n] * np.eye(nb)) @ q
 
 
+def test_projector_with_kept_adjoint_is_bit_identical(tiny_gs):
+    rng = np.random.default_rng(5)
+    psi = rng.standard_normal(tiny_gs.grids.n_b) + 1j * rng.standard_normal(tiny_gs.grids.n_b)
+    phi = tiny_gs.phi_occ
+    np.testing.assert_array_equal(project_out_occupied(phi, psi, tiny_gs.phi_occ_h),
+                                  project_out_occupied(phi, psi))
+
+
 def test_projector_annihilates_occupied(tiny_gs):
     gs = tiny_gs
     for k in range(gs.n_occ):
