@@ -5,9 +5,10 @@
     pwdyson compare <config.json> --strategies pbal,pgrt,pd10 [-o <dir>]
     pwdyson verify <config.json> [-o <dir>]
 
-Thread count for the band loop comes from PWDYSON_NUM_THREADS (default 1,
-which is also the deterministic CI mode).  Exit codes: 0 ok,
-2 non-convergence, 3 invariant violation, 4 I/O or archive problems.
+`compare` tabulates cost next to the true residual: only grt/pgrt carry
+the guarantee true residual <= tau; bal/agr are heuristics that can miss
+it.  Exit codes: 0 ok, 2 non-convergence, 3 invariant violation, 4 I/O or
+archive problems.
 """
 
 import argparse

@@ -225,10 +225,7 @@ def dense_hamiltonian(grids: FourierGrids, v_local: np.ndarray) -> np.ndarray:
     in the cube, so the wrap-around indexing is alias-free.
     """
     vfft = grids.cube_fft(v_local) / grids.n_g
-    nx, ny, nz = grids.cube_dims
-    diff = grids.g_int[:, None, :] - grids.g_int[None, :, :]
-    flat = (diff[..., 0] % nx) + nx * ((diff[..., 1] % ny) + ny * (diff[..., 2] % nz))
-    h = vfft[flat]
+    h = vfft[grids.sphere_difference_index]
     h[np.arange(grids.n_b), np.arange(grids.n_b)] += 0.5 * grids.g2_sphere
     return h
 
@@ -280,9 +277,10 @@ def total_local_potential(model: ModelSpec, grids: FourierGrids,
 class GroundState:
     """Converged SCF state; immutable by convention after construction.
 
-    phi/eps/occ cover the occupied bands plus n_extra probe states, so
-    eps[n_occ] (the lowest retained unoccupied level) is always available
-    for the response error bounds.
+    phi/eps/occ cover the occupied bands plus n_extra unoccupied
+    eigenstates: eps[n_occ] (the lowest retained unoccupied level) feeds
+    the response error bounds, and `apply_chi0` takes the response in
+    these states by a sum over states instead of a Sternheimer solve.
     """
 
     model: ModelSpec

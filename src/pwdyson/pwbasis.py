@@ -22,6 +22,7 @@ that hold no sphere point.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.fft
@@ -97,8 +98,9 @@ def _integer_box(b: np.ndarray, a: np.ndarray, radius: float) -> np.ndarray:
 class FourierGrids:
     """Spherical orbital grid and cubic density grid for one cutoff.
 
-    Immutable after construction; transforms are pure functions of the
-    stored index tables and may be called concurrently.
+    Immutable after construction, apart from `sphere_difference_index`,
+    which is built on first use; transforms are pure functions of the
+    stored index tables.
 
     Attributes:
         lattice: the unit cell.
@@ -111,6 +113,8 @@ class FourierGrids:
         n_b, n_g: sphere / cube sizes.
         w: FFT normalisation sqrt(|Omega|)/sqrt(n_g).
         g2_cube: (n_g,) squared norms on the cube, flat x-fastest.
+        sphere_difference_index: (n_b, n_b) flat cube index of
+            g_int[i] - g_int[j], read-only.
     """
 
     def __init__(self, lattice: Lattice, e_cut: float):
@@ -176,6 +180,16 @@ class FourierGrids:
 
         self._to_real_scale = self.n_g / np.sqrt(lattice.volume)
         self._to_fourier_scale = np.sqrt(lattice.volume) / self.n_g
+
+    @cached_property
+    def sphere_difference_index(self) -> np.ndarray:
+        """Flat cube index of every sphere-vector difference, for `dense_hamiltonian`."""
+        nx, ny, nz = self.cube_dims
+        diff = self.g_int[:, None, :] - self.g_int[None, :, :]
+        index = (diff[..., 0] % nx) + nx * ((diff[..., 1] % ny) + ny * (diff[..., 2] % nz))
+        index = index.astype(np.int32)      # kept for the grid's lifetime: half the memory
+        index.flags.writeable = False
+        return index
 
     def real_space_points(self) -> np.ndarray:
         """(n_g, 3) Cartesian grid points, flat x-fastest order."""

@@ -1,11 +1,14 @@
 """Projected preconditioned CG for the unoccupied orbital response.
 
-Solves Q (H - eps_n) Q x = b restricted to the unoccupied subspace
-range(Q), Q = I - Phi Phi^H.  The operator is Hermitian positive definite
-there as long as eps_{N_occ+1} > eps_n, which the occupation cutoff
-guarantees.  Iterates, residuals and search directions are re-projected
-onto range(Q) every iteration to stop roundoff from leaking occupied
-components back in.
+Solves Q (H - eps_n) Q x = b restricted to range(Q), Q = I - Phi Phi^H,
+where the caller chooses the orthonormal eigenvector basis Phi: the
+occupied bands, or every kept band (occupied plus extra), in which case
+the extra-band part of the response is added separately by a sum over
+states.  The operator is Hermitian positive definite on range(Q) as long
+as the lowest eigenvalue outside Phi lies above eps_n, which the
+occupation cutoff guarantees.  Iterates, residuals and search directions
+are re-projected onto range(Q) every iteration to stop roundoff from
+leaking components along Phi back in.
 """
 
 from dataclasses import dataclass
@@ -38,8 +41,8 @@ def project_out_occupied(phi: np.ndarray, psi: np.ndarray,
 
 
 def solve_sternheimer(gs: GroundState, v_local: np.ndarray, n: int,
-                      rhs: np.ndarray, tol: float,
-                      max_iter: int = None) -> SternheimerResult:
+                      rhs: np.ndarray, tol: float, phi: np.ndarray,
+                      phi_h: np.ndarray = None, max_iter: int = None) -> SternheimerResult:
     """CG on A_n = Q (H - eps_n) Q with kinetic-energy preconditioning.
 
     The preconditioner is Q diag(1/(|G|^2/2 + c_n)) Q with
@@ -48,18 +51,23 @@ def solve_sternheimer(gs: GroundState, v_local: np.ndarray, n: int,
     (one A application, one Hamiltonian count), even for a zero rhs.
 
     Args:
-        gs: converged ground state (occupied orbitals define Q).
+        gs: converged ground state (grids and eigenvalues).
         v_local: total local potential that phi/eps diagonalise.
         n: band index (0-based) of the shift eps_n.
         rhs: right-hand side, already in range(Q).
         tol: absolute l2 tolerance on the (unpreconditioned) CG residual.
+        phi: (n_b, k) orthonormal eigenvectors of H spanning the space Q
+            projects out; it must hold every eigenvector with eigenvalue
+            <= eps_n.
+        phi_h: Phi^H, when the caller keeps it.
 
     Raises:
         NonConvergenceError: more than max_iter (default 10 n_b)
             iterations; carries the last residual norm.
     """
     grids = gs.grids
-    phi, phi_h = gs.phi_occ, gs.phi_occ_h
+    if phi_h is None:
+        phi_h = phi.conj().T
     eps_n = float(gs.eps[n])
     if max_iter is None:
         max_iter = 10 * grids.n_b

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from pwdyson import Lattice
+from pwdyson import Lattice, build_grids
 from pwdyson.groundstate import GaussianWell, ModelSpec, run_scf
 
 
@@ -35,6 +35,22 @@ def insulator_gs():
     gs = run_scf(model, tol=1e-11, max_iter=400, damping=0.3)
     assert gs.eps_gap_ref - gs.eps[gs.n_occ - 1] > 0.1, "fixture must be gapped"
     return gs
+
+
+@pytest.fixture(scope="session")
+def tiny_oracle_gs():
+    """Small dense-oracle model with n_g <= 400."""
+    model = ModelSpec(
+        lattice=Lattice.cubic(3.4), e_cut=3.8, n_electrons=4,
+        temperature=5e-3, smearing="fermi_dirac",
+        gaussians=(
+            GaussianWell(center=(0.4, 0.45, 0.5), amplitude=-3.0, width=0.8),
+            GaussianWell(center=(0.7, 0.6, 0.45), amplitude=-2.0, width=0.7),
+        ),
+    )
+    grids = build_grids(model.lattice, model.e_cut)
+    assert grids.n_g <= 400
+    return run_scf(model, tol=1e-11, max_iter=600, damping=0.3)
 
 
 def full_spectrum(gs):

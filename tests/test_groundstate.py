@@ -72,6 +72,27 @@ def test_matches_dense_assembly():
     np.testing.assert_allclose(h_conv, h_matvec, rtol=1e-11, atol=1e-11)
 
 
+def test_dense_hamiltonian_reuses_difference_index(monkeypatch):
+    # the cached index gives the H of a fresh per-call index bit for bit,
+    # on a non-cubic cell, and a second call does not rebuild it
+    rng = np.random.default_rng(4)
+    grids = build_grids(Lattice.from_vectors([5.0, 0, 0], [0.4, 2.6, 0], [0, 0.3, 2.2]), 6.5)
+    v = rng.standard_normal(grids.n_g)
+    nx, ny, nz = grids.cube_dims
+    diff = grids.g_int[:, None, :] - grids.g_int[None, :, :]
+    flat = (diff[..., 0] % nx) + nx * ((diff[..., 1] % ny) + ny * (diff[..., 2] % nz))
+    uncached = grids.cube_fft(v)[flat] / grids.n_g
+    uncached[np.arange(grids.n_b), np.arange(grids.n_b)] += 0.5 * grids.g2_sphere
+    assert "sphere_difference_index" not in vars(grids)
+    np.testing.assert_array_equal(dense_hamiltonian(grids, v), uncached)
+    index = grids.sphere_difference_index
+    monkeypatch.setattr(type(grids).sphere_difference_index, "func",
+                        lambda self: pytest.fail("difference index rebuilt"))
+    np.testing.assert_array_equal(dense_hamiltonian(grids, v), uncached)
+    assert grids.sphere_difference_index is index
+    assert not index.flags.writeable
+
+
 def test_hermiticity():
     rng = np.random.default_rng(2)
     grids = small_grids()

@@ -1,11 +1,17 @@
 """Tests for chi0, the dielectric adjoint and the computable error bound."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from pwdyson.groundstate import diagonalize_dense, ham_counter
+from pwdyson import InvariantViolationError, Lattice
+from pwdyson.groundstate import GaussianWell, ModelSpec, diagonalize_dense, ham_counter, run_scf
 from pwdyson.kernels import KernelSpec, apply_kernel
 from pwdyson.response import (
+    _extra_band_response,
+    _kept_adjoint,
+    _occupied_matrix,
     apply_chi0,
     apply_dielectric,
     delta_eigen_occupations,
@@ -13,6 +19,7 @@ from pwdyson.response import (
     dielectric_error_bound,
     orbital_row_norm,
 )
+from pwdyson.sternheimer import project_out_occupied, solve_sternheimer
 
 from conftest import dense_chi0_oracle
 
@@ -201,15 +208,6 @@ def test_chi0_ham_accounting(metal_gs):
     assert ham_counter.value - before == stats.ham_applications
 
 
-def test_chi0_threaded_is_bitwise_reproducible(metal_gs):
-    gs = metal_gs
-    rng = np.random.default_rng(9)
-    dv = rng.standard_normal(gs.grids.n_g)
-    serial, _ = apply_chi0(gs, dv, tight_tols(gs, 1e-9), threads=1)
-    threaded, _ = apply_chi0(gs, dv, tight_tols(gs, 1e-9), threads=4)
-    np.testing.assert_array_equal(serial, threaded)
-
-
 def test_chi0_tolerance_validation(metal_gs):
     gs = metal_gs
     dv = np.zeros(gs.grids.n_g)
@@ -217,6 +215,80 @@ def test_chi0_tolerance_validation(metal_gs):
         apply_chi0(gs, dv, np.full(gs.n_occ + 1, 1e-8))
     with pytest.raises(ValueError):
         apply_chi0(gs, dv, np.zeros(gs.n_occ))
+
+
+# -- Schur-complement split: extra bands by sum over states, CG on range(Q_kept) --
+
+
+@pytest.fixture(scope="module")
+def wide_gs():
+    """Three-well metal with n_b = 179, n_occ = 4 and 3 extra bands."""
+    model = ModelSpec(
+        lattice=Lattice.orthorhombic(9.0, 3.0, 3.0), e_cut=12.0, n_electrons=6,
+        temperature=2e-2, smearing="fermi_dirac",
+        gaussians=(
+            GaussianWell(center=(0.2, 0.5, 0.5), amplitude=-3.0, width=0.7),
+            GaussianWell(center=(0.55, 0.5, 0.5), amplitude=-2.5, width=0.6),
+            GaussianWell(center=(0.8, 0.4, 0.5), amplitude=-2.0, width=0.7),
+        ),
+    )
+    return run_scf(model, tol=1e-11, max_iter=600, damping=0.3)
+
+
+@pytest.mark.parametrize("fixture", ["tiny_oracle_gs", "metal_gs", "insulator_gs"])
+def test_split_chi0_matches_dense_oracle_tightly(fixture, request):
+    gs = request.getfixturevalue(fixture)
+    assert gs.n_kept > gs.n_occ
+    chi = dense_chi0_oracle(gs)
+    rng = np.random.default_rng(15)
+    for _ in range(2):
+        dv = rng.standard_normal(gs.grids.n_g)
+        out, _ = apply_chi0(gs, dv, tight_tols(gs, 1e-14))
+        ref = chi @ dv
+        assert np.linalg.norm(out - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("fixture", ["wide_gs", "metal_gs"])
+def test_split_band_response_equals_occupied_complement_solve(fixture, request):
+    # extra-band sum over states + solve on range(Q_kept) == solve on range(Q_occ)
+    gs = request.getfixturevalue(fixture)
+    rng = np.random.default_rng(16)
+    dvpsi, _ = _occupied_matrix(gs, rng.standard_normal(gs.grids.n_g))
+    extra = _extra_band_response(gs, _kept_adjoint(gs), dvpsi)
+    for n in range(gs.n_occ):
+        whole = solve_sternheimer(gs, gs.v_local, n, -project_out_occupied(gs.phi_occ, dvpsi[n]),
+                                  1e-14, gs.phi_occ).solution
+        rest = solve_sternheimer(gs, gs.v_local, n, -project_out_occupied(gs.phi, dvpsi[n]),
+                                 1e-14, gs.phi).solution
+        assert np.linalg.norm(extra[:, n] + rest - whole) <= 1e-10 * np.linalg.norm(whole)
+
+
+def test_kept_complement_solution_has_no_kept_component(wide_gs):
+    gs = wide_gs
+    rng = np.random.default_rng(17)
+    rhs = project_out_occupied(
+        gs.phi, rng.standard_normal(gs.grids.n_b) + 1j * rng.standard_normal(gs.grids.n_b))
+    for n in range(gs.n_occ):
+        result = solve_sternheimer(gs, gs.v_local, n, rhs, 1e-11, gs.phi, _kept_adjoint(gs))
+        leak = np.abs(gs.phi.conj().T @ result.solution)
+        assert leak.max() <= 1e-10 * np.linalg.norm(result.solution)
+
+
+def test_extra_band_guard_rejects_mixed_bands(metal_gs):
+    # rotate the highest occupied band into the lowest extra one: still
+    # orthonormal, but the extra band is no longer an eigenvector of H
+    gs = metal_gs
+    phi = gs.phi.copy()
+    a, b = gs.phi[:, gs.n_occ - 1], gs.phi[:, gs.n_occ]
+    phi[:, gs.n_occ - 1] = (a + b) / np.sqrt(2)
+    phi[:, gs.n_occ] = (b - a) / np.sqrt(2)
+    mixed = dataclasses.replace(gs, phi=phi)
+    dv = np.random.default_rng(18).standard_normal(gs.grids.n_g)
+    before = ham_counter.value
+    with pytest.raises(InvariantViolationError):
+        apply_chi0(mixed, dv, tight_tols(gs, 1e-8))
+    assert ham_counter.value == before
+    apply_chi0(gs, dv, tight_tols(gs, 1e-8))
 
 
 # -- apply_dielectric -------------------------------------------------------------

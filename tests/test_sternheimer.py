@@ -78,7 +78,7 @@ def test_zero_rhs_one_iteration(tiny_gs):
     gs = tiny_gs
     before = ham_counter.value
     result = solve_sternheimer(gs, gs.v_local, 0, np.zeros(gs.grids.n_b, dtype=complex),
-                               tol=1e-10)
+                               tol=1e-10, phi=gs.phi_occ)
     assert result.cg_iterations == 1
     assert ham_counter.value - before == 1
     assert np.linalg.norm(result.solution) == 0.0
@@ -90,7 +90,7 @@ def test_counter_matches_iterations(tiny_gs):
     rhs = rng.standard_normal(gs.grids.n_b) + 1j * rng.standard_normal(gs.grids.n_b)
     rhs = project_out_occupied(gs.phi_occ, rhs)
     before = ham_counter.value
-    result = solve_sternheimer(gs, gs.v_local, 1, rhs, tol=1e-9)
+    result = solve_sternheimer(gs, gs.v_local, 1, rhs, tol=1e-9, phi=gs.phi_occ)
     assert ham_counter.value - before == result.cg_iterations
     assert result.final_residual_norm <= 1e-9
 
@@ -102,7 +102,7 @@ def test_solution_stays_in_unoccupied_range(tiny_gs):
         gs.phi_occ,
         rng.standard_normal(gs.grids.n_b) + 1j * rng.standard_normal(gs.grids.n_b),
     )
-    result = solve_sternheimer(gs, gs.v_local, gs.n_occ - 1, rhs, tol=1e-11)
+    result = solve_sternheimer(gs, gs.v_local, gs.n_occ - 1, rhs, tol=1e-11, phi=gs.phi_occ)
     leak = np.linalg.norm(gs.phi_occ.conj().T @ result.solution)
     assert leak <= 1e-10 * np.linalg.norm(result.solution)
 
@@ -118,7 +118,7 @@ def test_matches_dense_pseudoinverse(tiny_gs):
             rng.standard_normal(gs.grids.n_b) + 1j * rng.standard_normal(gs.grids.n_b),
         )
         tol = 1e-10
-        result = solve_sternheimer(gs, gs.v_local, n, rhs, tol=tol)
+        result = solve_sternheimer(gs, gs.v_local, n, rhs, tol=tol, phi=gs.phi_occ)
         x_ref = np.linalg.pinv(a, rcond=1e-8) @ rhs
         a_pinv_norm = 1.0 / (gs.eps_gap_ref - gs.eps[n])
         err = np.linalg.norm(result.solution - x_ref)
@@ -138,7 +138,7 @@ def test_error_bounded_by_gap_scaled_residual(tiny_gs):
         )
         if x_exact is None:
             x_exact = np.linalg.pinv(a, rcond=1e-8)
-        result = solve_sternheimer(gs, gs.v_local, n, rhs, tol=tol)
+        result = solve_sternheimer(gs, gs.v_local, n, rhs, tol=tol, phi=gs.phi_occ)
         z = np.linalg.norm(result.solution - x_exact @ rhs)
         bound = result.final_residual_norm / (gs.eps_gap_ref - gs.eps[n])
         assert z <= bound * (1 + 1e-6)
@@ -152,5 +152,5 @@ def test_max_iter_raises_with_residual(tiny_gs):
         rng.standard_normal(gs.grids.n_b) + 1j * rng.standard_normal(gs.grids.n_b),
     )
     with pytest.raises(NonConvergenceError) as err:
-        solve_sternheimer(gs, gs.v_local, 0, rhs, tol=1e-14, max_iter=2)
+        solve_sternheimer(gs, gs.v_local, 0, rhs, tol=1e-14, phi=gs.phi_occ, max_iter=2)
     assert err.value.residual is not None and err.value.residual > 0
