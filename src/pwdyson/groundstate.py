@@ -23,9 +23,9 @@ from .pwbasis import FourierGrids, Lattice, build_grids
 class HamiltonianCounter:
     """Thread-safe running count of Hamiltonian applications.
 
-    One count per apply_hamiltonian call; this is the cost metric every
-    report is based on, so concurrent Sternheimer solves must be able to
-    increment it safely.
+    One count per application of H to one vector: an apply_hamiltonian
+    call, or one band's step of the Sternheimer block CG.  This is the
+    cost metric every report is based on.
     """
 
     def __init__(self):
@@ -208,7 +208,12 @@ def external_potential_derivative(model: ModelSpec, grids: FourierGrids,
 # -- Hamiltonian ------------------------------------------------------------
 
 def apply_hamiltonian(grids: FourierGrids, v_local: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """Apply H = -Laplacian/2 + v_local to a sphere vector; counts one application."""
+    """Apply H = -Laplacian/2 + v_local to a sphere vector; counts one application.
+
+    Matrix-free, through the sphere-pruned transforms.  The Sternheimer
+    solve applies the dense H of `dense_hamiltonian` instead; this is the
+    independent cross-check the tests build H from.
+    """
     if psi.shape != (grids.n_b,):
         raise ValueError(f"expected sphere vector of length {grids.n_b}, got {psi.shape}")
     if v_local.shape != (grids.n_g,):

@@ -30,6 +30,7 @@ import scipy.fft
 from .errors import ConfigurationError
 
 TWO_PI = 2.0 * np.pi
+_DIFFERENCE_ROWS = 64       # rows per block of `sphere_difference_index`
 
 
 @dataclass(frozen=True)
@@ -185,9 +186,13 @@ class FourierGrids:
     def sphere_difference_index(self) -> np.ndarray:
         """Flat cube index of every sphere-vector difference, for `dense_hamiltonian`."""
         nx, ny, nz = self.cube_dims
-        diff = self.g_int[:, None, :] - self.g_int[None, :, :]
-        index = (diff[..., 0] % nx) + nx * ((diff[..., 1] % ny) + ny * (diff[..., 2] % nz))
-        index = index.astype(np.int32)      # kept for the grid's lifetime: half the memory
+        # int32, kept for the grid's lifetime: half the memory; built in row
+        # blocks so no (n_b, n_b, 3) int64 difference table is allocated
+        index = np.empty((self.n_b, self.n_b), dtype=np.int32)
+        for start in range(0, self.n_b, _DIFFERENCE_ROWS):
+            diff = self.g_int[start:start + _DIFFERENCE_ROWS, None, :] - self.g_int[None, :, :]
+            index[start:start + _DIFFERENCE_ROWS] = (
+                (diff[..., 0] % nx) + nx * ((diff[..., 1] % ny) + ny * (diff[..., 2] % nz)))
         index.flags.writeable = False
         return index
 

@@ -4,13 +4,14 @@ The density response to a local perturbation dv splits into four pieces:
 first-order occupation changes, the occupied-subspace orbital response
 (explicit sum over states), the response in the extra bands kept by the
 SCF (explicit sum over states), and the rest of the unoccupied response
-from one Sternheimer solve per occupied band in the complement of every
-kept band.  This is the Schur-complement split of Cances, Herbst, Kemlin,
-Levitt and Stamm (Lett. Math. Phys. 113, 21 (2023)): it gives the same
-chi0 as a solve in the complement of the occupied bands alone, but the
-CG then works against the wider gap eps_{N_kept+1} - eps_n.  The
-per-band solve tolerances are an explicit argument so this module stays
-agnostic of how they are chosen.
+from Sternheimer solves in the complement of every kept band, one per
+occupied band, run together as one block CG.  This is the
+Schur-complement split of Cances, Herbst, Kemlin, Levitt and Stamm
+(Lett. Math. Phys. 113, 21 (2023)): it gives the same chi0 as a solve
+in the complement of the occupied bands alone, but the CG then works
+against the wider gap eps_{N_kept+1} - eps_n.  The per-band solve
+tolerances are an explicit argument so this module stays agnostic of
+how they are chosen.
 
 E is always applied in rescaled form, E v = v - |Kv| chi0(Kv / |Kv|),
 so the Sternheimer right-hand sides stay O(1) and small Kv cannot
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvariantViolationError
-from .groundstate import GroundState
+from .groundstate import GroundState, dense_hamiltonian
 from .kernels import KernelSpec, apply_kernel
 from .sternheimer import project_out_occupied, solve_sternheimer
 
@@ -132,19 +133,18 @@ def _kept_adjoint(gs: GroundState) -> np.ndarray:
 
     The extra-band sum over states in `apply_chi0` is exact only for
     eigenvectors of H[v_local], so the first call checks
-    ||H phi_e - eps_e phi_e|| for every extra band (through the
-    transforms: a diagnostic is not a Hamiltonian application).
+    ||H phi_e - eps_e phi_e|| for every extra band against the dense H
+    that the Sternheimer CG applies (a diagnostic is not a Hamiltonian
+    application).
 
     Raises:
         InvariantViolationError: an extra band's eigen-residual exceeds
             EXTRA_BAND_RESIDUAL_LIMIT.
     """
     def compute():
-        grids = gs.grids
         extra = gs.phi[:, gs.n_occ:].T                         # (n_extra, n_b)
-        h_extra = (0.5 * grids.g2_sphere * extra
-                   + grids.to_fourier_many(gs.v_local * grids.to_real_many(extra)))
-        residuals = np.linalg.norm(h_extra - gs.eps[gs.n_occ:, None] * extra, axis=1)
+        h = dense_hamiltonian(gs.grids, gs.v_local)
+        residuals = np.linalg.norm(extra @ h.T - gs.eps[gs.n_occ:, None] * extra, axis=1)
         worst = float(np.max(residuals, initial=0.0))
         if worst > EXTRA_BAND_RESIDUAL_LIMIT:
             raise InvariantViolationError(
@@ -168,10 +168,10 @@ def apply_chi0(gs: GroundState, dv: np.ndarray, tolerances) -> tuple:
 
     Each band's unoccupied response -Q_occ (H - eps_n)^-1 Q_occ dv phi_n is
     the extra-band sum over states plus a CG solve on range(Q_kept),
-    Q_kept = I - Phi_kept Phi_kept^H; only the solve costs Hamiltonian
-    applications.  Returns (delta_rho, Chi0Stats).  The per-band
-    contributions are accumulated in a fixed-order array and reduced with
-    a pairwise sum.
+    Q_kept = I - Phi_kept Phi_kept^H; every band's solve is a row of one
+    block CG call, and only the solve costs Hamiltonian applications.
+    Returns (delta_rho, Chi0Stats).  The per-band contributions are
+    accumulated in a fixed-order array and reduced with a pairwise sum.
     """
     grids = gs.grids
     n_occ = gs.n_occ
@@ -188,21 +188,18 @@ def apply_chi0(gs: GroundState, dv: np.ndarray, tolerances) -> tuple:
     _, _, delta_f = _first_order_occupations(gs, m, dv)
     dphi = _occupied_orbital_response(gs, m) + _extra_band_response(gs, phi_h, dvpsi)
 
-    results = []
-    for n in range(n_occ):
-        rhs = -project_out_occupied(gs.phi, dvpsi[n], phi_h)
-        results.append(solve_sternheimer(gs, gs.v_local, n, rhs, tolerances[n], gs.phi, phi_h))
-
-    dphi += np.stack([r.solution for r in results], axis=1)
+    rhs = -project_out_occupied(gs.phi, dvpsi.T, phi_h).T
+    solve = solve_sternheimer(gs, np.arange(n_occ), rhs, tolerances, gs.phi, phi_h)
+    dphi += solve.solution.T
     dphi_r = grids.to_real_many(dphi.T)                       # (n_occ, n_g)
     contrib = (2.0 * gs.occ_occ[:, None]) * (psi_r.conj() * dphi_r).real
     contrib += delta_f[:, None] * np.abs(psi_r) ** 2
     delta_rho = contrib.sum(axis=0)
 
     stats = Chi0Stats(
-        cg_iterations_per_band=[r.cg_iterations for r in results],
+        cg_iterations_per_band=solve.iterations_per_band,
         tolerances_used=list(tolerances),
-        ham_applications=int(sum(r.cg_iterations for r in results)),
+        ham_applications=solve.cg_iterations,
     )
     return delta_rho, stats
 

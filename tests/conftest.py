@@ -68,7 +68,7 @@ def dense_chi0_oracle(gs):
 
     Textbook sum over all states: divided-difference pair terms plus the
     Fermi-level-conserving occupation term.  Entirely independent of the
-    matrix-free implementation path.
+    Sternheimer implementation path.
     """
     grids = gs.grids
     eps, phi, occ = full_spectrum(gs)

@@ -73,10 +73,12 @@ def test_matches_dense_assembly():
 
 
 def test_dense_hamiltonian_reuses_difference_index(monkeypatch):
-    # the cached index gives the H of a fresh per-call index bit for bit,
-    # on a non-cubic cell, and a second call does not rebuild it
+    # the cached index, built in row blocks (several and a partial last
+    # one), gives the H of a fresh per-call index bit for bit, on a
+    # non-cubic cell, and a second call does not rebuild it
     rng = np.random.default_rng(4)
-    grids = build_grids(Lattice.from_vectors([5.0, 0, 0], [0.4, 2.6, 0], [0, 0.3, 2.2]), 6.5)
+    grids = build_grids(Lattice.from_vectors([5.0, 0, 0], [0.4, 2.6, 0], [0, 0.3, 2.2]), 40.0)
+    assert grids.n_b > 3 * 64 and grids.n_b % 64 != 0
     v = rng.standard_normal(grids.n_g)
     nx, ny, nz = grids.cube_dims
     diff = grids.g_int[:, None, :] - grids.g_int[None, :, :]
@@ -86,6 +88,8 @@ def test_dense_hamiltonian_reuses_difference_index(monkeypatch):
     assert "sphere_difference_index" not in vars(grids)
     np.testing.assert_array_equal(dense_hamiltonian(grids, v), uncached)
     index = grids.sphere_difference_index
+    assert index.dtype == np.int32
+    np.testing.assert_array_equal(index, flat)
     monkeypatch.setattr(type(grids).sphere_difference_index, "func",
                         lambda self: pytest.fail("difference index rebuilt"))
     np.testing.assert_array_equal(dense_hamiltonian(grids, v), uncached)

@@ -256,10 +256,10 @@ def test_split_band_response_equals_occupied_complement_solve(fixture, request):
     dvpsi, _ = _occupied_matrix(gs, rng.standard_normal(gs.grids.n_g))
     extra = _extra_band_response(gs, _kept_adjoint(gs), dvpsi)
     for n in range(gs.n_occ):
-        whole = solve_sternheimer(gs, gs.v_local, n, -project_out_occupied(gs.phi_occ, dvpsi[n]),
-                                  1e-14, gs.phi_occ).solution
-        rest = solve_sternheimer(gs, gs.v_local, n, -project_out_occupied(gs.phi, dvpsi[n]),
-                                 1e-14, gs.phi).solution
+        whole = solve_sternheimer(gs, [n], -project_out_occupied(gs.phi_occ, dvpsi[n])[None],
+                                  1e-14, gs.phi_occ).solution[0]
+        rest = solve_sternheimer(gs, [n], -project_out_occupied(gs.phi, dvpsi[n])[None],
+                                 1e-14, gs.phi).solution[0]
         assert np.linalg.norm(extra[:, n] + rest - whole) <= 1e-10 * np.linalg.norm(whole)
 
 
@@ -269,8 +269,8 @@ def test_kept_complement_solution_has_no_kept_component(wide_gs):
     rhs = project_out_occupied(
         gs.phi, rng.standard_normal(gs.grids.n_b) + 1j * rng.standard_normal(gs.grids.n_b))
     for n in range(gs.n_occ):
-        result = solve_sternheimer(gs, gs.v_local, n, rhs, 1e-11, gs.phi, _kept_adjoint(gs))
-        leak = np.abs(gs.phi.conj().T @ result.solution)
+        result = solve_sternheimer(gs, [n], rhs[None], 1e-11, gs.phi, _kept_adjoint(gs))
+        leak = np.abs(gs.phi.conj().T @ result.solution[0])
         assert leak.max() <= 1e-10 * np.linalg.norm(result.solution)
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from pwdyson import Lattice, NonConvergenceError
+from pwdyson import InvariantViolationError, Lattice, NonConvergenceError
 from pwdyson.groundstate import GaussianWell, ModelSpec, ham_counter, run_scf
 from pwdyson.sternheimer import project_out_occupied, solve_sternheimer
 
@@ -77,7 +77,7 @@ def test_projector_pythagoras(tiny_gs):
 def test_zero_rhs_one_iteration(tiny_gs):
     gs = tiny_gs
     before = ham_counter.value
-    result = solve_sternheimer(gs, gs.v_local, 0, np.zeros(gs.grids.n_b, dtype=complex),
+    result = solve_sternheimer(gs, [0], np.zeros((1, gs.grids.n_b), dtype=complex),
                                tol=1e-10, phi=gs.phi_occ)
     assert result.cg_iterations == 1
     assert ham_counter.value - before == 1
@@ -90,7 +90,7 @@ def test_counter_matches_iterations(tiny_gs):
     rhs = rng.standard_normal(gs.grids.n_b) + 1j * rng.standard_normal(gs.grids.n_b)
     rhs = project_out_occupied(gs.phi_occ, rhs)
     before = ham_counter.value
-    result = solve_sternheimer(gs, gs.v_local, 1, rhs, tol=1e-9, phi=gs.phi_occ)
+    result = solve_sternheimer(gs, [1], rhs[None], tol=1e-9, phi=gs.phi_occ)
     assert ham_counter.value - before == result.cg_iterations
     assert result.final_residual_norm <= 1e-9
 
@@ -102,8 +102,8 @@ def test_solution_stays_in_unoccupied_range(tiny_gs):
         gs.phi_occ,
         rng.standard_normal(gs.grids.n_b) + 1j * rng.standard_normal(gs.grids.n_b),
     )
-    result = solve_sternheimer(gs, gs.v_local, gs.n_occ - 1, rhs, tol=1e-11, phi=gs.phi_occ)
-    leak = np.linalg.norm(gs.phi_occ.conj().T @ result.solution)
+    result = solve_sternheimer(gs, [gs.n_occ - 1], rhs[None], tol=1e-11, phi=gs.phi_occ)
+    leak = np.linalg.norm(gs.phi_occ.conj().T @ result.solution[0])
     assert leak <= 1e-10 * np.linalg.norm(result.solution)
 
 
@@ -118,7 +118,7 @@ def test_matches_dense_pseudoinverse(tiny_gs):
             rng.standard_normal(gs.grids.n_b) + 1j * rng.standard_normal(gs.grids.n_b),
         )
         tol = 1e-10
-        result = solve_sternheimer(gs, gs.v_local, n, rhs, tol=tol, phi=gs.phi_occ)
+        result = solve_sternheimer(gs, [n], rhs[None], tol=tol, phi=gs.phi_occ)
         x_ref = np.linalg.pinv(a, rcond=1e-8) @ rhs
         a_pinv_norm = 1.0 / (gs.eps_gap_ref - gs.eps[n])
         err = np.linalg.norm(result.solution - x_ref)
@@ -138,7 +138,7 @@ def test_error_bounded_by_gap_scaled_residual(tiny_gs):
         )
         if x_exact is None:
             x_exact = np.linalg.pinv(a, rcond=1e-8)
-        result = solve_sternheimer(gs, gs.v_local, n, rhs, tol=tol, phi=gs.phi_occ)
+        result = solve_sternheimer(gs, [n], rhs[None], tol=tol, phi=gs.phi_occ)
         z = np.linalg.norm(result.solution - x_exact @ rhs)
         bound = result.final_residual_norm / (gs.eps_gap_ref - gs.eps[n])
         assert z <= bound * (1 + 1e-6)
@@ -152,5 +152,74 @@ def test_max_iter_raises_with_residual(tiny_gs):
         rng.standard_normal(gs.grids.n_b) + 1j * rng.standard_normal(gs.grids.n_b),
     )
     with pytest.raises(NonConvergenceError) as err:
-        solve_sternheimer(gs, gs.v_local, 0, rhs, tol=1e-14, phi=gs.phi_occ, max_iter=2)
+        solve_sternheimer(gs, [0], rhs[None], tol=1e-14, phi=gs.phi_occ, max_iter=2)
     assert err.value.residual is not None and err.value.residual > 0
+
+
+def test_indefinite_operator_fails_fast(tiny_gs):
+    # without band 0 in phi, Q (H - eps_n) Q is indefinite for the top band
+    gs = tiny_gs
+    rng = np.random.default_rng(7)
+    phi = gs.phi_occ[:, 1:]
+    rhs = project_out_occupied(
+        phi, rng.standard_normal(gs.grids.n_b) + 1j * rng.standard_normal(gs.grids.n_b))
+    before = ham_counter.value
+    with pytest.raises(InvariantViolationError, match=f"band {gs.n_occ - 1}"):
+        solve_sternheimer(gs, [gs.n_occ - 1], rhs[None], tol=1e-10, phi=phi)
+    assert ham_counter.value - before <= 2
+
+
+# -- block solves: every band keeps its own CG ------------------------------------
+
+
+def _block_rhs(gs, seed):
+    rng = np.random.default_rng(seed)
+    shape = (gs.n_occ, gs.grids.n_b)
+    raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return project_out_occupied(gs.phi, raw.T).T
+
+
+def test_block_solve_matches_one_row_solves(metal_gs):
+    gs = metal_gs
+    rhs = _block_rhs(gs, 8)
+    tols = np.geomspace(1e-6, 1e-11, gs.n_occ)
+    block = solve_sternheimer(gs, range(gs.n_occ), rhs, tols, gs.phi)
+    assert isinstance(block.cg_iterations, int)
+    assert block.cg_iterations == sum(block.iterations_per_band)
+    for n in range(gs.n_occ):
+        one = solve_sternheimer(gs, [n], rhs[n:n + 1], tols[n], gs.phi)
+        assert block.iterations_per_band[n] == one.iterations_per_band[0] == one.cg_iterations
+        assert (np.linalg.norm(block.solution[n] - one.solution[0])
+                <= 1e-12 * np.linalg.norm(one.solution[0]))
+        assert block.final_residual_norm[n] <= tols[n]
+
+
+def test_zero_rhs_row_costs_one_application(metal_gs):
+    gs = metal_gs
+    rhs = _block_rhs(gs, 9)
+    bands = range(gs.n_occ)
+    full = solve_sternheimer(gs, bands, rhs, 1e-9, gs.phi)
+    rhs[1] = 0.0
+    before = ham_counter.value
+    zeroed = solve_sternheimer(gs, bands, rhs, 1e-9, gs.phi)
+    assert ham_counter.value - before == zeroed.cg_iterations
+    assert zeroed.iterations_per_band[1] == 1
+    assert np.linalg.norm(zeroed.solution[1]) == 0.0
+    others = [n for n in bands if n != 1]
+    assert ([zeroed.iterations_per_band[n] for n in others]
+            == [full.iterations_per_band[n] for n in others])
+    np.testing.assert_allclose(zeroed.solution[others], full.solution[others],
+                               rtol=0, atol=1e-12 * np.linalg.norm(full.solution))
+
+
+def test_counter_sums_per_band_iterations_as_bands_drop_out(metal_gs):
+    gs = metal_gs
+    rhs = _block_rhs(gs, 10)
+    tols = np.full(gs.n_occ, 1e-11)
+    tols[::2] = 1e-4                        # these bands stop early
+    before = ham_counter.value
+    result = solve_sternheimer(gs, range(gs.n_occ), rhs, tols, gs.phi)
+    assert ham_counter.value - before == result.cg_iterations == sum(result.iterations_per_band)
+    iters = np.array(result.iterations_per_band)
+    assert iters[::2].max() < iters[1::2].min()
+    assert result.cg_iterations < gs.n_occ * iters.max()
