@@ -8,7 +8,6 @@ which keeps every downstream test exact.
 """
 
 import itertools
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,35 +17,6 @@ from scipy.special import erfc, expit
 
 from .errors import ConfigurationError, NonConvergenceError
 from .pwbasis import FourierGrids, Lattice, build_grids
-
-
-class HamiltonianCounter:
-    """Thread-safe running count of Hamiltonian applications.
-
-    One count per application of H to one vector: an apply_hamiltonian
-    call, or one band's step of the Sternheimer block CG.  This is the
-    cost metric every report is based on.
-    """
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._count = 0
-
-    def add(self, n: int = 1):
-        with self._lock:
-            self._count += n
-
-    def reset(self):
-        with self._lock:
-            self._count = 0
-
-    @property
-    def value(self) -> int:
-        with self._lock:
-            return self._count
-
-
-ham_counter = HamiltonianCounter()
 
 
 @dataclass(frozen=True)
@@ -208,7 +178,7 @@ def external_potential_derivative(model: ModelSpec, grids: FourierGrids,
 # -- Hamiltonian ------------------------------------------------------------
 
 def apply_hamiltonian(grids: FourierGrids, v_local: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """Apply H = -Laplacian/2 + v_local to a sphere vector; counts one application.
+    """Apply H = -Laplacian/2 + v_local to a sphere vector.
 
     Matrix-free, through the sphere-pruned transforms.  The Sternheimer
     solve applies the dense H of `dense_hamiltonian` instead; this is the
@@ -218,9 +188,7 @@ def apply_hamiltonian(grids: FourierGrids, v_local: np.ndarray, psi: np.ndarray)
         raise ValueError(f"expected sphere vector of length {grids.n_b}, got {psi.shape}")
     if v_local.shape != (grids.n_g,):
         raise ValueError(f"expected grid potential of length {grids.n_g}, got {v_local.shape}")
-    out = 0.5 * grids.g2_sphere * psi + grids.to_fourier(v_local * grids.to_real(psi))
-    ham_counter.add(1)
-    return out
+    return 0.5 * grids.g2_sphere * psi + grids.to_fourier(v_local * grids.to_real(psi))
 
 
 def dense_hamiltonian(grids: FourierGrids, v_local: np.ndarray) -> np.ndarray:

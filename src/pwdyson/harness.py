@@ -3,10 +3,13 @@
 Wires the dielectric application into a budgeted operator for the outer
 inexact GMRES: each granted budget is translated into per-band Sternheimer
 tolerances by the configured strategy.  Costs are measured in Hamiltonian
-applications (one per inner CG iteration), the metric every report uses.
+applications (one per band per inner CG iteration), the metric every
+report uses.  Each call returns what it spent and the harness adds the
+returned costs up: `n_ham` is the right-hand-side build plus the outer
+solve, and the true-residual diagnostics, run at tight tolerances outside
+the solve, are never part of it.
 """
 
-import csv
 import json
 import os
 from dataclasses import dataclass, field, replace
@@ -19,16 +22,15 @@ from .errors import ConfigurationError, InvariantViolationError, NonConvergenceE
 from .groundstate import (
     GroundState,
     _image_displacements,
-    diagonalize_dense,
     external_potential_derivative,
     gaussian_well,
-    ham_counter,
     run_scf,
 )
 from .igmres import igmres_solve
 from .kernels import KernelSpec, KerkerSpec, apply_kerker
 from .pwbasis import build_grids
 from .response import (
+    DielectricApplication,
     _cached_row_norm,
     apply_chi0,
     apply_dielectric,
@@ -173,18 +175,41 @@ def build_perturbation(gs: GroundState, pert, spec: StrategySpec):
         ctx.rhs_norm = 1.0
         provisional = select_tolerances(
             StrategySpec("d10", spec.preconditioned, spec.tau, spec.m), ctx)
-        drho0, stats0 = apply_chi0(gs, dv0 / dv_norm, provisional)
+        drho0, solve0 = apply_chi0(gs, dv0 / dv_norm, provisional)
         ctx.rhs_norm = float(np.linalg.norm(drho0)) * dv_norm
-        cost = stats0.ham_applications
         tols = select_tolerances(spec, ctx)
         if np.all(tols >= provisional):
-            return dv0, dv_norm * drho0, cost
-        drho0, stats = apply_chi0(gs, dv0 / dv_norm, tols)
-        return dv0, dv_norm * drho0, cost + stats.ham_applications
+            return dv0, dv_norm * drho0, solve0.cg_iterations
+        drho0, solve = apply_chi0(gs, dv0 / dv_norm, tols)
+        return dv0, dv_norm * drho0, solve0.cg_iterations + solve.cg_iterations
     ctx.rhs_norm = 1.0  # placeholder; unused by the remaining kinds
     tols = select_tolerances(spec, ctx)
-    drho0, stats = apply_chi0(gs, dv0 / dv_norm, tols)
-    return dv0, dv_norm * drho0, stats.ham_applications
+    drho0, solve = apply_chi0(gs, dv0 / dv_norm, tols)
+    return dv0, dv_norm * drho0, solve.cg_iterations
+
+
+def budgeted_dielectric(gs: GroundState, spec: StrategySpec, kernel: KernelSpec,
+                        kerker: KerkerSpec, rhs_norm: float):
+    """The budgeted Dyson operator (v, budget) -> (E~v or P E~v, cost) of `igmres_solve`.
+
+    The strategy turns each granted budget into per-band Sternheimer
+    tolerances; with `kerker` the output is preconditioned.  Returns the
+    operator and the list it appends every (budget, DielectricApplication)
+    to, the latter without its output.
+    """
+    base = _base_context(gs, spec, iteration=1, rhs_norm=rhs_norm)
+    applications = []
+
+    def op(v, budget):
+        def tolerances(kv_norm):
+            return select_tolerances(spec, replace(base, kv_norm=kv_norm, common_factor=budget))
+
+        app = apply_dielectric(gs, kernel, v, tolerances)
+        out = apply_kerker(kerker, gs.grids, app.output) if kerker else app.output
+        applications.append((budget, replace(app, output=None)))   # keep no n_g vectors
+        return out, app.ham_applications
+
+    return op, applications
 
 
 def true_residual(gs: GroundState, kernel: KernelSpec, x: np.ndarray,
@@ -203,12 +228,20 @@ def true_residual(gs: GroundState, kernel: KernelSpec, x: np.ndarray,
     return float(np.linalg.norm(residual))
 
 
+def _mean_cg(app: DielectricApplication) -> tuple:
+    """(mean CG tolerance, mean CG iterations) over the bands; zeros when Kv = 0."""
+    if not app.tolerances_used:
+        return 0.0, 0.0
+    return float(np.mean(app.tolerances_used)), float(np.mean(app.cg_iterations_per_band))
+
+
 def run_response(config: ExperimentConfig, gs: GroundState = None,
                  out_dir: str = None) -> RunMetrics:
     """Solve the Dyson equation for the configured perturbation and strategy.
 
     Writes report.json and history.csv when an output directory is given.
-    Non-convergence raises, with the partial report attached.
+    Non-convergence of the outer solve raises with the partial report
+    attached; a stalled Sternheimer solve raises as it came, without one.
     """
     resp = config.response
     spec = parse_strategy(resp.strategy, tau=resp.tau, m=resp.m, use_gap=resp.use_gap)
@@ -218,46 +251,19 @@ def run_response(config: ExperimentConfig, gs: GroundState = None,
     kernel = KernelSpec(xc=config.model.xc)
     kerker = KerkerSpec(alpha=resp.kerker_alpha) if spec.preconditioned else None
 
-    ham_start = ham_counter.value
     dv0, b, n_ham_rhs = build_perturbation(gs, resp.perturbation, spec)
     b_norm = float(np.linalg.norm(b))
-
-    ctx0 = _base_context(gs, spec, iteration=1, rhs_norm=b_norm)
-    app_log = []
+    op, applications = budgeted_dielectric(gs, spec, kernel, kerker, b_norm)
     history = []
-    bound_margins = []
-
-    def op(v, budget):
-        def tolerances(kv_norm):
-            ctx = ToleranceContext(
-                iteration=1, n_occ=ctx0.n_occ, occ=ctx0.occ, volume=ctx0.volume,
-                n_g=ctx0.n_g, row_norm=ctx0.row_norm, rhs_norm=ctx0.rhs_norm,
-                eps_gap=ctx0.eps_gap, kv_norm=kv_norm, common_factor=budget,
-            )
-            return select_tolerances(spec, ctx)
-
-        app = apply_dielectric(gs, kernel, v, tolerances)
-        out = apply_kerker(kerker, grids, app.output) if kerker else app.output
-        if app.kv_norm > 0 and app.tolerances_used:
-            bound = dielectric_error_bound(gs, app.kv_norm, app.tolerances_used)
-            bound_margins.append(budget / bound if bound > 0 else np.inf)
-        app_log.append({
-            "mean_cg_tol": float(np.mean(app.tolerances_used)) if app.tolerances_used else 0.0,
-            "mean_cg_iters": float(np.mean(app.cg_iterations_per_band))
-            if app.cg_iterations_per_band else 0.0,
-        })
-        return out, app.ham_applications
-
     every = resp.true_residual_every
 
     def monitor(info):
-        stats = app_log[-1] if app_log else {"mean_cg_tol": 0.0, "mean_cg_iters": 0.0}
+        app = applications[-1][1]
         t_res = np.nan
         if every and info["iteration"] % every == 0:
             t_res = true_residual(gs, kernel, info["get_x"](), b)
         history.append((info["iteration"], info["est_res"], t_res,
-                        ham_counter.value - ham_start,
-                        stats["mean_cg_tol"], stats["mean_cg_iters"]))
+                        n_ham_rhs + info["total_cost"], *_mean_cg(app)))
 
     b_solver = apply_kerker(kerker, grids, b) if kerker else b
     try:
@@ -265,16 +271,23 @@ def run_response(config: ExperimentConfig, gs: GroundState = None,
                               s_init=1.0, monitor=monitor)
         converged = True
     except NonConvergenceError as err:
+        if err.report is None:          # an inner Sternheimer solve, not GMRES
+            raise
         report = err.report
         converged = False
 
-    n_ham = ham_counter.value - ham_start
+    n_ham = n_ham_rhs + report.total_cost
     if kerker:
         final_true, final_true_precond = true_residual(
             gs, kernel, report.solution, b, kerker=kerker)
     else:
         final_true = true_residual(gs, kernel, report.solution, b)
         final_true_precond = np.nan
+    bound_margins = []
+    for budget, app in applications:
+        if app.tolerances_used:
+            bound = dielectric_error_bound(gs, app.kv_norm, app.tolerances_used)
+            bound_margins.append(budget / bound if bound > 0 else np.inf)
     true0 = b_norm
     eta = (-np.log10(final_true / true0) / n_ham
            if (n_ham > 0 and final_true > 0 and true0 > 0) else np.nan)
@@ -447,17 +460,7 @@ def check_y_bound(gs: GroundState, config: ExperimentConfig) -> dict:
     kernel = KernelSpec(xc=config.model.xc)
     kerker = KerkerSpec(alpha=config.response.kerker_alpha) if spec.preconditioned else None
     _, b, _ = build_perturbation(gs, config.response.perturbation, spec)
-
-    def op(v, budget):
-        def tolerances(kv):
-            ctx = _base_context(gs, spec, iteration=1, rhs_norm=float(np.linalg.norm(b)))
-            ctx.kv_norm = kv
-            ctx.common_factor = budget
-            return select_tolerances(spec, ctx)
-        app = apply_dielectric(gs, kernel, v, tolerances)
-        out = apply_kerker(kerker, gs.grids, app.output) if kerker else app.output
-        return out, app.ham_applications
-
+    op, _ = budgeted_dielectric(gs, spec, kernel, kerker, float(np.linalg.norm(b)))
     b_solver = apply_kerker(kerker, gs.grids, b) if kerker else b
     report = igmres_solve(op, b_solver, m=spec.m, tau=spec.tau)
     y = report.y_final

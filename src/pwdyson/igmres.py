@@ -57,7 +57,6 @@ class RestartRecord:
 class IGmresState:
     """Arnoldi basis, Hessenberg factorisation and Givens machinery."""
 
-    n: int
     max_dim: int
 
     def __post_init__(self):
@@ -190,7 +189,9 @@ def igmres_solve(op, b: np.ndarray, x0: np.ndarray = None, m: int = 10,
             (default 100 m).
         record_products: keep the inexact products and final basis for
             diagnostics (memory heavy; tests only).
-        monitor: optional callable(info dict) invoked after every step.
+        monitor: optional callable(info dict) invoked after every step;
+            `total_cost` in it is the cost spent so far, x0 refreshes
+            included.
 
     Raises:
         NonConvergenceError: iteration cap reached; carries the report.
@@ -228,7 +229,7 @@ def igmres_solve(op, b: np.ndarray, x0: np.ndarray = None, m: int = 10,
     if norm_b == 0.0 and not np.any(x):
         return make_report(x, True, est=0.0)
 
-    state = IGmresState(n=len(b), max_dim=m)
+    state = IGmresState(max_dim=m)
     while True:
         cycle += 1
         if np.any(x):
@@ -268,7 +269,7 @@ def igmres_solve(op, b: np.ndarray, x0: np.ndarray = None, m: int = 10,
             if monitor is not None:
                 monitor({
                     "iteration": total_iters, "cycle": cycle, "est_res": est,
-                    "budget": budget, "cost": cost, "s": s,
+                    "budget": budget, "cost": cost, "total_cost": total_cost, "s": s,
                     "get_x": lambda: state.assemble(x, state.solution_coefficients()),
                 })
 

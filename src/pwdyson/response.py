@@ -19,7 +19,7 @@ underflow.  The same rescaling links the solve tolerances to the
 computable error bound of `dielectric_error_bound`.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,19 +34,14 @@ EXTRA_BAND_RESIDUAL_LIMIT = 1e-10
 
 
 @dataclass
-class Chi0Stats:
-    cg_iterations_per_band: list = field(default_factory=list)
-    tolerances_used: list = field(default_factory=list)
-    ham_applications: int = 0
-
-
-@dataclass
 class DielectricApplication:
+    """One application of E and what it spent; empty lists when Kv = 0."""
+
     output: np.ndarray
     kv_norm: float
     cg_iterations_per_band: list
     tolerances_used: list
-    ham_applications: int
+    ham_applications: int           # Hamiltonian applications of the block solve
 
 
 def delta_eigen_occupations(gs: GroundState, dv: np.ndarray):
@@ -170,8 +165,9 @@ def apply_chi0(gs: GroundState, dv: np.ndarray, tolerances) -> tuple:
     the extra-band sum over states plus a CG solve on range(Q_kept),
     Q_kept = I - Phi_kept Phi_kept^H; every band's solve is a row of one
     block CG call, and only the solve costs Hamiltonian applications.
-    Returns (delta_rho, Chi0Stats).  The per-band contributions are
-    accumulated in a fixed-order array and reduced with a pairwise sum.
+    Returns (delta_rho, the solve's SternheimerResult).  The per-band
+    contributions are accumulated in a fixed-order array and reduced with
+    a pairwise sum.
     """
     grids = gs.grids
     n_occ = gs.n_occ
@@ -194,14 +190,7 @@ def apply_chi0(gs: GroundState, dv: np.ndarray, tolerances) -> tuple:
     dphi_r = grids.to_real_many(dphi.T)                       # (n_occ, n_g)
     contrib = (2.0 * gs.occ_occ[:, None]) * (psi_r.conj() * dphi_r).real
     contrib += delta_f[:, None] * np.abs(psi_r) ** 2
-    delta_rho = contrib.sum(axis=0)
-
-    stats = Chi0Stats(
-        cg_iterations_per_band=solve.iterations_per_band,
-        tolerances_used=list(tolerances),
-        ham_applications=solve.cg_iterations,
-    )
-    return delta_rho, stats
+    return contrib.sum(axis=0), solve
 
 
 def apply_dielectric(gs: GroundState, kernel: KernelSpec, v: np.ndarray,
@@ -221,12 +210,12 @@ def apply_dielectric(gs: GroundState, kernel: KernelSpec, v: np.ndarray,
             cg_iterations_per_band=[], tolerances_used=[], ham_applications=0,
         )
     tol_vec = tolerances(kv_norm) if callable(tolerances) else tolerances
-    drho, stats = apply_chi0(gs, u / kv_norm, tol_vec)
+    drho, solve = apply_chi0(gs, u / kv_norm, tol_vec)
     return DielectricApplication(
         output=v - kv_norm * drho, kv_norm=kv_norm,
-        cg_iterations_per_band=stats.cg_iterations_per_band,
-        tolerances_used=stats.tolerances_used,
-        ham_applications=stats.ham_applications,
+        cg_iterations_per_band=solve.iterations_per_band,
+        tolerances_used=list(tol_vec),
+        ham_applications=solve.cg_iterations,
     )
 
 

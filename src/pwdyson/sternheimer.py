@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvariantViolationError, NonConvergenceError
-from .groundstate import GroundState, dense_hamiltonian, ham_counter
+from .groundstate import GroundState, dense_hamiltonian
 
 PRECONDITIONER_SHIFT_FLOOR = 0.1
 
@@ -32,7 +32,7 @@ PRECONDITIONER_SHIFT_FLOOR = 0.1
 class SternheimerResult:
     solution: np.ndarray            # (k, n_b), one row per band
     final_residual_norm: np.ndarray  # (k,)
-    cg_iterations: int              # total over the bands: Hamiltonian applications
+    cg_iterations: int              # total over the bands: the solve's cost in H applications
     iterations_per_band: list       # (k,) ints
 
 
@@ -60,7 +60,8 @@ def solve_sternheimer(gs: GroundState, bands, rhs: np.ndarray, tol, phi: np.ndar
     The preconditioner is Q diag(1/(|G|^2/2 + c_n)) Q with
     c_n = max(eps_n, 0.1), which stays positive definite for bands with
     nonpositive eigenvalues.  Every band performs at least one iteration
-    (one A application, one Hamiltonian count), even for a zero rhs.
+    (one A application), even for a zero rhs; each band's step applies H to
+    one vector, so `cg_iterations` is the solve's Hamiltonian cost.
 
     Args:
         gs: converged ground state (grids, eigenvalues and the local
@@ -113,7 +114,6 @@ def solve_sternheimer(gs: GroundState, bands, rhs: np.ndarray, tol, phi: np.ndar
     while True:
         p = project(p)
         ap = project(p @ h_t - eps * p)
-        ham_counter.add(len(live))
         step += 1
         denom = _row_dots(p, ap)
         curved = denom > 0

@@ -16,7 +16,6 @@ from pwdyson.groundstate import (
     external_potential,
     external_potential_derivative,
     fermi_and_occupations,
-    ham_counter,
     hartree_potential,
     run_scf,
     smearing_function,
@@ -107,17 +106,6 @@ def test_hermiticity():
         left = np.vdot(psi, apply_hamiltonian(grids, v, chi))
         right = np.vdot(chi, apply_hamiltonian(grids, v, psi))
         assert abs(left - np.conj(right)) < 1e-12 * max(abs(left), 1.0)
-
-
-def test_counter_increments_per_application():
-    rng = np.random.default_rng(3)
-    grids = small_grids()
-    v = rng.standard_normal(grids.n_g)
-    psi = rng.standard_normal(grids.n_b).astype(complex)
-    before = ham_counter.value
-    for _ in range(7):
-        apply_hamiltonian(grids, v, psi)
-    assert ham_counter.value - before == 7
 
 
 # -- lattice sums of Gaussian wells ---------------------------------------------

@@ -3,11 +3,12 @@
 import json
 import os
 import stat
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from pwdyson import ArchiveError, ConfigurationError, Lattice
+from pwdyson import ArchiveError, ConfigurationError, Lattice, NonConvergenceError
 from pwdyson.archive import load_ground_state, save_ground_state
 from pwdyson.config import (
     ExperimentConfig,
@@ -18,7 +19,7 @@ from pwdyson.config import (
     model_to_dict,
     reference_config,
 )
-from pwdyson.groundstate import GaussianWell, ModelSpec, external_potential, ham_counter
+from pwdyson.groundstate import GaussianWell, ModelSpec, external_potential
 from pwdyson.harness import (
     TIGHT_CG_TOL,
     _base_context,
@@ -30,6 +31,7 @@ from pwdyson.harness import (
     true_residual,
     verify_suite,
 )
+from pwdyson.igmres import igmres_solve
 from pwdyson.kernels import KernelSpec, KerkerSpec, apply_kerker
 from pwdyson.response import apply_dielectric, orbital_row_norm
 from pwdyson.strategies import StrategySpec, parse_strategy
@@ -99,14 +101,13 @@ def test_perturbation_mean_vanishes(metal_gs):
     assert mean <= 1e-10 * np.linalg.norm(dv0)
 
 
-def test_rhs_uses_strategy_tolerances(metal_gs):
+def test_rhs_uses_strategy_tolerances(metal_gs, h_applications):
     gs = metal_gs
     loose = StrategySpec("d10", False, 1e-5, 8)
     tight = StrategySpec("d10", False, 1e-9, 8)
     pert = Perturbation(gaussian=0, direction=(1, 0, 0))
-    before = ham_counter.value
     _, b_loose, cost_loose = build_perturbation(gs, pert, loose)
-    assert ham_counter.value - before == cost_loose
+    assert h_applications() == cost_loose
     _, b_tight, cost_tight = build_perturbation(gs, pert, tight)
     assert cost_tight > cost_loose
     assert np.linalg.norm(b_loose - b_tight) <= 1e-4
@@ -206,30 +207,69 @@ def test_run_response_writes_reports(metal_gs, tmp_path):
     assert header == ["iter", "est_res", "true_res", "cum_ham", "mean_cg_tol", "mean_cg_iters"]
 
 
-def test_run_response_counts_hamiltonian(metal_gs):
+def test_run_response_counts_hamiltonian(metal_gs, h_applications):
     config = tiny_config(metal_gs, strategy="d10", tau=1e-6)
-    before = ham_counter.value
     metrics = run_response(config, gs=metal_gs)
-    spent = ham_counter.value - before
+    assert metrics.n_ham == metrics.n_ham_rhs + metrics.igmres.total_cost
     # final true-residual evaluation spends extra applications on top of n_ham
-    assert spent >= metrics.n_ham > metrics.n_ham_rhs > 0
+    assert h_applications() > metrics.n_ham > metrics.n_ham_rhs > 0
 
 
-def test_run_response_applies_tight_operator_once(metal_gs):
+def test_run_response_applies_tight_operator_once(metal_gs, monkeypatch, h_applications):
     config = tiny_config(metal_gs, strategy="pbal", tau=1e-7)
-    before = ham_counter.value
+    events = []
+
+    def solve(*args, **kwargs):
+        report = igmres_solve(*args, **kwargs)
+        events.append("solved")
+        return report
+
+    def dielectric(gs, kernel, v, tolerances):
+        app = apply_dielectric(gs, kernel, v, tolerances)
+        if not callable(tolerances) and np.all(np.asarray(tolerances) == TIGHT_CG_TOL):
+            events.append(app)
+        return app
+
+    monkeypatch.setattr("pwdyson.harness.igmres_solve", solve)
+    monkeypatch.setattr("pwdyson.harness.apply_dielectric", dielectric)
     metrics = run_response(config, gs=metal_gs)
-    spent = ham_counter.value - before
-    tight = apply_dielectric(metal_gs, KernelSpec(xc=config.model.xc), metrics.solution,
-                             np.full(metal_gs.n_occ, TIGHT_CG_TOL))
+    after_solve = events[events.index("solved") + 1:]
+    assert len(after_solve) == 1
+    tight = after_solve[0]
     # both final residuals come from one tight application, outside n_ham
     assert tight.ham_applications > 0
-    assert spent - metrics.n_ham == tight.ham_applications
+    assert h_applications() - metrics.n_ham == tight.ham_applications
     residual = metrics.rhs - tight.output
     assert metrics.final_true_res == np.linalg.norm(residual)
     kerker = KerkerSpec(alpha=config.response.kerker_alpha)
     assert metrics.final_true_res_precond == np.linalg.norm(
         apply_kerker(kerker, metal_gs.grids, residual))
+
+
+def test_diagnostics_never_count_as_solver_work(metal_gs):
+    runs = []
+    for every in (0, 1):
+        config = tiny_config(metal_gs, strategy="pbal")
+        config = replace(config, response=replace(config.response, true_residual_every=every))
+        runs.append(run_response(config, gs=metal_gs))
+    plain, checked = runs
+    assert np.isnan(plain.history[0][2]) and np.isfinite(checked.history[0][2])
+    assert plain.n_ham == checked.n_ham
+    assert [row[3] for row in plain.history] == [row[3] for row in checked.history]
+    for metrics in runs:
+        assert metrics.n_ham == metrics.n_ham_rhs + sum(rec.cost for rec in metrics.igmres.budgets)
+        assert metrics.history[-1][3] == metrics.n_ham
+
+
+def _stalled_sternheimer(*args, **kwargs):
+    raise NonConvergenceError("Sternheimer CG for band 0 stalled", residual=1.0)
+
+
+def test_run_response_reraises_sternheimer_stall(metal_gs, monkeypatch):
+    monkeypatch.setattr("pwdyson.harness.apply_dielectric", _stalled_sternheimer)
+    with pytest.raises(NonConvergenceError, match="Sternheimer") as err:
+        run_response(tiny_config(metal_gs), gs=metal_gs)
+    assert err.value.report is None
 
 
 def test_run_response_est_res_monotone_within_cycles(metal_gs):
@@ -260,6 +300,24 @@ def test_compare_strategies_table(metal_gs, tmp_path):
     data = json.load(open(os.path.join(out, "compare.json")))
     assert data["reference"] == "pd10"
     assert os.path.exists(os.path.join(out, "compare.csv"))
+
+
+def test_compare_records_sternheimer_stall_and_goes_on(metal_gs, monkeypatch):
+    calls = []
+
+    def stall_first(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 1:
+            _stalled_sternheimer()
+        return apply_dielectric(*args, **kwargs)
+
+    monkeypatch.setattr("pwdyson.harness.apply_dielectric", stall_first)
+    config = tiny_config(metal_gs, tau=1e-6)
+    rows = compare_strategies(config, ["pbal", "pd10"], gs=metal_gs)
+    by_name = {r["strategy"]: r for r in rows}
+    assert by_name["pbal"]["converged"] is False
+    assert by_name["pd10"]["converged"] is True
+    assert by_name["pd10"]["final_true_res"] <= 1e-6
 
 
 def test_compare_is_reproducible(metal_gs):

@@ -201,7 +201,7 @@ def test_final_s_below_sigma():
 
 
 def test_two_by_one_closed_form():
-    state = IGmresState(n=4, max_dim=3)
+    state = IGmresState(max_dim=3)
     r0 = np.array([2.0, 0.0, 0.0, 0.0])
     state.start(r0)
     a_val, h_val = 1.3, 0.7
@@ -213,7 +213,7 @@ def test_two_by_one_closed_form():
 def test_update_matches_dense_least_squares():
     rng = np.random.default_rng(11)
     n, k = 30, 8
-    state = IGmresState(n=n, max_dim=k)
+    state = IGmresState(max_dim=k)
     r0 = rng.standard_normal(n)
     state.start(r0)
     beta = np.linalg.norm(r0)
@@ -232,7 +232,7 @@ def test_update_matches_dense_least_squares():
 
 
 def test_lucky_breakdown_estimated_residual_zero():
-    state = IGmresState(n=5, max_dim=2)
+    state = IGmresState(max_dim=2)
     state.start(np.array([1.0, 1.0, 0.0, 0.0, 0.0]))
     est = estimated_residual_update(state, np.array([2.0, 0.0]))
     assert est == 0.0
