@@ -12,14 +12,16 @@ class ConfigurationError(PwdysonError):
 class NonConvergenceError(PwdysonError):
     """An iterative solver exhausted its iteration budget.
 
-    Carries the last residual (and, for the outer solver, a partial
-    report) so callers can diagnose or salvage the run.
+    Carries the last residual, the Hamiltonian applications spent (`cost`,
+    for the Sternheimer solve) and, for the outer solve, a partial report,
+    so callers can diagnose or salvage the run.
     """
 
-    def __init__(self, message, residual=None, report=None):
+    def __init__(self, message, residual=None, report=None, cost=None):
         super().__init__(message)
         self.residual = residual
         self.report = report
+        self.cost = cost
 
 
 class InvariantViolationError(PwdysonError):

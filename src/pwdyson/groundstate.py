@@ -15,7 +15,7 @@ import scipy.fft
 import scipy.linalg
 from scipy.special import erfc, expit
 
-from .errors import ConfigurationError, NonConvergenceError
+from .errors import ConfigurationError, InvariantViolationError, NonConvergenceError
 from .pwbasis import FourierGrids, Lattice, build_grids
 
 
@@ -177,11 +177,14 @@ def external_potential_derivative(model: ModelSpec, grids: FourierGrids,
 
 # -- Hamiltonian ------------------------------------------------------------
 
+_REAL_H_ROWS = 64           # rows of V per block in `real_hamiltonian`
+
+
 def apply_hamiltonian(grids: FourierGrids, v_local: np.ndarray, psi: np.ndarray) -> np.ndarray:
     """Apply H = -Laplacian/2 + v_local to a sphere vector.
 
     Matrix-free, through the sphere-pruned transforms.  The Sternheimer
-    solve applies the dense H of `dense_hamiltonian` instead; this is the
+    solve applies the dense H_r of `real_hamiltonian` instead; this is the
     independent cross-check the tests build H from.
     """
     if psi.shape != (grids.n_b,):
@@ -201,6 +204,45 @@ def dense_hamiltonian(grids: FourierGrids, v_local: np.ndarray) -> np.ndarray:
     h = vfft[grids.sphere_difference_index]
     h[np.arange(grids.n_b), np.arange(grids.n_b)] += 0.5 * grids.g2_sphere
     return h
+
+
+def real_hamiltonian(grids: FourierGrids, v_local: np.ndarray) -> np.ndarray:
+    """H_r = T H T^H, the dense Hamiltonian in the cos/sin basis of `to_cos_sin`.
+
+    For a real v_local H_r is real symmetric.  Its blocks are sums and
+    differences of the real and imaginary parts of the first n_b // 2 rows
+    of `dense_hamiltonian`'s V_{G,G'} = vhat(G - G'), which hold every
+    vhat(G_i - G_j), vhat(G_i + G_j) and vhat(G_i) of the pairs.  Those rows
+    are read in blocks of _REAL_H_ROWS, the only complex transient, and
+    H_r is written in place.
+
+    Raises:
+        InvariantViolationError: the sphere is not symmetric under G -> -G
+            in the index order that T assumes.
+    """
+    if not np.array_equal(grids.g_int[::-1], -grids.g_int):
+        raise InvariantViolationError("sphere is not reversal-symmetric: -G of index j "
+                                      "must be index n_b - 1 - j")
+    n_b, h = grids.n_b, grids.n_b // 2
+    hr = np.empty((n_b, n_b))
+    vfft = grids.cube_fft(v_local) / grids.n_g
+    # rows and columns: cos of pair i at i, sin of pair i at n_b - 1 - i
+    sin_rows = hr[:h:-1]
+    for start in range(0, h, _REAL_H_ROWS):
+        i = slice(start, min(start + _REAL_H_ROWS, h))
+        block = vfft[grids.sphere_difference_index[i]]       # rows G_i of V
+        same, opposite, centre = block[:, :h], block[:, :h:-1], block[:, h]
+        np.add(same.real, opposite.real, out=hr[i, :h])
+        np.subtract(same.imag, opposite.imag, out=hr[i, :h:-1])
+        np.add(same.imag, opposite.imag, out=sin_rows[i, :h])
+        np.negative(sin_rows[i, :h], out=sin_rows[i, :h])
+        np.subtract(same.real, opposite.real, out=sin_rows[i, :h:-1])
+        np.multiply(centre.real, np.sqrt(2.0), out=hr[i, h])
+        np.multiply(centre.imag, -np.sqrt(2.0), out=sin_rows[i, h])
+    hr[h, :h], hr[h, h + 1:] = hr[:h, h], hr[h + 1:, h]
+    hr[h, h] = vfft[0].real
+    hr.ravel()[::n_b + 1] += 0.5 * grids.g2_sphere
+    return hr
 
 
 def diagonalize_dense(grids: FourierGrids, v_local: np.ndarray, n_states: int):
@@ -289,12 +331,14 @@ class GroundState:
     def derived(self, key: str, compute):
         """The quantity `key` derived from this state: `compute()` on first use.
 
-        Arrays are kept read-only, so no caller can change them for the next.
+        Arrays, alone or in a tuple, are kept read-only, so no caller can
+        change them for the next.
         """
         if key not in self._derived:
             value = compute()
-            if isinstance(value, np.ndarray):
-                value.flags.writeable = False
+            for part in value if isinstance(value, tuple) else (value,):
+                if isinstance(part, np.ndarray):
+                    part.flags.writeable = False
             self._derived[key] = value
         return self._derived[key]
 

@@ -37,7 +37,7 @@ from .response import (
     dielectric_error_bound,
     orbital_row_norm,
 )
-from .sternheimer import project_out_occupied, solve_sternheimer
+from .sternheimer import project_out_occupied, real_basis, solve_sternheimer
 from .strategies import StrategySpec, ToleranceContext, parse_strategy, select_tolerances
 
 TIGHT_CG_TOL = 1e-16
@@ -241,7 +241,10 @@ def run_response(config: ExperimentConfig, gs: GroundState = None,
 
     Writes report.json and history.csv when an output directory is given.
     Non-convergence of the outer solve raises with the partial report
-    attached; a stalled Sternheimer solve raises as it came, without one.
+    attached.  A Sternheimer stall inside it raises with a partial report
+    too, whose `n_ham` adds the completed applications and the stalled
+    solve's cost to the right-hand-side build; it has no iterate, so its
+    residuals read nan.
     """
     resp = config.response
     spec = parse_strategy(resp.strategy, tau=resp.tau, m=resp.m, use_gap=resp.use_gap)
@@ -272,7 +275,14 @@ def run_response(config: ExperimentConfig, gs: GroundState = None,
         converged = True
     except NonConvergenceError as err:
         if err.report is None:          # an inner Sternheimer solve, not GMRES
-            raise
+            spent = sum(app.ham_applications for _, app in applications) + err.cost
+            partial = RunMetrics(
+                strategy=spec.name, tau=spec.tau, m=spec.m, converged=False,
+                n_ham=n_ham_rhs + spent, n_ham_rhs=n_ham_rhs, final_est_res=np.nan,
+                final_true_res=np.nan, final_true_res_precond=np.nan, true_res0=b_norm,
+                eta=np.nan, history=history)
+            raise NonConvergenceError(f"Dyson solve ({spec.name}) stopped: {err}",
+                                      residual=err.residual, report=partial) from err
         report = err.report
         converged = False
 
@@ -479,12 +489,13 @@ def check_sternheimer_error_bound(gs: GroundState, rng) -> dict:
     from .groundstate import dense_hamiltonian
 
     eps_all, phi_all = np.linalg.eigh(dense_hamiltonian(grids, gs.v_local))
+    basis = real_basis(gs.phi_occ)
     worst = 0.0
     for n in (0, gs.n_occ - 1):
         rhs = rng.standard_normal(grids.n_b) + 1j * rng.standard_normal(grids.n_b)
         rhs = project_out_occupied(gs.phi_occ, rhs)
         tol = 1e-8
-        res = solve_sternheimer(gs, [n], rhs[None], tol, gs.phi_occ)
+        res = solve_sternheimer(gs, [n], rhs[None], tol, basis)
         perp = phi_all[:, gs.n_occ:]
         gaps = eps_all[gs.n_occ:] - gs.eps[n]
         x_ref = perp @ ((perp.conj().T @ rhs) / gaps)

@@ -15,6 +15,14 @@ w = sqrt(|Omega|) / sqrt(n_g).  With this convention `to_real` returns
 unscaled function values on the grid and `to_fourier . to_real` is the
 identity on sphere coefficients.
 
+The sphere is symmetric under G -> -G and sorted lexicographically, so
+-G of sphere index j is index n_b - 1 - j and G = 0 sits at n_b // 2.
+`to_cos_sin` is the unitary map T from e_G coefficients to coefficients
+on the real functions sqrt(2) cos(G.r) (at j < n_b // 2), 1 (at
+n_b // 2) and sqrt(2) sin(G.r) (at n_b - 1 - j), each over sqrt(|Omega|):
+O(n_b) slicing, never a dense matrix.  A real local potential is a real
+symmetric matrix in that basis.
+
 Real-space vectors are stored flat with x fastest:
 index = ix + Nx * (iy + Ny * iz), so `flat.reshape(Nz, Ny, Nx)` is a view.
 The sphere <-> grid transforms are sphere-pruned: they skip the FFT lines
@@ -31,6 +39,7 @@ from .errors import ConfigurationError
 
 TWO_PI = 2.0 * np.pi
 _DIFFERENCE_ROWS = 64       # rows per block of `sphere_difference_index`
+_SQRT_HALF = np.sqrt(0.5)
 
 
 @dataclass(frozen=True)
@@ -184,7 +193,7 @@ class FourierGrids:
 
     @cached_property
     def sphere_difference_index(self) -> np.ndarray:
-        """Flat cube index of every sphere-vector difference, for `dense_hamiltonian`."""
+        """Flat cube index of every sphere-vector difference, for the dense Hamiltonians."""
         nx, ny, nz = self.cube_dims
         # int32, kept for the grid's lifetime: half the memory; built in row
         # blocks so no (n_b, n_b, 3) int64 difference table is allocated
@@ -266,6 +275,28 @@ class FourierGrids:
     def cube_ifft(self, coeffs: np.ndarray) -> np.ndarray:
         """Plain inverse DFT of a flat coefficient vector (1/N normalised)."""
         return scipy.fft.ifftn(coeffs.reshape(self._cube_shape), axes=(2, 1, 0)).ravel()
+
+
+def to_cos_sin(coeffs: np.ndarray) -> np.ndarray:
+    """T c for every row of coeffs (last axis n_b): (c_G + c_-G, i (c_G - c_-G)) / sqrt 2."""
+    h = coeffs.shape[-1] // 2
+    plus, minus = coeffs[..., :h], coeffs[..., :h:-1]       # G_j and -G_j, j < h
+    out = np.empty(coeffs.shape, dtype=np.complex128)
+    out[..., h] = coeffs[..., h]
+    out[..., :h] = (plus + minus) * _SQRT_HALF
+    out[..., :h:-1] = (plus - minus) * (1j * _SQRT_HALF)
+    return out
+
+
+def from_cos_sin(coeffs: np.ndarray) -> np.ndarray:
+    """T^H u for every row of u: the inverse of `to_cos_sin`."""
+    h = coeffs.shape[-1] // 2
+    cos, sin = coeffs[..., :h], coeffs[..., :h:-1]
+    out = np.empty(coeffs.shape, dtype=np.complex128)
+    out[..., h] = coeffs[..., h]
+    out[..., :h] = (cos - 1j * sin) * _SQRT_HALF
+    out[..., :h:-1] = (cos + 1j * sin) * _SQRT_HALF
+    return out
 
 
 def build_grids(lattice: Lattice, e_cut: float) -> FourierGrids:

@@ -24,13 +24,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvariantViolationError
-from .groundstate import GroundState, dense_hamiltonian
+from .groundstate import GroundState, real_hamiltonian
 from .kernels import KernelSpec, apply_kernel
-from .sternheimer import project_out_occupied, solve_sternheimer
+from .pwbasis import to_cos_sin
+from .sternheimer import (
+    EXTRA_BAND_RESIDUAL_LIMIT,
+    project_out_occupied,
+    real_basis,
+    solve_sternheimer,
+)
 
 DEGENERACY_RTOL = 1e-8
 IMAG_EIGENSHIFT_RTOL = 1e-10
-EXTRA_BAND_RESIDUAL_LIMIT = 1e-10
 
 
 @dataclass
@@ -123,30 +128,35 @@ def _occupied_orbital_response(gs: GroundState, m: np.ndarray) -> np.ndarray:
     return gs.phi_occ @ (_occupied_pair_weights(gs) * m)
 
 
-def _kept_adjoint(gs: GroundState) -> np.ndarray:
-    """Phi^H of every kept band, (n_kept, n_b), computed once per state.
+def _kept_bases(gs: GroundState) -> tuple:
+    """(Phi^H, R) of every kept band, computed once per state.
 
-    The extra-band sum over states in `apply_chi0` is exact only for
-    eigenvectors of H[v_local], so the first call checks
-    ||H phi_e - eps_e phi_e|| for every extra band against the dense H
-    that the Sternheimer CG applies (a diagnostic is not a Hamiltonian
-    application).
+    Phi^H is (n_kept, n_b); R = `real_basis(Phi)` is the real basis the
+    Sternheimer CG projects against.  The extra-band sum over states in
+    `apply_chi0` is exact only for eigenvectors of H[v_local], so the
+    first call checks ||H_r T phi_e - eps_e T phi_e|| for every extra band
+    against the `real_hamiltonian` that the CG applies (a diagnostic is
+    not a Hamiltonian application).
 
     Raises:
         InvariantViolationError: an extra band's eigen-residual exceeds
-            EXTRA_BAND_RESIDUAL_LIMIT.
+            EXTRA_BAND_RESIDUAL_LIMIT, or the kept span is not closed under
+            conjugation (see `real_basis`).
     """
     def compute():
-        extra = gs.phi[:, gs.n_occ:].T                         # (n_extra, n_b)
-        h = dense_hamiltonian(gs.grids, gs.v_local)
-        residuals = np.linalg.norm(extra @ h.T - gs.eps[gs.n_occ:, None] * extra, axis=1)
+        h_r = real_hamiltonian(gs.grids, gs.v_local)
+        basis = real_basis(gs.phi)
+        extra = to_cos_sin(gs.phi[:, gs.n_occ:].T)             # (n_extra, n_b)
+        eps = gs.eps[gs.n_occ:, None]
+        residuals = np.hypot(*(np.linalg.norm(part @ h_r.T - eps * part, axis=1)
+                               for part in (extra.real, extra.imag)))
         worst = float(np.max(residuals, initial=0.0))
         if worst > EXTRA_BAND_RESIDUAL_LIMIT:
             raise InvariantViolationError(
                 f"kept extra bands are not eigenvectors of H: residual {worst:.2e} "
                 f"> {EXTRA_BAND_RESIDUAL_LIMIT:.0e}")
-        return gs.phi.conj().T
-    return gs.derived("phi_kept_h", compute)
+        return gs.phi.conj().T, basis
+    return gs.derived("kept_bases", compute)
 
 
 def _extra_band_response(gs: GroundState, phi_kept_h: np.ndarray,
@@ -179,17 +189,25 @@ def apply_chi0(gs: GroundState, dv: np.ndarray, tolerances) -> tuple:
         raise ValueError("Sternheimer tolerances must be positive")
 
     psi_r = gs.psi_occ_real                                   # (n_occ, n_g)
-    phi_h = _kept_adjoint(gs)
+    phi_h, basis = _kept_bases(gs)
     dvpsi, m = _occupied_matrix(gs, dv)
     _, _, delta_f = _first_order_occupations(gs, m, dv)
     dphi = _occupied_orbital_response(gs, m) + _extra_band_response(gs, phi_h, dvpsi)
 
     rhs = -project_out_occupied(gs.phi, dvpsi.T, phi_h).T
-    solve = solve_sternheimer(gs, np.arange(n_occ), rhs, tolerances, gs.phi, phi_h)
+    solve = solve_sternheimer(gs, np.arange(n_occ), rhs, tolerances, basis)
     dphi += solve.solution.T
     dphi_r = grids.to_real_many(dphi.T)                       # (n_occ, n_g)
-    contrib = (2.0 * gs.occ_occ[:, None]) * (psi_r.conj() * dphi_r).real
-    contrib += delta_f[:, None] * np.abs(psi_r) ** 2
+    # in place, as these (n_occ, n_g) temporaries set the memory high-water
+    # mark; Re(psi conj(dphi)) is Re(conj(psi) dphi) bit for bit
+    np.conjugate(dphi_r, out=dphi_r)
+    dphi_r *= psi_r
+    contrib = (2.0 * gs.occ_occ[:, None]) * dphi_r.real
+    del dphi_r
+    density = np.abs(psi_r)
+    density **= 2
+    density *= delta_f[:, None]
+    contrib += density
     return contrib.sum(axis=0), solve
 
 

@@ -9,25 +9,31 @@ from pwdyson.groundstate import GaussianWell, ModelSpec, run_scf
 
 @pytest.fixture
 def h_applications(monkeypatch):
-    """Callable returning how many vectors the Sternheimer CG has multiplied by H.
+    """Callable returning how many band vectors the Sternheimer CG has multiplied by H.
 
-    The dense H handed to the CG counts the rows of every product y @ H^T,
-    so the returned costs can be checked against the work actually done.
+    The real H_r handed to the CG counts the rows of every product
+    y @ H_r^T; a band vector is two real rows (Re, Im) in the cos/sin
+    basis, so the count is rows / 2, and the returned costs can be
+    checked against the work actually done.
     """
     from pwdyson import sternheimer
 
-    count = [0]
+    rows = [0]
 
     class Counted(np.ndarray):
         def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
             if ufunc is np.matmul and inputs[-1] is self:
-                count[0] += len(inputs[0]) if np.ndim(inputs[0]) == 2 else 1
+                rows[0] += len(inputs[0]) if np.ndim(inputs[0]) == 2 else 1
             return getattr(ufunc, method)(*(np.asarray(x) for x in inputs), **kwargs)
 
-    original = sternheimer.dense_hamiltonian
-    monkeypatch.setattr(sternheimer, "dense_hamiltonian",
+    original = sternheimer.real_hamiltonian
+    monkeypatch.setattr(sternheimer, "real_hamiltonian",
                         lambda grids, v_local: original(grids, v_local).view(Counted))
-    return lambda: count[0]
+
+    def band_rows():
+        assert rows[0] % 2 == 0, "a band vector is two real rows"
+        return rows[0] // 2
+    return band_rows
 
 
 @pytest.fixture(scope="session")

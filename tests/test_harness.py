@@ -261,15 +261,32 @@ def test_diagnostics_never_count_as_solver_work(metal_gs):
         assert metrics.history[-1][3] == metrics.n_ham
 
 
+STALL_COST = 7
+
+
 def _stalled_sternheimer(*args, **kwargs):
-    raise NonConvergenceError("Sternheimer CG for band 0 stalled", residual=1.0)
+    raise NonConvergenceError("Sternheimer CG for band 0 stalled", residual=1.0,
+                              cost=STALL_COST)
 
 
 def test_run_response_reraises_sternheimer_stall(metal_gs, monkeypatch):
-    monkeypatch.setattr("pwdyson.harness.apply_dielectric", _stalled_sternheimer)
+    spent = []
+
+    def stall_third(*args, **kwargs):
+        if len(spent) == 2:
+            _stalled_sternheimer()
+        app = apply_dielectric(*args, **kwargs)
+        spent.append(app.ham_applications)
+        return app
+
+    monkeypatch.setattr("pwdyson.harness.apply_dielectric", stall_third)
     with pytest.raises(NonConvergenceError, match="Sternheimer") as err:
         run_response(tiny_config(metal_gs), gs=metal_gs)
-    assert err.value.report is None
+    report = err.value.report
+    assert report.converged is False
+    assert report.n_ham_rhs > 0 and min(spent) > 0
+    assert report.n_ham == report.n_ham_rhs + sum(spent) + STALL_COST
+    assert np.isnan(report.final_true_res)
 
 
 def test_run_response_est_res_monotone_within_cycles(metal_gs):
@@ -316,6 +333,9 @@ def test_compare_records_sternheimer_stall_and_goes_on(metal_gs, monkeypatch):
     rows = compare_strategies(config, ["pbal", "pd10"], gs=metal_gs)
     by_name = {r["strategy"]: r for r in rows}
     assert by_name["pbal"]["converged"] is False
+    _, _, n_ham_rhs = build_perturbation(metal_gs, config.response.perturbation,
+                                         parse_strategy("pbal", tau=1e-6, m=8))
+    assert by_name["pbal"]["n_ham"] >= n_ham_rhs > 0
     assert by_name["pd10"]["converged"] is True
     assert by_name["pd10"]["final_true_res"] <= 1e-6
 
