@@ -7,8 +7,8 @@
 
 `compare` tabulates cost next to the true residual: only grt/pgrt carry
 the guarantee true residual <= tau; bal/agr are heuristics that can miss
-it.  Exit codes: 0 ok, 2 non-convergence, 3 invariant violation, 4 I/O or
-archive problems.
+it.  Exit codes: 0 ok, 1 configuration error (an unknown config key, say),
+2 non-convergence, 3 invariant violation, 4 I/O or archive problems.
 """
 
 import argparse
@@ -27,6 +27,7 @@ from .errors import (
 from .harness import compare_strategies, ensure_ground_state, run_response, verify_suite
 
 EXIT_OK = 0
+EXIT_CONFIG = 1
 EXIT_NONCONVERGENCE = 2
 EXIT_INVARIANT = 3
 EXIT_IO = 4
@@ -112,7 +113,7 @@ def main(argv=None) -> int:
         return EXIT_IO
     except ConfigurationError as err:
         print(f"error: {err}", file=sys.stderr)
-        return 1
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -1,7 +1,7 @@
 """Experiment configuration: JSON schema and the shipped reference models."""
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from importlib import resources
 
 import numpy as np
@@ -33,7 +33,6 @@ class ResponseParams:
     tau: float = 1e-9
     m: int = 10
     kerker_alpha: float = 0.8
-    use_gap: bool = False
     perturbation: Perturbation = field(default_factory=Perturbation)
     true_residual_every: int = 0
     seed: int = 0
@@ -48,7 +47,21 @@ class ExperimentConfig:
     archive: str = None
 
 
+def _known_keys(d: dict, cls, where: str) -> dict:
+    """Return `d`; raise if it is no JSON object or a key names no field of `cls`."""
+    if not isinstance(d, dict):
+        raise ConfigurationError(f"{where} must be a JSON object, got {d!r}")
+    names = {f.name for f in fields(cls)}
+    for key in d:
+        if key not in names:
+            raise ConfigurationError(f"unknown config key {key!r} in {where}")
+    return d
+
+
 def model_from_dict(d: dict) -> ModelSpec:
+    _known_keys(d, ModelSpec, "model")
+    for g in d.get("gaussians", []):
+        _known_keys(g, GaussianWell, "a gaussian")
     try:
         lattice = Lattice.from_vectors(*d["lattice"])
         gaussians = tuple(
@@ -87,9 +100,13 @@ def model_to_dict(model: ModelSpec) -> dict:
 
 
 def config_from_dict(d: dict) -> ExperimentConfig:
-    scf = ScfParams(**d.get("scf", {}))
-    resp = dict(d.get("response", {}))
-    pert = Perturbation(**{**resp.pop("perturbation", {})})
+    """The config a JSON dict describes; malformed input raises ConfigurationError."""
+    _known_keys(d, ExperimentConfig, "the config")
+    if "model" not in d:
+        raise ConfigurationError("config misses required key 'model'")
+    scf = ScfParams(**_known_keys(d.get("scf", {}), ScfParams, "scf"))
+    resp = dict(_known_keys(d.get("response", {}), ResponseParams, "response"))
+    pert = Perturbation(**_known_keys(resp.pop("perturbation", {}), Perturbation, "perturbation"))
     direction = np.asarray(pert.direction, dtype=float)
     if direction.shape != (3,) or not np.linalg.norm(direction) > 0:
         raise ConfigurationError("perturbation direction must be a nonzero 3-vector")

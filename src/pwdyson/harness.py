@@ -21,7 +21,7 @@ from .config import ExperimentConfig, model_to_dict
 from .errors import ConfigurationError, InvariantViolationError, NonConvergenceError
 from .groundstate import (
     GroundState,
-    _image_displacements,
+    external_potential,
     external_potential_derivative,
     gaussian_well,
     run_scf,
@@ -100,6 +100,15 @@ def _atomic_text(path: str, text: str):
     atomic_write(path, text.encode())
 
 
+def _csv_text(columns, rows) -> str:
+    """CSV with a header; strings as they are, nan as an empty cell, numbers by repr."""
+    def cell(x):
+        if isinstance(x, str):
+            return x
+        return "" if isinstance(x, float) and np.isnan(x) else repr(x)
+    return "\n".join([",".join(columns)] + [",".join(map(cell, row)) for row in rows]) + "\n"
+
+
 def ensure_ground_state(config: ExperimentConfig, archive_path: str = None) -> GroundState:
     """Load the archive if it holds the configured model, otherwise run the SCF.
 
@@ -120,15 +129,12 @@ def ensure_ground_state(config: ExperimentConfig, archive_path: str = None) -> G
     return gs
 
 
-def _base_context(gs: GroundState, spec: StrategySpec, iteration: int,
-                  rhs_norm: float = np.nan) -> ToleranceContext:
+def tolerance_context(gs: GroundState, rhs_norm: float) -> ToleranceContext:
+    """The ground-state quantities the tolerance prefactors read, for one solve."""
     grids = gs.grids
     return ToleranceContext(
-        iteration=iteration, n_occ=gs.n_occ, occ=gs.occ_occ,
-        volume=grids.lattice.volume, n_g=grids.n_g,
-        row_norm=_cached_row_norm(gs, real_part=True),
-        rhs_norm=rhs_norm,
-        eps_gap=(gs.eps_gap_ref - gs.eps_occ) if spec.use_gap else None,
+        occ=gs.occ_occ, volume=grids.lattice.volume, n_g=grids.n_g,
+        row_norm=_cached_row_norm(gs, real_part=True), rhs_norm=rhs_norm,
     )
 
 
@@ -139,8 +145,8 @@ def build_perturbation(gs: GroundState, pert, spec: StrategySpec):
     with respect to its centre, contracted with the unit direction (or a
     central finite difference when the analytic flag is off).  The
     right-hand side applies chi0 in rescaled form, with per-band
-    tolerances drawn from the strategy's iteration-0 budget tau/3; the
-    static baselines use their fixed tolerance instead.
+    tolerances drawn from the strategy and the budget tau/3; the static
+    baselines use their fixed tolerance instead.
     """
     model, grids = gs.model, gs.grids
     if pert.analytic:
@@ -157,8 +163,7 @@ def build_perturbation(gs: GroundState, pert, spec: StrategySpec):
 
         def shifted(sign):
             well = replace(base, center=tuple(np.asarray(base.center) + sign * frac_step))
-            return sum(well.amplitude * np.exp(-np.einsum("ij,ij->i", d, d) / (2 * well.width**2))
-                       for d in _image_displacements(grids, well))
+            return external_potential(replace(model, gaussians=(well,)), grids)
 
         dv0 = (shifted(+1) - shifted(-1)) / (2 * h)
 
@@ -168,22 +173,19 @@ def build_perturbation(gs: GroundState, pert, spec: StrategySpec):
 
     # chi0 dV0 = |dV0| chi0(dV0 / |dV0|): the normalised application makes
     # the strategy tolerances commensurate with the error budget tau/3.
-    ctx = _base_context(gs, spec, iteration=0)
-    ctx.kv_norm = dv_norm
+    budget = spec.tau / 3.0
+    ctx = tolerance_context(gs, rhs_norm=np.nan)      # |chi0 dV0| is built here
     if spec.kind == "d10n":
         # self-referencing baseline: provisional pass to measure |chi0 dV0|
-        ctx.rhs_norm = 1.0
-        provisional = select_tolerances(
-            StrategySpec("d10", spec.preconditioned, spec.tau, spec.m), ctx)
+        provisional = select_tolerances(replace(spec, kind="d10"), ctx, budget, dv_norm)
         drho0, solve0 = apply_chi0(gs, dv0 / dv_norm, provisional)
-        ctx.rhs_norm = float(np.linalg.norm(drho0)) * dv_norm
-        tols = select_tolerances(spec, ctx)
+        ctx = replace(ctx, rhs_norm=float(np.linalg.norm(drho0)) * dv_norm)
+        tols = select_tolerances(spec, ctx, budget, dv_norm)
         if np.all(tols >= provisional):
             return dv0, dv_norm * drho0, solve0.cg_iterations
         drho0, solve = apply_chi0(gs, dv0 / dv_norm, tols)
         return dv0, dv_norm * drho0, solve0.cg_iterations + solve.cg_iterations
-    ctx.rhs_norm = 1.0  # placeholder; unused by the remaining kinds
-    tols = select_tolerances(spec, ctx)
+    tols = select_tolerances(spec, ctx, budget, dv_norm)
     drho0, solve = apply_chi0(gs, dv0 / dv_norm, tols)
     return dv0, dv_norm * drho0, solve.cg_iterations
 
@@ -197,14 +199,12 @@ def budgeted_dielectric(gs: GroundState, spec: StrategySpec, kernel: KernelSpec,
     operator and the list it appends every (budget, DielectricApplication)
     to, the latter without its output.
     """
-    base = _base_context(gs, spec, iteration=1, rhs_norm=rhs_norm)
+    ctx = tolerance_context(gs, rhs_norm)
     applications = []
 
     def op(v, budget):
-        def tolerances(kv_norm):
-            return select_tolerances(spec, replace(base, kv_norm=kv_norm, common_factor=budget))
-
-        app = apply_dielectric(gs, kernel, v, tolerances)
+        app = apply_dielectric(gs, kernel, v,
+                               lambda kv_norm: select_tolerances(spec, ctx, budget, kv_norm))
         out = apply_kerker(kerker, gs.grids, app.output) if kerker else app.output
         applications.append((budget, replace(app, output=None)))   # keep no n_g vectors
         return out, app.ham_applications
@@ -247,7 +247,7 @@ def run_response(config: ExperimentConfig, gs: GroundState = None,
     residuals read nan.
     """
     resp = config.response
-    spec = parse_strategy(resp.strategy, tau=resp.tau, m=resp.m, use_gap=resp.use_gap)
+    spec = parse_strategy(resp.strategy, tau=resp.tau, m=resp.m)
     if gs is None:
         gs = ensure_ground_state(config)
     grids = gs.grids
@@ -299,7 +299,7 @@ def run_response(config: ExperimentConfig, gs: GroundState = None,
             bound = dielectric_error_bound(gs, app.kv_norm, app.tolerances_used)
             bound_margins.append(budget / bound if bound > 0 else np.inf)
     true0 = b_norm
-    eta = (-np.log10(final_true / true0) / n_ham
+    eta = (float(-np.log10(final_true / true0) / n_ham)
            if (n_ham > 0 and final_true > 0 and true0 > 0) else np.nan)
 
     metrics = RunMetrics(
@@ -321,11 +321,7 @@ def run_response(config: ExperimentConfig, gs: GroundState = None,
         os.makedirs(out_dir, exist_ok=True)
         _atomic_text(os.path.join(out_dir, "report.json"),
                      json.dumps(metrics.to_dict(), indent=1, default=_json_default))
-        lines = [",".join(HISTORY_COLUMNS)]
-        for row in history:
-            lines.append(",".join("" if (isinstance(x, float) and np.isnan(x))
-                                  else repr(x) for x in row))
-        _atomic_text(os.path.join(out_dir, "history.csv"), "\n".join(lines) + "\n")
+        _atomic_text(os.path.join(out_dir, "history.csv"), _csv_text(HISTORY_COLUMNS, history))
 
     if not converged:
         raise NonConvergenceError(
@@ -375,11 +371,8 @@ def compare_strategies(config: ExperimentConfig, strategies, out_dir: str = None
             "rows": rows,
         }, indent=1, default=_json_default))
         cols = ("strategy", "converged", "final_true_res", "n_ham", "eta", "eta_rel")
-        lines = [",".join(cols)]
-        for r in rows:
-            lines.append(",".join(repr(r[c]) if not isinstance(r[c], str) else r[c]
-                                  for c in cols))
-        _atomic_text(os.path.join(out_dir, "compare.csv"), "\n".join(lines) + "\n")
+        _atomic_text(os.path.join(out_dir, "compare.csv"),
+                     _csv_text(cols, ([r[c] for c in cols] for r in rows)))
     return rows
 
 

@@ -156,7 +156,6 @@ class SolveReport:
     converged: bool
     iterations: int                     # total Arnoldi steps across cycles
     total_cost: int
-    est_res_history: list               # flat, across cycles
     cycle_est_res: list                 # per converged/aborted cycle
     budgets: list                       # BudgetRecord
     restarts: list                      # RestartRecord
@@ -208,7 +207,6 @@ def igmres_solve(op, b: np.ndarray, x0: np.ndarray = None, m: int = 10,
     s = float(s_init)
     budgets = []
     restarts = []
-    est_res_all = []
     cycle_est_res = []
     products = []
     total_cost = 0
@@ -218,9 +216,8 @@ def igmres_solve(op, b: np.ndarray, x0: np.ndarray = None, m: int = 10,
     def make_report(solution, converged, state=None, sigma=np.nan, y=None, est=np.inf):
         return SolveReport(
             solution=solution, converged=converged, iterations=total_iters,
-            total_cost=total_cost, est_res_history=est_res_all,
-            cycle_est_res=cycle_est_res, budgets=budgets, restarts=restarts,
-            s_final=s, sigma_final=sigma, y_final=y, final_est_res=est,
+            total_cost=total_cost, cycle_est_res=cycle_est_res, budgets=budgets,
+            restarts=restarts, s_final=s, sigma_final=sigma, y_final=y, final_est_res=est,
             products=products if record_products else [],
             hessenberg_final=state.hessenberg() if state is not None else None,
             basis_final=list(state.v) if (state is not None and record_products) else [],
@@ -246,7 +243,6 @@ def igmres_solve(op, b: np.ndarray, x0: np.ndarray = None, m: int = 10,
         if np.linalg.norm(r0) == 0.0:
             return make_report(x, True, est=0.0)
         state.start(r0)
-        est_res_all.append(state.beta)
         est = state.beta
 
         for _ in range(m):
@@ -265,7 +261,6 @@ def igmres_solve(op, b: np.ndarray, x0: np.ndarray = None, m: int = 10,
                 products.append(w.copy())
             hcol = state.arnoldi_step(w)
             est = estimated_residual_update(state, hcol)
-            est_res_all.append(est)
             if monitor is not None:
                 monitor({
                     "iteration": total_iters, "cycle": cycle, "est_res": est,

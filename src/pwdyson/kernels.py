@@ -69,11 +69,3 @@ def apply_kerker(spec: KerkerSpec, grids: FourierGrids, v: np.ndarray) -> np.nda
     damp[grids.g2_cube == 0] = 1.0
     return grids.cube_ifft(grids.cube_fft(v) * damp).real
 
-
-def kerker_fourier_diagonal(spec: KerkerSpec, grids: FourierGrids) -> np.ndarray:
-    """The Fourier-space diagonal of T (with the unit G = 0 entry)."""
-    if spec.alpha == 0.0:
-        return np.ones(grids.n_g)
-    damp = grids.g2_cube / (grids.g2_cube + spec.alpha**2)
-    damp[grids.g2_cube == 0] = 1.0
-    return damp

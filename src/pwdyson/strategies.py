@@ -1,10 +1,11 @@
 """Per-band Sternheimer tolerance selection.
 
 Implements the three adaptive prefactors (guaranteed / balanced /
-aggressive) and the static baselines.  Every strategy multiplies a common
-factor shared with the outer solver's budget formula,
-(s / 3m) tau / ||r~_{i-1}||, so honoured tolerances translate directly
-into an honoured operator budget.
+aggressive) and the static baselines.  The adaptive strategies scale the
+error budget granted for the application at hand: tau/3 for the
+right-hand-side build, and inside the solve the budget
+(s / 3m) tau / ||r~_{i-1}|| that `igmres_solve` hands the operator.  So
+honoured tolerances translate directly into an honoured operator budget.
 """
 
 from dataclasses import dataclass
@@ -26,7 +27,6 @@ class StrategySpec:
     preconditioned: bool
     tau: float
     m: int
-    use_gap: bool = False     # keep the eigenvalue-gap factor in the prefactor
 
     def __post_init__(self):
         if self.kind not in ADAPTIVE_KINDS + BASELINE_KINDS:
@@ -45,38 +45,32 @@ class StrategySpec:
         return ("p" if self.preconditioned else "") + self.kind
 
 
-def parse_strategy(name: str, tau: float, m: int, use_gap: bool = False) -> StrategySpec:
+def parse_strategy(name: str, tau: float, m: int) -> StrategySpec:
     """Parse a CLI strategy name; a leading 'p' selects Kerker preconditioning."""
     key = name.strip().lower()
     preconditioned = key.startswith("p")
     if preconditioned:
         key = key[1:]
-    return StrategySpec(kind=key, preconditioned=preconditioned, tau=tau, m=m,
-                        use_gap=use_gap)
+    return StrategySpec(kind=key, preconditioned=preconditioned, tau=tau, m=m)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ToleranceContext:
-    """Everything the prefactors may consume, for one operator application.
+    """What the prefactors read from the ground state, fixed for one solve.
 
-    `common_factor`, when set, overrides the recomputation of
-    (s / 3m) tau / ||r~_{i-1}|| so the harness can hand through the exact
-    budget granted by the outer solver.  Iteration 0 denotes the
-    right-hand-side build, whose share of the error budget is tau/3.
+    `occ` holds the occupations of the occupied bands; `rhs_norm` is
+    ||chi0 dV0||, read only by d10n.
     """
 
-    iteration: int
-    n_occ: int
     occ: np.ndarray
     volume: float
     n_g: int
-    est_res_prev: float = np.nan
-    s: float = np.nan
-    kv_norm: float = np.nan
-    row_norm: float = np.nan
-    rhs_norm: float = np.nan
-    eps_gap: np.ndarray = None
-    common_factor: float = None
+    row_norm: float
+    rhs_norm: float
+
+    @property
+    def n_occ(self) -> int:
+        return len(self.occ)
 
 
 def _require(value, name, strategy):
@@ -85,24 +79,17 @@ def _require(value, name, strategy):
     return value
 
 
-def common_factor(spec: StrategySpec, ctx: ToleranceContext) -> float:
-    if ctx.common_factor is not None:
-        return float(_require(ctx.common_factor, "common_factor", spec.kind))
-    if ctx.iteration == 0:
-        return spec.tau / 3.0
-    _require(ctx.s, "s", spec.kind)
-    _require(ctx.est_res_prev, "est_res_prev", spec.kind)
-    return (ctx.s / (3.0 * spec.m)) * spec.tau / ctx.est_res_prev
+def select_tolerances(spec: StrategySpec, ctx: ToleranceContext, budget: float,
+                      kv_norm: float) -> np.ndarray:
+    """Per-band CG tolerances tau_{i,n} for one application, clamped below at 1e-16.
 
-
-def select_tolerances(spec: StrategySpec, ctx: ToleranceContext) -> np.ndarray:
-    """Per-band CG tolerances tau_{i,n}, clamped below at 1e-16."""
+    `budget` is the error allowance granted for the application and
+    `kv_norm` the norm of the potential chi0 is applied to; the static
+    baselines read neither.
+    """
     occ = np.asarray(_require(ctx.occ, "occupations", spec.kind), dtype=float)
-    if len(occ) != ctx.n_occ:
-        raise ConfigurationError("occupation vector length disagrees with n_occ")
-
     if spec.adaptive:
-        shared = common_factor(spec, ctx)
+        shared = float(_require(budget, "budget", spec.kind))
         if spec.kind == "agr":
             prefactor = np.ones(ctx.n_occ)
         else:
@@ -110,14 +97,11 @@ def select_tolerances(spec: StrategySpec, ctx: ToleranceContext) -> np.ndarray:
             _require(ctx.n_g, "n_g", spec.kind)
             band = np.sqrt(ctx.volume) / (2.0 * occ * np.sqrt(ctx.n_g * ctx.n_occ))
             if spec.kind == "grt":
-                _require(ctx.kv_norm, "kv_norm", spec.kind)
+                _require(kv_norm, "kv_norm", spec.kind)
                 _require(ctx.row_norm, "row_norm", spec.kind)
-                prefactor = band / (ctx.kv_norm * ctx.row_norm)
+                prefactor = band / (kv_norm * ctx.row_norm)
             else:  # bal
                 prefactor = band * np.sqrt(ctx.volume) / np.sqrt(ctx.n_occ)
-            if spec.use_gap:
-                gaps = _require(ctx.eps_gap, "eps_gap", spec.kind)
-                prefactor = prefactor * np.asarray(gaps, dtype=float)
         tol = prefactor * shared
     elif spec.kind == "d10":
         tol = np.full(ctx.n_occ, spec.tau / 10.0)

@@ -22,11 +22,17 @@ import pytest
 
 from pwdyson import Lattice, build_grids
 from pwdyson.config import Perturbation, reference_config
-from pwdyson.harness import TIGHT_CG_TOL, check_bound_dominance, ensure_ground_state, run_response
+from pwdyson.harness import (
+    TIGHT_CG_TOL,
+    check_bound_dominance,
+    ensure_ground_state,
+    run_response,
+    tolerance_context,
+)
 from pwdyson.igmres import igmres_solve
 from pwdyson.kernels import KernelSpec, KerkerSpec, apply_kerker
 from pwdyson.response import apply_chi0, apply_dielectric
-from pwdyson.strategies import ToleranceContext, parse_strategy, select_tolerances
+from pwdyson.strategies import parse_strategy, select_tolerances
 
 from conftest import dense_chi0_oracle
 
@@ -127,9 +133,9 @@ def test_criterion_2_static_tolerance_failure(toy_metal, metal_runs):
     for run in (d10, pbal, pgrt):
         assert not isinstance(run, Exception), f"run failed: {run}"
     spec = parse_strategy("d10", tau=config.response.tau, m=config.response.m)
-    static_tols = select_tolerances(spec, ToleranceContext(
-        iteration=1, n_occ=gs.n_occ, occ=gs.occ_occ,
-        volume=gs.grids.lattice.volume, n_g=gs.grids.n_g))
+    # d10 reads neither the granted budget nor |Kv|
+    static_tols = select_tolerances(spec, tolerance_context(gs, rhs_norm=np.nan),
+                                    np.nan, np.nan)
     kernel = KernelSpec(xc=config.model.xc)
     static = apply_dielectric(gs, kernel, d10.solution, static_tols)
     exact = apply_dielectric(gs, kernel, d10.solution, np.full(gs.n_occ, TIGHT_CG_TOL))

@@ -1,5 +1,6 @@
 """Tests for perturbation building, archives, runs, compare and verify."""
 
+import csv
 import json
 import os
 import stat
@@ -8,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from pwdyson import ArchiveError, ConfigurationError, Lattice, NonConvergenceError
+from pwdyson import ArchiveError, ConfigurationError, Lattice, NonConvergenceError, cli
 from pwdyson.archive import load_ground_state, save_ground_state
 from pwdyson.config import (
     ExperimentConfig,
@@ -22,19 +23,19 @@ from pwdyson.config import (
 from pwdyson.groundstate import GaussianWell, ModelSpec, external_potential
 from pwdyson.harness import (
     TIGHT_CG_TOL,
-    _base_context,
     build_perturbation,
     check_orthonormality,
     compare_strategies,
     ensure_ground_state,
     run_response,
+    tolerance_context,
     true_residual,
     verify_suite,
 )
 from pwdyson.igmres import igmres_solve
 from pwdyson.kernels import KernelSpec, KerkerSpec, apply_kerker
 from pwdyson.response import apply_dielectric, orbital_row_norm
-from pwdyson.strategies import StrategySpec, parse_strategy
+from pwdyson.strategies import StrategySpec, parse_strategy, select_tolerances
 
 
 def tiny_config(gs, strategy="pbal", tau=1e-7, m=8):
@@ -76,8 +77,7 @@ def test_perturbation_index_out_of_range(metal_gs):
 
 def test_base_context_reuses_row_norm(metal_gs, monkeypatch):
     gs = metal_gs
-    spec = StrategySpec("bal", False, 1e-7, 8)
-    first = _base_context(gs, spec, iteration=1)
+    first = tolerance_context(gs, rhs_norm=1.0)
     calls = []
     grids_type = type(gs.grids)
     for name in ("to_real", "to_real_many"):
@@ -85,7 +85,7 @@ def test_base_context_reuses_row_norm(metal_gs, monkeypatch):
             calls.append(_name)
             return _original(self, arg)
         monkeypatch.setattr(grids_type, name, counted)
-    second = _base_context(gs, spec, iteration=1)
+    second = tolerance_context(gs, rhs_norm=1.0)
     assert calls == []
     monkeypatch.undo()
     assert first.row_norm == second.row_norm
@@ -289,6 +289,22 @@ def test_run_response_reraises_sternheimer_stall(metal_gs, monkeypatch):
     assert np.isnan(report.final_true_res)
 
 
+def test_budgets_reach_select_tolerances_unchanged(metal_gs, monkeypatch):
+    budgets = []
+
+    def recording(spec, ctx, budget, kv_norm):
+        budgets.append(budget)
+        return select_tolerances(spec, ctx, budget, kv_norm)
+
+    monkeypatch.setattr("pwdyson.harness.select_tolerances", recording)
+    metrics = run_response(tiny_config(metal_gs, strategy="pbal"), gs=metal_gs)
+    granted = [record.budget for record in metrics.igmres.budgets]
+    assert len(granted) > 1
+    # the right-hand-side build's tau/3 comes first, then one call per application
+    assert budgets[0] == 1e-7 / 3.0
+    assert budgets[1:] == granted
+
+
 def test_run_response_est_res_monotone_within_cycles(metal_gs):
     config = tiny_config(metal_gs, strategy="pd10", tau=1e-7)
     metrics = run_response(config, gs=metal_gs)
@@ -317,6 +333,20 @@ def test_compare_strategies_table(metal_gs, tmp_path):
     data = json.load(open(os.path.join(out, "compare.json")))
     assert data["reference"] == "pd10"
     assert os.path.exists(os.path.join(out, "compare.csv"))
+
+
+def test_compare_csv_cells_parse(metal_gs, tmp_path):
+    config = tiny_config(metal_gs, tau=1e-6)
+    out = str(tmp_path / "cmp")
+    compare_strategies(config, ["pbal", "d10"], out_dir=out, gs=metal_gs)
+    with open(os.path.join(out, "compare.csv"), newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["strategy"] for r in rows] == ["pbal", "d10"]
+    for r in rows:
+        assert r["converged"] == "True"
+        assert int(r["n_ham"]) > 0
+        for column in ("final_true_res", "eta", "eta_rel"):
+            assert np.isfinite(float(r[column])), (column, r[column])
 
 
 def test_compare_records_sternheimer_stall_and_goes_on(metal_gs, monkeypatch):
@@ -390,6 +420,56 @@ def test_config_roundtrip(metal_gs):
     assert config.response.perturbation.gaussian == 1
     assert config.scf.damping == 0.4
     assert config.model.n_electrons == metal_gs.model.n_electrons
+
+
+def _config_dict(metal_gs):
+    return {
+        "model": model_to_dict(metal_gs.model),
+        "scf": {"tol": 1e-9},
+        "response": {"strategy": "pbal", "perturbation": {"gaussian": 0}},
+    }
+
+
+@pytest.mark.parametrize("level,key", [
+    ((), "outptu_dir"),
+    (("model",), "e_cutt"),
+    (("model", "gaussians", 0), "widht"),
+    (("scf",), "dampng"),
+    (("response",), "use_gapp"),
+    (("response", "perturbation"), "analytc"),
+], ids=["top", "model", "gaussian", "scf", "response", "perturbation"])
+def test_unknown_config_key_rejected(metal_gs, level, key):
+    d = _config_dict(metal_gs)
+    config_from_dict(d)
+    target = d
+    for step in level:
+        target = target[step]
+    target[key] = 1
+    with pytest.raises(ConfigurationError, match=key):
+        config_from_dict(d)
+
+
+@pytest.mark.parametrize("section,value", [
+    ("model", None), ("response", "pbal"), ("scf", [1e-9]),
+], ids=["missing-model", "response-string", "scf-list"])
+def test_malformed_config_section_rejected(metal_gs, section, value):
+    d = _config_dict(metal_gs)
+    if value is None:
+        del d[section]
+    else:
+        d[section] = value
+    with pytest.raises(ConfigurationError, match=section):
+        config_from_dict(d)
+
+
+def test_cli_rejects_removed_use_gap_key(metal_gs, tmp_path, capsys):
+    d = _config_dict(metal_gs)
+    d["response"]["use_gap"] = True
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(d))
+    assert cli.main(["verify", str(path)]) == cli.EXIT_CONFIG == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "use_gap" in err[0]
 
 
 def test_reference_configs_load():
