@@ -11,7 +11,9 @@ side with the same seed S = --first-seed + i, base first on even pairs
 and change first on odd ones, one process at a time.  The output holds
 every run's JSON line and `n_ham` per solve, each side's median and
 quartiles of every end-to-end metric, the per-pair change/base ratios
-and the machine the runs were made on.
+and the machine the runs were made on.  After the pairs, each side runs
+one traced round (`--trace 1 --seconds 0`) per workload at --first-seed,
+and `traces` holds its per-layer metrics.
 """
 
 import argparse
@@ -40,9 +42,9 @@ def export(rev, workdir, name):
     return target
 
 
-def run_once(root, workload, seed, seconds):
+def run_once(root, workload, seed, seconds, trace=0):
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds)]
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     started = time.time()
     proc = subprocess.run(cmd, cwd=root, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                           text=True)
@@ -138,12 +140,15 @@ def main(argv=None):
                       f"wall_s {metrics['wall_s']['value']:.3f}, "
                       f"n_ham {metrics['n_ham']['value']:.0f}, "
                       f"correct {run['result']['correct']}", file=sys.stderr)
+    traces = {w: {side: run_once(roots[side], w, args.first_seed, 0, trace=1)
+                  for side in ("base", "change")} for w in workloads}
     report = {
         "sides": {"base": args.base, "change": args.change},
         "workloads": workloads, "pairs": args.pairs, "first_seed": args.first_seed,
         "seconds": args.seconds, "machine": machine(),
         "summary": {w: summarise(runs, w) for w in workloads},
         "runs": runs,
+        "traces": traces,
     }
     with open(args.out, "w") as fh:
         json.dump(report, fh, indent=1)

@@ -47,14 +47,31 @@ class ExperimentConfig:
     archive: str = None
 
 
+# JSON values a field of each annotated type accepts, and how to name them
+_JSON_TYPES = {float: ((int, float), "a number"), int: (int, "an integer"),
+               bool: (bool, "true or false"), str: (str, "a string")}
+
+
 def _known_keys(d: dict, cls, where: str) -> dict:
-    """Return `d`; raise if it is no JSON object or a key names no field of `cls`."""
+    """Return `d`; raise if it is no JSON object or a key names no field of `cls`.
+
+    A value for a field annotated float, int, bool or str must be a JSON
+    value of that type (a number, an integer, true/false, a string; null
+    where the field defaults to None).
+    """
     if not isinstance(d, dict):
         raise ConfigurationError(f"{where} must be a JSON object, got {d!r}")
-    names = {f.name for f in fields(cls)}
-    for key in d:
-        if key not in names:
+    known = {f.name: f for f in fields(cls)}
+    for key, value in d.items():
+        if key not in known:
             raise ConfigurationError(f"unknown config key {key!r} in {where}")
+        kind = known[key].type
+        if kind not in _JSON_TYPES or (value is None and known[key].default is None):
+            continue
+        accepted, name = _JSON_TYPES[kind]
+        if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
+            raise ConfigurationError(f"config key {key!r} in {where} must be {name}, "
+                                     f"got {value!r}")
     return d
 
 

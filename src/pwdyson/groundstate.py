@@ -292,10 +292,18 @@ def total_local_potential(model: ModelSpec, grids: FourierGrids,
 class GroundState:
     """Converged SCF state; immutable by convention after construction.
 
-    phi/eps/occ cover the occupied bands plus n_extra unoccupied
-    eigenstates: eps[n_occ] (the lowest retained unoccupied level) feeds
-    the response error bounds, and `apply_chi0` takes the response in
-    these states by a sum over states instead of a Sternheimer solve.
+    rho is the SCF's input density whose fixed-point residual
+    ||F_KS(rho) - rho|| sqrt(|Omega|/n_g), `scf_residual`, passed the
+    stop test; v_local is its potential and phi/eps/occ are the
+    eigenstates of H[v_local].  They cover the occupied bands plus
+    n_extra unoccupied eigenstates: eps[n_occ] (the lowest retained
+    unoccupied level) feeds the response error bounds, and `apply_chi0`
+    takes the response in these states by a sum over states instead of a
+    Sternheimer solve.
+
+    Quantities derived for a response solve (`phi_occ_h`, `psi_occ_real`,
+    the kept bases, ...) are cached until `drop_derived`, which
+    `run_response` calls when it ends.
     """
 
     model: ModelSpec
@@ -342,6 +350,10 @@ class GroundState:
             self._derived[key] = value
         return self._derived[key]
 
+    def drop_derived(self):
+        """Forget every derived quantity; the next use computes it again."""
+        self._derived.clear()
+
     @property
     def occ_occ(self) -> np.ndarray:
         return self.occ[: self.n_occ]
@@ -362,6 +374,9 @@ class GroundState:
         return fp(x) / self.model.temperature
 
 
+ANDERSON_DEPTH = 8          # density/residual pairs `run_scf` mixes over
+
+
 def _choose_n_extra(n_occ: int) -> int:
     return max(3, int(np.ceil(0.1 * n_occ)))
 
@@ -370,12 +385,25 @@ def run_scf(model: ModelSpec, tol: float, max_iter: int = 200, *,
             mixing: str = "kerker", kerker_alpha: float = 0.8,
             damping: float = 0.8, grids: FourierGrids = None,
             verbose: bool = False) -> GroundState:
-    """Damped fixed-point SCF iteration for the toy solid.
+    """Anderson-mixed fixed-point SCF iteration for the toy solid.
 
-    rho_{k+1} = rho_k + damping * M (F_KS(rho_k) - rho_k) with M either
-    the Kerker preconditioner or the identity; converged when the raw
-    fixed-point residual satisfies ||F_KS(rho_k) - rho_k|| sqrt(|Omega|/n_g)
-    <= tol (which implies the same for the damped step).
+    Each iteration maps the input density rho_k to the output density
+    F_KS(rho_k) of H[rho_k] and mixes the preconditioned residual
+    f_k = M (F_KS(rho_k) - rho_k), M the Kerker preconditioner or the
+    identity.  Anderson mixing (Anderson, J. ACM 12, 547 (1965); Walker
+    and Ni, SIAM J. Numer. Anal. 49, 1715 (2011)) keeps the differences
+    dRho, dF of the last ANDERSON_DEPTH + 1 iterates and of their f, and
+    steps
+
+        gamma = argmin ||f_k - dF gamma||,
+        rho_{k+1} = rho_k - dRho gamma + damping (f_k - dF gamma),
+
+    so `damping` is the Anderson step; with no history stored this is
+    the damped step rho_k + damping f_k.  Converged when the raw
+    fixed-point residual satisfies ||F_KS(rho_k) - rho_k||
+    sqrt(|Omega|/n_g) <= tol.  The state returned holds that certified
+    input density rho_k, its potential and the orbitals of H[rho_k], not
+    the output F_KS(rho_k), whose own residual can be many times tol.
     """
     from .kernels import KerkerSpec, apply_kerker
 
@@ -392,6 +420,9 @@ def run_scf(model: ModelSpec, tol: float, max_iter: int = 200, *,
     rho = np.full(grids.n_g, model.n_electrons / model.lattice.volume)
     n_states = min(grids.n_b, model.n_electrons // 2 + max(6, model.n_electrons // 4))
     weight = np.sqrt(model.lattice.volume / grids.n_g)
+    # rows [0, slot]: rho_{j+1} - rho_j, rows [1, slot]: f_{j+1} - f_j, a ring
+    history = np.empty((2, ANDERSON_DEPTH, grids.n_g))
+    stored, previous, res_norm = 0, None, np.nan
 
     for it in range(max_iter):
         v_loc = total_local_potential(model, grids, v_ext, rho)
@@ -408,8 +439,7 @@ def run_scf(model: ModelSpec, tol: float, max_iter: int = 200, *,
             n_states = min(grids.n_b, n_occ + n_extra + 4)
             continue
 
-        rho_new = compute_density(grids, phi, occ)
-        residual = rho_new - rho
+        residual = compute_density(grids, phi, occ) - rho
         res_norm = np.linalg.norm(residual) * weight
         if verbose:
             print(f"scf iter {it:3d}  residual {res_norm:.3e}  fermi {fermi:+.6f}")
@@ -419,11 +449,19 @@ def run_scf(model: ModelSpec, tol: float, max_iter: int = 200, *,
                 model=model, grids=grids,
                 phi=np.ascontiguousarray(phi[:, :n_kept]),
                 eps=eps[:n_kept].copy(), occ=occ[:n_kept].copy(),
-                fermi_level=fermi, rho=rho_new, n_occ=n_occ,
+                fermi_level=fermi, rho=rho, n_occ=n_occ,
                 v_local=v_loc, scf_residual=res_norm,
             )
-        step = apply_kerker(kerker, grids, residual) if kerker else residual
-        rho = rho + damping * step
+        f = apply_kerker(kerker, grids, residual) if kerker else residual
+        if previous is not None:
+            slot = stored % ANDERSON_DEPTH
+            np.subtract(rho, previous[0], out=history[0, slot])
+            np.subtract(f, previous[1], out=history[1, slot])
+            stored += 1
+        previous = rho, f
+        d_rho, d_f = history[:, :min(stored, ANDERSON_DEPTH)]
+        gamma = scipy.linalg.lstsq(d_f.T, f)[0] if stored else np.zeros(0)
+        rho = rho - gamma @ d_rho + damping * (f - gamma @ d_f)
 
     raise NonConvergenceError(
         f"SCF did not reach {tol:.1e} in {max_iter} iterations", residual=res_norm

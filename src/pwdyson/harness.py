@@ -244,12 +244,22 @@ def run_response(config: ExperimentConfig, gs: GroundState = None,
     attached.  A Sternheimer stall inside it raises with a partial report
     too, whose `n_ham` adds the completed applications and the stalled
     solve's cost to the right-hand-side build; it has no iterate, so its
-    residuals read nan.
+    residuals read nan.  When it returns or raises, the ground state
+    drops what the solve derived from it (`GroundState.drop_derived`).
     """
     resp = config.response
     spec = parse_strategy(resp.strategy, tau=resp.tau, m=resp.m)
     if gs is None:
         gs = ensure_ground_state(config)
+    try:
+        return _solve_response(config, spec, gs, out_dir)
+    finally:
+        gs.drop_derived()
+
+
+def _solve_response(config: ExperimentConfig, spec: StrategySpec, gs: GroundState,
+                    out_dir: str) -> RunMetrics:
+    resp = config.response
     grids = gs.grids
     kernel = KernelSpec(xc=config.model.xc)
     kerker = KerkerSpec(alpha=resp.kerker_alpha) if spec.preconditioned else None

@@ -109,8 +109,8 @@ class FourierGrids:
     """Spherical orbital grid and cubic density grid for one cutoff.
 
     Immutable after construction, apart from `sphere_difference_index`,
-    which is built on first use; transforms are pure functions of the
-    stored index tables.
+    which is built on first use; every stored array is read-only, and
+    transforms are pure functions of the stored index tables.
 
     Attributes:
         lattice: the unit cell.
@@ -190,6 +190,9 @@ class FourierGrids:
 
         self._to_real_scale = self.n_g / np.sqrt(lattice.volume)
         self._to_fourier_scale = np.sqrt(lattice.volume) / self.n_g
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
 
     @cached_property
     def sphere_difference_index(self) -> np.ndarray:
@@ -299,13 +302,23 @@ def from_cos_sin(coeffs: np.ndarray) -> np.ndarray:
     return out
 
 
+_last_grids = (None, None)         # (key, FourierGrids) of the last `build_grids` call
+
+
 def build_grids(lattice: Lattice, e_cut: float) -> FourierGrids:
     """Build the sphere/cube Fourier grids for the given cutoff.
 
     The sphere enumerates exactly {G : |G|_2 <= sqrt(2 e_cut)} in
     lexicographic integer order; the cube is the smallest even 5-smooth
-    FFT box holding |G|_inf <= 2 sqrt(2 e_cut).
+    FFT box holding |G|_inf <= 2 sqrt(2 e_cut).  Grids are read-only, so
+    a call with the same lattice (compared by the bytes of its vectors)
+    and cutoff as the call before returns the same grids, difference
+    index included.
     """
+    global _last_grids
     if lattice.duality_defect() > 1e-12:
         raise ConfigurationError("lattice reciprocal vectors violate b_i . a_j = 2 pi delta_ij")
-    return FourierGrids(lattice, e_cut)
+    key = (lattice.a.tobytes(), lattice.b.tobytes(), lattice.volume, e_cut)
+    if _last_grids[0] != key:
+        _last_grids = key, FourierGrids(lattice, e_cut)
+    return _last_grids[1]

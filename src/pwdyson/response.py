@@ -61,9 +61,16 @@ def delta_eigen_occupations(gs: GroundState, dv: np.ndarray):
 
 
 def _occupied_matrix(gs: GroundState, dv: np.ndarray):
-    """Rows dv phi_n on the sphere, (n_occ, n_b), and M[m, n] = <phi_m, dv phi_n>."""
-    dvpsi = gs.grids.to_fourier_many(dv[None, :] * gs.psi_occ_real)
-    return dvpsi, gs.phi_occ_h @ dvpsi.T
+    """Rows dv phi_n on the sphere, (n_occ, n_b), and M[m, n] = <phi_m, dv phi_n>.
+
+    Band by band, like `to_fourier_many` of dv * psi_n, but with no
+    (n_occ, n_g) product held whole.
+    """
+    grids = gs.grids
+    out = np.empty((grids.n_b, gs.n_occ), dtype=np.complex128)
+    for n, psi in enumerate(gs.psi_occ_real):
+        out[:, n] = grids.to_fourier(dv * psi)
+    return out.T, gs.phi_occ_h @ out
 
 
 def _first_order_occupations(gs: GroundState, m: np.ndarray, dv: np.ndarray):

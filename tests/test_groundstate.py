@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from pwdyson import Lattice, NonConvergenceError, build_grids, groundstate
+from pwdyson import FourierGrids, Lattice, NonConvergenceError, build_grids, groundstate
 from pwdyson.groundstate import (
     GaussianWell,
     ModelSpec,
@@ -76,7 +76,8 @@ def test_dense_hamiltonian_reuses_difference_index(monkeypatch):
     # one), gives the H of a fresh per-call index bit for bit, on a
     # non-cubic cell, and a second call does not rebuild it
     rng = np.random.default_rng(4)
-    grids = build_grids(Lattice.from_vectors([5.0, 0, 0], [0.4, 2.6, 0], [0, 0.3, 2.2]), 40.0)
+    # a fresh grid: build_grids may hand back one whose index is built
+    grids = FourierGrids(Lattice.from_vectors([5.0, 0, 0], [0.4, 2.6, 0], [0, 0.3, 2.2]), 40.0)
     assert grids.n_b > 3 * 64 and grids.n_b % 64 != 0
     v = rng.standard_normal(grids.n_g)
     nx, ny, nz = grids.cube_dims
@@ -365,20 +366,96 @@ def test_free_electrons_converge_immediately():
     assert gs.scf_residual <= 1e-10
 
 
-def test_scf_fixed_point_reverified():
+def metal_chain_model(wells=10, spacing=3.5):
+    """A short version of the benchmark's metallic chain: host wells plus an impurity."""
+    length = wells * spacing
+    hosts = tuple(GaussianWell(center=((k + 0.003 * (-1) ** k) / wells, 0.5, 0.5),
+                               amplitude=-4.5, width=0.55) for k in range(wells))
+    impurity = GaussianWell(center=(0.5 / wells, 0.5, 0.5), amplitude=-10.0, width=0.28)
+    return ModelSpec(lattice=Lattice.orthorhombic(length, 2.6, 2.6), e_cut=6.5,
+                     n_electrons=wells + 2, temperature=0.005, smearing="gaussian",
+                     gaussians=(impurity,) + hosts)
+
+
+def scf_iterations(monkeypatch):
+    """Callable returning how many times the SCF has diagonalised: one per iteration."""
+    calls = [0]
+    original = groundstate.diagonalize_dense
+
+    def counted(*args):
+        calls[0] += 1
+        return original(*args)
+    monkeypatch.setattr(groundstate, "diagonalize_dense", counted)
+    return lambda: calls[0]
+
+
+@pytest.fixture(scope="module")
+def metal_chain_gs():
+    return run_scf(metal_chain_model(), tol=1e-10, max_iter=400, kerker_alpha=0.8, damping=0.1)
+
+
+def test_scf_fixed_point_reverified(metal_chain_gs):
     from pwdyson.groundstate import total_local_potential
 
+    assert abs(metal_chain_gs.fprime_occ().sum()) > 1.0, "the chain must be metallic"
+    insulator = run_scf(toy_insulating_model(), tol=1e-9, mixing="identity")
+    for gs, tol in ((insulator, 1e-9), (metal_chain_gs, 1e-10)):
+        model = gs.model
+        # one extra F_KS evaluation at the returned density, which must be
+        # the SCF's certified input density: on the Kerker-mixed metal its
+        # output F_KS(rho) is off by more than ten times tol
+        v_ext = external_potential(model, gs.grids)
+        v_loc = total_local_potential(model, gs.grids, v_ext, gs.rho)
+        eps, phi = diagonalize_dense(gs.grids, v_loc, gs.n_kept)
+        _, occ = fermi_and_occupations(eps, model.n_electrons, model.temperature,
+                                       model.smearing)
+        rho_next = compute_density(gs.grids, phi, occ)
+        res = np.linalg.norm(rho_next - gs.rho) * np.sqrt(model.lattice.volume / gs.grids.n_g)
+        assert res <= tol
+        assert res == pytest.approx(gs.scf_residual, rel=1e-3)
+        np.testing.assert_array_equal(v_loc, gs.v_local)
+
+
+def test_anderson_scf_converges_in_few_iterations(monkeypatch):
+    # damped mixing (rho + damping f, no history) takes 224 iterations on
+    # the chain and 31 on the insulator; Anderson mixing took 33 and 10
+    iterations = scf_iterations(monkeypatch)
+    run_scf(metal_chain_model(), tol=1e-10, max_iter=400, kerker_alpha=0.8, damping=0.1)
+    assert iterations() <= 60
+    iterations = scf_iterations(monkeypatch)
+    run_scf(toy_insulating_model(), tol=1e-10, mixing="identity", damping=0.5)
+    assert iterations() <= 20
+
+
+def test_scf_asking_for_more_states_keeps_anderson_history(monkeypatch):
+    # from the fourth iteration on, with two Anderson pairs stored, the SCF
+    # wants five more extra bands than it diagonalised: it diagonalises the
+    # same density again with more states and carries on where it was
     model = toy_insulating_model()
-    tol = 1e-9
-    gs = run_scf(model, tol=tol, mixing="identity")
-    # one extra F_KS evaluation at the returned density
-    v_ext = external_potential(model, gs.grids)
-    v_loc = total_local_potential(model, gs.grids, v_ext, gs.rho)
-    eps, phi = diagonalize_dense(gs.grids, v_loc, gs.n_kept)
-    _, occ = fermi_and_occupations(eps, model.n_electrons, model.temperature)
-    rho_next = compute_density(gs.grids, phi, occ)
-    res = np.linalg.norm(rho_next - gs.rho) * np.sqrt(model.lattice.volume / gs.grids.n_g)
-    assert res <= tol
+    iterations = scf_iterations(monkeypatch)
+    plain = run_scf(model, tol=1e-10)
+    n_plain = iterations()
+    assert n_plain > 5
+
+    original, asked = groundstate._choose_n_extra, []
+
+    def more_after_three(n_occ):
+        asked.append(n_occ)
+        return original(n_occ) + (5 if len(asked) > 3 else 0)
+
+    monkeypatch.setattr(groundstate, "_choose_n_extra", more_after_three)
+    iterations = scf_iterations(monkeypatch)
+    wider = run_scf(model, tol=1e-10)
+    assert iterations() == n_plain + 1
+    assert wider.n_kept == plain.n_kept + 5
+    diff = np.linalg.norm(wider.rho - plain.rho) * np.sqrt(model.lattice.volume / plain.grids.n_g)
+    assert diff <= 1e-12
+
+    # out of iterations while the first one asks for more states: no residual yet
+    monkeypatch.setattr(groundstate, "_choose_n_extra", lambda n_occ: original(n_occ) + 5)
+    with pytest.raises(NonConvergenceError) as err:
+        run_scf(model, tol=1e-10, max_iter=1)
+    assert np.isnan(err.value.residual)
 
 
 def test_scf_ground_state_invariants():
@@ -410,6 +487,14 @@ def test_identity_and_kerker_mixing_agree():
     b = run_scf(model, tol=tol, mixing="kerker", kerker_alpha=0.8)
     diff = np.linalg.norm(a.rho - b.rho) * np.sqrt(model.lattice.volume / a.grids.n_g)
     assert diff <= 10 * tol
+
+
+def test_scf_runs_on_one_model_share_grids():
+    model = toy_insulating_model()
+    first = run_scf(model, tol=1e-6)
+    second = run_scf(model, tol=1e-6)
+    assert second.grids is first.grids
+    assert not first.grids.g2_cube.flags.writeable
 
 
 def test_scf_nonconvergence_error():

@@ -289,6 +289,22 @@ def test_run_response_reraises_sternheimer_stall(metal_gs, monkeypatch):
     assert np.isnan(report.final_true_res)
 
 
+def test_run_response_drops_what_the_solve_derived(metal_gs, monkeypatch):
+    run_response(tiny_config(metal_gs), gs=metal_gs)
+    assert metal_gs._derived == {}
+    cached = []
+
+    def stall(gs, *args, **kwargs):
+        cached.extend(gs._derived)
+        _stalled_sternheimer()
+
+    monkeypatch.setattr("pwdyson.harness.apply_dielectric", stall)
+    with pytest.raises(NonConvergenceError, match="Sternheimer"):
+        run_response(tiny_config(metal_gs), gs=metal_gs)
+    assert {"psi_occ_real", "kept_bases"} <= set(cached)
+    assert metal_gs._derived == {}
+
+
 def test_budgets_reach_select_tolerances_unchanged(metal_gs, monkeypatch):
     budgets = []
 
@@ -460,6 +476,37 @@ def test_malformed_config_section_rejected(metal_gs, section, value):
         d[section] = value
     with pytest.raises(ConfigurationError, match=section):
         config_from_dict(d)
+
+
+@pytest.mark.parametrize("level,key,value", [
+    (("response",), "tau", "1e-9"),
+    (("response",), "m", 10.0),
+    (("response", "perturbation"), "analytic", "false"),
+    (("scf",), "damping", "0.1"),
+    (("scf",), "max_iter", True),
+    (("model",), "e_cut", "6.5"),
+    (("model",), "n_electrons", 4.0),
+    (("model", "gaussians", 0), "amplitude", "-3"),
+], ids=["response-tau", "response-m", "perturbation-analytic", "scf-damping",
+        "scf-max_iter", "model-e_cut", "model-n_electrons", "gaussian-amplitude"])
+def test_config_value_of_wrong_type_rejected(metal_gs, level, key, value):
+    d = _config_dict(metal_gs)
+    target = d
+    for step in level:
+        target = target.setdefault(step, {}) if isinstance(step, str) else target[step]
+    target[key] = value
+    with pytest.raises(ConfigurationError, match=f"'{key}' in .* must be"):
+        config_from_dict(d)
+
+
+def test_cli_reports_string_number_in_one_line(metal_gs, tmp_path, capsys):
+    d = _config_dict(metal_gs)
+    d["response"]["tau"] = "1e-9"
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(d))
+    assert cli.main(["respond", str(path), "-o", str(tmp_path / "out")]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "'tau'" in err[0]
 
 
 def test_cli_rejects_removed_use_gap_key(metal_gs, tmp_path, capsys):

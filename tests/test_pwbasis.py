@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.fft
 
-from pwdyson import ConfigurationError, Lattice, build_grids
+from pwdyson import ConfigurationError, FourierGrids, Lattice, build_grids
 
 
 def brute_force_sphere_count(lattice, e_cut):
@@ -111,12 +111,24 @@ def test_sphere_closed_under_negation_and_sorted():
 
 
 def test_deterministic_rebuild():
+    # two independent constructions: build_grids may return the grids it built last
     lat = Lattice.from_vectors([3.0, 0.5, 0.0], [0.0, 3.0, 0.5], [0.5, 0.0, 3.0])
     g1 = build_grids(lat, 9.0)
-    g2 = build_grids(lat, 9.0)
+    g2 = FourierGrids(lat, 9.0)
+    assert g2 is not g1
     np.testing.assert_array_equal(g1.g_int, g2.g_int)
     assert g1.cube_dims == g2.cube_dims
     np.testing.assert_array_equal(g1.sphere_flat, g2.sphere_flat)
+
+
+def test_build_grids_returns_the_last_grids_for_the_same_cell():
+    vectors = ([3.0, 0.5, 0.0], [0.0, 3.0, 0.5], [0.5, 0.0, 3.0])
+    first = build_grids(Lattice.from_vectors(*vectors), 9.0)
+    assert build_grids(Lattice.from_vectors(*vectors), 9.0) is first
+    assert all(not a.flags.writeable for a in vars(first).values() if isinstance(a, np.ndarray))
+    other = build_grids(Lattice.from_vectors(*vectors), 8.0)
+    assert other is not first and other.n_b < first.n_b
+    assert build_grids(Lattice.from_vectors(*vectors), 9.0) is not first
 
 
 def test_to_real_constant_mode():
