@@ -4,14 +4,15 @@ Layout of an archive directory:
 
     meta.json     lattice, cutoff, grid dims, spectrum, occupations,
                   model parameters, format version, endianness tag
-    phi_re.bin    Re of the orbital matrix, column-major n_b x n_kept
-    phi_im.bin    Im of the orbital matrix, same layout
+    u.bin         the real orbitals u in the cos/sin basis, column-major
+                  n_b x n_kept (phi = T^H u is rebuilt from them)
     rho.bin       density on the cube grid, x fastest
     v_local.bin   total local potential, same layout (so the Hamiltonian
                   that phi/eps diagonalise is reconstructed bit-exactly)
 
 Write-read round trips are bit-exact.  All writes go through a temp file
-plus atomic rename.
+plus atomic rename.  Format 1 stored the complex phi as two blobs; it is
+no longer read.
 """
 
 import json
@@ -25,7 +26,7 @@ from .errors import ArchiveError
 from .groundstate import GroundState
 from .pwbasis import build_grids
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 def atomic_write(path: str, data: bytes):
@@ -79,22 +80,30 @@ def save_ground_state(path: str, gs: GroundState):
     }
     atomic_write(os.path.join(path, "meta.json"),
                  json.dumps(meta, indent=1).encode())
-    atomic_write(os.path.join(path, "phi_re.bin"),
-                 np.ascontiguousarray(gs.phi.real, dtype="<f8").tobytes(order="F"))
-    atomic_write(os.path.join(path, "phi_im.bin"),
-                 np.ascontiguousarray(gs.phi.imag, dtype="<f8").tobytes(order="F"))
+    atomic_write(os.path.join(path, "u.bin"),
+                 np.asarray(gs.u, dtype="<f8").tobytes(order="F"))
     atomic_write(os.path.join(path, "rho.bin"),
                  np.asarray(gs.rho, dtype="<f8").tobytes())
     atomic_write(os.path.join(path, "v_local.bin"),
                  np.asarray(gs.v_local, dtype="<f8").tobytes())
 
 
-def load_ground_state(path: str) -> GroundState:
+def _read_meta(path: str) -> dict:
     meta_path = os.path.join(path, "meta.json")
     if not os.path.exists(meta_path):
         raise ArchiveError(f"no meta.json under {path}")
     with open(meta_path) as fh:
-        meta = json.load(fh)
+        return json.load(fh)
+
+
+def is_older_format(path: str) -> bool:
+    """Whether the archive at `path` was written in a format before FORMAT_VERSION."""
+    version = _read_meta(path).get("format_version")
+    return isinstance(version, int) and version < FORMAT_VERSION
+
+
+def load_ground_state(path: str) -> GroundState:
+    meta = _read_meta(path)
     version = meta.get("format_version")
     if version != FORMAT_VERSION:
         raise ArchiveError(f"archive format version {version}, expected {FORMAT_VERSION}")
@@ -110,9 +119,8 @@ def load_ground_state(path: str) -> GroundState:
         )
 
     n_kept = int(meta["n_kept"])
-    phi_re = _read_blob(os.path.join(path, "phi_re.bin"), grids.n_b * n_kept)
-    phi_im = _read_blob(os.path.join(path, "phi_im.bin"), grids.n_b * n_kept)
-    phi = (phi_re + 1j * phi_im).reshape((grids.n_b, n_kept), order="F")
+    u = _read_blob(os.path.join(path, "u.bin"), grids.n_b * n_kept)
+    u = np.ascontiguousarray(u.reshape((grids.n_b, n_kept), order="F"))
     rho = _read_blob(os.path.join(path, "rho.bin"), grids.n_g)
     v_local = _read_blob(os.path.join(path, "v_local.bin"), grids.n_g)
 
@@ -122,7 +130,7 @@ def load_ground_state(path: str) -> GroundState:
         raise ArchiveError("eps/occ length disagrees with n_kept")
 
     return GroundState(
-        model=model, grids=grids, phi=phi, eps=eps, occ=occ,
+        model=model, grids=grids, u=u, eps=eps, occ=occ,
         fermi_level=float(meta["fermi_level"]), rho=rho,
         n_occ=int(meta["n_occ"]), v_local=v_local,
         scf_residual=float(meta.get("scf_residual", 0.0)),

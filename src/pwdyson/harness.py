@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .archive import atomic_write, load_ground_state, save_ground_state
+from .archive import atomic_write, is_older_format, load_ground_state, save_ground_state
 from .config import ExperimentConfig, model_to_dict
 from .errors import ConfigurationError, InvariantViolationError, NonConvergenceError
 from .groundstate import (
@@ -24,11 +24,12 @@ from .groundstate import (
     external_potential,
     external_potential_derivative,
     gaussian_well,
+    real_hamiltonian,
     run_scf,
 )
 from .igmres import igmres_solve
 from .kernels import KernelSpec, KerkerSpec, apply_kerker
-from .pwbasis import build_grids
+from .pwbasis import build_grids, from_cos_sin
 from .response import (
     DielectricApplication,
     _cached_row_norm,
@@ -37,7 +38,7 @@ from .response import (
     dielectric_error_bound,
     orbital_row_norm,
 )
-from .sternheimer import project_out_occupied, real_basis, solve_sternheimer
+from .sternheimer import solve_sternheimer
 from .strategies import StrategySpec, ToleranceContext, parse_strategy, select_tolerances
 
 TIGHT_CG_TOL = 1e-16
@@ -112,10 +113,11 @@ def _csv_text(columns, rows) -> str:
 def ensure_ground_state(config: ExperimentConfig, archive_path: str = None) -> GroundState:
     """Load the archive if it holds the configured model, otherwise run the SCF.
 
-    A fresh SCF overwrites an archive of another model.
+    A fresh SCF overwrites an archive of another model or of an older
+    archive format.
     """
     path = archive_path or config.archive
-    if path and os.path.exists(os.path.join(path, "meta.json")):
+    if path and os.path.exists(os.path.join(path, "meta.json")) and not is_older_format(path):
         gs = load_ground_state(path)
         if model_to_dict(gs.model) == model_to_dict(config.model):
             return gs
@@ -134,7 +136,7 @@ def tolerance_context(gs: GroundState, rhs_norm: float) -> ToleranceContext:
     grids = gs.grids
     return ToleranceContext(
         occ=gs.occ_occ, volume=grids.lattice.volume, n_g=grids.n_g,
-        row_norm=_cached_row_norm(gs, real_part=True), rhs_norm=rhs_norm,
+        row_norm=_cached_row_norm(gs), rhs_norm=rhs_norm,
     )
 
 
@@ -487,21 +489,20 @@ def check_y_bound(gs: GroundState, config: ExperimentConfig) -> dict:
 
 
 def check_sternheimer_error_bound(gs: GroundState, rng) -> dict:
-    # dense pseudo-inverse oracle; exact eigendecomposition of the stored H
+    # dense pseudo-inverse oracle, in the cos/sin basis: a real eigendecomposition
+    # of the stored H and a real-function right-hand side
     grids = gs.grids
-    from .groundstate import dense_hamiltonian
-
-    eps_all, phi_all = np.linalg.eigh(dense_hamiltonian(grids, gs.v_local))
-    basis = real_basis(gs.phi_occ)
+    eps_all, u_all = np.linalg.eigh(real_hamiltonian(grids, gs.v_local))
+    basis = gs.u[:, :gs.n_occ]
+    perp = u_all[:, gs.n_occ:]
     worst = 0.0
     for n in (0, gs.n_occ - 1):
-        rhs = rng.standard_normal(grids.n_b) + 1j * rng.standard_normal(grids.n_b)
-        rhs = project_out_occupied(gs.phi_occ, rhs)
+        rhs = rng.standard_normal(grids.n_b)
+        rhs -= basis @ (basis.T @ rhs)
         tol = 1e-8
-        res = solve_sternheimer(gs, [n], rhs[None], tol, basis)
-        perp = phi_all[:, gs.n_occ:]
+        res = solve_sternheimer(gs, [n], from_cos_sin(rhs)[None], tol, basis)
         gaps = eps_all[gs.n_occ:] - gs.eps[n]
-        x_ref = perp @ ((perp.conj().T @ rhs) / gaps)
+        x_ref = from_cos_sin(perp @ ((perp.T @ rhs) / gaps))
         err = float(np.linalg.norm(res.solution[0] - x_ref))
         bound = tol / (gs.eps_gap_ref - gs.eps[n])
         worst = max(worst, err / bound)

@@ -21,7 +21,8 @@ The sphere is symmetric under G -> -G and sorted lexicographically, so
 on the real functions sqrt(2) cos(G.r) (at j < n_b // 2), 1 (at
 n_b // 2) and sqrt(2) sin(G.r) (at n_b - 1 - j), each over sqrt(|Omega|):
 O(n_b) slicing, never a dense matrix.  A real local potential is a real
-symmetric matrix in that basis.
+symmetric matrix in that basis, and a real function (c_-G = conj c_G)
+has real coefficients there (`real_cos_sin`, `real_basis`).
 
 Real-space vectors are stored flat with x fastest:
 index = ix + Nx * (iy + Ny * iz), so `flat.reshape(Nz, Ny, Nx)` is a view.
@@ -35,11 +36,12 @@ from functools import cached_property
 import numpy as np
 import scipy.fft
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, InvariantViolationError
 
 TWO_PI = 2.0 * np.pi
 _DIFFERENCE_ROWS = 64       # rows per block of `sphere_difference_index`
 _SQRT_HALF = np.sqrt(0.5)
+REAL_FUNCTION_RTOL = 1e-12  # |Im T c| / |T c| above this: c is not a real function
 
 
 @dataclass(frozen=True)
@@ -249,7 +251,7 @@ class FourierGrids:
         lines = scipy.fft.fft(cube[:, self._line_y, self._line_x], axis=0, overwrite_x=True)
         return lines.ravel()[self._sphere_in_lines] * self._to_fourier_scale
 
-    # The batched forms return column-major (k, n) arrays: the band sums
+    # The batched form returns a column-major (k, n_g) array: the band sums
     # downstream (density, chi0) round differently on row-major input, and
     # this layout reproduces the archived ground states bit for bit.
 
@@ -258,13 +260,6 @@ class FourierGrids:
         out = np.empty((self.n_g, len(coeffs)), dtype=np.complex128)
         for j, c in enumerate(coeffs):
             out[:, j] = self.to_real(c)
-        return out.T
-
-    def to_fourier_many(self, values: np.ndarray) -> np.ndarray:
-        """`to_fourier` of each row of a (k, n_g) array -> (k, n_b)."""
-        out = np.empty((self.n_b, len(values)), dtype=np.complex128)
-        for j, v in enumerate(values):
-            out[:, j] = self.to_fourier(v)
         return out.T
 
     # -- full-cube FFTs (for Fourier-diagonal operators) --------------------
@@ -300,6 +295,39 @@ def from_cos_sin(coeffs: np.ndarray) -> np.ndarray:
     out[..., :h] = (cos - 1j * sin) * _SQRT_HALF
     out[..., :h:-1] = (cos + 1j * sin) * _SQRT_HALF
     return out
+
+
+def real_cos_sin(coeffs: np.ndarray, atol=0.0) -> np.ndarray:
+    """Re T c for every row c of coeffs, each a real function (T c real to round-off).
+
+    `atol` (a scalar or one value per row) lets a row through whose
+    imaginary part is no larger, as for a right-hand side that a
+    projection has left at round-off level.
+
+    Raises:
+        InvariantViolationError: a row's Im T c has a norm above both
+            REAL_FUNCTION_RTOL times that of T c and atol, so it is not a
+            real function (such as a degenerate pair mixed by a complex
+            phase).
+    """
+    rows = to_cos_sin(coeffs)
+    imag, whole = np.linalg.norm(rows.imag, axis=-1), np.linalg.norm(rows, axis=-1)
+    complex_rows = np.flatnonzero(imag > np.maximum(REAL_FUNCTION_RTOL * whole, atol))
+    if len(complex_rows):
+        j = complex_rows[0]
+        raise InvariantViolationError(
+            f"row {j} is not a real function: |Im T c| = {imag[j]:.2e} of |T c| = {whole[j]:.2e}")
+    return rows.real
+
+
+def real_basis(phi: np.ndarray) -> np.ndarray:
+    """R = T Phi, real (n_b, m), for orthonormal real functions Phi (n_b, m).
+
+    Then T Phi Phi^H T^H = R R^T, so the projector off span(Phi) is real
+    in the cos/sin basis.  Raises as `real_cos_sin` when a column of Phi
+    is not a real function.
+    """
+    return np.ascontiguousarray(real_cos_sin(phi.T).T)
 
 
 _last_grids = (None, None)         # (key, FourierGrids) of the last `build_grids` call

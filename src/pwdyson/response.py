@@ -26,15 +26,10 @@ import numpy as np
 from .errors import InvariantViolationError
 from .groundstate import GroundState, real_hamiltonian
 from .kernels import KernelSpec, apply_kernel
-from .pwbasis import to_cos_sin
-from .sternheimer import (
-    EXTRA_BAND_RESIDUAL_LIMIT,
-    project_out_occupied,
-    real_basis,
-    solve_sternheimer,
-)
+from .sternheimer import project_out_occupied, solve_sternheimer
 
 DEGENERACY_RTOL = 1e-8
+EXTRA_BAND_RESIDUAL_LIMIT = 1e-10
 IMAG_EIGENSHIFT_RTOL = 1e-10
 
 
@@ -63,8 +58,8 @@ def delta_eigen_occupations(gs: GroundState, dv: np.ndarray):
 def _occupied_matrix(gs: GroundState, dv: np.ndarray):
     """Rows dv phi_n on the sphere, (n_occ, n_b), and M[m, n] = <phi_m, dv phi_n>.
 
-    Band by band, like `to_fourier_many` of dv * psi_n, but with no
-    (n_occ, n_g) product held whole.
+    Band by band, `to_fourier` of dv * psi_n, with no (n_occ, n_g)
+    product held whole.
     """
     grids = gs.grids
     out = np.empty((grids.n_b, gs.n_occ), dtype=np.complex128)
@@ -138,31 +133,27 @@ def _occupied_orbital_response(gs: GroundState, m: np.ndarray) -> np.ndarray:
 def _kept_bases(gs: GroundState) -> tuple:
     """(Phi^H, R) of every kept band, computed once per state.
 
-    Phi^H is (n_kept, n_b); R = `real_basis(Phi)` is the real basis the
-    Sternheimer CG projects against.  The extra-band sum over states in
-    `apply_chi0` is exact only for eigenvectors of H[v_local], so the
-    first call checks ||H_r T phi_e - eps_e T phi_e|| for every extra band
-    against the `real_hamiltonian` that the CG applies (a diagnostic is
-    not a Hamiltonian application).
+    Phi^H is (n_kept, n_b); R = T Phi, the state's real orbitals `u`, is
+    the real basis the Sternheimer CG projects against.  The extra-band
+    sum over states in `apply_chi0` is exact only for eigenvectors of
+    H[v_local], so the first call checks ||H_r u_e - eps_e u_e|| for every
+    extra band against the `real_hamiltonian` that the CG applies (a
+    diagnostic is not a Hamiltonian application).
 
     Raises:
         InvariantViolationError: an extra band's eigen-residual exceeds
-            EXTRA_BAND_RESIDUAL_LIMIT, or the kept span is not closed under
-            conjugation (see `real_basis`).
+            EXTRA_BAND_RESIDUAL_LIMIT.
     """
     def compute():
         h_r = real_hamiltonian(gs.grids, gs.v_local)
-        basis = real_basis(gs.phi)
-        extra = to_cos_sin(gs.phi[:, gs.n_occ:].T)             # (n_extra, n_b)
-        eps = gs.eps[gs.n_occ:, None]
-        residuals = np.hypot(*(np.linalg.norm(part @ h_r.T - eps * part, axis=1)
-                               for part in (extra.real, extra.imag)))
+        extra = gs.u[:, gs.n_occ:]                              # (n_b, n_extra)
+        residuals = np.linalg.norm(h_r @ extra - extra * gs.eps[gs.n_occ:], axis=0)
         worst = float(np.max(residuals, initial=0.0))
         if worst > EXTRA_BAND_RESIDUAL_LIMIT:
             raise InvariantViolationError(
                 f"kept extra bands are not eigenvectors of H: residual {worst:.2e} "
                 f"> {EXTRA_BAND_RESIDUAL_LIMIT:.0e}")
-        return gs.phi.conj().T, basis
+        return gs.phi.conj().T, gs.u
     return gs.derived("kept_bases", compute)
 
 
@@ -244,19 +235,17 @@ def apply_dielectric(gs: GroundState, kernel: KernelSpec, v: np.ndarray,
     )
 
 
-def orbital_row_norm(grids, phi: np.ndarray, real_part: bool = False) -> float:
+def orbital_row_norm(grids, phi: np.ndarray) -> float:
     """Maximum over grid points of the l2 row norm of to_real(Phi).
 
     For orthonormal Phi this lies between sqrt(n_occ/|Omega|) and
-    sqrt(n_g/|Omega|).  With `real_part` the imaginary parts are dropped,
-    which for orbitals that can be chosen real costs at most sqrt(2).
+    sqrt(n_g/|Omega|).
     """
-    return _max_row_norm(grids.to_real_many(phi.T), real_part)
+    return _max_row_norm(grids.to_real_many(phi.T))
 
 
-def _max_row_norm(psi_r: np.ndarray, real_part: bool) -> float:
-    mat = psi_r.real if real_part else psi_r
-    return float(np.sqrt(np.max(np.sum(np.abs(mat) ** 2, axis=0))))
+def _max_row_norm(psi_r: np.ndarray) -> float:
+    return float(np.sqrt(np.max(np.sum(np.abs(psi_r) ** 2, axis=0))))
 
 
 def dielectric_error_bound(gs: GroundState, kv_norm: float, tolerances) -> float:
@@ -280,7 +269,6 @@ def dielectric_error_bound(gs: GroundState, kv_norm: float, tolerances) -> float
             * np.sqrt(grids.n_g * gs.n_occ / gs.grids.lattice.volume) * worst)
 
 
-def _cached_row_norm(gs: GroundState, real_part: bool = False) -> float:
+def _cached_row_norm(gs: GroundState) -> float:
     """`orbital_row_norm` of the occupied orbitals, computed once per state."""
-    return gs.derived("row_norm_re" if real_part else "row_norm_abs",
-                      lambda: _max_row_norm(gs.psi_occ_real, real_part))
+    return gs.derived("row_norm", lambda: _max_row_norm(gs.psi_occ_real))

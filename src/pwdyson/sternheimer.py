@@ -11,33 +11,34 @@ above eps_n, which the occupation cutoff guarantees.
 The solve runs in real arithmetic.  In the cos/sin basis of the (G, -G)
 pairs (`pwbasis.to_cos_sin`, the unitary map T) H is the real symmetric
 H_r of `real_hamiltonian`, the kinetic preconditioner keeps its diagonal,
-and Q becomes I - R R^T for a real orthonormal basis R of span(T Phi)
-(`real_basis`).  Each complex right-hand side T b_n is stored as two
-real rows (Re, Im), so a band's p^H A p, r^H z and residual norm are sums
-over its two rows: in exact arithmetic this is the complex CG step for
-step, with the same step lengths and stopping iteration for any gauge
-of Phi.
+and Q becomes I - R R^T for the real orthonormal R = T Phi of real
+orbitals (`real_basis`).  For a real perturbation and real orbitals each
+right-hand side T b_n is real, so a band is one real row; a right-hand
+side with an imaginary part above round-off is rejected.
+
+Q is folded into the Hamiltonian once per call: H_Q = Q H_r Q, formed in
+place by a rank-2m update.  A CG step then applies A_n = H_Q - eps_n on
+range(Q) and re-projects only the residual and the preconditioned
+residual, to stop roundoff from leaking components along Phi back in;
+each band's iterate is projected once, when the band stops.
 
 The bands' CG runs are independent and share one Hamiltonian, so they
-advance in lockstep: each step applies H_r to every band still iterating
+advance in lockstep: each step applies H_Q to every band still iterating
 in one real matrix product, while each band keeps its own step lengths,
 preconditioner shift, tolerance and stopping iteration; converged bands
-drop out.  Iterates, residuals and search directions are re-projected
-onto range(Q) every iteration to stop roundoff from leaking components
-along Phi back in.
+drop out.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import InvariantViolationError, NonConvergenceError
 from .groundstate import GroundState, real_hamiltonian
-from .pwbasis import from_cos_sin, to_cos_sin
+from .pwbasis import from_cos_sin, real_cos_sin
 
 PRECONDITIONER_SHIFT_FLOOR = 0.1
-EXTRA_BAND_RESIDUAL_LIMIT = 1e-10
+_FOLD_ROWS = 64             # rows of H per block of the projector fold
 
 
 @dataclass
@@ -60,33 +61,24 @@ def project_out_occupied(phi: np.ndarray, psi: np.ndarray,
     return psi - phi @ (phi_h @ psi)
 
 
-def real_basis(phi: np.ndarray) -> np.ndarray:
-    """Real orthonormal basis R, (n_b, m), of span(T Phi) for orthonormal Phi (n_b, m).
-
-    Then T Phi Phi^H T^H = R R^T, so Q is real in the cos/sin basis.
-
-    Raises:
-        InvariantViolationError: span(T Phi) is not closed under
-            conjugation (as when Phi splits a degenerate cluster):
-            singular value m + 1 of [Re T Phi, Im T Phi] exceeds
-            EXTRA_BAND_RESIDUAL_LIMIT.
-    """
-    m = phi.shape[1]
-    rows = to_cos_sin(phi.T)
-    # scipy's LAPACK, which the outer solver's singular values already load
-    u, sigma, _ = scipy.linalg.svd(np.concatenate([rows.real, rows.imag]).T,
-                                   full_matrices=False)
-    if m < len(sigma) and sigma[m] > EXTRA_BAND_RESIDUAL_LIMIT:
-        raise InvariantViolationError(
-            f"span of the {m} projected bands is not closed under conjugation: singular "
-            f"value {m + 1} is {sigma[m]:.2e} > {EXTRA_BAND_RESIDUAL_LIMIT:.0e}; "
-            "keep or drop degenerate clusters whole")
-    return np.ascontiguousarray(u[:, :m])
-
-
 def _band_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Re <a_n, b_n> for every band n of (k, 2, n_b) arrays: the sum over its two rows."""
-    return np.einsum("bij,bij->b", a, b)
+    """<a_n, b_n> for every band n: row-wise dot products of (k, n_b) arrays."""
+    return np.einsum("bi,bi->b", a, b)
+
+
+def _fold_projector(h: np.ndarray, basis: np.ndarray):
+    """h <- Q h Q in place for a symmetric h, Q = I - R R^T with R = basis.
+
+    Q H Q = H - R U^T - U R^T with U = H R - R (R^T H R) / 2: one rank-2m
+    update, applied in blocks of _FOLD_ROWS rows, so no n_b x n_b
+    temporary is made.
+    """
+    u = h @ basis
+    u -= basis @ (0.5 * (basis.T @ u))
+    left, right = np.hstack([basis, u]), np.hstack([u, basis]).T
+    for start in range(0, len(h), _FOLD_ROWS):
+        rows = slice(start, start + _FOLD_ROWS)
+        h[rows] -= left[rows] @ right
 
 
 def solve_sternheimer(gs: GroundState, bands, rhs: np.ndarray, tol, basis: np.ndarray,
@@ -103,16 +95,19 @@ def solve_sternheimer(gs: GroundState, bands, rhs: np.ndarray, tol, basis: np.nd
         gs: converged ground state (grids, eigenvalues and the local
             potential that defines H).
         bands: k band indices (0-based) of the shifts eps_n.
-        rhs: (k, n_b) right-hand sides, one row per band, already in range(Q).
+        rhs: (k, n_b) right-hand sides, one row per band, already in
+            range(Q), each the sphere coefficients of a real function.
         tol: absolute l2 tolerance on each band's (unpreconditioned) CG
             residual; a scalar or k values.
-        basis: `real_basis(Phi)` of the orthonormal eigenvectors of H
-            spanning the space Q projects out; Phi must hold every
-            eigenvector with eigenvalue <= eps_n.
+        basis: R = T Phi (`real_basis(Phi)`) of the orthonormal real
+            eigenvectors of H spanning the space Q projects out; Phi must
+            hold every eigenvector with eigenvalue <= eps_n.
 
     Raises:
-        InvariantViolationError: a band meets p^H A p <= 0 with its
-            residual above tol, so A_n is not positive definite on
+        InvariantViolationError: a right-hand side is not a real function:
+            |Im T b_n| exceeds both round-off of |T b_n| and tol_n (see
+            `pwbasis.real_cos_sin`); or a band meets p^H A p <= 0 with
+            its residual above tol, so A_n is not positive definite on
             range(Q) (Phi misses an eigenvector below eps_n).
         NonConvergenceError: a band needs more than max_iter (default
             10 n_b) iterations; carries its last residual norm and, as
@@ -127,30 +122,26 @@ def solve_sternheimer(gs: GroundState, bands, rhs: np.ndarray, tol, basis: np.nd
     tol = np.broadcast_to(np.asarray(tol, dtype=float), (k,))
     if max_iter is None:
         max_iter = 10 * n_b
-    h_t = real_hamiltonian(grids, gs.v_local).T              # rows: (H y)^T = y^T H^T
-    basis_t = basis.T
 
-    # Work buffers, (k, 2, n_b): band n holds rows (Re, Im) of its vector in
-    # the cos/sin basis.  The first `n` bands are the ones still iterating.
-    work = np.zeros((6, k, 2, n_b))
+    # Work buffers, (k, n_b): row n is band n in the cos/sin basis.  The
+    # first `n` rows are the bands still iterating.
+    work = np.zeros((6, k, n_b))
     x, r, p, ap, z, tmp = work
-    t_rhs = to_cos_sin(rhs)
-    r[:, 0], r[:, 1] = t_rhs.real, t_rhs.imag
-    coef = np.empty((2 * k, basis.shape[1]))
-
-    def rows(a, n):
-        return a[:n].reshape(2 * n, n_b)
+    r[:] = real_cos_sin(rhs, atol=tol)
+    h_q = real_hamiltonian(grids, gs.v_local)
+    _fold_projector(h_q, basis)                 # symmetric: rows of A p are p^T H_Q
+    coef = np.empty((k, basis.shape[1]))
 
     def project(a, n):
         """a[:n] <- Q a[:n] in place."""
-        y, t, c = rows(a, n), rows(tmp, n), coef[:2 * n]
-        np.matmul(y, basis, out=c)
-        np.matmul(c, basis_t, out=t)
-        y -= t
+        c = coef[:n]
+        np.matmul(a[:n], basis, out=c)
+        np.matmul(c, basis.T, out=tmp[:n])
+        a[:n] -= tmp[:n]
 
-    eps = gs.eps[bands][:, None, None]
+    eps = gs.eps[bands][:, None]
     minv = 1.0 / (0.5 * grids.g2_sphere + np.maximum(eps, PRECONDITIONER_SHIFT_FLOOR))
-    solution = np.zeros((k, 2, n_b))
+    solution = np.zeros((k, n_b))
     residual = np.zeros(k)
     iterations = np.zeros(k, dtype=int)
 
@@ -162,20 +153,17 @@ def solve_sternheimer(gs: GroundState, bands, rhs: np.ndarray, tol, basis: np.nd
     step = 0
 
     while True:
-        project(p, n)
-        np.matmul(rows(p, n), h_t, out=rows(ap, n))
+        np.matmul(p[:n], h_q, out=ap[:n])
         np.multiply(eps, p[:n], out=tmp[:n])
         ap[:n] -= tmp[:n]
-        project(ap, n)
         step += 1
         denom = _band_dots(p[:n], ap[:n])
         curved = denom > 0
-        alpha = np.divide(rz, denom, out=np.zeros_like(rz), where=curved)[:, None, None]
+        alpha = np.divide(rz, denom, out=np.zeros_like(rz), where=curved)[:, None]
         np.multiply(alpha, p[:n], out=tmp[:n])
         x[:n] += tmp[:n]
         np.multiply(alpha, ap[:n], out=tmp[:n])
         r[:n] -= tmp[:n]
-        project(x, n)
         project(r, n)
         res = np.sqrt(_band_dots(r[:n], r[:n]))
         done = res <= tol
@@ -187,7 +175,8 @@ def solve_sternheimer(gs: GroundState, bands, rhs: np.ndarray, tol, basis: np.nd
                 f"at residual {res[j]:.3e} (target {tol[j]:.3e}); "
                 "phi must hold every eigenvector below eps_n")
         if done.any():
-            solution[live[done]] = x[:n][done]
+            stopped = x[:n][done]
+            solution[live[done]] = stopped - (stopped @ basis) @ basis.T
             residual[live[done]] = res[done]
             iterations[live[done]] = step
             keep = ~done
@@ -207,11 +196,11 @@ def solve_sternheimer(gs: GroundState, bands, rhs: np.ndarray, tol, basis: np.nd
         np.multiply(minv[:n], r[:n], out=z[:n])
         project(z, n)
         rz_next = _band_dots(r[:n], z[:n])
-        p[:n] *= (rz_next / rz)[:, None, None]
+        p[:n] *= (rz_next / rz)[:, None]
         p[:n] += z[:n]
         rz = rz_next
 
-    return SternheimerResult(solution=from_cos_sin(solution[:, 0] + 1j * solution[:, 1]),
+    return SternheimerResult(solution=from_cos_sin(solution),
                              final_residual_norm=residual,
                              cg_iterations=int(iterations.sum()),
                              iterations_per_band=iterations.tolist())

@@ -20,6 +20,7 @@ from pwdyson.groundstate import (
     run_scf,
     smearing_function,
 )
+from pwdyson.pwbasis import from_cos_sin, to_cos_sin
 
 
 def small_grids(e_cut=4.0, alat=3.0):
@@ -199,6 +200,30 @@ def test_eigenpair_residuals_and_orthonormality():
     for k in range(n_states):
         r = apply_hamiltonian(grids, v, phi[:, k]) - eps[k] * phi[:, k]
         assert np.linalg.norm(r) <= 1e-10 * max(1.0, abs(eps[k]))
+
+
+def test_dense_eigenvectors_are_real_functions():
+    rng = np.random.default_rng(5)
+    grids = small_grids(e_cut=8.0)
+    v = 0.5 * rng.standard_normal(grids.n_g)
+    _, phi = diagonalize_dense(grids, v, 10)
+    assert phi.dtype == np.complex128 and phi.shape == (grids.n_b, 10)
+    # T phi is real bit for bit; to_real(phi) is real to round-off
+    assert not np.any(to_cos_sin(phi.T).imag)
+    psi = grids.to_real_many(phi.T)
+    assert np.abs(psi.imag).max() <= 1e-14 * np.abs(psi).max()
+
+
+@pytest.mark.parametrize("fixture", ["metal_gs", "insulator_gs"])
+def test_scf_orbitals_are_real_eigenfunctions(fixture, request):
+    gs = request.getfixturevalue(fixture)
+    assert gs.u.dtype == np.float64 and gs.u.shape == gs.phi.shape == (gs.grids.n_b, gs.n_kept)
+    np.testing.assert_array_equal(gs.phi, from_cos_sin(gs.u.T).T)
+    assert not np.any(to_cos_sin(gs.phi.T).imag)
+    np.testing.assert_allclose(gs.u.T @ gs.u, np.eye(gs.n_kept), rtol=0, atol=1e-12)
+    for k in range(gs.n_kept):
+        r = apply_hamiltonian(gs.grids, gs.v_local, gs.phi[:, k]) - gs.eps[k] * gs.phi[:, k]
+        assert np.linalg.norm(r) <= 1e-10
 
 
 def test_cosine_chain_matches_mathieu_oracle():

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from pwdyson import ArchiveError, ConfigurationError, Lattice, NonConvergenceError, cli
-from pwdyson.archive import load_ground_state, save_ground_state
+from pwdyson.archive import FORMAT_VERSION, load_ground_state, save_ground_state
 from pwdyson.config import (
     ExperimentConfig,
     Perturbation,
@@ -89,7 +89,7 @@ def test_base_context_reuses_row_norm(metal_gs, monkeypatch):
     assert calls == []
     monkeypatch.undo()
     assert first.row_norm == second.row_norm
-    assert second.row_norm == orbital_row_norm(gs.grids, gs.phi_occ, real_part=True)
+    assert second.row_norm == orbital_row_norm(gs.grids, gs.phi_occ)
 
 
 def test_perturbation_mean_vanishes(metal_gs):
@@ -155,6 +155,65 @@ def test_archive_version_mismatch(metal_gs, tmp_path):
     json.dump(meta, open(meta_path, "w"))
     with pytest.raises(ArchiveError, match="version"):
         load_ground_state(path)
+
+
+def as_format_1(path, gs):
+    """Rewrite the archive at `path` in format 1: the complex phi as two blobs."""
+    meta_path = os.path.join(path, "meta.json")
+    meta = json.load(open(meta_path))
+    meta["format_version"] = 1
+    json.dump(meta, open(meta_path, "w"))
+    os.remove(os.path.join(path, "u.bin"))
+    gs.phi.real.tofile(os.path.join(path, "phi_re.bin"))
+    gs.phi.imag.tofile(os.path.join(path, "phi_im.bin"))
+
+
+def test_archive_stores_real_orbitals_in_half_the_bytes(metal_gs, tmp_path):
+    path = str(tmp_path / "archive")
+    save_ground_state(path, metal_gs)
+    assert FORMAT_VERSION == 2
+    assert json.load(open(os.path.join(path, "meta.json")))["format_version"] == 2
+    assert sorted(os.listdir(path)) == ["meta.json", "rho.bin", "u.bin", "v_local.bin"]
+    assert os.path.getsize(os.path.join(path, "u.bin")) == metal_gs.phi.nbytes // 2
+    np.testing.assert_array_equal(load_ground_state(path).u, metal_gs.u)
+
+
+def test_archive_format_1_rejected(metal_gs, tmp_path):
+    path = str(tmp_path / "archive")
+    save_ground_state(path, metal_gs)
+    as_format_1(path, metal_gs)
+    with pytest.raises(ArchiveError, match="format version 1, expected 2"):
+        load_ground_state(path)
+
+
+def test_ensure_ground_state_rebuilds_older_format_archive(metal_gs, tmp_path, monkeypatch):
+    path = str(tmp_path / "gs")
+    config = tiny_config(metal_gs)
+    save_ground_state(path, metal_gs)
+    as_format_1(path, metal_gs)
+    scf_runs = []
+
+    def counted(*args, **kwargs):
+        scf_runs.append(args)
+        return run_scf(*args, **kwargs)
+
+    from pwdyson.groundstate import run_scf
+    monkeypatch.setattr("pwdyson.harness.run_scf", counted)
+    rebuilt = ensure_ground_state(config, archive_path=path)
+    assert len(scf_runs) == 1
+    assert json.load(open(os.path.join(path, "meta.json")))["format_version"] == FORMAT_VERSION
+    np.testing.assert_array_equal(load_ground_state(path).u, rebuilt.u)
+    # the rewritten archive is reused; an archive of a newer format is not overwritten
+    again = ensure_ground_state(config, archive_path=path)
+    assert len(scf_runs) == 1
+    np.testing.assert_array_equal(again.phi, rebuilt.phi)
+    meta_path = os.path.join(path, "meta.json")
+    meta = json.load(open(meta_path))
+    meta["format_version"] = FORMAT_VERSION + 1
+    json.dump(meta, open(meta_path, "w"))
+    with pytest.raises(ArchiveError, match="version"):
+        ensure_ground_state(config, archive_path=path)
+    assert len(scf_runs) == 1
 
 
 def test_ensure_ground_state_rebuilds_archive_of_another_model(tmp_path, monkeypatch):

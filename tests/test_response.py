@@ -19,7 +19,8 @@ from pwdyson.response import (
     dielectric_error_bound,
     orbital_row_norm,
 )
-from pwdyson.sternheimer import project_out_occupied, real_basis, solve_sternheimer
+from pwdyson.pwbasis import from_cos_sin, real_basis
+from pwdyson.sternheimer import project_out_occupied, solve_sternheimer
 
 from conftest import dense_chi0_oracle
 
@@ -265,8 +266,7 @@ def test_split_band_response_equals_occupied_complement_solve(fixture, request):
 def test_kept_complement_solution_has_no_kept_component(wide_gs):
     gs = wide_gs
     rng = np.random.default_rng(17)
-    rhs = project_out_occupied(
-        gs.phi, rng.standard_normal(gs.grids.n_b) + 1j * rng.standard_normal(gs.grids.n_b))
+    rhs = project_out_occupied(gs.phi, from_cos_sin(rng.standard_normal(gs.grids.n_b)))
     for n in range(gs.n_occ):
         result = solve_sternheimer(gs, [n], rhs[None], 1e-11, _kept_bases(gs)[1])
         leak = np.abs(gs.phi.conj().T @ result.solution[0])
@@ -275,13 +275,13 @@ def test_kept_complement_solution_has_no_kept_component(wide_gs):
 
 def test_extra_band_guard_rejects_mixed_bands(metal_gs, monkeypatch):
     # rotate the highest occupied band into the lowest extra one: still
-    # orthonormal, but the extra band is no longer an eigenvector of H
+    # orthonormal real orbitals, but the extra band is no longer an eigenvector of H
     gs = metal_gs
-    phi = gs.phi.copy()
-    a, b = gs.phi[:, gs.n_occ - 1], gs.phi[:, gs.n_occ]
-    phi[:, gs.n_occ - 1] = (a + b) / np.sqrt(2)
-    phi[:, gs.n_occ] = (b - a) / np.sqrt(2)
-    mixed = dataclasses.replace(gs, phi=phi)
+    u = gs.u.copy()
+    a, b = gs.u[:, gs.n_occ - 1], gs.u[:, gs.n_occ]
+    u[:, gs.n_occ - 1] = (a + b) / np.sqrt(2)
+    u[:, gs.n_occ] = (b - a) / np.sqrt(2)
+    mixed = dataclasses.replace(gs, u=u)
     dv = np.random.default_rng(18).standard_normal(gs.grids.n_g)
     solves = []
 
@@ -403,5 +403,6 @@ def test_row_norm_matches_direct_evaluation(metal_gs):
     psi = grids.to_real_many(gs.phi_occ.T)
     direct = np.sqrt(np.max(np.sum(np.abs(psi.T) ** 2, axis=1)))
     assert orbital_row_norm(grids, gs.phi_occ) == pytest.approx(direct, rel=1e-14)
-    re_norm = orbital_row_norm(grids, gs.phi_occ, real_part=True)
-    assert re_norm <= orbital_row_norm(grids, gs.phi_occ) + 1e-15
+    # the orbitals are real functions: their real parts carry the whole norm
+    real_part = np.sqrt(np.max(np.sum(psi.real.T ** 2, axis=1)))
+    assert orbital_row_norm(grids, gs.phi_occ) == pytest.approx(real_part, rel=1e-14)

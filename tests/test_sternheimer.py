@@ -4,22 +4,25 @@ import copy
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from pwdyson import InvariantViolationError, Lattice, NonConvergenceError, build_grids
 from pwdyson.groundstate import (
     _REAL_H_ROWS,
     GaussianWell,
+    GroundState,
     ModelSpec,
     dense_hamiltonian,
-    diagonalize_dense,
+    external_potential,
     real_hamiltonian,
     run_scf,
 )
-from pwdyson.pwbasis import from_cos_sin, to_cos_sin
+from pwdyson.pwbasis import from_cos_sin, real_basis, to_cos_sin
 from pwdyson.sternheimer import (
     PRECONDITIONER_SHIFT_FLOOR,
+    _fold_projector,
     project_out_occupied,
-    real_basis,
     solve_sternheimer,
 )
 
@@ -35,6 +38,11 @@ def tiny_gs():
         ),
     )
     return run_scf(model, tol=1e-11, max_iter=300, damping=0.3)
+
+
+def real_functions(rng, shape):
+    """Sphere coefficients of random real functions: T^H of random real rows."""
+    return from_cos_sin(rng.standard_normal(shape))
 
 
 def dense_operator(gs, n):
@@ -102,8 +110,7 @@ def test_zero_rhs_one_iteration(tiny_gs, h_applications):
 def test_counter_matches_iterations(tiny_gs, h_applications):
     gs = tiny_gs
     rng = np.random.default_rng(2)
-    rhs = rng.standard_normal(gs.grids.n_b) + 1j * rng.standard_normal(gs.grids.n_b)
-    rhs = project_out_occupied(gs.phi_occ, rhs)
+    rhs = project_out_occupied(gs.phi_occ, real_functions(rng, gs.grids.n_b))
     result = solve_sternheimer(gs, [1], rhs[None], tol=1e-9, basis=real_basis(gs.phi_occ))
     assert h_applications() == result.cg_iterations
     assert result.final_residual_norm <= 1e-9
@@ -112,10 +119,7 @@ def test_counter_matches_iterations(tiny_gs, h_applications):
 def test_solution_stays_in_unoccupied_range(tiny_gs):
     gs = tiny_gs
     rng = np.random.default_rng(3)
-    rhs = project_out_occupied(
-        gs.phi_occ,
-        rng.standard_normal(gs.grids.n_b) + 1j * rng.standard_normal(gs.grids.n_b),
-    )
+    rhs = project_out_occupied(gs.phi_occ, real_functions(rng, gs.grids.n_b))
     result = solve_sternheimer(gs, [gs.n_occ - 1], rhs[None], tol=1e-11,
                                basis=real_basis(gs.phi_occ))
     leak = np.linalg.norm(gs.phi_occ.conj().T @ result.solution[0])
@@ -128,10 +132,7 @@ def test_matches_dense_pseudoinverse(tiny_gs):
     rng = np.random.default_rng(4)
     for n in (0, gs.n_occ - 1):
         a = dense_operator(gs, n)
-        rhs = project_out_occupied(
-            gs.phi_occ,
-            rng.standard_normal(gs.grids.n_b) + 1j * rng.standard_normal(gs.grids.n_b),
-        )
+        rhs = project_out_occupied(gs.phi_occ, real_functions(rng, gs.grids.n_b))
         tol = 1e-10
         result = solve_sternheimer(gs, [n], rhs[None], tol=tol, basis=real_basis(gs.phi_occ))
         x_ref = np.linalg.pinv(a, rcond=1e-8) @ rhs
@@ -147,10 +148,7 @@ def test_error_bounded_by_gap_scaled_residual(tiny_gs):
     a = dense_operator(gs, n)
     x_exact = None
     for tol in (1e-4, 1e-6, 1e-8):
-        rhs = project_out_occupied(
-            gs.phi_occ,
-            rng.standard_normal(gs.grids.n_b) + 1j * rng.standard_normal(gs.grids.n_b),
-        )
+        rhs = project_out_occupied(gs.phi_occ, real_functions(rng, gs.grids.n_b))
         if x_exact is None:
             x_exact = np.linalg.pinv(a, rcond=1e-8)
         result = solve_sternheimer(gs, [n], rhs[None], tol=tol, basis=real_basis(gs.phi_occ))
@@ -162,10 +160,7 @@ def test_error_bounded_by_gap_scaled_residual(tiny_gs):
 def test_max_iter_raises_with_residual(tiny_gs, h_applications):
     gs = tiny_gs
     rng = np.random.default_rng(6)
-    rhs = project_out_occupied(
-        gs.phi_occ,
-        rng.standard_normal(gs.grids.n_b) + 1j * rng.standard_normal(gs.grids.n_b),
-    )
+    rhs = project_out_occupied(gs.phi_occ, real_functions(rng, gs.grids.n_b))
     with pytest.raises(NonConvergenceError) as err:
         solve_sternheimer(gs, [0], rhs[None], tol=1e-14, basis=real_basis(gs.phi_occ),
                           max_iter=2)
@@ -178,8 +173,7 @@ def test_indefinite_operator_fails_fast(tiny_gs):
     gs = tiny_gs
     rng = np.random.default_rng(7)
     phi = gs.phi_occ[:, 1:]
-    rhs = project_out_occupied(
-        phi, rng.standard_normal(gs.grids.n_b) + 1j * rng.standard_normal(gs.grids.n_b))
+    rhs = project_out_occupied(phi, real_functions(rng, gs.grids.n_b))
     # a solve still running at step 2 would raise NonConvergenceError instead
     with pytest.raises(InvariantViolationError, match=f"band {gs.n_occ - 1}"):
         solve_sternheimer(gs, [gs.n_occ - 1], rhs[None], tol=1e-10, basis=real_basis(phi),
@@ -190,9 +184,7 @@ def test_indefinite_operator_fails_fast(tiny_gs):
 
 
 def _block_rhs(gs, seed):
-    rng = np.random.default_rng(seed)
-    shape = (gs.n_occ, gs.grids.n_b)
-    raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    raw = real_functions(np.random.default_rng(seed), (gs.n_occ, gs.grids.n_b))
     return project_out_occupied(gs.phi, raw.T).T
 
 
@@ -295,6 +287,39 @@ def test_real_hamiltonian_is_the_rotated_dense_one(cell, request):
     assert np.abs(h_r - h_r.T).max() <= 1e-13 * scale
 
 
+def complex_block_real_hamiltonian(grids, v_local):
+    """H_r from the real and imaginary parts of complex rows of V: the earlier construction."""
+    n_b, h = grids.n_b, grids.n_b // 2
+    hr = np.empty((n_b, n_b))
+    vfft = grids.cube_fft(v_local) / grids.n_g
+    sin_rows = hr[:h:-1]
+    for start in range(0, h, _REAL_H_ROWS):
+        i = slice(start, min(start + _REAL_H_ROWS, h))
+        block = vfft[grids.sphere_difference_index[i]]
+        same, opposite, centre = block[:, :h], block[:, :h:-1], block[:, h]
+        np.add(same.real, opposite.real, out=hr[i, :h])
+        np.subtract(same.imag, opposite.imag, out=hr[i, :h:-1])
+        np.add(same.imag, opposite.imag, out=sin_rows[i, :h])
+        np.negative(sin_rows[i, :h], out=sin_rows[i, :h])
+        np.subtract(same.real, opposite.real, out=sin_rows[i, :h:-1])
+        np.multiply(centre.real, np.sqrt(2.0), out=hr[i, h])
+        np.multiply(centre.imag, -np.sqrt(2.0), out=sin_rows[i, h])
+    hr[h, :h], hr[h, h + 1:] = hr[:h, h], hr[h + 1:, h]
+    hr[h, h] = vfft[0].real
+    hr.ravel()[::n_b + 1] += 0.5 * grids.g2_sphere
+    return hr
+
+
+def test_real_hamiltonian_from_real_gathers_equals_complex_block_construction(metal_gs):
+    # a full and a partial row block on the sheared cell, one block on the metal
+    sheared = build_grids(Lattice.from_vectors([3.2, 0, 0], [1.3, 2.9, 0], [0.7, -0.9, 3.1]),
+                          30.0)
+    v = np.random.default_rng(28).standard_normal(sheared.n_g)
+    for grids, v_local in ((metal_gs.grids, metal_gs.v_local), (sheared, v)):
+        np.testing.assert_array_equal(real_hamiltonian(grids, v_local),
+                                      complex_block_real_hamiltonian(grids, v_local))
+
+
 def test_real_hamiltonian_rejects_sphere_out_of_reversal_order(metal_gs):
     grids = copy.copy(metal_gs.grids)
     grids.g_int = grids.g_int[[1, 0, *range(2, grids.n_b)]]
@@ -305,8 +330,10 @@ def test_real_hamiltonian_rejects_sphere_out_of_reversal_order(metal_gs):
 def textbook_cg(gs, n, b, tol, phi):
     """Per-band complex CG on Q (H - eps_n) Q, Q = I - Phi Phi^H: the reference.
 
-    Preconditioned like `solve_sternheimer`, with every vector re-projected
-    at the same points; returns (x, iterations).
+    Preconditioned like `solve_sternheimer`, with H_Q = Q H Q applied to
+    the unprojected search direction and the residual, the preconditioned
+    residual and (once, at the end) the iterate re-projected at the same
+    points; returns (x, iterations).
     """
     h = dense_hamiltonian(gs.grids, gs.v_local)
 
@@ -319,13 +346,12 @@ def textbook_cg(gs, n, b, tol, phi):
     p = q(minv * r)
     rz = np.vdot(r, p).real
     for it in range(1, 10 * gs.grids.n_b + 1):
-        p = q(p)
-        ap = q(h @ p - gs.eps[n] * p)
+        ap = q(h @ q(p)) - gs.eps[n] * p
         alpha = rz / np.vdot(p, ap).real
-        x = q(x + alpha * p)
+        x = x + alpha * p
         r = q(r - alpha * ap)
         if np.linalg.norm(r) <= tol:
-            return x, it
+            return q(x), it
         z = q(minv * r)
         rz_next = np.vdot(r, z).real
         p = z + (rz_next / rz) * p
@@ -347,18 +373,101 @@ def test_real_block_cg_matches_textbook_complex_cg(fixture, request):
 
 
 def test_real_basis_rejects_span_not_closed_under_conjugation(insulator_gs):
-    # a complex mix of a degenerate pair is still an eigenvector of H, but the
-    # span it and its partner leave behind is not closed under conjugation
+    # a degenerate pair mixed by a complex phase is still a pair of orthonormal
+    # eigenvectors of H with the same span, but neither is a real function;
+    # with one of them alone the span is not closed under conjugation either
     gs = insulator_gs
     assert gs.eps[2] == pytest.approx(gs.eps[3], abs=1e-9) == pytest.approx(0.48942, abs=1e-5)
-    u, v = real_basis(gs.phi[:, 2:4]).T
-    mixed = from_cos_sin((u + 1j * v) / np.sqrt(2))
-    _, full = diagonalize_dense(gs.grids, gs.v_local, 5)
-    third = full[:, 4] - gs.phi[:, 2:4] @ (gs.phi[:, 2:4].conj().T @ full[:, 4])
-    kept = np.column_stack([gs.phi[:, :2], mixed, third / np.linalg.norm(third)])
-    np.testing.assert_allclose(kept.conj().T @ kept, np.eye(4), rtol=0, atol=1e-12)
-    assert real_basis(gs.phi).shape == (gs.grids.n_b, 4)
-    with pytest.raises(InvariantViolationError, match="conjugation"):
-        real_basis(kept[:, :3])
-    with pytest.raises(InvariantViolationError, match="conjugation"):
-        real_basis(kept)
+    a, b = gs.phi[:, 2], gs.phi[:, 3]
+    phased = np.column_stack([gs.phi[:, :2], (a + 1j * b) / np.sqrt(2),
+                              (a - 1j * b) / np.sqrt(2), gs.phi[:, 4:]])
+    np.testing.assert_allclose(phased.conj().T @ phased, np.eye(gs.n_kept), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(phased[:, 2:4] @ phased[:, 2:4].conj().T,
+                               gs.phi[:, 2:4] @ gs.phi[:, 2:4].conj().T, rtol=0, atol=1e-12)
+    assert real_basis(gs.phi).shape == (gs.grids.n_b, gs.n_kept)
+    with pytest.raises(InvariantViolationError, match="row 2 is not a real function"):
+        real_basis(phased)
+    with pytest.raises(InvariantViolationError, match="not a real function"):
+        real_basis(phased[:, :3])
+    # an overall phase leaves the span and the density, not the real basis
+    with pytest.raises(InvariantViolationError, match="row 0 is not a real function"):
+        real_basis(np.exp(0.3j) * gs.phi)
+
+
+def test_complex_gauge_rhs_rejected(metal_gs, h_applications):
+    # i b for a real function b: in range(Q) and of the right shape, but T (i b)
+    # is imaginary, and a solve of its real part alone would be wrong
+    gs = metal_gs
+    rhs = _block_rhs(gs, 25)
+    basis = real_basis(gs.phi)
+    solve_sternheimer(gs, range(gs.n_occ), rhs, 1e-8, basis)
+    rhs[1] *= np.exp(0.25j)
+    with pytest.raises(InvariantViolationError, match="row 1 is not a real function"):
+        solve_sternheimer(gs, range(gs.n_occ), rhs, 1e-8, basis)
+    with pytest.raises(InvariantViolationError, match="not a real function"):
+        solve_sternheimer(gs, [0], 1j * _block_rhs(gs, 26)[:1], 1e-8, basis)
+
+
+def test_rhs_of_real_orbitals_is_real_to_roundoff(metal_gs):
+    # the right-hand sides apply_chi0 builds: -Q dv phi_n for a real dv
+    from pwdyson.response import _occupied_matrix
+
+    gs = metal_gs
+    dvpsi, _ = _occupied_matrix(gs, np.random.default_rng(27).standard_normal(gs.grids.n_g))
+    rows = to_cos_sin(-project_out_occupied(gs.phi, dvpsi.T).T)
+    rel = np.linalg.norm(rows.imag, axis=1) / np.linalg.norm(rows, axis=1)
+    assert rel.max() <= 1e-14
+
+
+@pytest.mark.parametrize("fixture", ["metal_gs", "tiny_gs"])
+def test_fold_projector_gives_q_h_q(fixture, request):
+    gs = request.getfixturevalue(fixture)
+    h = real_hamiltonian(gs.grids, gs.v_local)
+    basis = real_basis(gs.phi)
+    q = np.eye(gs.grids.n_b) - basis @ basis.T
+    expected = q @ h @ q
+    _fold_projector(h, basis)
+    scale = np.abs(expected).max()
+    assert np.abs(h - expected).max() <= 1e-13 * scale
+    assert np.abs(h - h.T).max() <= 1e-13 * scale
+
+
+# -- property: the one-row CG against a dense solve on drawn tiny models --------------
+
+
+@given(center=st.tuples(*[st.floats(0.0, 1.0)] * 3),
+       amplitude=st.floats(-6.0, -1.0), width=st.floats(0.5, 1.2),
+       n_kept=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
+       log_tol=st.floats(-12.0, -5.0))
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_one_row_cg_matches_dense_pseudo_inverse(center, amplitude, width, n_kept, seed,
+                                                 log_tol):
+    """Each band's error is at most tol / gap against Q (H - eps_n)^-1 Q on a drawn model.
+
+    gap is eps_{n_kept+1} - eps_n, the lowest eigenvalue the basis leaves
+    in range(Q); a draw whose gap is under 1e-3 is skipped.
+    """
+    lattice = Lattice.cubic(3.4)
+    model = ModelSpec(lattice=lattice, e_cut=3.8, n_electrons=2, temperature=5e-3,
+                      gaussians=(GaussianWell(center=center, amplitude=amplitude, width=width),))
+    grids = build_grids(lattice, model.e_cut)
+    assert grids.n_g <= 400
+    v = external_potential(model, grids)
+    eps, u = np.linalg.eigh(real_hamiltonian(grids, v))
+    gaps = eps[n_kept] - eps[:n_kept]
+    assume(gaps.min() > 1e-3)
+    gs = GroundState(model=model, grids=grids, u=u[:, :n_kept], eps=eps[:n_kept],
+                     occ=np.zeros(n_kept), fermi_level=0.0, rho=np.zeros(grids.n_g),
+                     n_occ=n_kept, v_local=v)
+    basis = u[:, :n_kept]
+    rng = np.random.default_rng(seed)
+    rows = rng.standard_normal((n_kept, grids.n_b))
+    rows -= (rows @ basis) @ basis.T
+    tol = 10.0 ** log_tol * np.linalg.norm(rows, axis=1)
+    result = solve_sternheimer(gs, range(n_kept), from_cos_sin(rows), tol, basis)
+    perp = u[:, n_kept:]
+    for n in range(n_kept):
+        exact = perp @ ((perp.T @ rows[n]) / (eps[n_kept:] - eps[n]))
+        err = np.linalg.norm(result.solution[n] - from_cos_sin(exact))
+        assert err <= tol[n] / gaps[n] * (1 + 1e-6)
+        assert result.final_residual_norm[n] <= tol[n]
