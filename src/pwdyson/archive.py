@@ -11,8 +11,12 @@ Layout of an archive directory:
                   that phi/eps diagonalise is reconstructed bit-exactly)
 
 Write-read round trips are bit-exact.  All writes go through a temp file
-plus atomic rename.  Format 1 stored the complex phi as two blobs; it is
-no longer read.
+plus atomic rename, and meta.json is the commit marker: a save removes
+the old one first and writes the new one last, so a save that stops
+part way leaves no meta.json, and no archive that mixes the new model
+with the old blobs.  Format 1 stored the complex phi as two blobs,
+phi_re.bin and phi_im.bin; it is no longer read, and a save deletes
+those blobs.
 """
 
 import json
@@ -27,6 +31,7 @@ from .groundstate import GroundState
 from .pwbasis import build_grids
 
 FORMAT_VERSION = 2
+_FORMAT_1_BLOBS = ("phi_re.bin", "phi_im.bin")
 
 
 def atomic_write(path: str, data: bytes):
@@ -63,7 +68,16 @@ def _read_blob(path: str, expected_count: int) -> np.ndarray:
 
 
 def save_ground_state(path: str, gs: GroundState):
+    """Write `gs` to the archive directory `path`, replacing any archive there.
+
+    The old meta.json goes first and the new one is written after every
+    blob, so an interrupted save leaves a directory `load_ground_state`
+    rejects rather than a new meta.json over old blobs.
+    """
     os.makedirs(path, exist_ok=True)
+    for name in ("meta.json",) + _FORMAT_1_BLOBS:
+        if os.path.exists(os.path.join(path, name)):
+            os.unlink(os.path.join(path, name))
     meta = {
         "format_version": FORMAT_VERSION,
         "endianness": "little",
@@ -78,14 +92,14 @@ def save_ground_state(path: str, gs: GroundState):
         "fermi_level": gs.fermi_level,
         "scf_residual": gs.scf_residual,
     }
-    atomic_write(os.path.join(path, "meta.json"),
-                 json.dumps(meta, indent=1).encode())
     atomic_write(os.path.join(path, "u.bin"),
                  np.asarray(gs.u, dtype="<f8").tobytes(order="F"))
     atomic_write(os.path.join(path, "rho.bin"),
                  np.asarray(gs.rho, dtype="<f8").tobytes())
     atomic_write(os.path.join(path, "v_local.bin"),
                  np.asarray(gs.v_local, dtype="<f8").tobytes())
+    atomic_write(os.path.join(path, "meta.json"),
+                 json.dumps(meta, indent=1).encode())
 
 
 def _read_meta(path: str) -> dict:

@@ -16,7 +16,7 @@ import scipy.linalg
 from scipy.special import erfc, expit
 
 from .errors import ConfigurationError, InvariantViolationError, NonConvergenceError
-from .pwbasis import FourierGrids, Lattice, build_grids, from_cos_sin, real_basis
+from .pwbasis import FourierGrids, Lattice, build_grids, from_cos_sin
 
 
 @dataclass(frozen=True)
@@ -250,26 +250,29 @@ def real_hamiltonian(grids: FourierGrids, v_local: np.ndarray) -> np.ndarray:
 
 
 def diagonalize_dense(grids: FourierGrids, v_local: np.ndarray, n_states: int):
-    """Lowest n_states eigenpairs of the discretised Hamiltonian, as real functions.
+    """Lowest n_states eigenpairs (eps, u) of the discretised Hamiltonian.
 
-    A real symmetric `eigh` of H_r gives real eigenvectors u in the
-    cos/sin basis; the returned phi = T^H u are orthonormal sphere
-    coefficients of real orbitals, so `to_cos_sin(phi.T).imag` is exactly 0.
+    A real symmetric `eigh` of H_r gives the eigenvectors as u, (n_b,
+    n_states), orthonormal real coefficients in the cos/sin basis: every
+    orbital is a real function, and phi = T^H u (`from_cos_sin(u.T).T`)
+    holds it as sphere coefficients.
     """
     if n_states > grids.n_b:
         raise ConfigurationError(f"n_states={n_states} exceeds basis size {grids.n_b}")
-    eps, u = scipy.linalg.eigh(real_hamiltonian(grids, v_local),
-                               subset_by_index=[0, n_states - 1])
-    return eps, from_cos_sin(u.T).T
+    return scipy.linalg.eigh(real_hamiltonian(grids, v_local), subset_by_index=[0, n_states - 1])
 
 
 # -- density and potentials ---------------------------------------------------
 
-def compute_density(grids: FourierGrids, phi: np.ndarray, occ: np.ndarray) -> np.ndarray:
-    """rho(r) = sum_n f_n |to_real(phi_n)(r)|^2, clipped of FFT noise."""
-    psi_r = grids.to_real_many(phi.T)
-    rho = np.einsum("n,nr->r", np.asarray(occ, dtype=float), np.abs(psi_r) ** 2)
-    return rho
+def compute_density(grids: FourierGrids, u: np.ndarray, occ: np.ndarray) -> np.ndarray:
+    """rho(r) = sum_n f_n psi_n(r)^2 for the real orbitals with cos/sin coefficients u (n_b, k).
+
+    psi_n = `to_real_many` of column n: real grid values, so the density
+    is a sum of squares with no imaginary part to discard.
+    """
+    psi_r = grids.to_real_many(u.T)
+    psi_r *= psi_r
+    return np.asarray(occ, dtype=float) @ psi_r
 
 
 def hartree_potential(grids: FourierGrids, rho: np.ndarray) -> np.ndarray:
@@ -315,9 +318,9 @@ class GroundState:
     Sternheimer CG projects against and the archive writes; phi = T^H u
     holds the same orbitals as sphere coefficients.
 
-    Quantities derived for a response solve (`phi_occ_h`, `psi_occ_real`,
-    the kept bases, ...) are cached until `drop_derived`, which
-    `run_response` calls when it ends.
+    Quantities derived for a response solve (`psi_occ_real`, the kept
+    bases with the projected Hamiltonian H_Q, the row norm) are cached
+    until `drop_derived`, which `run_response` calls when it ends.
     """
 
     model: ModelSpec
@@ -345,14 +348,13 @@ class GroundState:
         return self.phi[:, : self.n_occ]
 
     @property
-    def phi_occ_h(self) -> np.ndarray:
-        """Phi^H of the occupied orbitals, (n_occ, n_b), computed once."""
-        return self.derived("phi_occ_h", lambda: self.phi_occ.conj().T)
+    def u_occ(self) -> np.ndarray:
+        return self.u[:, : self.n_occ]
 
     @property
     def psi_occ_real(self) -> np.ndarray:
-        """to_real of every occupied orbital, (n_occ, n_g), computed once."""
-        return self.derived("psi_occ_real", lambda: self.grids.to_real_many(self.phi_occ.T))
+        """Every occupied orbital on the grid, real (n_occ, n_g) float64, computed once."""
+        return self.derived("psi_occ_real", lambda: self.grids.to_real_many(self.u_occ.T))
 
     def derived(self, key: str, compute):
         """The quantity `key` derived from this state: `compute()` on first use.
@@ -444,7 +446,7 @@ def run_scf(model: ModelSpec, tol: float, max_iter: int = 200, *,
 
     for it in range(max_iter):
         v_loc = total_local_potential(model, grids, v_ext, rho)
-        eps, phi = diagonalize_dense(grids, v_loc, n_states)
+        eps, u = diagonalize_dense(grids, v_loc, n_states)
         fermi, occ = fermi_and_occupations(eps, model.n_electrons,
                                            model.temperature, model.smearing)
         n_occ = int(np.max(np.nonzero(occ > model.occupation_threshold)[0])) + 1
@@ -457,14 +459,14 @@ def run_scf(model: ModelSpec, tol: float, max_iter: int = 200, *,
             n_states = min(grids.n_b, n_occ + n_extra + 4)
             continue
 
-        residual = compute_density(grids, phi, occ) - rho
+        residual = compute_density(grids, u, occ) - rho
         res_norm = np.linalg.norm(residual) * weight
         if verbose:
             print(f"scf iter {it:3d}  residual {res_norm:.3e}  fermi {fermi:+.6f}")
         if res_norm <= tol:
             n_kept = n_occ + n_extra
             return GroundState(
-                model=model, grids=grids, u=real_basis(phi[:, :n_kept]),
+                model=model, grids=grids, u=np.ascontiguousarray(u[:, :n_kept]),
                 eps=eps[:n_kept].copy(), occ=occ[:n_kept].copy(),
                 fermi_level=fermi, rho=rho, n_occ=n_occ,
                 v_local=v_loc, scf_residual=res_norm,

@@ -22,12 +22,15 @@ on the real functions sqrt(2) cos(G.r) (at j < n_b // 2), 1 (at
 n_b // 2) and sqrt(2) sin(G.r) (at n_b - 1 - j), each over sqrt(|Omega|):
 O(n_b) slicing, never a dense matrix.  A real local potential is a real
 symmetric matrix in that basis, and a real function (c_-G = conj c_G)
-has real coefficients there (`real_cos_sin`, `real_basis`).
+has real coefficients there (`real_rows`, `real_basis`).
 
 Real-space vectors are stored flat with x fastest:
 index = ix + Nx * (iy + Ny * iz), so `flat.reshape(Nz, Ny, Nx)` is a view.
-The sphere <-> grid transforms are sphere-pruned: they skip the FFT lines
-that hold no sphere point.
+The program's transforms are one band-batched real pair on cos/sin rows,
+`to_real_many`/`to_fourier_many`: a half-spectrum `irfft`/`rfft` along x
+and complex FFTs along y and z over only the lines that hold sphere
+points of the half spectrum kx >= 0.  The complex `to_real`/`to_fourier`
+of one vector are built from that pair by linearity.
 """
 
 from dataclasses import dataclass
@@ -168,20 +171,29 @@ class FourierGrids:
         if len(np.unique(self.sphere_flat)) != self.n_b:
             raise ConfigurationError("cube grid cannot hold the sphere without aliasing")
 
-        # Pruning tables.  `to_real` transforms along x only the sticks
-        # (x-lines holding sphere points) and along y only the z-planes
-        # holding sticks; `to_fourier` transforms along y only the sphere's
-        # x values and along z only the (x, y) lines holding sphere points.
+        # Pruning tables of the real pair.  A real function's coefficients
+        # obey c_-G = conj c_G, so the half spectrum kx >= 0 (wrapped x
+        # below nx / 2) holds all of them.  Its points lie on z-lines
+        # (kx, ky); `to_real_many` transforms along z only those lines,
+        # along y only the sphere's kx >= 0 columns, and then runs one
+        # real `irfft` along x; `to_fourier_many` runs the same passes
+        # backwards.
+        h = self.n_b // 2
         wx, wy, wz = wrapped.T
-        sticks, stick_of = np.unique(wy + ny * wz, return_inverse=True)
-        self._stick_y = sticks % ny
-        self._planes, self._stick_plane = np.unique(sticks // ny, return_inverse=True)
-        self._sphere_in_sticks = stick_of * nx + wx
-        self._sphere_x, x_of = np.unique(wx, return_inverse=True)
-        n_x = len(self._sphere_x)
-        lines, line_of = np.unique(x_of + n_x * wy, return_inverse=True)
-        self._line_x, self._line_y = lines % n_x, lines // n_x
-        self._sphere_in_lines = wz * len(lines) + line_of
+        half = np.flatnonzero(wx < nx // 2)
+        self._half_x, x_of = np.unique(wx[half], return_inverse=True)
+        lines, line_of = np.unique(x_of + len(self._half_x) * wy[half], return_inverse=True)
+        self._line_x, self._line_y = lines % len(self._half_x), lines // len(self._half_x)
+        self._half_z, self._half_line = wz[half], line_of
+        # c_s = (a_s u[cos_s] + i b_s u[sin_s]) / sqrt|Omega| for the half's
+        # points s, from `from_cos_sin`; G = 0 has a = 1, b = 0
+        mirror = self.n_b - 1 - half
+        self._half_cos, self._half_sin = np.minimum(half, mirror), np.maximum(half, mirror)
+        self._half_re = np.where(half == h, 1.0, _SQRT_HALF) / np.sqrt(lattice.volume)
+        self._half_im = np.sign(half - h) * _SQRT_HALF / np.sqrt(lattice.volume)
+        # the sphere's upper half (index >= h, G = 0 first) on those lines
+        upper = np.searchsorted(half, np.arange(h, self.n_b))
+        self._upper_z, self._upper_line = self._half_z[upper], self._half_line[upper]
 
         # Signed integer coordinates of every cube point, x fastest.
         freqs = [np.fft.fftfreq(n, 1.0 / n).astype(int) for n in self.cube_dims]
@@ -190,7 +202,6 @@ class FourierGrids:
         cube_cart = cube_int @ lattice.b
         self.g2_cube = np.einsum("ij,ij->i", cube_cart, cube_cart)
 
-        self._to_real_scale = self.n_g / np.sqrt(lattice.volume)
         self._to_fourier_scale = np.sqrt(lattice.volume) / self.n_g
         for value in vars(self).values():
             if isinstance(value, np.ndarray):
@@ -219,48 +230,75 @@ class FourierGrids:
 
     # -- sphere <-> real space --------------------------------------------
     #
-    # Both transforms run the same 1-D passes, in the same x -> y -> z order,
-    # as a full-cube `ifftn`/`fftn`, and skip only lines that are zero on
-    # input or unused on output, so they agree bit for bit with the plain
-    # transforms of the zero-padded cube.
+    # The batched real pair is what the program runs.  A row u holds the
+    # cos/sin coefficients T c of one real function; the pair never forms
+    # a complex grid array, only the half spectrum the real FFT along x
+    # needs.  The complex single-vector transforms are built from the pair
+    # by linearity, T c = x + i y.
+
+    def to_real_many(self, rows: np.ndarray) -> np.ndarray:
+        """Real functions on the grid, (k, n_g), from (k, n_b) real cos/sin rows u = T c.
+
+        Equal to `to_real` of T^H u for each row; z-lines, then y, then one
+        half-spectrum `irfft` along x.  Complex rows raise TypeError.
+        """
+        if np.iscomplexobj(rows):
+            raise TypeError("to_real_many takes real cos/sin rows; use to_real for complex ones")
+        k = len(rows)
+        if rows.shape != (k, self.n_b):
+            raise ValueError(f"expected (k, {self.n_b}) cos/sin rows, got {rows.shape}")
+        nz, ny, nx = self._cube_shape
+        lines = np.zeros((k, len(self._line_x), nz), dtype=np.complex128)
+        lines.real[:, self._half_line, self._half_z] = rows[:, self._half_cos] * self._half_re
+        lines.imag[:, self._half_line, self._half_z] = rows[:, self._half_sin] * self._half_im
+        lines = scipy.fft.ifft(lines, axis=2, norm="forward", overwrite_x=True)
+        columns = np.zeros((k, nz, ny, len(self._half_x)), dtype=np.complex128)
+        columns[:, :, self._line_y, self._line_x] = lines.transpose(0, 2, 1)
+        columns = scipy.fft.ifft(columns, axis=2, norm="forward", overwrite_x=True)
+        spectrum = np.zeros((k, nz, ny, nx // 2 + 1), dtype=np.complex128)
+        spectrum[..., self._half_x] = columns
+        values = scipy.fft.irfft(spectrum, n=nx, axis=3, norm="forward", overwrite_x=True)
+        return values.reshape(k, self.n_g)
+
+    def to_fourier_many(self, values: np.ndarray) -> np.ndarray:
+        """Real cos/sin rows T c, (k, n_b), of the sphere projection of (k, n_g) real grid values.
+
+        Equal to T `to_fourier` of each row; one `rfft` along x, then y on
+        the sphere's kx >= 0 columns, then z on its lines.  Complex values
+        raise TypeError rather than lose their imaginary part.
+        """
+        if np.iscomplexobj(values):
+            raise TypeError("to_fourier_many takes real grid values; use to_fourier "
+                            "for complex ones")
+        k = len(values)
+        if values.shape != (k, self.n_g):
+            raise ValueError(f"expected (k, {self.n_g}) grid values, got {values.shape}")
+        spectrum = scipy.fft.rfft(values.reshape(k, *self._cube_shape), axis=3)
+        columns = scipy.fft.fft(spectrum[..., self._half_x], axis=2, overwrite_x=True)
+        lines = scipy.fft.fft(columns[:, :, self._line_y, self._line_x], axis=1,
+                              overwrite_x=True)
+        upper = lines[:, self._upper_z, self._upper_line]
+        h = self.n_b // 2
+        rows = np.empty((k, self.n_b))
+        np.multiply(upper[:, 0].real, self._to_fourier_scale, out=rows[:, h])
+        np.multiply(upper[:, :0:-1].real, self._to_fourier_scale / _SQRT_HALF, out=rows[:, :h])
+        np.multiply(upper[:, 1:].imag, self._to_fourier_scale / _SQRT_HALF, out=rows[:, h + 1:])
+        return rows
 
     def to_real(self, coeffs: np.ndarray) -> np.ndarray:
         """Inverse transform w^-1 W^-1 Z: sphere coefficients -> grid values."""
         if coeffs.shape != (self.n_b,):
             raise ValueError(f"expected sphere vector of length {self.n_b}, got {coeffs.shape}")
-        _, ny, nx = self._cube_shape
-        sticks = np.zeros((len(self._stick_y), nx), dtype=np.complex128)
-        sticks.ravel()[self._sphere_in_sticks] = coeffs
-        sticks = scipy.fft.ifft(sticks, axis=1, norm="forward", overwrite_x=True)
-        sticks *= 1.0 / self.n_g        # where ifftn applies its 1/N
-        planes = np.zeros((len(self._planes), ny, nx), dtype=np.complex128)
-        planes[self._stick_plane, self._stick_y] = sticks
-        cube = np.zeros(self._cube_shape, dtype=np.complex128)
-        cube[self._planes] = scipy.fft.ifft(planes, axis=1, norm="forward", overwrite_x=True)
-        cube = scipy.fft.ifft(cube, axis=0, norm="forward", overwrite_x=True)
-        cube *= self._to_real_scale
-        return cube.ravel()
+        rows = to_cos_sin(coeffs)
+        re, im = self.to_real_many(np.stack([rows.real, rows.imag]))
+        return re + 1j * im
 
     def to_fourier(self, values: np.ndarray) -> np.ndarray:
         """Forward transform w Z^T W: grid values -> sphere coefficients."""
         if values.shape != (self.n_g,):
             raise ValueError(f"expected grid vector of length {self.n_g}, got {values.shape}")
-        cube = np.asarray(values, dtype=np.complex128).reshape(self._cube_shape)
-        cube = scipy.fft.fft(cube, axis=2)
-        cube = scipy.fft.fft(cube[:, :, self._sphere_x], axis=1, overwrite_x=True)
-        lines = scipy.fft.fft(cube[:, self._line_y, self._line_x], axis=0, overwrite_x=True)
-        return lines.ravel()[self._sphere_in_lines] * self._to_fourier_scale
-
-    # The batched form returns a column-major (k, n_g) array: the band sums
-    # downstream (density, chi0) round differently on row-major input, and
-    # this layout reproduces the archived ground states bit for bit.
-
-    def to_real_many(self, coeffs: np.ndarray) -> np.ndarray:
-        """`to_real` of each row of a (k, n_b) array -> (k, n_g)."""
-        out = np.empty((self.n_g, len(coeffs)), dtype=np.complex128)
-        for j, c in enumerate(coeffs):
-            out[:, j] = self.to_real(c)
-        return out.T
+        re, im = self.to_fourier_many(np.array([values.real, values.imag], dtype=float))
+        return from_cos_sin(re + 1j * im)
 
     # -- full-cube FFTs (for Fourier-diagonal operators) --------------------
     # axes=(2, 1, 0) keeps the x -> y -> z pass order on the C-order view.
@@ -297,20 +335,21 @@ def from_cos_sin(coeffs: np.ndarray) -> np.ndarray:
     return out
 
 
-def real_cos_sin(coeffs: np.ndarray, atol=0.0) -> np.ndarray:
-    """Re T c for every row c of coeffs, each a real function (T c real to round-off).
+def real_rows(rows: np.ndarray, atol=0.0) -> np.ndarray:
+    """Re u for rows u of cos/sin coefficients, each a real function (u real to round-off).
 
-    `atol` (a scalar or one value per row) lets a row through whose
-    imaginary part is no larger, as for a right-hand side that a
-    projection has left at round-off level.
+    Real rows are returned as they are.  `atol` (a scalar or one value
+    per row) lets a row through whose imaginary part is no larger, as for
+    a right-hand side that a projection has left at round-off level.
 
     Raises:
-        InvariantViolationError: a row's Im T c has a norm above both
-            REAL_FUNCTION_RTOL times that of T c and atol, so it is not a
+        InvariantViolationError: a row's Im u has a norm above both
+            REAL_FUNCTION_RTOL times that of u and atol, so it is not a
             real function (such as a degenerate pair mixed by a complex
             phase).
     """
-    rows = to_cos_sin(coeffs)
+    if not np.iscomplexobj(rows):
+        return rows
     imag, whole = np.linalg.norm(rows.imag, axis=-1), np.linalg.norm(rows, axis=-1)
     complex_rows = np.flatnonzero(imag > np.maximum(REAL_FUNCTION_RTOL * whole, atol))
     if len(complex_rows):
@@ -324,10 +363,10 @@ def real_basis(phi: np.ndarray) -> np.ndarray:
     """R = T Phi, real (n_b, m), for orthonormal real functions Phi (n_b, m).
 
     Then T Phi Phi^H T^H = R R^T, so the projector off span(Phi) is real
-    in the cos/sin basis.  Raises as `real_cos_sin` when a column of Phi
-    is not a real function.
+    in the cos/sin basis.  Raises as `real_rows` when a column of Phi is
+    not a real function.
     """
-    return np.ascontiguousarray(real_cos_sin(phi.T).T)
+    return np.ascontiguousarray(real_rows(to_cos_sin(phi.T)).T)
 
 
 _last_grids = (None, None)         # (key, FourierGrids) of the last `build_grids` call

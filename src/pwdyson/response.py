@@ -26,7 +26,8 @@ import numpy as np
 from .errors import InvariantViolationError
 from .groundstate import GroundState, real_hamiltonian
 from .kernels import KernelSpec, apply_kernel
-from .sternheimer import project_out_occupied, solve_sternheimer
+from .pwbasis import from_cos_sin, to_cos_sin
+from .sternheimer import fold_projector, project_out_occupied, solve_sternheimer
 
 DEGENERACY_RTOL = 1e-8
 EXTRA_BAND_RESIDUAL_LIMIT = 1e-10
@@ -52,37 +53,48 @@ def delta_eigen_occupations(gs: GroundState, dv: np.ndarray):
     (all f'_n ~ 0) the Fermi level is pinned and delta_eps_F = 0.
     """
     _, m = _occupied_matrix(gs, dv)
-    return _first_order_occupations(gs, m, dv)
+    return _first_order_occupations(gs, m)
 
 
 def _occupied_matrix(gs: GroundState, dv: np.ndarray):
-    """Rows dv phi_n on the sphere, (n_occ, n_b), and M[m, n] = <phi_m, dv phi_n>.
+    """Rows T(dv phi_n), (n_occ, n_b), and M[m, n] = <phi_m, dv phi_n>, both real.
 
-    Band by band, `to_fourier` of dv * psi_n, with no (n_occ, n_g)
-    product held whole.
+    One batched real transform of dv psi_n for every occupied band, in
+    the cos/sin basis, where M = U_occ^T T(dv Phi_occ).  A complex dv
+    passes only through `_real_perturbation`.
     """
-    grids = gs.grids
-    out = np.empty((grids.n_b, gs.n_occ), dtype=np.complex128)
-    for n, psi in enumerate(gs.psi_occ_real):
-        out[:, n] = grids.to_fourier(dv * psi)
-    return out.T, gs.phi_occ_h @ out
+    rows = gs.grids.to_fourier_many(_real_perturbation(gs, dv) * gs.psi_occ_real)
+    return rows, gs.u_occ.T @ rows.T
 
 
-def _first_order_occupations(gs: GroundState, m: np.ndarray, dv: np.ndarray):
-    """(delta_eps, delta_eps_F, delta_f) from M[m, n] = <phi_m, dv phi_n>.
+def _real_perturbation(gs: GroundState, dv: np.ndarray) -> np.ndarray:
+    """dv when it is real; for a complex dv, its real part once Im dv is shown to be noise.
 
-    Raises FloatingPointError when the diagonal of M, real for a real dv,
-    has an imaginary part above FFT round-off.
+    Im dv shifts eigenvalue n by the imaginary part of <phi_n, dv phi_n>
+    = (|Omega|/n_g) sum_r psi_n(r)^2 dv(r).  Below FFT round-off of the
+    scale max(|<phi_n, Re dv phi_n>|, |dv| w) it is dropped.
+
+    Raises:
+        FloatingPointError: a first-order eigenvalue shift has an
+            imaginary part above IMAG_EIGENSHIFT_RTOL times that scale.
     """
-    raw = np.diag(m)
-    # FFT roundoff puts ~eps * |dv| of noise on each matrix element
-    scale = max(np.max(np.abs(raw), initial=0.0), float(np.linalg.norm(dv)) * gs.grids.w)
-    if scale > 0 and np.max(np.abs(raw.imag)) > IMAG_EIGENSHIFT_RTOL * scale:
+    if not np.iscomplexobj(dv):
+        return dv
+    density = gs.psi_occ_real ** 2
+    shifts = (density @ dv.real) * gs.grids.w ** 2
+    imag = float(np.max(np.abs(density @ dv.imag))) * gs.grids.w ** 2
+    scale = max(float(np.max(np.abs(shifts), initial=0.0)),
+                float(np.linalg.norm(dv)) * gs.grids.w)
+    if scale > 0 and imag > IMAG_EIGENSHIFT_RTOL * scale:
         raise FloatingPointError(
-            f"first-order eigenvalue shifts have imaginary part "
-            f"{np.max(np.abs(raw.imag)):.2e} relative to {scale:.2e}"
-        )
-    delta_eps = raw.real
+            f"first-order eigenvalue shifts have imaginary part {imag:.2e} "
+            f"relative to {scale:.2e}")
+    return dv.real
+
+
+def _first_order_occupations(gs: GroundState, m: np.ndarray):
+    """(delta_eps, delta_eps_F, delta_f) from M[m, n] = <phi_m, dv phi_n>."""
+    delta_eps = np.diag(m)
     fprime = gs.fprime_occ()
     fp_sum = fprime.sum()
     if abs(fp_sum) > 1e-14 * gs.n_occ:
@@ -121,49 +133,51 @@ def _occupied_pair_weights(gs: GroundState) -> np.ndarray:
 
 
 def delta_phi_occupied(gs: GroundState, dv: np.ndarray) -> np.ndarray:
-    """Occupied-subspace orbital response, one column per occupied band."""
+    """Occupied-subspace orbital response, one column of sphere coefficients per occupied band."""
     _, m = _occupied_matrix(gs, dv)
-    return _occupied_orbital_response(gs, m)
+    return from_cos_sin(_occupied_orbital_response(gs, m).T).T
 
 
 def _occupied_orbital_response(gs: GroundState, m: np.ndarray) -> np.ndarray:
-    return gs.phi_occ @ (_occupied_pair_weights(gs) * m)
+    """The occupied-subspace response in the cos/sin basis, (n_b, n_occ)."""
+    return gs.u_occ @ (_occupied_pair_weights(gs) * m)
 
 
 def _kept_bases(gs: GroundState) -> tuple:
-    """(Phi^H, R) of every kept band, computed once per state.
+    """(R, H_Q) of every kept band, computed once per state.
 
-    Phi^H is (n_kept, n_b); R = T Phi, the state's real orbitals `u`, is
-    the real basis the Sternheimer CG projects against.  The extra-band
-    sum over states in `apply_chi0` is exact only for eigenvectors of
-    H[v_local], so the first call checks ||H_r u_e - eps_e u_e|| for every
-    extra band against the `real_hamiltonian` that the CG applies (a
-    diagnostic is not a Hamiltonian application).
+    R = T Phi, the state's real orbitals `u`, is the real basis the
+    Sternheimer CG projects against, and H_Q = Q H_r Q with
+    Q = I - R R^T is the operator it applies: H_r is built once, and
+    every solve until `drop_derived` reuses it.  The extra-band sum over
+    states in `apply_chi0` is exact only for eigenvectors of H[v_local],
+    so H_r first checks ||H_r u_e - eps_e u_e|| for every extra band (a
+    diagnostic is not a Hamiltonian application); then Q is folded into
+    it in place.
 
     Raises:
         InvariantViolationError: an extra band's eigen-residual exceeds
             EXTRA_BAND_RESIDUAL_LIMIT.
     """
     def compute():
-        h_r = real_hamiltonian(gs.grids, gs.v_local)
+        h = real_hamiltonian(gs.grids, gs.v_local)
         extra = gs.u[:, gs.n_occ:]                              # (n_b, n_extra)
-        residuals = np.linalg.norm(h_r @ extra - extra * gs.eps[gs.n_occ:], axis=0)
+        residuals = np.linalg.norm(h @ extra - extra * gs.eps[gs.n_occ:], axis=0)
         worst = float(np.max(residuals, initial=0.0))
         if worst > EXTRA_BAND_RESIDUAL_LIMIT:
             raise InvariantViolationError(
                 f"kept extra bands are not eigenvectors of H: residual {worst:.2e} "
                 f"> {EXTRA_BAND_RESIDUAL_LIMIT:.0e}")
-        return gs.phi.conj().T, gs.u
+        fold_projector(h, gs.u)
+        return gs.u, h
     return gs.derived("kept_bases", compute)
 
 
-def _extra_band_response(gs: GroundState, phi_kept_h: np.ndarray,
-                         dvpsi: np.ndarray) -> np.ndarray:
-    """-sum_e phi_e <phi_e, dv phi_n> / (eps_e - eps_n), one column per occupied band."""
-    n_occ = gs.n_occ
-    m_extra = phi_kept_h[n_occ:] @ dvpsi.T                    # (n_extra, n_occ)
-    gaps = gs.eps[n_occ:, None] - gs.eps_occ[None, :]
-    return -(gs.phi[:, n_occ:] @ (m_extra / gaps))
+def _extra_band_response(gs: GroundState, dvpsi: np.ndarray) -> np.ndarray:
+    """-sum_e u_e <phi_e, dv phi_n> / (eps_e - eps_n), (n_b, n_occ) in the cos/sin basis."""
+    extra = gs.u[:, gs.n_occ:]
+    gaps = gs.eps[gs.n_occ:, None] - gs.eps_occ[None, :]
+    return -(extra @ ((extra.T @ dvpsi.T) / gaps))
 
 
 def apply_chi0(gs: GroundState, dv: np.ndarray, tolerances) -> tuple:
@@ -186,26 +200,21 @@ def apply_chi0(gs: GroundState, dv: np.ndarray, tolerances) -> tuple:
     if np.any(tolerances <= 0):
         raise ValueError("Sternheimer tolerances must be positive")
 
-    psi_r = gs.psi_occ_real                                   # (n_occ, n_g)
-    phi_h, basis = _kept_bases(gs)
+    psi_r = gs.psi_occ_real                                   # (n_occ, n_g) real
+    basis, h_q = _kept_bases(gs)
     dvpsi, m = _occupied_matrix(gs, dv)
-    _, _, delta_f = _first_order_occupations(gs, m, dv)
-    dphi = _occupied_orbital_response(gs, m) + _extra_band_response(gs, phi_h, dvpsi)
+    _, _, delta_f = _first_order_occupations(gs, m)
+    dphi = _occupied_orbital_response(gs, m) + _extra_band_response(gs, dvpsi)
 
-    rhs = -project_out_occupied(gs.phi, dvpsi.T, phi_h).T
-    solve = solve_sternheimer(gs, np.arange(n_occ), rhs, tolerances, basis)
+    rhs = -project_out_occupied(basis, dvpsi.T, basis.T).T
+    solve = solve_sternheimer(gs, np.arange(n_occ), rhs, tolerances, basis, h_q=h_q)
     dphi += solve.solution.T
-    dphi_r = grids.to_real_many(dphi.T)                       # (n_occ, n_g)
-    # in place, as these (n_occ, n_g) temporaries set the memory high-water
-    # mark; Re(psi conj(dphi)) is Re(conj(psi) dphi) bit for bit
-    np.conjugate(dphi_r, out=dphi_r)
-    dphi_r *= psi_r
-    contrib = (2.0 * gs.occ_occ[:, None]) * dphi_r.real
-    del dphi_r
-    density = np.abs(psi_r)
-    density **= 2
-    density *= delta_f[:, None]
-    contrib += density
+    # every array below is real; in place, as these (n_occ, n_g) arrays
+    # set the memory high-water mark: psi (2 f dphi + delta_f psi)
+    contrib = grids.to_real_many(dphi.T)
+    contrib *= 2.0 * gs.occ_occ[:, None]
+    contrib += delta_f[:, None] * psi_r
+    contrib *= psi_r
     return contrib.sum(axis=0), solve
 
 
@@ -236,16 +245,19 @@ def apply_dielectric(gs: GroundState, kernel: KernelSpec, v: np.ndarray,
 
 
 def orbital_row_norm(grids, phi: np.ndarray) -> float:
-    """Maximum over grid points of the l2 row norm of to_real(Phi).
+    """Maximum over grid points of the l2 row norm of to_real(Phi), Phi (n_b, k).
 
     For orthonormal Phi this lies between sqrt(n_occ/|Omega|) and
-    sqrt(n_g/|Omega|).
+    sqrt(n_g/|Omega|).  to_real(Phi) = X + i Y with X and Y the real
+    transforms of Re T Phi and Im T Phi, so |to_real(Phi)|^2 = X^2 + Y^2.
     """
-    return _max_row_norm(grids.to_real_many(phi.T))
+    rows = to_cos_sin(phi.T)
+    return _max_row_norm(grids.to_real_many(np.concatenate([rows.real, rows.imag])))
 
 
 def _max_row_norm(psi_r: np.ndarray) -> float:
-    return float(np.sqrt(np.max(np.sum(np.abs(psi_r) ** 2, axis=0))))
+    """The row norm of real orbitals on the grid, (k, n_g)."""
+    return float(np.sqrt(np.max(np.sum(psi_r ** 2, axis=0))))
 
 
 def dielectric_error_bound(gs: GroundState, kv_norm: float, tolerances) -> float:

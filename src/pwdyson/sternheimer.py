@@ -13,14 +13,17 @@ pairs (`pwbasis.to_cos_sin`, the unitary map T) H is the real symmetric
 H_r of `real_hamiltonian`, the kinetic preconditioner keeps its diagonal,
 and Q becomes I - R R^T for the real orthonormal R = T Phi of real
 orbitals (`real_basis`).  For a real perturbation and real orbitals each
-right-hand side T b_n is real, so a band is one real row; a right-hand
-side with an imaginary part above round-off is rejected.
+right-hand side T b_n is real, so a band is one real row: the solve
+takes and returns real cos/sin rows, and a complex row with an imaginary
+part above round-off is rejected.
 
-Q is folded into the Hamiltonian once per call: H_Q = Q H_r Q, formed in
-place by a rank-2m update.  A CG step then applies A_n = H_Q - eps_n on
-range(Q) and re-projects only the residual and the preconditioned
-residual, to stop roundoff from leaking components along Phi back in;
-each band's iterate is projected once, when the band stops.
+Q is folded into the Hamiltonian once per response solve, not per call:
+H_Q = Q H_r Q, formed in place by a rank-2m update (`fold_projector`),
+is built with the kept bases (`response._kept_bases`) and handed to
+every call; a call given no H_Q builds its own.  A CG step then applies
+A_n = H_Q - eps_n on range(Q) and re-projects only the residual and the
+preconditioned residual, to stop roundoff from leaking components along
+Phi back in; each band's iterate is projected once, when the band stops.
 
 The bands' CG runs are independent and share one Hamiltonian, so they
 advance in lockstep: each step applies H_Q to every band still iterating
@@ -35,7 +38,7 @@ import numpy as np
 
 from .errors import InvariantViolationError, NonConvergenceError
 from .groundstate import GroundState, real_hamiltonian
-from .pwbasis import from_cos_sin, real_cos_sin
+from .pwbasis import real_rows
 
 PRECONDITIONER_SHIFT_FLOOR = 0.1
 _FOLD_ROWS = 64             # rows of H per block of the projector fold
@@ -43,7 +46,7 @@ _FOLD_ROWS = 64             # rows of H per block of the projector fold
 
 @dataclass
 class SternheimerResult:
-    solution: np.ndarray            # (k, n_b), one row per band
+    solution: np.ndarray            # (k, n_b), one real cos/sin row per band
     final_residual_norm: np.ndarray  # (k,)
     cg_iterations: int              # total over the bands: the solve's cost in H applications
     iterations_per_band: list       # (k,) ints
@@ -66,7 +69,7 @@ def _band_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("bi,bi->b", a, b)
 
 
-def _fold_projector(h: np.ndarray, basis: np.ndarray):
+def fold_projector(h: np.ndarray, basis: np.ndarray):
     """h <- Q h Q in place for a symmetric h, Q = I - R R^T with R = basis.
 
     Q H Q = H - R U^T - U R^T with U = H R - R (R^T H R) / 2: one rank-2m
@@ -82,7 +85,7 @@ def _fold_projector(h: np.ndarray, basis: np.ndarray):
 
 
 def solve_sternheimer(gs: GroundState, bands, rhs: np.ndarray, tol, basis: np.ndarray,
-                      max_iter: int = None) -> SternheimerResult:
+                      max_iter: int = None, h_q: np.ndarray = None) -> SternheimerResult:
     """CG on A_n = Q (H - eps_n) Q with kinetic-energy preconditioning, per band.
 
     The preconditioner is Q diag(1/(|G|^2/2 + c_n)) Q with
@@ -95,18 +98,22 @@ def solve_sternheimer(gs: GroundState, bands, rhs: np.ndarray, tol, basis: np.nd
         gs: converged ground state (grids, eigenvalues and the local
             potential that defines H).
         bands: k band indices (0-based) of the shifts eps_n.
-        rhs: (k, n_b) right-hand sides, one row per band, already in
-            range(Q), each the sphere coefficients of a real function.
+        rhs: (k, n_b) right-hand sides T b_n, one real cos/sin row per
+            band, already in range(Q).
         tol: absolute l2 tolerance on each band's (unpreconditioned) CG
             residual; a scalar or k values.
         basis: R = T Phi (`real_basis(Phi)`) of the orthonormal real
             eigenvectors of H spanning the space Q projects out; Phi must
             hold every eigenvector with eigenvalue <= eps_n.
+        h_q: Q H_r Q for this basis (`fold_projector`), as the response
+            solve holds it; built here when not given.
+
+    Returns the solutions as real cos/sin rows, T x_n.
 
     Raises:
-        InvariantViolationError: a right-hand side is not a real function:
-            |Im T b_n| exceeds both round-off of |T b_n| and tol_n (see
-            `pwbasis.real_cos_sin`); or a band meets p^H A p <= 0 with
+        InvariantViolationError: a complex right-hand side row is not a
+            real function: |Im T b_n| exceeds both round-off of |T b_n| and
+            tol_n (see `pwbasis.real_rows`); or a band meets p^H A p <= 0 with
             its residual above tol, so A_n is not positive definite on
             range(Q) (Phi misses an eigenvector below eps_n).
         NonConvergenceError: a band needs more than max_iter (default
@@ -127,9 +134,10 @@ def solve_sternheimer(gs: GroundState, bands, rhs: np.ndarray, tol, basis: np.nd
     # first `n` rows are the bands still iterating.
     work = np.zeros((6, k, n_b))
     x, r, p, ap, z, tmp = work
-    r[:] = real_cos_sin(rhs, atol=tol)
-    h_q = real_hamiltonian(grids, gs.v_local)
-    _fold_projector(h_q, basis)                 # symmetric: rows of A p are p^T H_Q
+    r[:] = real_rows(rhs, atol=tol)
+    if h_q is None:
+        h_q = real_hamiltonian(grids, gs.v_local)
+        fold_projector(h_q, basis)              # symmetric: rows of A p are p^T H_Q
     coef = np.empty((k, basis.shape[1]))
 
     def project(a, n):
@@ -200,7 +208,7 @@ def solve_sternheimer(gs: GroundState, bands, rhs: np.ndarray, tol, basis: np.nd
         p[:n] += z[:n]
         rz = rz_next
 
-    return SternheimerResult(solution=from_cos_sin(solution),
+    return SternheimerResult(solution=solution,
                              final_residual_norm=residual,
                              cg_iterations=int(iterations.sum()),
                              iterations_per_band=iterations.tolist())

@@ -11,14 +11,17 @@ from pwdyson.groundstate import GaussianWell, ModelSpec, run_scf
 def h_applications(monkeypatch):
     """Callable returning how many band vectors the Sternheimer CG has multiplied by H.
 
-    The CG receives H_r from `real_hamiltonian` and folds the projector
-    into that same array, H_Q = Q H_r Q; every product y @ H with the
-    array on the right counts the rows of y.  A band vector is one real
-    row in the cos/sin basis, so the count is the number of band-vector
-    products with H, and the returned costs can be checked against the
-    work actually done.
+    The CG applies the array `real_hamiltonian` returns, with the projector
+    folded into it in place, H_Q = Q H_r Q: the one `response._kept_bases`
+    holds for a response solve (counted as it is handed out, so an H_Q
+    cached before the test counts too), or one `solve_sternheimer` builds
+    itself when it is given none.  Every product y @ H with that array on
+    the right counts the rows of y.  A band vector is one real row in the
+    cos/sin basis, so the count is the number of band-vector products with
+    H, and the returned costs can be checked against the work actually
+    done.
     """
-    from pwdyson import sternheimer
+    from pwdyson import response, sternheimer
 
     rows = [0]
 
@@ -33,6 +36,12 @@ def h_applications(monkeypatch):
     original = sternheimer.real_hamiltonian
     monkeypatch.setattr(sternheimer, "real_hamiltonian",
                         lambda grids, v_local: original(grids, v_local).view(Counted))
+    kept_bases = response._kept_bases
+
+    def counted_kept_bases(gs):
+        basis, h_q = kept_bases(gs)
+        return basis, h_q.view(Counted)
+    monkeypatch.setattr(response, "_kept_bases", counted_kept_bases)
     return lambda: rows[0]
 
 
@@ -83,13 +92,13 @@ def tiny_oracle_gs():
 
 
 def full_spectrum(gs):
-    """All n_b eigenpairs of the stored Hamiltonian plus their occupations."""
+    """All n_b eigenpairs (eps, u) of the stored Hamiltonian plus their occupations."""
     from pwdyson.groundstate import diagonalize_dense, smearing_function
 
-    eps, phi = diagonalize_dense(gs.grids, gs.v_local, gs.grids.n_b)
+    eps, u = diagonalize_dense(gs.grids, gs.v_local, gs.grids.n_b)
     f, _ = smearing_function(gs.model.smearing)
     occ = f((eps - gs.fermi_level) / gs.model.temperature)
-    return eps, phi, occ
+    return eps, u, occ
 
 
 def dense_chi0_oracle(gs):
@@ -100,9 +109,9 @@ def dense_chi0_oracle(gs):
     Sternheimer implementation path.
     """
     grids = gs.grids
-    eps, phi, occ = full_spectrum(gs)
+    eps, u, occ = full_spectrum(gs)
     nstates = len(eps)
-    psi = grids.to_real_many(phi.T)          # (nstates, n_g)
+    psi = grids.to_real_many(u.T)            # (nstates, n_g), real orbitals
     quad = grids.lattice.volume / grids.n_g
     _, fp_fun = (None, None)
     from pwdyson.groundstate import smearing_function

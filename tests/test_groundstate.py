@@ -194,7 +194,8 @@ def test_eigenpair_residuals_and_orthonormality():
     grids = small_grids(e_cut=8.0)
     v = 0.5 * rng.standard_normal(grids.n_g)
     n_states = 10
-    eps, phi = diagonalize_dense(grids, v, n_states)
+    eps, u = diagonalize_dense(grids, v, n_states)
+    phi = from_cos_sin(u.T).T
     assert np.all(np.diff(eps) >= -1e-12)
     np.testing.assert_allclose(phi.conj().T @ phi, np.eye(n_states), atol=1e-12)
     for k in range(n_states):
@@ -206,12 +207,15 @@ def test_dense_eigenvectors_are_real_functions():
     rng = np.random.default_rng(5)
     grids = small_grids(e_cut=8.0)
     v = 0.5 * rng.standard_normal(grids.n_g)
-    _, phi = diagonalize_dense(grids, v, 10)
-    assert phi.dtype == np.complex128 and phi.shape == (grids.n_b, 10)
-    # T phi is real bit for bit; to_real(phi) is real to round-off
+    _, u = diagonalize_dense(grids, v, 10)
+    assert u.dtype == np.float64 and u.shape == (grids.n_b, 10)
+    # T phi = T T^H u is real bit for bit; to_real(phi) is real to round-off
+    phi = from_cos_sin(u.T).T
     assert not np.any(to_cos_sin(phi.T).imag)
-    psi = grids.to_real_many(phi.T)
+    psi = np.array([grids.to_real(c) for c in phi.T])
     assert np.abs(psi.imag).max() <= 1e-14 * np.abs(psi).max()
+    np.testing.assert_allclose(grids.to_real_many(u.T), psi.real,
+                               rtol=0, atol=1e-13 * np.abs(psi).max())
 
 
 @pytest.mark.parametrize("fixture", ["metal_gs", "insulator_gs"])
@@ -315,9 +319,10 @@ def test_fprime_finite_difference():
 def test_constant_orbital_density():
     grids = small_grids()
     izero = int(np.flatnonzero((grids.g_int == 0).all(axis=1))[0])
-    phi = np.zeros((grids.n_b, 1), dtype=complex)
-    phi[izero, 0] = 1.0
-    rho = compute_density(grids, phi, np.array([2.0]))
+    # G = 0 is its own cos/sin function: the constant orbital has u = e_izero
+    u = np.zeros((grids.n_b, 1))
+    u[izero, 0] = 1.0
+    rho = compute_density(grids, u, np.array([2.0]))
     np.testing.assert_allclose(rho, 2.0 / grids.lattice.volume, rtol=1e-12)
 
 
@@ -325,10 +330,9 @@ def test_density_quadrature_normalisation():
     rng = np.random.default_rng(6)
     grids = small_grids()
     k = 5
-    raw = rng.standard_normal((grids.n_b, k)) + 1j * rng.standard_normal((grids.n_b, k))
-    phi, _ = np.linalg.qr(raw)
+    u, _ = np.linalg.qr(rng.standard_normal((grids.n_b, k)))    # orthonormal real orbitals
     occ = rng.uniform(0.0, 2.0, size=k)
-    rho = compute_density(grids, phi, occ)
+    rho = compute_density(grids, u, occ)
     total = rho.sum() * grids.lattice.volume / grids.n_g
     assert abs(total - occ.sum()) < 1e-10 * occ.sum()
     assert rho.min() > -1e-12
@@ -337,12 +341,13 @@ def test_density_quadrature_normalisation():
 def test_density_matches_direct_summation():
     rng = np.random.default_rng(7)
     grids = build_grids(Lattice.cubic(2.2), 3.0)
-    phi = rng.standard_normal((grids.n_b, 2)) + 1j * rng.standard_normal((grids.n_b, 2))
+    u = rng.standard_normal((grids.n_b, 2))
+    phi = from_cos_sin(u.T).T
     occ = np.array([2.0, 0.5])
     points = grids.real_space_points()
     phases = np.exp(1j * points @ grids.g_cart.T) / np.sqrt(grids.lattice.volume)
     direct = sum(occ[k] * np.abs(phases @ phi[:, k]) ** 2 for k in range(2))
-    np.testing.assert_allclose(compute_density(grids, phi, occ), direct,
+    np.testing.assert_allclose(compute_density(grids, u, occ), direct,
                                rtol=1e-11, atol=1e-11)
 
 
@@ -431,10 +436,10 @@ def test_scf_fixed_point_reverified(metal_chain_gs):
         # output F_KS(rho) is off by more than ten times tol
         v_ext = external_potential(model, gs.grids)
         v_loc = total_local_potential(model, gs.grids, v_ext, gs.rho)
-        eps, phi = diagonalize_dense(gs.grids, v_loc, gs.n_kept)
+        eps, u = diagonalize_dense(gs.grids, v_loc, gs.n_kept)
         _, occ = fermi_and_occupations(eps, model.n_electrons, model.temperature,
                                        model.smearing)
-        rho_next = compute_density(gs.grids, phi, occ)
+        rho_next = compute_density(gs.grids, u, occ)
         res = np.linalg.norm(rho_next - gs.rho) * np.sqrt(model.lattice.volume / gs.grids.n_g)
         assert res <= tol
         assert res == pytest.approx(gs.scf_residual, rel=1e-3)

@@ -9,7 +9,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from pwdyson import ArchiveError, ConfigurationError, Lattice, NonConvergenceError, cli
+from pwdyson import (
+    ArchiveError,
+    ConfigurationError,
+    InvariantViolationError,
+    Lattice,
+    NonConvergenceError,
+    cli,
+)
 from pwdyson.archive import FORMAT_VERSION, load_ground_state, save_ground_state
 from pwdyson.config import (
     ExperimentConfig,
@@ -176,6 +183,60 @@ def test_archive_stores_real_orbitals_in_half_the_bytes(metal_gs, tmp_path):
     assert sorted(os.listdir(path)) == ["meta.json", "rho.bin", "u.bin", "v_local.bin"]
     assert os.path.getsize(os.path.join(path, "u.bin")) == metal_gs.phi.nbytes // 2
     np.testing.assert_array_equal(load_ground_state(path).u, metal_gs.u)
+
+
+def test_save_writes_meta_last_and_deletes_format_1_blobs(metal_gs, tmp_path, monkeypatch):
+    from pwdyson import archive
+
+    path = str(tmp_path / "archive")
+    save_ground_state(path, metal_gs)
+    as_format_1(path, metal_gs)
+    written = []
+    original = archive.atomic_write
+
+    def recorded(target, data):
+        written.append(os.path.basename(target))
+        original(target, data)
+
+    monkeypatch.setattr(archive, "atomic_write", recorded)
+    save_ground_state(path, metal_gs)
+    assert written[-1] == "meta.json"
+    assert sorted(written) == sorted(os.listdir(path)) == ["meta.json", "rho.bin", "u.bin",
+                                                           "v_local.bin"]
+    np.testing.assert_array_equal(load_ground_state(path).u, metal_gs.u)
+
+
+def test_interrupted_save_is_not_loaded_as_an_archive(metal_gs, tmp_path, monkeypatch):
+    # archive A, then a save of model B (well 0 1.05 times deeper) that stops at
+    # u.bin: no meta.json may name B over A's blobs, so B's SCF runs again
+    from pwdyson import archive
+
+    path = str(tmp_path / "gs")
+    save_ground_state(path, metal_gs)
+    wells = list(metal_gs.model.gaussians)
+    wells[0] = replace(wells[0], amplitude=1.05 * wells[0].amplitude)
+    model_b = replace(metal_gs.model, gaussians=tuple(wells))
+    original = archive.atomic_write
+
+    def stops_at_u(target, data):
+        if os.path.basename(target) == "u.bin":
+            raise OSError("no space left on device")
+        original(target, data)
+
+    monkeypatch.setattr(archive, "atomic_write", stops_at_u)
+    with pytest.raises(OSError):
+        save_ground_state(path, replace(metal_gs, model=model_b))
+    monkeypatch.setattr(archive, "atomic_write", original)
+    with pytest.raises(ArchiveError, match="meta.json"):
+        load_ground_state(path)
+    rebuilt = ensure_ground_state(tiny_config(replace(metal_gs, model=model_b)), archive_path=path)
+    assert model_to_dict(rebuilt.model) == model_to_dict(model_b)
+    assert not np.array_equal(rebuilt.v_local, metal_gs.v_local)
+    assert not np.array_equal(rebuilt.u, metal_gs.u)
+    loaded = load_ground_state(path)
+    assert model_to_dict(loaded.model) == model_to_dict(model_b)
+    np.testing.assert_array_equal(loaded.u, rebuilt.u)
+    np.testing.assert_array_equal(loaded.v_local, rebuilt.v_local)
 
 
 def test_archive_format_1_rejected(metal_gs, tmp_path):
@@ -348,6 +409,61 @@ def test_run_response_reraises_sternheimer_stall(metal_gs, monkeypatch):
     assert np.isnan(report.final_true_res)
 
 
+def test_run_response_builds_h_r_once_and_drops_it(metal_gs, monkeypatch):
+    # one H_r per response solve: the extra-band guard runs on it, then Q is
+    # folded into it, and every application of chi0 reuses it until the end
+    import dataclasses
+
+    from pwdyson import response, sternheimer
+
+    builds, solves = [], []
+    original_h, original_solve = response.real_hamiltonian, response.solve_sternheimer
+
+    def counted(grids, v_local):
+        builds.append(grids.n_b)
+        return original_h(grids, v_local)
+
+    def recorded(*args, **kwargs):
+        solves.append(kwargs.get("h_q") is not None)
+        return original_solve(*args, **kwargs)
+
+    for module in (response, sternheimer):
+        monkeypatch.setattr(module, "real_hamiltonian", counted)
+    monkeypatch.setattr(response, "solve_sternheimer", recorded)
+    metal_gs.drop_derived()
+    metrics = run_response(tiny_config(metal_gs), gs=metal_gs)
+    assert metrics.converged and len(solves) > 2 and all(solves)
+    assert builds == [metal_gs.grids.n_b]
+    assert metal_gs._derived == {}
+
+    # a stall inside the outer solve drops it too
+    calls = []
+
+    def stall_second(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            _stalled_sternheimer()
+        return apply_dielectric(*args, **kwargs)
+
+    monkeypatch.setattr("pwdyson.harness.apply_dielectric", stall_second)
+    with pytest.raises(NonConvergenceError, match="Sternheimer"):
+        run_response(tiny_config(metal_gs), gs=metal_gs)
+    assert len(builds) == 2
+    assert metal_gs._derived == {}
+    monkeypatch.setattr("pwdyson.harness.apply_dielectric", apply_dielectric)
+
+    # a corrupted extra band raises from the production path before any CG step
+    u = metal_gs.u.copy()
+    a, b = metal_gs.u[:, metal_gs.n_occ - 1], metal_gs.u[:, metal_gs.n_occ]
+    u[:, metal_gs.n_occ - 1], u[:, metal_gs.n_occ] = (a + b) / np.sqrt(2), (b - a) / np.sqrt(2)
+    mixed = dataclasses.replace(metal_gs, u=u)
+    solves.clear()
+    with pytest.raises(InvariantViolationError, match="extra bands"):
+        run_response(tiny_config(mixed), gs=mixed)
+    assert solves == [] and len(builds) == 3
+    assert mixed._derived == {}
+
+
 def test_run_response_drops_what_the_solve_derived(metal_gs, monkeypatch):
     run_response(tiny_config(metal_gs), gs=metal_gs)
     assert metal_gs._derived == {}
@@ -468,6 +584,7 @@ def test_verify_suite_passes_on_tiny_model(metal_gs, tmp_path):
     for check in result["checks"]:
         assert check["margin"] >= 1.0
     assert json.load(open(os.path.join(out, "verify.json")))["ok"]
+    assert metal_gs._derived == {}
 
 
 def test_verify_negative_control(metal_gs):

@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 import scipy.fft
+from hypothesis import HealthCheck, assume, example, given, settings
+from hypothesis import strategies as st
 
 from pwdyson import ConfigurationError, FourierGrids, Lattice, build_grids
+from pwdyson.pwbasis import from_cos_sin, to_cos_sin
 
 
 def brute_force_sphere_count(lattice, e_cut):
@@ -205,14 +208,21 @@ def test_pruned_transforms_match_full_cube_fft(cell, e_cut):
     xs = rng.standard_normal((3, grids.n_b)) + 1j * rng.standard_normal((3, grids.n_b))
     us = rng.standard_normal((3, grids.n_g)) + 1j * rng.standard_normal((3, grids.n_g))
     us[0] = us[0].real
-    many_real = grids.to_real_many(xs)
+    # the real pair on the cos/sin rows of real functions
+    rows = xs.real
+    many_real = grids.to_real_many(rows)
+    many_fourier = grids.to_fourier_many(us.real)
     for k in range(3):
         expected = ref_real(xs[k])
-        for got in (grids.to_real(xs[k]), many_real[k]):
-            assert np.linalg.norm(got - expected) <= 1e-13 * np.linalg.norm(expected)
+        got = grids.to_real(xs[k])
+        assert np.linalg.norm(got - expected) <= 1e-13 * np.linalg.norm(expected)
+        expected = ref_real(from_cos_sin(rows[k]))
+        assert np.linalg.norm(many_real[k] - expected) <= 1e-13 * np.linalg.norm(expected)
         expected = ref_fourier(us[k])
         got = grids.to_fourier(us[k])
         assert np.linalg.norm(got - expected) <= 1e-13 * np.linalg.norm(expected)
+        expected = to_cos_sin(ref_fourier(us[k].real))
+        assert np.linalg.norm(many_fourier[k] - expected) <= 1e-13 * np.linalg.norm(expected)
 
 
 def test_gamma_only_grid_transforms():
@@ -253,10 +263,62 @@ def test_norm_identities():
 def test_batched_transforms_agree():
     rng = np.random.default_rng(11)
     grids = build_grids(Lattice.cubic(2.0), 8.0)
-    xs = rng.standard_normal((5, grids.n_b)) + 1j * rng.standard_normal((5, grids.n_b))
-    many = grids.to_real_many(xs)
+    rows = rng.standard_normal((5, grids.n_b))
+    many = grids.to_real_many(rows)
+    values = rng.standard_normal((5, grids.n_g))
+    many_fourier = grids.to_fourier_many(values)
+    assert many.dtype == many_fourier.dtype == np.float64
     for k in range(5):
-        np.testing.assert_allclose(many[k], grids.to_real(xs[k]), rtol=1e-13, atol=1e-13)
+        np.testing.assert_allclose(many[k], grids.to_real(from_cos_sin(rows[k])),
+                                   rtol=1e-13, atol=1e-13)
+        np.testing.assert_allclose(many_fourier[k], to_cos_sin(grids.to_fourier(values[k])),
+                                   rtol=1e-13, atol=1e-13)
+
+
+def test_real_pair_refuses_complex_input():
+    # the real pair has no imaginary part to carry: it raises rather than drop it
+    grids = build_grids(Lattice.cubic(2.0), 8.0)
+    with pytest.raises(TypeError, match="real"):
+        grids.to_fourier_many(np.ones((2, grids.n_g), dtype=complex))
+    with pytest.raises(TypeError, match="real"):
+        grids.to_real_many(np.ones((2, grids.n_b), dtype=complex))
+    with pytest.raises(ValueError):
+        grids.to_real_many(np.ones((2, grids.n_b + 1)))
+    with pytest.raises(ValueError):
+        grids.to_fourier_many(np.ones(grids.n_g))
+
+
+@given(lengths=st.tuples(*[st.floats(1.5, 5.0)] * 3),
+       shear=st.tuples(*[st.floats(-0.6, 0.6)] * 3),
+       n_target=st.floats(1.0, 400.0), seed=st.integers(0, 2**32 - 1))
+@example(lengths=(2 * np.pi,) * 3, shear=(0.0, 0.0, 0.0), n_target=0.09, seed=0)  # gamma only
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_real_pair_matches_full_cube_fft(lengths, shear, n_target, seed):
+    """The real pair against `ifftn`/`fftn` of the zero-padded cube, plus the sphere round trip.
+
+    Orthorhombic cells (zero shear) and sheared ones, with the cutoff
+    chosen for about n_target sphere points; n_b <= 400.
+    """
+    ax, ay, az = lengths
+    lattice = Lattice.from_vectors([ax, 0, 0], [shear[0], ay, 0], [shear[1], shear[2], az])
+    e_cut = 0.5 * (n_target * 3 * np.pi**2 / (np.sqrt(2.0) * lattice.volume)) ** (2 / 3)
+    grids = FourierGrids(lattice, e_cut)
+    assume(grids.n_b <= 400)
+    ref_real, ref_fourier = full_cube_transforms(grids)
+    rng = np.random.default_rng(seed)
+    rows = rng.standard_normal((3, grids.n_b))
+    values = rng.standard_normal((3, grids.n_g))
+    on_grid = grids.to_real_many(rows)
+    on_sphere = grids.to_fourier_many(values)
+    assert on_grid.dtype == on_sphere.dtype == np.float64
+    for k in range(3):
+        expected = ref_real(from_cos_sin(rows[k]))
+        assert np.linalg.norm(on_grid[k] - expected) <= 1e-13 * np.linalg.norm(expected)
+        expected = to_cos_sin(ref_fourier(values[k]))
+        assert np.abs(expected.imag).max() <= 1e-13 * np.linalg.norm(expected)
+        assert np.linalg.norm(on_sphere[k] - expected.real) <= 1e-13 * np.linalg.norm(expected)
+    back = grids.to_fourier_many(on_grid)
+    assert np.linalg.norm(back - rows) <= 1e-13 * np.linalg.norm(rows)
 
 
 def test_length_mismatch_raises():

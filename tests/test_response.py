@@ -19,7 +19,7 @@ from pwdyson.response import (
     dielectric_error_bound,
     orbital_row_norm,
 )
-from pwdyson.pwbasis import from_cos_sin, real_basis
+from pwdyson.pwbasis import from_cos_sin
 from pwdyson.sternheimer import project_out_occupied, solve_sternheimer
 
 from conftest import dense_chi0_oracle
@@ -87,7 +87,11 @@ def test_occupied_orbitals_in_real_space_are_kept_read_only(metal_gs):
     gs = metal_gs
     psi_r = gs.psi_occ_real
     assert psi_r is gs.psi_occ_real
-    np.testing.assert_array_equal(psi_r, gs.grids.to_real_many(gs.phi_occ.T))
+    assert psi_r.dtype == np.float64 and psi_r.shape == (gs.n_occ, gs.grids.n_g)
+    np.testing.assert_array_equal(psi_r, gs.grids.to_real_many(gs.u_occ.T))
+    for n in (0, gs.n_occ - 1):
+        psi_n = gs.grids.to_real(gs.phi[:, n])
+        assert np.linalg.norm(psi_r[n] - psi_n) <= 1e-13 * np.linalg.norm(psi_n)
     with pytest.raises(ValueError):
         psi_r[0, 0] = 0.0
 
@@ -250,26 +254,29 @@ def test_split_chi0_matches_dense_oracle_tightly(fixture, request):
 
 @pytest.mark.parametrize("fixture", ["wide_gs", "metal_gs"])
 def test_split_band_response_equals_occupied_complement_solve(fixture, request):
-    # extra-band sum over states + solve on range(Q_kept) == solve on range(Q_occ)
+    # extra-band sum over states + solve on range(Q_kept) == solve on range(Q_occ),
+    # all in the cos/sin basis, where the kept orbitals are the real columns of u
     gs = request.getfixturevalue(fixture)
     rng = np.random.default_rng(16)
     dvpsi, _ = _occupied_matrix(gs, rng.standard_normal(gs.grids.n_g))
-    extra = _extra_band_response(gs, _kept_bases(gs)[0], dvpsi)
+    extra = _extra_band_response(gs, dvpsi)
+    occ, kept = gs.u_occ, gs.u
     for n in range(gs.n_occ):
-        whole = solve_sternheimer(gs, [n], -project_out_occupied(gs.phi_occ, dvpsi[n])[None],
-                                  1e-14, real_basis(gs.phi_occ)).solution[0]
-        rest = solve_sternheimer(gs, [n], -project_out_occupied(gs.phi, dvpsi[n])[None],
-                                 1e-14, real_basis(gs.phi)).solution[0]
+        whole = solve_sternheimer(gs, [n], -project_out_occupied(occ, dvpsi[n], occ.T)[None],
+                                  1e-14, occ).solution[0]
+        rest = solve_sternheimer(gs, [n], -project_out_occupied(kept, dvpsi[n], kept.T)[None],
+                                 1e-14, kept).solution[0]
         assert np.linalg.norm(extra[:, n] + rest - whole) <= 1e-10 * np.linalg.norm(whole)
 
 
 def test_kept_complement_solution_has_no_kept_component(wide_gs):
     gs = wide_gs
     rng = np.random.default_rng(17)
-    rhs = project_out_occupied(gs.phi, from_cos_sin(rng.standard_normal(gs.grids.n_b)))
+    rhs = project_out_occupied(gs.u, rng.standard_normal(gs.grids.n_b), gs.u.T)
+    basis, h_q = _kept_bases(gs)
     for n in range(gs.n_occ):
-        result = solve_sternheimer(gs, [n], rhs[None], 1e-11, _kept_bases(gs)[1])
-        leak = np.abs(gs.phi.conj().T @ result.solution[0])
+        result = solve_sternheimer(gs, [n], rhs[None], 1e-11, basis, h_q=h_q)
+        leak = np.abs(gs.phi.conj().T @ from_cos_sin(result.solution[0]))
         assert leak.max() <= 1e-10 * np.linalg.norm(result.solution)
 
 
@@ -400,7 +407,7 @@ def test_row_norm_bounds_random_orthonormal(metal_gs):
 def test_row_norm_matches_direct_evaluation(metal_gs):
     gs = metal_gs
     grids = gs.grids
-    psi = grids.to_real_many(gs.phi_occ.T)
+    psi = np.array([grids.to_real(phi) for phi in gs.phi_occ.T])
     direct = np.sqrt(np.max(np.sum(np.abs(psi.T) ** 2, axis=1)))
     assert orbital_row_norm(grids, gs.phi_occ) == pytest.approx(direct, rel=1e-14)
     # the orbitals are real functions: their real parts carry the whole norm

@@ -21,7 +21,7 @@ from pwdyson.groundstate import (
 from pwdyson.pwbasis import from_cos_sin, real_basis, to_cos_sin
 from pwdyson.sternheimer import (
     PRECONDITIONER_SHIFT_FLOOR,
-    _fold_projector,
+    fold_projector,
     project_out_occupied,
     solve_sternheimer,
 )
@@ -38,6 +38,18 @@ def tiny_gs():
         ),
     )
     return run_scf(model, tol=1e-11, max_iter=300, damping=0.3)
+
+
+def solve_on_sphere(gs, bands, rhs, tol, basis, **kwargs):
+    """`solve_sternheimer` with right-hand sides and solutions as sphere coefficients.
+
+    The solver works on the real cos/sin rows T b_n: the rows are mapped
+    with T on the way in (complex rows whose imaginary part is not
+    round-off are the solver's to reject) and back with T^H on the way out.
+    """
+    result = solve_sternheimer(gs, bands, to_cos_sin(rhs), tol, basis, **kwargs)
+    result.solution = from_cos_sin(result.solution)
+    return result
 
 
 def real_functions(rng, shape):
@@ -65,7 +77,7 @@ def test_projector_with_kept_adjoint_is_bit_identical(tiny_gs):
     rng = np.random.default_rng(5)
     psi = rng.standard_normal(tiny_gs.grids.n_b) + 1j * rng.standard_normal(tiny_gs.grids.n_b)
     phi = tiny_gs.phi_occ
-    np.testing.assert_array_equal(project_out_occupied(phi, psi, tiny_gs.phi_occ_h),
+    np.testing.assert_array_equal(project_out_occupied(phi, psi, phi.conj().T),
                                   project_out_occupied(phi, psi))
 
 
@@ -100,8 +112,8 @@ def test_projector_pythagoras(tiny_gs):
 
 def test_zero_rhs_one_iteration(tiny_gs, h_applications):
     gs = tiny_gs
-    result = solve_sternheimer(gs, [0], np.zeros((1, gs.grids.n_b), dtype=complex),
-                               tol=1e-10, basis=real_basis(gs.phi_occ))
+    result = solve_on_sphere(gs, [0], np.zeros((1, gs.grids.n_b), dtype=complex),
+                             tol=1e-10, basis=real_basis(gs.phi_occ))
     assert result.cg_iterations == 1
     assert h_applications() == 1
     assert np.linalg.norm(result.solution) == 0.0
@@ -111,7 +123,7 @@ def test_counter_matches_iterations(tiny_gs, h_applications):
     gs = tiny_gs
     rng = np.random.default_rng(2)
     rhs = project_out_occupied(gs.phi_occ, real_functions(rng, gs.grids.n_b))
-    result = solve_sternheimer(gs, [1], rhs[None], tol=1e-9, basis=real_basis(gs.phi_occ))
+    result = solve_on_sphere(gs, [1], rhs[None], tol=1e-9, basis=real_basis(gs.phi_occ))
     assert h_applications() == result.cg_iterations
     assert result.final_residual_norm <= 1e-9
 
@@ -120,8 +132,8 @@ def test_solution_stays_in_unoccupied_range(tiny_gs):
     gs = tiny_gs
     rng = np.random.default_rng(3)
     rhs = project_out_occupied(gs.phi_occ, real_functions(rng, gs.grids.n_b))
-    result = solve_sternheimer(gs, [gs.n_occ - 1], rhs[None], tol=1e-11,
-                               basis=real_basis(gs.phi_occ))
+    result = solve_on_sphere(gs, [gs.n_occ - 1], rhs[None], tol=1e-11,
+                             basis=real_basis(gs.phi_occ))
     leak = np.linalg.norm(gs.phi_occ.conj().T @ result.solution[0])
     assert leak <= 1e-10 * np.linalg.norm(result.solution)
 
@@ -134,7 +146,7 @@ def test_matches_dense_pseudoinverse(tiny_gs):
         a = dense_operator(gs, n)
         rhs = project_out_occupied(gs.phi_occ, real_functions(rng, gs.grids.n_b))
         tol = 1e-10
-        result = solve_sternheimer(gs, [n], rhs[None], tol=tol, basis=real_basis(gs.phi_occ))
+        result = solve_on_sphere(gs, [n], rhs[None], tol=tol, basis=real_basis(gs.phi_occ))
         x_ref = np.linalg.pinv(a, rcond=1e-8) @ rhs
         a_pinv_norm = 1.0 / (gs.eps_gap_ref - gs.eps[n])
         err = np.linalg.norm(result.solution - x_ref)
@@ -151,7 +163,7 @@ def test_error_bounded_by_gap_scaled_residual(tiny_gs):
         rhs = project_out_occupied(gs.phi_occ, real_functions(rng, gs.grids.n_b))
         if x_exact is None:
             x_exact = np.linalg.pinv(a, rcond=1e-8)
-        result = solve_sternheimer(gs, [n], rhs[None], tol=tol, basis=real_basis(gs.phi_occ))
+        result = solve_on_sphere(gs, [n], rhs[None], tol=tol, basis=real_basis(gs.phi_occ))
         z = np.linalg.norm(result.solution - x_exact @ rhs)
         bound = result.final_residual_norm / (gs.eps_gap_ref - gs.eps[n])
         assert z <= bound * (1 + 1e-6)
@@ -162,8 +174,8 @@ def test_max_iter_raises_with_residual(tiny_gs, h_applications):
     rng = np.random.default_rng(6)
     rhs = project_out_occupied(gs.phi_occ, real_functions(rng, gs.grids.n_b))
     with pytest.raises(NonConvergenceError) as err:
-        solve_sternheimer(gs, [0], rhs[None], tol=1e-14, basis=real_basis(gs.phi_occ),
-                          max_iter=2)
+        solve_on_sphere(gs, [0], rhs[None], tol=1e-14, basis=real_basis(gs.phi_occ),
+                        max_iter=2)
     assert err.value.residual is not None and err.value.residual > 0
     assert err.value.cost == h_applications() == 2
 
@@ -176,8 +188,8 @@ def test_indefinite_operator_fails_fast(tiny_gs):
     rhs = project_out_occupied(phi, real_functions(rng, gs.grids.n_b))
     # a solve still running at step 2 would raise NonConvergenceError instead
     with pytest.raises(InvariantViolationError, match=f"band {gs.n_occ - 1}"):
-        solve_sternheimer(gs, [gs.n_occ - 1], rhs[None], tol=1e-10, basis=real_basis(phi),
-                          max_iter=2)
+        solve_on_sphere(gs, [gs.n_occ - 1], rhs[None], tol=1e-10, basis=real_basis(phi),
+                        max_iter=2)
 
 
 # -- block solves: every band keeps its own CG ------------------------------------
@@ -192,11 +204,11 @@ def test_block_solve_matches_one_row_solves(metal_gs):
     gs = metal_gs
     rhs = _block_rhs(gs, 8)
     tols = np.geomspace(1e-6, 1e-11, gs.n_occ)
-    block = solve_sternheimer(gs, range(gs.n_occ), rhs, tols, real_basis(gs.phi))
+    block = solve_on_sphere(gs, range(gs.n_occ), rhs, tols, real_basis(gs.phi))
     assert isinstance(block.cg_iterations, int)
     assert block.cg_iterations == sum(block.iterations_per_band)
     for n in range(gs.n_occ):
-        one = solve_sternheimer(gs, [n], rhs[n:n + 1], tols[n], real_basis(gs.phi))
+        one = solve_on_sphere(gs, [n], rhs[n:n + 1], tols[n], real_basis(gs.phi))
         assert block.iterations_per_band[n] == one.iterations_per_band[0] == one.cg_iterations
         assert (np.linalg.norm(block.solution[n] - one.solution[0])
                 <= 1e-12 * np.linalg.norm(one.solution[0]))
@@ -207,10 +219,10 @@ def test_zero_rhs_row_costs_one_application(metal_gs, h_applications):
     gs = metal_gs
     rhs = _block_rhs(gs, 9)
     bands = range(gs.n_occ)
-    full = solve_sternheimer(gs, bands, rhs, 1e-9, real_basis(gs.phi))
+    full = solve_on_sphere(gs, bands, rhs, 1e-9, real_basis(gs.phi))
     rhs[1] = 0.0
     before = h_applications()
-    zeroed = solve_sternheimer(gs, bands, rhs, 1e-9, real_basis(gs.phi))
+    zeroed = solve_on_sphere(gs, bands, rhs, 1e-9, real_basis(gs.phi))
     assert h_applications() - before == zeroed.cg_iterations
     assert zeroed.iterations_per_band[1] == 1
     assert np.linalg.norm(zeroed.solution[1]) == 0.0
@@ -226,7 +238,7 @@ def test_counter_sums_per_band_iterations_as_bands_drop_out(metal_gs, h_applicat
     rhs = _block_rhs(gs, 10)
     tols = np.full(gs.n_occ, 1e-11)
     tols[::2] = 1e-4                        # these bands stop early
-    result = solve_sternheimer(gs, range(gs.n_occ), rhs, tols, real_basis(gs.phi))
+    result = solve_on_sphere(gs, range(gs.n_occ), rhs, tols, real_basis(gs.phi))
     assert h_applications() == result.cg_iterations == sum(result.iterations_per_band)
     iters = np.array(result.iterations_per_band)
     assert iters[::2].max() < iters[1::2].min()
@@ -239,10 +251,10 @@ def test_stall_cost_counts_converged_and_stalled_bands(metal_gs, h_applications)
     basis = real_basis(gs.phi)
     tols = np.full(gs.n_occ, 1e-14)
     tols[0] = 1e-4
-    early = solve_sternheimer(gs, [0], rhs[:1], tols[0], basis).cg_iterations
+    early = solve_on_sphere(gs, [0], rhs[:1], tols[0], basis).cg_iterations
     before = h_applications()
     with pytest.raises(NonConvergenceError) as err:
-        solve_sternheimer(gs, range(gs.n_occ), rhs, tols, basis, max_iter=early + 3)
+        solve_on_sphere(gs, range(gs.n_occ), rhs, tols, basis, max_iter=early + 3)
     assert err.value.cost == h_applications() - before == early + (gs.n_occ - 1) * (early + 3)
 
 
@@ -365,7 +377,7 @@ def test_real_block_cg_matches_textbook_complex_cg(fixture, request):
     basis = real_basis(gs.phi)
     for seed, tol in ((22, 1e-6), (23, 1e-10), (24, 1e-13)):
         rhs = _block_rhs(gs, seed)
-        block = solve_sternheimer(gs, range(gs.n_occ), rhs, tol, basis)
+        block = solve_on_sphere(gs, range(gs.n_occ), rhs, tol, basis)
         for n in range(gs.n_occ):
             x, iterations = textbook_cg(gs, n, rhs[n], tol, gs.phi)
             assert block.iterations_per_band[n] == iterations
@@ -400,23 +412,30 @@ def test_complex_gauge_rhs_rejected(metal_gs, h_applications):
     gs = metal_gs
     rhs = _block_rhs(gs, 25)
     basis = real_basis(gs.phi)
-    solve_sternheimer(gs, range(gs.n_occ), rhs, 1e-8, basis)
+    solve_on_sphere(gs, range(gs.n_occ), rhs, 1e-8, basis)
     rhs[1] *= np.exp(0.25j)
     with pytest.raises(InvariantViolationError, match="row 1 is not a real function"):
-        solve_sternheimer(gs, range(gs.n_occ), rhs, 1e-8, basis)
+        solve_on_sphere(gs, range(gs.n_occ), rhs, 1e-8, basis)
     with pytest.raises(InvariantViolationError, match="not a real function"):
-        solve_sternheimer(gs, [0], 1j * _block_rhs(gs, 26)[:1], 1e-8, basis)
+        solve_on_sphere(gs, [0], 1j * _block_rhs(gs, 26)[:1], 1e-8, basis)
 
 
 def test_rhs_of_real_orbitals_is_real_to_roundoff(metal_gs):
     # the right-hand sides apply_chi0 builds: -Q dv phi_n for a real dv
     from pwdyson.response import _occupied_matrix
 
+    # is built from real rows T(dv phi_n); the complex transforms of the same
+    # products give those rows with an imaginary part at round-off
     gs = metal_gs
-    dvpsi, _ = _occupied_matrix(gs, np.random.default_rng(27).standard_normal(gs.grids.n_g))
-    rows = to_cos_sin(-project_out_occupied(gs.phi, dvpsi.T).T)
+    dv = np.random.default_rng(27).standard_normal(gs.grids.n_g)
+    dvpsi, _ = _occupied_matrix(gs, dv)
+    assert dvpsi.dtype == np.float64
+    products = np.array([gs.grids.to_fourier(dv * gs.grids.to_real(phi)) for phi in gs.phi_occ.T])
+    rows = to_cos_sin(-project_out_occupied(gs.phi, products.T).T)
     rel = np.linalg.norm(rows.imag, axis=1) / np.linalg.norm(rows, axis=1)
     assert rel.max() <= 1e-14
+    real_rows = -project_out_occupied(gs.u, dvpsi.T, gs.u.T).T
+    assert np.linalg.norm(real_rows - rows.real) <= 1e-13 * np.linalg.norm(rows)
 
 
 @pytest.mark.parametrize("fixture", ["metal_gs", "tiny_gs"])
@@ -426,7 +445,7 @@ def test_fold_projector_gives_q_h_q(fixture, request):
     basis = real_basis(gs.phi)
     q = np.eye(gs.grids.n_b) - basis @ basis.T
     expected = q @ h @ q
-    _fold_projector(h, basis)
+    fold_projector(h, basis)
     scale = np.abs(expected).max()
     assert np.abs(h - expected).max() <= 1e-13 * scale
     assert np.abs(h - h.T).max() <= 1e-13 * scale
@@ -464,7 +483,7 @@ def test_one_row_cg_matches_dense_pseudo_inverse(center, amplitude, width, n_kep
     rows = rng.standard_normal((n_kept, grids.n_b))
     rows -= (rows @ basis) @ basis.T
     tol = 10.0 ** log_tol * np.linalg.norm(rows, axis=1)
-    result = solve_sternheimer(gs, range(n_kept), from_cos_sin(rows), tol, basis)
+    result = solve_on_sphere(gs, range(n_kept), from_cos_sin(rows), tol, basis)
     perp = u[:, n_kept:]
     for n in range(n_kept):
         exact = perp @ ((perp.T @ rows[n]) / (eps[n_kept:] - eps[n]))
