@@ -319,8 +319,9 @@ class GroundState:
     holds the same orbitals as sphere coefficients.
 
     Quantities derived for a response solve (`psi_occ_real`, the kept
-    bases with the projected Hamiltonian H_Q, the row norm) are cached
-    until `drop_derived`, which `run_response` calls when it ends.
+    bases with the Hamiltonian H_r, the bands' kinetic energies, the row
+    norm) are cached until `drop_derived`, which `run_response` calls
+    when it ends.
     """
 
     model: ModelSpec

@@ -42,6 +42,7 @@ from .sternheimer import solve_sternheimer
 from .strategies import StrategySpec, ToleranceContext, parse_strategy, select_tolerances
 
 TIGHT_CG_TOL = 1e-16
+BOUND_RTOL = 1e-12                  # round-off allowed on grt's bound-to-budget ratio
 HISTORY_COLUMNS = ("iter", "est_res", "true_res", "cum_ham", "mean_cg_tol", "mean_cg_iters")
 REPORT_FORMAT_VERSION = 1
 
@@ -135,9 +136,30 @@ def tolerance_context(gs: GroundState, rhs_norm: float) -> ToleranceContext:
     """The ground-state quantities the tolerance prefactors read, for one solve."""
     grids = gs.grids
     return ToleranceContext(
-        occ=gs.occ_occ, volume=grids.lattice.volume, n_g=grids.n_g,
-        row_norm=_cached_row_norm(gs), rhs_norm=rhs_norm,
+        occ=gs.occ_occ, gap=gs.eps_gap_ref - gs.eps_occ, volume=grids.lattice.volume,
+        n_g=grids.n_g, row_norm=_cached_row_norm(gs), rhs_norm=rhs_norm,
     )
+
+
+def bound_margin(gs: GroundState, spec: StrategySpec, budget: float, kv_norm: float,
+                 tolerances) -> float:
+    """budget / `dielectric_error_bound` of one application; inf when it solved nothing.
+
+    grt's tolerances invert the bound, so its margin is 1 up to round-off.
+
+    Raises:
+        InvariantViolationError: a grt application's bound exceeds its
+            granted budget by more than BOUND_RTOL relative.
+    """
+    if len(tolerances) == 0:
+        return np.inf
+    bound = dielectric_error_bound(gs, kv_norm, tolerances)
+    margin = budget / bound if bound > 0 else np.inf
+    if spec.kind == "grt" and margin < 1.0 - BOUND_RTOL:
+        raise InvariantViolationError(
+            f"{spec.name}: error bound {bound:.6e} exceeds the granted budget {budget:.6e} "
+            f"(margin {margin:.15f})")
+    return margin
 
 
 def build_perturbation(gs: GroundState, pert, spec: StrategySpec):
@@ -148,7 +170,8 @@ def build_perturbation(gs: GroundState, pert, spec: StrategySpec):
     central finite difference when the analytic flag is off).  The
     right-hand side applies chi0 in rescaled form, with per-band
     tolerances drawn from the strategy and the budget tau/3; the static
-    baselines use their fixed tolerance instead.
+    baselines use their fixed tolerance instead.  A grt application is
+    checked against its budget (`bound_margin`) before it is made.
     """
     model, grids = gs.model, gs.grids
     if pert.analytic:
@@ -188,6 +211,7 @@ def build_perturbation(gs: GroundState, pert, spec: StrategySpec):
         drho0, solve = apply_chi0(gs, dv0 / dv_norm, tols)
         return dv0, dv_norm * drho0, solve0.cg_iterations + solve.cg_iterations
     tols = select_tolerances(spec, ctx, budget, dv_norm)
+    bound_margin(gs, spec, budget, dv_norm, tols)
     drho0, solve = apply_chi0(gs, dv0 / dv_norm, tols)
     return dv0, dv_norm * drho0, solve.cg_iterations
 
@@ -198,8 +222,9 @@ def budgeted_dielectric(gs: GroundState, spec: StrategySpec, kernel: KernelSpec,
 
     The strategy turns each granted budget into per-band Sternheimer
     tolerances; with `kerker` the output is preconditioned.  Returns the
-    operator and the list it appends every (budget, DielectricApplication)
-    to, the latter without its output.
+    operator and the list it appends every (`bound_margin`,
+    DielectricApplication) to, the latter without its output; a grt
+    application whose bound exceeds its budget raises.
     """
     ctx = tolerance_context(gs, rhs_norm)
     applications = []
@@ -207,8 +232,9 @@ def budgeted_dielectric(gs: GroundState, spec: StrategySpec, kernel: KernelSpec,
     def op(v, budget):
         app = apply_dielectric(gs, kernel, v,
                                lambda kv_norm: select_tolerances(spec, ctx, budget, kv_norm))
+        margin = bound_margin(gs, spec, budget, app.kv_norm, app.tolerances_used)
         out = apply_kerker(kerker, gs.grids, app.output) if kerker else app.output
-        applications.append((budget, replace(app, output=None)))   # keep no n_g vectors
+        applications.append((margin, replace(app, output=None)))   # keep no n_g vectors
         return out, app.ham_applications
 
     return op, applications
@@ -305,11 +331,6 @@ def _solve_response(config: ExperimentConfig, spec: StrategySpec, gs: GroundStat
     else:
         final_true = true_residual(gs, kernel, report.solution, b)
         final_true_precond = np.nan
-    bound_margins = []
-    for budget, app in applications:
-        if app.tolerances_used:
-            bound = dielectric_error_bound(gs, app.kv_norm, app.tolerances_used)
-            bound_margins.append(budget / bound if bound > 0 else np.inf)
     true0 = b_norm
     eta = (float(-np.log10(final_true / true0) / n_ham)
            if (n_ham > 0 and final_true > 0 and true0 > 0) else np.nan)
@@ -323,7 +344,7 @@ def _solve_response(config: ExperimentConfig, spec: StrategySpec, gs: GroundStat
         restarts=[{"cycle": r.cycle, "reason": r.reason, "s_before": r.s_before,
                    "s_after": r.s_after} for r in report.restarts],
         s_final=report.s_final,
-        bound_margin_min=float(np.min(bound_margins)) if bound_margins else np.inf,
+        bound_margin_min=float(min((margin for margin, _ in applications), default=np.inf)),
     )
     metrics.solution = report.solution
     metrics.rhs = b
@@ -515,7 +536,7 @@ def verify_suite(config: ExperimentConfig, gs: GroundState = None,
     """Run the executable-lemma checks; returns {ok, checks: [...]}.
 
     Like `run_response`, it leaves the ground state without what the
-    checks derived from it (H_Q among them).
+    checks derived from it (H_r among them).
     """
     if gs is None:
         gs = ensure_ground_state(config)

@@ -27,7 +27,7 @@ from .errors import InvariantViolationError
 from .groundstate import GroundState, real_hamiltonian
 from .kernels import KernelSpec, apply_kernel
 from .pwbasis import from_cos_sin, to_cos_sin
-from .sternheimer import fold_projector, project_out_occupied, solve_sternheimer
+from .sternheimer import project_out_occupied, solve_sternheimer
 
 DEGENERACY_RTOL = 1e-8
 EXTRA_BAND_RESIDUAL_LIMIT = 1e-10
@@ -144,16 +144,15 @@ def _occupied_orbital_response(gs: GroundState, m: np.ndarray) -> np.ndarray:
 
 
 def _kept_bases(gs: GroundState) -> tuple:
-    """(R, H_Q) of every kept band, computed once per state.
+    """(R, H_r) of every kept band, computed once per state.
 
     R = T Phi, the state's real orbitals `u`, is the real basis the
-    Sternheimer CG projects against, and H_Q = Q H_r Q with
-    Q = I - R R^T is the operator it applies: H_r is built once, and
-    every solve until `drop_derived` reuses it.  The extra-band sum over
-    states in `apply_chi0` is exact only for eigenvectors of H[v_local],
-    so H_r first checks ||H_r u_e - eps_e u_e|| for every extra band (a
-    diagnostic is not a Hamiltonian application); then Q is folded into
-    it in place.
+    Sternheimer CG projects against, and H_r is the Hamiltonian it
+    applies: built once, and reused by every solve until `drop_derived`.
+    The extra-band sum over states in `apply_chi0` is exact only for
+    eigenvectors of H[v_local], so ||H_r u_e - eps_e u_e|| is checked for
+    every extra band first (a diagnostic is not a Hamiltonian
+    application).
 
     Raises:
         InvariantViolationError: an extra band's eigen-residual exceeds
@@ -168,7 +167,6 @@ def _kept_bases(gs: GroundState) -> tuple:
             raise InvariantViolationError(
                 f"kept extra bands are not eigenvectors of H: residual {worst:.2e} "
                 f"> {EXTRA_BAND_RESIDUAL_LIMIT:.0e}")
-        fold_projector(h, gs.u)
         return gs.u, h
     return gs.derived("kept_bases", compute)
 
@@ -201,13 +199,13 @@ def apply_chi0(gs: GroundState, dv: np.ndarray, tolerances) -> tuple:
         raise ValueError("Sternheimer tolerances must be positive")
 
     psi_r = gs.psi_occ_real                                   # (n_occ, n_g) real
-    basis, h_q = _kept_bases(gs)
+    basis, h_r = _kept_bases(gs)
     dvpsi, m = _occupied_matrix(gs, dv)
     _, _, delta_f = _first_order_occupations(gs, m)
     dphi = _occupied_orbital_response(gs, m) + _extra_band_response(gs, dvpsi)
 
     rhs = -project_out_occupied(basis, dvpsi.T, basis.T).T
-    solve = solve_sternheimer(gs, np.arange(n_occ), rhs, tolerances, basis, h_q=h_q)
+    solve = solve_sternheimer(gs, np.arange(n_occ), rhs, tolerances, basis, h_r=h_r)
     dphi += solve.solution.T
     # every array below is real; in place, as these (n_occ, n_g) arrays
     # set the memory high-water mark: psi (2 f dphi + delta_f psi)

@@ -17,16 +17,19 @@ right-hand side T b_n is real, so a band is one real row: the solve
 takes and returns real cos/sin rows, and a complex row with an imaginary
 part above round-off is rejected.
 
-Q is folded into the Hamiltonian once per response solve, not per call:
-H_Q = Q H_r Q, formed in place by a rank-2m update (`fold_projector`),
-is built with the kept bases (`response._kept_bases`) and handed to
-every call; a call given no H_Q builds its own.  A CG step then applies
-A_n = H_Q - eps_n on range(Q) and re-projects only the residual and the
-preconditioned residual, to stop roundoff from leaking components along
-Phi back in; each band's iterate is projected once, when the band stops.
+The search directions stay in range(Q), so a CG step applies
+A_n = H_r - eps_n to them unprojected and re-projects only the residual
+and the preconditioned residual, which stops roundoff from leaking
+components along Phi back in; each band's iterate is projected once,
+when the band stops.  H_r is built once per response solve
+(`response._kept_bases`) and handed to every call; a call given none
+builds its own.
+
+Each band is preconditioned by diag(1/(|G|^2/2 + T_n)), with T_n its
+kinetic energy (Teter, Payne and Allan, Phys. Rev. B 40, 12255 (1989)).
 
 The bands' CG runs are independent and share one Hamiltonian, so they
-advance in lockstep: each step applies H_Q to every band still iterating
+advance in lockstep: each step applies H_r to every band still iterating
 in one real matrix product, while each band keeps its own step lengths,
 preconditioner shift, tolerance and stopping iteration; converged bands
 drop out.
@@ -39,9 +42,6 @@ import numpy as np
 from .errors import InvariantViolationError, NonConvergenceError
 from .groundstate import GroundState, real_hamiltonian
 from .pwbasis import real_rows
-
-PRECONDITIONER_SHIFT_FLOOR = 0.1
-_FOLD_ROWS = 64             # rows of H per block of the projector fold
 
 
 @dataclass
@@ -69,34 +69,32 @@ def _band_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("bi,bi->b", a, b)
 
 
-def fold_projector(h: np.ndarray, basis: np.ndarray):
-    """h <- Q h Q in place for a symmetric h, Q = I - R R^T with R = basis.
+def kinetic_energies(gs: GroundState) -> np.ndarray:
+    """T_n = <phi_n|-Laplacian/2|phi_n> of every kept band, computed once per state.
 
-    Q H Q = H - R U^T - U R^T with U = H R - R (R^T H R) / 2: one rank-2m
-    update, applied in blocks of _FOLD_ROWS rows, so no n_b x n_b
-    temporary is made.
+    A band with T_n = 0, the constant lowest band of a free-electron
+    model, is given the smallest nonzero |G|^2/2 of the sphere instead,
+    which keeps its preconditioner positive definite.
     """
-    u = h @ basis
-    u -= basis @ (0.5 * (basis.T @ u))
-    left, right = np.hstack([basis, u]), np.hstack([u, basis]).T
-    for start in range(0, len(h), _FOLD_ROWS):
-        rows = slice(start, start + _FOLD_ROWS)
-        h[rows] -= left[rows] @ right
+    def compute():
+        g2 = gs.grids.g2_sphere
+        return np.maximum(0.5 * (g2 @ gs.u ** 2), 0.5 * np.min(g2, where=g2 > 0, initial=np.inf))
+    return gs.derived("kinetic_energies", compute)
 
 
 def solve_sternheimer(gs: GroundState, bands, rhs: np.ndarray, tol, basis: np.ndarray,
-                      max_iter: int = None, h_q: np.ndarray = None) -> SternheimerResult:
+                      max_iter: int = None, h_r: np.ndarray = None) -> SternheimerResult:
     """CG on A_n = Q (H - eps_n) Q with kinetic-energy preconditioning, per band.
 
-    The preconditioner is Q diag(1/(|G|^2/2 + c_n)) Q with
-    c_n = max(eps_n, 0.1), which stays positive definite for bands with
-    nonpositive eigenvalues.  Every band performs at least one iteration
-    (one A application), even for a zero rhs; each band's step applies H to
-    one vector, so `cg_iterations` is the solve's Hamiltonian cost.
+    The preconditioner is Q diag(1/(|G|^2/2 + T_n)) Q with T_n the band's
+    kinetic energy (`kinetic_energies`), positive for every band.  Every
+    band performs at least one iteration (one A application), even for a
+    zero rhs; each band's step applies H to one vector, so
+    `cg_iterations` is the solve's Hamiltonian cost.
 
     Args:
-        gs: converged ground state (grids, eigenvalues and the local
-            potential that defines H).
+        gs: converged ground state (grids, orbitals, eigenvalues and the
+            local potential that defines H).
         bands: k band indices (0-based) of the shifts eps_n.
         rhs: (k, n_b) right-hand sides T b_n, one real cos/sin row per
             band, already in range(Q).
@@ -105,8 +103,8 @@ def solve_sternheimer(gs: GroundState, bands, rhs: np.ndarray, tol, basis: np.nd
         basis: R = T Phi (`real_basis(Phi)`) of the orthonormal real
             eigenvectors of H spanning the space Q projects out; Phi must
             hold every eigenvector with eigenvalue <= eps_n.
-        h_q: Q H_r Q for this basis (`fold_projector`), as the response
-            solve holds it; built here when not given.
+        h_r: `real_hamiltonian` of the state, as the response solve holds
+            it; built here when not given.
 
     Returns the solutions as real cos/sin rows, T x_n.
 
@@ -131,14 +129,19 @@ def solve_sternheimer(gs: GroundState, bands, rhs: np.ndarray, tol, basis: np.nd
         max_iter = 10 * n_b
 
     # Work buffers, (k, n_b): row n is band n in the cos/sin basis.  The
-    # first `n` rows are the bands still iterating.
-    work = np.zeros((6, k, n_b))
-    x, r, p, ap, z, tmp = work
+    # first `n` rows are the bands still iterating.  The iterate and the
+    # residual share one buffer, and the search direction and -A p another,
+    # so one broadcast update advances both.
+    work = np.zeros((7, k, n_b))
+    xr, pa, update = work[0:2], work[2:4], work[4:6]
+    x, r = xr
+    p, nap = pa
+    z, tmp = work[6], update[0]
     r[:] = real_rows(rhs, atol=tol)
-    if h_q is None:
-        h_q = real_hamiltonian(grids, gs.v_local)
-        fold_projector(h_q, basis)              # symmetric: rows of A p are p^T H_Q
+    if h_r is None:
+        h_r = real_hamiltonian(grids, gs.v_local)   # symmetric: rows of H p are p^T H_r
     coef = np.empty((k, basis.shape[1]))
+    alpha = np.empty(k)
 
     def project(a, n):
         """a[:n] <- Q a[:n] in place."""
@@ -148,7 +151,7 @@ def solve_sternheimer(gs: GroundState, bands, rhs: np.ndarray, tol, basis: np.nd
         a[:n] -= tmp[:n]
 
     eps = gs.eps[bands][:, None]
-    minv = 1.0 / (0.5 * grids.g2_sphere + np.maximum(eps, PRECONDITIONER_SHIFT_FLOOR))
+    minv = 1.0 / (0.5 * grids.g2_sphere + kinetic_energies(gs)[bands][:, None])
     solution = np.zeros((k, n_b))
     residual = np.zeros(k)
     iterations = np.zeros(k, dtype=int)
@@ -161,17 +164,17 @@ def solve_sternheimer(gs: GroundState, bands, rhs: np.ndarray, tol, basis: np.nd
     step = 0
 
     while True:
-        np.matmul(p[:n], h_q, out=ap[:n])
+        np.matmul(p[:n], h_r, out=nap[:n])
         np.multiply(eps, p[:n], out=tmp[:n])
-        ap[:n] -= tmp[:n]
+        np.subtract(tmp[:n], nap[:n], out=nap[:n])
         step += 1
-        denom = _band_dots(p[:n], ap[:n])
+        denom = -_band_dots(p[:n], nap[:n])
         curved = denom > 0
-        alpha = np.divide(rz, denom, out=np.zeros_like(rz), where=curved)[:, None]
-        np.multiply(alpha, p[:n], out=tmp[:n])
-        x[:n] += tmp[:n]
-        np.multiply(alpha, ap[:n], out=tmp[:n])
-        r[:n] -= tmp[:n]
+        step_length = alpha[:n]
+        step_length.fill(0.0)
+        np.divide(rz, denom, out=step_length, where=curved)
+        np.multiply(step_length[:, None], pa[:, :n], out=update[:, :n])
+        xr[:, :n] += update[:, :n]              # x += alpha p, r -= alpha A p
         project(r, n)
         res = np.sqrt(_band_dots(r[:n], r[:n]))
         done = res <= tol

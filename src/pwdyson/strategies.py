@@ -6,6 +6,8 @@ error budget granted for the application at hand: tau/3 for the
 right-hand-side build, and inside the solve the budget
 (s / 3m) tau / ||r~_{i-1}|| that `igmres_solve` hands the operator.  So
 honoured tolerances translate directly into an honoured operator budget.
+grt inverts `response.dielectric_error_bound`: its tolerances make that
+bound equal the granted budget, up to round-off and the tolerance floor.
 """
 
 from dataclasses import dataclass
@@ -58,11 +60,13 @@ def parse_strategy(name: str, tau: float, m: int) -> StrategySpec:
 class ToleranceContext:
     """What the prefactors read from the ground state, fixed for one solve.
 
-    `occ` holds the occupations of the occupied bands; `rhs_norm` is
-    ||chi0 dV0||, read only by d10n.
+    `occ` holds the occupations of the occupied bands and `gap` their
+    distances eps_{N_occ+1} - eps_n to the lowest retained unoccupied
+    level, read only by grt; `rhs_norm` is ||chi0 dV0||, read only by d10n.
     """
 
     occ: np.ndarray
+    gap: np.ndarray
     volume: float
     n_g: int
     row_norm: float
@@ -99,7 +103,8 @@ def select_tolerances(spec: StrategySpec, ctx: ToleranceContext, budget: float,
             if spec.kind == "grt":
                 _require(kv_norm, "kv_norm", spec.kind)
                 _require(ctx.row_norm, "row_norm", spec.kind)
-                prefactor = band / (kv_norm * ctx.row_norm)
+                gap = np.asarray(_require(ctx.gap, "gap", spec.kind), dtype=float)
+                prefactor = band * gap / (kv_norm * ctx.row_norm)
             else:  # bal
                 prefactor = band * np.sqrt(ctx.volume) / np.sqrt(ctx.n_occ)
         tol = prefactor * shared

@@ -11,11 +11,10 @@ from pwdyson.groundstate import GaussianWell, ModelSpec, run_scf
 def h_applications(monkeypatch):
     """Callable returning how many band vectors the Sternheimer CG has multiplied by H.
 
-    The CG applies the array `real_hamiltonian` returns, with the projector
-    folded into it in place, H_Q = Q H_r Q: the one `response._kept_bases`
-    holds for a response solve (counted as it is handed out, so an H_Q
-    cached before the test counts too), or one `solve_sternheimer` builds
-    itself when it is given none.  Every product y @ H with that array on
+    The CG applies the array `real_hamiltonian` returns, H_r: the one
+    `response._kept_bases` holds for a response solve (counted as it is
+    handed out, so an H_r cached before the test counts too), or one
+    `solve_sternheimer` builds itself when it is given none.  Every product y @ H with that array on
     the right counts the rows of y.  A band vector is one real row in the
     cos/sin basis, so the count is the number of band-vector products with
     H, and the returned costs can be checked against the work actually
@@ -39,8 +38,8 @@ def h_applications(monkeypatch):
     kept_bases = response._kept_bases
 
     def counted_kept_bases(gs):
-        basis, h_q = kept_bases(gs)
-        return basis, h_q.view(Counted)
+        basis, h_r = kept_bases(gs)
+        return basis, h_r.view(Counted)
     monkeypatch.setattr(response, "_kept_bases", counted_kept_bases)
     return lambda: rows[0]
 

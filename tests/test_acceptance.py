@@ -7,7 +7,7 @@ archives between sessions.
 Criterion 2 checks the static-tolerance failure against the floor the
 restarted solver provably settles at: each restart refreshes the residual
 with the same static operator, so d10's true residual ends at
-||(E~ - E) x*|| (1.35 tau on the shipped toy metal), not at a fixed
+||(E~ - E) x*|| (1.57 tau on the shipped toy metal), not at a fixed
 multiple of tau.  The larger pre-refresh gap (76.5 tau at the first tau/3
 flag with m = 250, before the Schur-complement split) is described in the
 test docstring.
@@ -120,9 +120,9 @@ def test_criterion_2_static_tolerance_failure(toy_metal, metal_runs):
     magnitude d10 misses tau by is that floor, computed here at d10's own
     solution, and not a fixed multiple of tau.
 
-    Measured on the shipped toy_metal config: d10 stops at 1.35e-9
-    (1.35 tau) against a floor of 1.33e-9, estimate 3.2e-10; pd10 stops
-    at 1.36e-9.  The paper's larger gap shows before the refresh: with
+    Measured on the shipped toy_metal config: d10 stops at 1.61e-9
+    (1.61 tau) against a floor of 1.57e-9, estimate 3.23e-10; pd10 stops
+    at 1.55e-9.  The paper's larger gap shows before the refresh: with
     m = 250 the first tau/3 flag came at iteration 38 with the true
     residual at 7.65e-8 (76.5 tau), measured before the Sternheimer solves
     moved to the complement of the kept extra bands; the s-violation

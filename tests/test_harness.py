@@ -29,7 +29,9 @@ from pwdyson.config import (
 )
 from pwdyson.groundstate import GaussianWell, ModelSpec, external_potential
 from pwdyson.harness import (
+    BOUND_RTOL,
     TIGHT_CG_TOL,
+    budgeted_dielectric,
     build_perturbation,
     check_orthonormality,
     compare_strategies,
@@ -410,8 +412,8 @@ def test_run_response_reraises_sternheimer_stall(metal_gs, monkeypatch):
 
 
 def test_run_response_builds_h_r_once_and_drops_it(metal_gs, monkeypatch):
-    # one H_r per response solve: the extra-band guard runs on it, then Q is
-    # folded into it, and every application of chi0 reuses it until the end
+    # one H_r per response solve: the extra-band guard runs on it, and every
+    # application of chi0 reuses it until the end
     import dataclasses
 
     from pwdyson import response, sternheimer
@@ -424,7 +426,7 @@ def test_run_response_builds_h_r_once_and_drops_it(metal_gs, monkeypatch):
         return original_h(grids, v_local)
 
     def recorded(*args, **kwargs):
-        solves.append(kwargs.get("h_q") is not None)
+        solves.append(kwargs.get("h_r") is not None)
         return original_solve(*args, **kwargs)
 
     for module in (response, sternheimer):
@@ -494,6 +496,40 @@ def test_budgets_reach_select_tolerances_unchanged(metal_gs, monkeypatch):
     # the right-hand-side build's tau/3 comes first, then one call per application
     assert budgets[0] == 1e-7 / 3.0
     assert budgets[1:] == granted
+
+
+def test_grt_honours_every_budget_it_is_granted(metal_gs):
+    for strategy in ("grt", "pgrt"):
+        metrics = run_response(tiny_config(metal_gs, strategy=strategy), gs=metal_gs)
+        assert metrics.converged and len(metrics.igmres.budgets) > 1
+        assert 1.0 - BOUND_RTOL <= metrics.bound_margin_min <= 1.0 + BOUND_RTOL
+        assert metrics.final_true_res <= 1e-7
+
+
+def test_grt_guard_raises_when_a_bound_exceeds_its_budget(metal_gs, monkeypatch):
+    # a doubled gap doubles grt's tolerances and so the bound: twice the budget
+    original = tolerance_context
+
+    def doubled(gs, rhs_norm):
+        ctx = original(gs, rhs_norm)
+        return replace(ctx, gap=2.0 * ctx.gap)
+
+    monkeypatch.setattr("pwdyson.harness.tolerance_context", doubled)
+    # the right-hand-side build is refused before its solve, and so is every
+    # application of the budgeted operator inside the solve
+    with pytest.raises(InvariantViolationError, match="exceeds the granted budget"):
+        run_response(tiny_config(metal_gs, strategy="pgrt"), gs=metal_gs)
+    assert metal_gs._derived == {}
+    spec = StrategySpec("grt", True, 1e-7, 8)
+    op, applications = budgeted_dielectric(metal_gs, spec, KernelSpec(xc=metal_gs.model.xc),
+                                           KerkerSpec(alpha=0.8), 1.0)
+    v = np.random.default_rng(18).standard_normal(metal_gs.grids.n_g)
+    with pytest.raises(InvariantViolationError, match=r"margin 0\.5"):
+        op(v, 1e-8)
+    assert applications == []
+    # bal carries no guarantee and is not held to the bound
+    metrics = run_response(tiny_config(metal_gs, strategy="pbal"), gs=metal_gs)
+    assert metrics.converged and metrics.bound_margin_min < 1.0 - BOUND_RTOL
 
 
 def test_run_response_est_res_monotone_within_cycles(metal_gs):

@@ -292,12 +292,17 @@ def test_real_pair_refuses_complex_input():
        shear=st.tuples(*[st.floats(-0.6, 0.6)] * 3),
        n_target=st.floats(1.0, 400.0), seed=st.integers(0, 2**32 - 1))
 @example(lengths=(2 * np.pi,) * 3, shear=(0.0, 0.0, 0.0), n_target=0.09, seed=0)  # gamma only
+# gamma only too: the one sphere coefficient, the mean of the values, nearly cancels
+@example(lengths=(2.0, 2.0, 2.0), shear=(0.0, 0.0, 0.0), n_target=2.0, seed=9934)
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_real_pair_matches_full_cube_fft(lengths, shear, n_target, seed):
     """The real pair against `ifftn`/`fftn` of the zero-padded cube, plus the sphere round trip.
 
     Orthorhombic cells (zero shear) and sheared ones, with the cutoff
-    chosen for about n_target sphere points; n_b <= 400.
+    chosen for about n_target sphere points; n_b <= 400.  The forward
+    transform's round-off scales with its input, w ||values|| (w the FFT
+    normalisation), not with its output, which can cancel almost entirely
+    when the sphere holds few points.
     """
     ax, ay, az = lengths
     lattice = Lattice.from_vectors([ax, 0, 0], [shear[0], ay, 0], [shear[1], shear[2], az])
@@ -315,8 +320,9 @@ def test_real_pair_matches_full_cube_fft(lengths, shear, n_target, seed):
         expected = ref_real(from_cos_sin(rows[k]))
         assert np.linalg.norm(on_grid[k] - expected) <= 1e-13 * np.linalg.norm(expected)
         expected = to_cos_sin(ref_fourier(values[k]))
-        assert np.abs(expected.imag).max() <= 1e-13 * np.linalg.norm(expected)
-        assert np.linalg.norm(on_sphere[k] - expected.real) <= 1e-13 * np.linalg.norm(expected)
+        scale = grids.w * np.linalg.norm(values[k])
+        assert np.abs(expected.imag).max() <= 1e-13 * scale
+        assert np.linalg.norm(on_sphere[k] - expected.real) <= 1e-13 * scale
     back = grids.to_fourier_many(on_grid)
     assert np.linalg.norm(back - rows) <= 1e-13 * np.linalg.norm(rows)
 

@@ -20,7 +20,7 @@ from pwdyson.response import (
     orbital_row_norm,
 )
 from pwdyson.pwbasis import from_cos_sin
-from pwdyson.sternheimer import project_out_occupied, solve_sternheimer
+from pwdyson.sternheimer import kinetic_energies, project_out_occupied, solve_sternheimer
 
 from conftest import dense_chi0_oracle
 
@@ -252,6 +252,25 @@ def test_split_chi0_matches_dense_oracle_tightly(fixture, request):
         assert np.linalg.norm(out - ref) <= 1e-10 * np.linalg.norm(ref)
 
 
+def test_chi0_of_free_electrons_preconditions_the_zero_kinetic_energy_band():
+    # no wells: the occupied band is the constant, T_0 = 0, and its
+    # preconditioner diag(1/(|G|^2/2 + T_0)) would divide by zero at G = 0
+    model = ModelSpec(lattice=Lattice.cubic(3.4), e_cut=3.8, n_electrons=2,
+                      temperature=5e-3, smearing="fermi_dirac", gaussians=())
+    gs = run_scf(model, tol=1e-11, max_iter=600, damping=0.3)
+    g2 = gs.grids.g2_sphere
+    assert gs.n_occ == 1 and 0.5 * (g2 @ gs.u[:, 0] ** 2) <= 1e-14
+    shift = kinetic_energies(gs)
+    assert shift[0] == 0.5 * np.min(g2[g2 > 0]) > 0
+    np.testing.assert_allclose(shift[1:], 0.5 * (g2 @ gs.u[:, 1:] ** 2), rtol=1e-14)
+    dv = np.random.default_rng(29).standard_normal(gs.grids.n_g)
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        out, solve = apply_chi0(gs, dv, tight_tols(gs))
+    assert solve.final_residual_norm[0] <= TIGHT
+    expected = dense_chi0_oracle(gs) @ dv
+    assert np.linalg.norm(out - expected) <= 1e-10 * np.linalg.norm(expected)
+
+
 @pytest.mark.parametrize("fixture", ["wide_gs", "metal_gs"])
 def test_split_band_response_equals_occupied_complement_solve(fixture, request):
     # extra-band sum over states + solve on range(Q_kept) == solve on range(Q_occ),
@@ -273,9 +292,9 @@ def test_kept_complement_solution_has_no_kept_component(wide_gs):
     gs = wide_gs
     rng = np.random.default_rng(17)
     rhs = project_out_occupied(gs.u, rng.standard_normal(gs.grids.n_b), gs.u.T)
-    basis, h_q = _kept_bases(gs)
+    basis, h_r = _kept_bases(gs)
     for n in range(gs.n_occ):
-        result = solve_sternheimer(gs, [n], rhs[None], 1e-11, basis, h_q=h_q)
+        result = solve_sternheimer(gs, [n], rhs[None], 1e-11, basis, h_r=h_r)
         leak = np.abs(gs.phi.conj().T @ from_cos_sin(result.solution[0]))
         assert leak.max() <= 1e-10 * np.linalg.norm(result.solution)
 

@@ -19,7 +19,8 @@ KV_NORM = 2.5
 
 
 def make_ctx(n_occ=3, **overrides):
-    defaults = dict(occ=np.array([2.0, 1.5, 0.5][:n_occ]), volume=64.0, n_g=512,
+    defaults = dict(occ=np.array([2.0, 1.5, 0.5][:n_occ]),
+                    gap=np.array([0.3, 0.2, 0.1][:n_occ]), volume=64.0, n_g=512,
                     row_norm=0.4, rhs_norm=0.05)
     defaults.update(overrides)
     return ToleranceContext(**defaults)
@@ -64,7 +65,7 @@ def test_grt_vs_bal_ratio_audit():
     budget = granted(m=m, tau=tau)
     grt = select_tolerances(StrategySpec("grt", False, tau, m), ctx, budget, KV_NORM)
     bal = select_tolerances(StrategySpec("bal", False, tau, m), ctx, budget, KV_NORM)
-    expected_ratio = 1.0 / (KV_NORM * ctx.row_norm * np.sqrt(ctx.volume / ctx.n_occ))
+    expected_ratio = ctx.gap / (KV_NORM * ctx.row_norm * np.sqrt(ctx.volume / ctx.n_occ))
     np.testing.assert_allclose(grt / bal, expected_ratio, rtol=1e-13)
 
 
@@ -88,6 +89,25 @@ def test_monotone_loosening_as_residual_shrinks():
             for r in residuals]
     for a, b in zip(tols, tols[1:]):
         assert np.all(b >= a)
+
+
+def test_grt_tolerances_invert_the_error_bound(metal_gs):
+    # the bound of grt's own tolerances is the granted budget, up to round-off
+    from pwdyson.response import dielectric_error_bound
+
+    ctx = harness.tolerance_context(metal_gs, rhs_norm=np.nan)
+    spec = StrategySpec("grt", True, 1e-9, 8)
+    for budget, kv_norm in ((1e-10, 0.3), (3.7e-7, 2.5), (2e-4, 40.0)):
+        tol = select_tolerances(spec, ctx, budget, kv_norm)
+        bound = dielectric_error_bound(metal_gs, kv_norm, tol)
+        assert abs(bound - budget) <= 1e-14 * budget
+    assert np.all(ctx.gap == metal_gs.eps_gap_ref - metal_gs.eps_occ)
+
+
+def test_grt_requires_a_positive_gap():
+    with pytest.raises(ConfigurationError, match="gap"):
+        select_tolerances(StrategySpec("grt", False, 1e-9, 10),
+                          make_ctx(gap=np.array([0.3, 0.0, 0.1])), granted(), KV_NORM)
 
 
 def test_fn_dependence_strictly_decreasing():
