@@ -5,10 +5,10 @@ Layout of an archive directory:
     meta.json     lattice, cutoff, grid dims, spectrum, occupations,
                   model parameters, format version, endianness tag
     u.bin         the real orbitals u in the cos/sin basis, column-major
-                  n_b x n_kept (phi = T^H u is rebuilt from them)
+                  n_b x n_kept
     rho.bin       density on the cube grid, x fastest
     v_local.bin   total local potential, same layout (so the Hamiltonian
-                  that phi/eps diagonalise is reconstructed bit-exactly)
+                  that u/eps diagonalise is reconstructed bit-exactly)
 
 Write-read round trips are bit-exact.  All writes go through a temp file
 plus atomic rename, and meta.json is the commit marker: a save removes

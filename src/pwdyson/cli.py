@@ -5,9 +5,10 @@
     pwdyson compare <config.json> --strategies pbal,pgrt,pd10 [-o <dir>]
     pwdyson verify <config.json> [-o <dir>]
 
-`compare` tabulates cost next to the true residual: only grt/pgrt carry
-the guarantee true residual <= tau; bal/agr are heuristics that can miss
-it.  Exit codes: 0 ok, 1 configuration error (an unknown config key, say),
+`compare` tabulates cost next to the true residual: grt carries the
+guarantee true residual <= tau, pgrt guarantees only the Kerker-
+preconditioned residual ||P r|| <= tau, and bal/agr are heuristics that
+can miss it.  Exit codes: 0 ok, 1 configuration error (an unknown config key, say),
 2 non-convergence, 3 invariant violation, 4 I/O or archive problems.
 """
 
@@ -91,11 +92,11 @@ def main(argv=None) -> int:
             config = _override_response(config, tau=args.tau)
             out = args.output or config.output_dir
             rows = compare_strategies(config, args.strategies.split(","), out_dir=out)
-            header = f"{'strategy':>10} {'true_res':>12} {'n_ham':>10} {'eta_rel':>8}"
-            print(header)
+            print(f"{'strategy':>10} {'converged':>9} {'true_res':>12} {'n_ham':>10} "
+                  f"{'eta_rel':>8}")
             for r in rows:
-                print(f"{r['strategy']:>10} {r['final_true_res']:>12.3e} "
-                      f"{r['n_ham']:>10d} {r['eta_rel']:>8.2f}")
+                print(f"{r['strategy']:>10} {str(r['converged']):>9} "
+                      f"{r['final_true_res']:>12.3e} {r['n_ham']:>10d} {r['eta_rel']:>8.2f}")
         elif args.command == "verify":
             result = verify_suite(config, out_dir=args.output or config.output_dir)
             for check in result["checks"]:

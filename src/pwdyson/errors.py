@@ -10,11 +10,11 @@ class ConfigurationError(PwdysonError):
 
 
 class NonConvergenceError(PwdysonError):
-    """An iterative solver exhausted its iteration budget.
+    """A solver ran out of iterations, or an error budget fell below grt's tolerance floor.
 
     Carries the last residual, the Hamiltonian applications spent (`cost`,
-    for the Sternheimer solve) and, for the outer solve, a partial report,
-    so callers can diagnose or salvage the run.
+    for the Sternheimer solve or the application at the floor) and, for the
+    outer solve, a partial report, so callers can diagnose or salvage the run.
     """
 
     def __init__(self, message, residual=None, report=None, cost=None):

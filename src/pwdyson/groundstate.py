@@ -16,7 +16,7 @@ import scipy.linalg
 from scipy.special import erfc, expit
 
 from .errors import ConfigurationError, InvariantViolationError, NonConvergenceError
-from .pwbasis import FourierGrids, Lattice, build_grids, from_cos_sin
+from .pwbasis import FourierGrids, Lattice, build_grids
 
 
 @dataclass(frozen=True)
@@ -180,36 +180,8 @@ def external_potential_derivative(model: ModelSpec, grids: FourierGrids,
 _REAL_H_ROWS = 64           # rows of V per block in `real_hamiltonian`
 
 
-def apply_hamiltonian(grids: FourierGrids, v_local: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """Apply H = -Laplacian/2 + v_local to a sphere vector.
-
-    Matrix-free, through the sphere-pruned transforms.  The Sternheimer
-    solve applies the dense H_r of `real_hamiltonian` instead; this is the
-    independent cross-check the tests build H from.
-    """
-    if psi.shape != (grids.n_b,):
-        raise ValueError(f"expected sphere vector of length {grids.n_b}, got {psi.shape}")
-    if v_local.shape != (grids.n_g,):
-        raise ValueError(f"expected grid potential of length {grids.n_g}, got {v_local.shape}")
-    return 0.5 * grids.g2_sphere * psi + grids.to_fourier(v_local * grids.to_real(psi))
-
-
-def dense_hamiltonian(grids: FourierGrids, v_local: np.ndarray) -> np.ndarray:
-    """Explicit complex n_b x n_b Hamiltonian via the Fourier convolution theorem.
-
-    V_{G,G'} = vhat(G - G'); every difference of two sphere vectors fits
-    in the cube, so the wrap-around indexing is alias-free.  The program
-    works with the real H_r of `real_hamiltonian`; this form is the
-    independent oracle the tests check it against.
-    """
-    vfft = grids.cube_fft(v_local) / grids.n_g
-    h = vfft[grids.sphere_difference_index]
-    h[np.arange(grids.n_b), np.arange(grids.n_b)] += 0.5 * grids.g2_sphere
-    return h
-
-
 def real_hamiltonian(grids: FourierGrids, v_local: np.ndarray) -> np.ndarray:
-    """H_r = T H T^H, the dense Hamiltonian in the cos/sin basis of `to_cos_sin`.
+    """H_r = T H T^H, the dense Hamiltonian in the cos/sin basis (see `pwbasis`).
 
     For a real v_local H_r is real symmetric.  Its blocks are sums and
     differences of the real and imaginary parts of the first n_b // 2 rows
@@ -254,8 +226,7 @@ def diagonalize_dense(grids: FourierGrids, v_local: np.ndarray, n_states: int):
 
     A real symmetric `eigh` of H_r gives the eigenvectors as u, (n_b,
     n_states), orthonormal real coefficients in the cos/sin basis: every
-    orbital is a real function, and phi = T^H u (`from_cos_sin(u.T).T`)
-    holds it as sphere coefficients.
+    orbital is a real function.
     """
     if n_states > grids.n_b:
         raise ConfigurationError(f"n_states={n_states} exceeds basis size {grids.n_b}")
@@ -306,17 +277,17 @@ class GroundState:
 
     rho is the SCF's input density whose fixed-point residual
     ||F_KS(rho) - rho|| sqrt(|Omega|/n_g), `scf_residual`, passed the
-    stop test; v_local is its potential and phi/eps/occ are the
+    stop test; v_local is its potential and u/eps/occ are the
     eigenstates of H[v_local].  They cover the occupied bands plus
     n_extra unoccupied eigenstates: eps[n_occ] (the lowest retained
     unoccupied level) feeds the response error bounds, and `apply_chi0`
     takes the response in these states by a sum over states instead of a
     Sternheimer solve.
 
-    The orbitals are real functions.  They are stored as u, their real
-    coefficients in the cos/sin basis of `to_cos_sin`, which the
-    Sternheimer CG projects against and the archive writes; phi = T^H u
-    holds the same orbitals as sphere coefficients.
+    The orbitals are real functions, and u, their real coefficients in
+    the cos/sin basis of `pwbasis`, is their only representation: the
+    SCF's `eigh` returns it, the Sternheimer CG projects against it,
+    chi0 transforms it to the grid and the archive writes it.
 
     Quantities derived for a response solve (`psi_occ_real`, the kept
     bases with the Hamiltonian H_r, the bands' kinetic energies, the row
@@ -326,27 +297,19 @@ class GroundState:
 
     model: ModelSpec
     grids: FourierGrids
-    u: np.ndarray            # (n_b, n_kept) real orthonormal columns, T phi
+    u: np.ndarray            # (n_b, n_kept) real orthonormal columns
     eps: np.ndarray          # (n_kept,) ascending
     occ: np.ndarray          # (n_kept,) in [0, 2)
     fermi_level: float
     rho: np.ndarray          # (n_g,) electrons / Bohr^3 on the grid
     n_occ: int
-    v_local: np.ndarray      # (n_g,) total local potential defining phi/eps
+    v_local: np.ndarray      # (n_g,) total local potential defining u/eps
     scf_residual: float = 0.0
-    phi: np.ndarray = field(init=False, repr=False, compare=False)   # (n_b, n_kept) T^H u
     _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self.phi = np.ascontiguousarray(from_cos_sin(self.u.T).T)
 
     @property
     def n_kept(self) -> int:
         return self.u.shape[1]
-
-    @property
-    def phi_occ(self) -> np.ndarray:
-        return self.phi[:, : self.n_occ]
 
     @property
     def u_occ(self) -> np.ndarray:

@@ -36,10 +36,15 @@ from .response import (
     apply_chi0,
     apply_dielectric,
     dielectric_error_bound,
-    orbital_row_norm,
 )
 from .sternheimer import solve_sternheimer
-from .strategies import StrategySpec, ToleranceContext, parse_strategy, select_tolerances
+from .strategies import (
+    TOLERANCE_FLOOR,
+    StrategySpec,
+    ToleranceContext,
+    parse_strategy,
+    select_tolerances,
+)
 
 TIGHT_CG_TOL = 1e-16
 BOUND_RTOL = 1e-12                  # round-off allowed on grt's bound-to-budget ratio
@@ -98,10 +103,6 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
-def _atomic_text(path: str, text: str):
-    atomic_write(path, text.encode())
-
-
 def _csv_text(columns, rows) -> str:
     """CSV with a header; strings as they are, nan as an empty cell, numbers by repr."""
     def cell(x):
@@ -145,20 +146,28 @@ def bound_margin(gs: GroundState, spec: StrategySpec, budget: float, kv_norm: fl
                  tolerances) -> float:
     """budget / `dielectric_error_bound` of one application; inf when it solved nothing.
 
-    grt's tolerances invert the bound, so its margin is 1 up to round-off.
+    grt's tolerances invert the bound, so its margin is 1 up to round-off
+    unless `select_tolerances` raised some of them to TOLERANCE_FLOOR.
 
     Raises:
-        InvariantViolationError: a grt application's bound exceeds its
-            granted budget by more than BOUND_RTOL relative.
+        NonConvergenceError: a grt application's bound exceeds its granted
+            budget by more than BOUND_RTOL relative while some tolerances
+            sat at TOLERANCE_FLOOR, out of the budget's reach; `cost` 0.
+        InvariantViolationError: the same, with no tolerance at the floor.
     """
     if len(tolerances) == 0:
         return np.inf
     bound = dielectric_error_bound(gs, kv_norm, tolerances)
     margin = budget / bound if bound > 0 else np.inf
     if spec.kind == "grt" and margin < 1.0 - BOUND_RTOL:
-        raise InvariantViolationError(
-            f"{spec.name}: error bound {bound:.6e} exceeds the granted budget {budget:.6e} "
-            f"(margin {margin:.15f})")
+        message = (f"{spec.name}: error bound {bound:.6e} exceeds the granted budget "
+                   f"{budget:.6e} (margin {margin:.15f})")
+        clamped = int(np.sum(np.asarray(tolerances) <= TOLERANCE_FLOOR))
+        if clamped:
+            raise NonConvergenceError(
+                f"{message}: {clamped} of {len(tolerances)} band tolerances sat at the "
+                f"tolerance floor {TOLERANCE_FLOOR:.0e} at |Kv| = {kv_norm:.6g}", cost=0)
+        raise InvariantViolationError(message)
     return margin
 
 
@@ -224,7 +233,8 @@ def budgeted_dielectric(gs: GroundState, spec: StrategySpec, kernel: KernelSpec,
     tolerances; with `kerker` the output is preconditioned.  Returns the
     operator and the list it appends every (`bound_margin`,
     DielectricApplication) to, the latter without its output; a grt
-    application whose bound exceeds its budget raises.
+    application whose bound exceeds its budget raises, at the tolerance
+    floor with the application's cost.
     """
     ctx = tolerance_context(gs, rhs_norm)
     applications = []
@@ -232,7 +242,11 @@ def budgeted_dielectric(gs: GroundState, spec: StrategySpec, kernel: KernelSpec,
     def op(v, budget):
         app = apply_dielectric(gs, kernel, v,
                                lambda kv_norm: select_tolerances(spec, ctx, budget, kv_norm))
-        margin = bound_margin(gs, spec, budget, app.kv_norm, app.tolerances_used)
+        try:
+            margin = bound_margin(gs, spec, budget, app.kv_norm, app.tolerances_used)
+        except NonConvergenceError as err:
+            err.cost = app.ham_applications
+            raise
         out = apply_kerker(kerker, gs.grids, app.output) if kerker else app.output
         applications.append((margin, replace(app, output=None)))   # keep no n_g vectors
         return out, app.ham_applications
@@ -241,19 +255,11 @@ def budgeted_dielectric(gs: GroundState, spec: StrategySpec, kernel: KernelSpec,
 
 
 def true_residual(gs: GroundState, kernel: KernelSpec, x: np.ndarray,
-                  b: np.ndarray, kerker: KerkerSpec = None):
-    """||b - E x|| with every Sternheimer tolerance tightened to 1e-16.
-
-    With `kerker`, returns the pair (||b - E x||, ||P (b - E x)||) from the
-    same application of E.
-    """
+                  b: np.ndarray) -> np.ndarray:
+    """The residual b - E x, with every Sternheimer tolerance tightened to 1e-16."""
     app = apply_dielectric(gs, kernel, np.asarray(x, dtype=float),
                            np.full(gs.n_occ, TIGHT_CG_TOL))
-    residual = b - app.output
-    if kerker:
-        return (float(np.linalg.norm(residual)),
-                float(np.linalg.norm(apply_kerker(kerker, gs.grids, residual))))
-    return float(np.linalg.norm(residual))
+    return b - app.output
 
 
 def _mean_cg(app: DielectricApplication) -> tuple:
@@ -302,7 +308,7 @@ def _solve_response(config: ExperimentConfig, spec: StrategySpec, gs: GroundStat
         app = applications[-1][1]
         t_res = np.nan
         if every and info["iteration"] % every == 0:
-            t_res = true_residual(gs, kernel, info["get_x"](), b)
+            t_res = float(np.linalg.norm(true_residual(gs, kernel, info["get_x"](), b)))
         history.append((info["iteration"], info["est_res"], t_res,
                         n_ham_rhs + info["total_cost"], *_mean_cg(app)))
 
@@ -325,21 +331,18 @@ def _solve_response(config: ExperimentConfig, spec: StrategySpec, gs: GroundStat
         converged = False
 
     n_ham = n_ham_rhs + report.total_cost
-    if kerker:
-        final_true, final_true_precond = true_residual(
-            gs, kernel, report.solution, b, kerker=kerker)
-    else:
-        final_true = true_residual(gs, kernel, report.solution, b)
-        final_true_precond = np.nan
-    true0 = b_norm
-    eta = (float(-np.log10(final_true / true0) / n_ham)
-           if (n_ham > 0 and final_true > 0 and true0 > 0) else np.nan)
+    residual = true_residual(gs, kernel, report.solution, b)
+    final_true = float(np.linalg.norm(residual))
+    final_true_precond = (float(np.linalg.norm(apply_kerker(kerker, grids, residual)))
+                          if kerker else np.nan)
+    eta = (float(-np.log10(final_true / b_norm) / n_ham)
+           if (n_ham > 0 and final_true > 0 and b_norm > 0) else np.nan)
 
     metrics = RunMetrics(
         strategy=spec.name, tau=spec.tau, m=spec.m, converged=converged,
         n_ham=n_ham, n_ham_rhs=n_ham_rhs,
         final_est_res=report.final_est_res, final_true_res=final_true,
-        final_true_res_precond=final_true_precond, true_res0=true0, eta=eta,
+        final_true_res_precond=final_true_precond, true_res0=b_norm, eta=eta,
         history=history,
         restarts=[{"cycle": r.cycle, "reason": r.reason, "s_before": r.s_before,
                    "s_after": r.s_after} for r in report.restarts],
@@ -352,9 +355,10 @@ def _solve_response(config: ExperimentConfig, spec: StrategySpec, gs: GroundStat
 
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
-        _atomic_text(os.path.join(out_dir, "report.json"),
-                     json.dumps(metrics.to_dict(), indent=1, default=_json_default))
-        _atomic_text(os.path.join(out_dir, "history.csv"), _csv_text(HISTORY_COLUMNS, history))
+        atomic_write(os.path.join(out_dir, "report.json"),
+                     json.dumps(metrics.to_dict(), indent=1, default=_json_default).encode())
+        atomic_write(os.path.join(out_dir, "history.csv"),
+                     _csv_text(HISTORY_COLUMNS, history).encode())
 
     if not converged:
         raise NonConvergenceError(
@@ -398,14 +402,14 @@ def compare_strategies(config: ExperimentConfig, strategies, out_dir: str = None
 
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
-        _atomic_text(os.path.join(out_dir, "compare.json"), json.dumps({
+        atomic_write(os.path.join(out_dir, "compare.json"), json.dumps({
             "format_version": REPORT_FORMAT_VERSION,
             "reference": reference,
             "rows": rows,
-        }, indent=1, default=_json_default))
+        }, indent=1, default=_json_default).encode())
         cols = ("strategy", "converged", "final_true_res", "n_ham", "eta", "eta_rel")
-        _atomic_text(os.path.join(out_dir, "compare.csv"),
-                     _csv_text(cols, ([r[c] for c in cols] for r in rows)))
+        atomic_write(os.path.join(out_dir, "compare.csv"),
+                     _csv_text(cols, ([r[c] for c in cols] for r in rows)).encode())
     return rows
 
 
@@ -413,17 +417,17 @@ def compare_strategies(config: ExperimentConfig, strategies, out_dir: str = None
 
 
 def check_fft_roundtrip(gs: GroundState, rng) -> dict:
+    # the real transform pair on random cos/sin rows
     grids = gs.grids
-    worst = 0.0
-    for _ in range(20):
-        x = rng.standard_normal(grids.n_b) + 1j * rng.standard_normal(grids.n_b)
-        err = np.linalg.norm(grids.to_fourier(grids.to_real(x)) - x) / np.linalg.norm(x)
-        worst = max(worst, err)
+    rows = rng.standard_normal((40, grids.n_b))
+    back = grids.to_fourier_many(grids.to_real_many(rows))
+    worst = float(np.max(np.linalg.norm(back - rows, axis=1) / np.linalg.norm(rows, axis=1)))
     return {"name": "fft_roundtrip", "passed": worst <= 1e-14, "margin": 1e-14 / max(worst, 1e-300)}
 
 
 def check_orthonormality(gs: GroundState) -> dict:
-    defect = float(np.max(np.abs(gs.phi.conj().T @ gs.phi - np.eye(gs.n_kept))))
+    # T is unitary: the orbitals are orthonormal exactly when their cos/sin columns are
+    defect = float(np.max(np.abs(gs.u.T @ gs.u - np.eye(gs.n_kept))))
     return {"name": "orbital_orthonormality", "passed": defect <= 1e-10,
             "margin": 1e-10 / max(defect, 1e-300)}
 
@@ -455,7 +459,7 @@ def check_kerker_lemma(gs: GroundState, alpha: float) -> dict:
 
 
 def check_row_norm_bounds(gs: GroundState) -> dict:
-    val = orbital_row_norm(gs.grids, gs.phi_occ)
+    val = _cached_row_norm(gs)          # the row norm grt's tolerances read
     vol = gs.grids.lattice.volume
     lo, hi = np.sqrt(gs.n_occ / vol), np.sqrt(gs.grids.n_g / vol)
     passed = lo * (1 - 1e-12) <= val <= hi * (1 + 1e-12)
@@ -490,15 +494,9 @@ def check_bound_dominance(gs: GroundState, kernel: KernelSpec, rng,
 
 
 def check_y_bound(gs: GroundState, config: ExperimentConfig) -> dict:
-    # small converged solve on the actual Dyson problem
-    spec = parse_strategy(config.response.strategy, tau=max(config.response.tau, 1e-7),
-                          m=config.response.m)
-    kernel = KernelSpec(xc=config.model.xc)
-    kerker = KerkerSpec(alpha=config.response.kerker_alpha) if spec.preconditioned else None
-    _, b, _ = build_perturbation(gs, config.response.perturbation, spec)
-    op, _ = budgeted_dielectric(gs, spec, kernel, kerker, float(np.linalg.norm(b)))
-    b_solver = apply_kerker(kerker, gs.grids, b) if kerker else b
-    report = igmres_solve(op, b_solver, m=spec.m, tau=spec.tau)
+    # small converged solve on the actual Dyson problem, through the production path
+    resp = replace(config.response, tau=max(config.response.tau, 1e-7))
+    report = run_response(replace(config, response=resp), gs=gs).igmres
     y = report.y_final
     cycle = report.cycle_est_res[-1]
     worst = 0.0
@@ -559,7 +557,8 @@ def verify_suite(config: ExperimentConfig, gs: GroundState = None,
     result = {"format_version": REPORT_FORMAT_VERSION, "ok": ok, "checks": checks}
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
-        _atomic_text(os.path.join(out_dir, "verify.json"), json.dumps(result, indent=1, default=_json_default))
+        atomic_write(os.path.join(out_dir, "verify.json"),
+                     json.dumps(result, indent=1, default=_json_default).encode())
     if not ok:
         failed = [c["name"] for c in checks if not c["passed"]]
         raise InvariantViolationError(f"verification failed: {', '.join(failed)}")

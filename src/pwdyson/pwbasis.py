@@ -5,32 +5,30 @@ Orbitals live on a sphere of reciprocal vectors |G| <= sqrt(2 E_cut)
 (`n_b` coefficients), densities and potentials on a cubic FFT grid large
 enough to hold every difference of two sphere vectors (`n_g` points).
 
-The forward/inverse transforms between sphere coefficients and real-space
-grid values are
-
-    to_fourier = w Z^T W,      to_real = w^-1 W^-1 Z,
-
-with W the unitary DFT, Z the sphere-into-cube zero-padding isometry and
-w = sqrt(|Omega|) / sqrt(n_g).  With this convention `to_real` returns
-unscaled function values on the grid and `to_fourier . to_real` is the
-identity on sphere coefficients.
-
 The sphere is symmetric under G -> -G and sorted lexicographically, so
 -G of sphere index j is index n_b - 1 - j and G = 0 sits at n_b // 2.
-`to_cos_sin` is the unitary map T from e_G coefficients to coefficients
-on the real functions sqrt(2) cos(G.r) (at j < n_b // 2), 1 (at
-n_b // 2) and sqrt(2) sin(G.r) (at n_b - 1 - j), each over sqrt(|Omega|):
-O(n_b) slicing, never a dense matrix.  A real local potential is a real
-symmetric matrix in that basis, and a real function (c_-G = conj c_G)
-has real coefficients there (`real_rows`, `real_basis`).
+The program stores every orbital in the cos/sin basis: the unitary map T
+takes e_G coefficients c to coefficients on the real functions
+sqrt(2) cos(G.r) (at j < n_b // 2), 1 (at n_b // 2) and sqrt(2) sin(G.r)
+(at n_b - 1 - j), each over sqrt(|Omega|),
+
+    (T c)_j = (c_j + c_-j) / sqrt 2,   (T c)_{n_b-1-j} = i (c_j - c_-j) / sqrt 2.
+
+A real function (c_-G = conj c_G) has real coefficients u = T c there,
+and a real local potential is a real symmetric matrix in that basis.
 
 Real-space vectors are stored flat with x fastest:
 index = ix + Nx * (iy + Ny * iz), so `flat.reshape(Nz, Ny, Nx)` is a view.
-The program's transforms are one band-batched real pair on cos/sin rows,
-`to_real_many`/`to_fourier_many`: a half-spectrum `irfft`/`rfft` along x
-and complex FFTs along y and z over only the lines that hold sphere
-points of the half spectrum kx >= 0.  The complex `to_real`/`to_fourier`
-of one vector are built from that pair by linearity.
+The transforms are one band-batched real pair on cos/sin rows,
+
+    to_fourier_many = T w Z^T W,      to_real_many = w^-1 W^-1 Z T^H,
+
+with W the unitary DFT, Z the sphere-into-cube zero-padding isometry and
+w = sqrt(|Omega|) / sqrt(n_g): `to_real_many` returns unscaled function
+values on the grid and `to_fourier_many . to_real_many` is the identity
+on cos/sin rows.  They run a half-spectrum `irfft`/`rfft` along x and
+complex FFTs along y and z over only the lines that hold sphere points of
+the half spectrum kx >= 0.
 """
 
 from dataclasses import dataclass
@@ -186,7 +184,7 @@ class FourierGrids:
         self._line_x, self._line_y = lines % len(self._half_x), lines // len(self._half_x)
         self._half_z, self._half_line = wz[half], line_of
         # c_s = (a_s u[cos_s] + i b_s u[sin_s]) / sqrt|Omega| for the half's
-        # points s, from `from_cos_sin`; G = 0 has a = 1, b = 0
+        # points s, from T^H; G = 0 has a = 1, b = 0
         mirror = self.n_b - 1 - half
         self._half_cos, self._half_sin = np.minimum(half, mirror), np.maximum(half, mirror)
         self._half_re = np.where(half == h, 1.0, _SQRT_HALF) / np.sqrt(lattice.volume)
@@ -209,7 +207,7 @@ class FourierGrids:
 
     @cached_property
     def sphere_difference_index(self) -> np.ndarray:
-        """Flat cube index of every sphere-vector difference, for the dense Hamiltonians."""
+        """Flat cube index of every sphere-vector difference, for the dense Hamiltonian."""
         nx, ny, nz = self.cube_dims
         # int32, kept for the grid's lifetime: half the memory; built in row
         # blocks so no (n_b, n_b, 3) int64 difference table is allocated
@@ -230,20 +228,18 @@ class FourierGrids:
 
     # -- sphere <-> real space --------------------------------------------
     #
-    # The batched real pair is what the program runs.  A row u holds the
-    # cos/sin coefficients T c of one real function; the pair never forms
-    # a complex grid array, only the half spectrum the real FFT along x
-    # needs.  The complex single-vector transforms are built from the pair
-    # by linearity, T c = x + i y.
+    # A row u holds the cos/sin coefficients T c of one real function; the
+    # pair never forms a complex grid array, only the half spectrum the
+    # real FFT along x needs.
 
     def to_real_many(self, rows: np.ndarray) -> np.ndarray:
         """Real functions on the grid, (k, n_g), from (k, n_b) real cos/sin rows u = T c.
 
-        Equal to `to_real` of T^H u for each row; z-lines, then y, then one
+        w^-1 W^-1 Z T^H u for each row; z-lines, then y, then one
         half-spectrum `irfft` along x.  Complex rows raise TypeError.
         """
         if np.iscomplexobj(rows):
-            raise TypeError("to_real_many takes real cos/sin rows; use to_real for complex ones")
+            raise TypeError("to_real_many takes real cos/sin rows")
         k = len(rows)
         if rows.shape != (k, self.n_b):
             raise ValueError(f"expected (k, {self.n_b}) cos/sin rows, got {rows.shape}")
@@ -263,13 +259,12 @@ class FourierGrids:
     def to_fourier_many(self, values: np.ndarray) -> np.ndarray:
         """Real cos/sin rows T c, (k, n_b), of the sphere projection of (k, n_g) real grid values.
 
-        Equal to T `to_fourier` of each row; one `rfft` along x, then y on
-        the sphere's kx >= 0 columns, then z on its lines.  Complex values
-        raise TypeError rather than lose their imaginary part.
+        T w Z^T W of each row; one `rfft` along x, then y on the sphere's
+        kx >= 0 columns, then z on its lines.  Complex values raise
+        TypeError rather than lose their imaginary part.
         """
         if np.iscomplexobj(values):
-            raise TypeError("to_fourier_many takes real grid values; use to_fourier "
-                            "for complex ones")
+            raise TypeError("to_fourier_many takes real grid values")
         k = len(values)
         if values.shape != (k, self.n_g):
             raise ValueError(f"expected (k, {self.n_g}) grid values, got {values.shape}")
@@ -285,21 +280,6 @@ class FourierGrids:
         np.multiply(upper[:, 1:].imag, self._to_fourier_scale / _SQRT_HALF, out=rows[:, h + 1:])
         return rows
 
-    def to_real(self, coeffs: np.ndarray) -> np.ndarray:
-        """Inverse transform w^-1 W^-1 Z: sphere coefficients -> grid values."""
-        if coeffs.shape != (self.n_b,):
-            raise ValueError(f"expected sphere vector of length {self.n_b}, got {coeffs.shape}")
-        rows = to_cos_sin(coeffs)
-        re, im = self.to_real_many(np.stack([rows.real, rows.imag]))
-        return re + 1j * im
-
-    def to_fourier(self, values: np.ndarray) -> np.ndarray:
-        """Forward transform w Z^T W: grid values -> sphere coefficients."""
-        if values.shape != (self.n_g,):
-            raise ValueError(f"expected grid vector of length {self.n_g}, got {values.shape}")
-        re, im = self.to_fourier_many(np.array([values.real, values.imag], dtype=float))
-        return from_cos_sin(re + 1j * im)
-
     # -- full-cube FFTs (for Fourier-diagonal operators) --------------------
     # axes=(2, 1, 0) keeps the x -> y -> z pass order on the C-order view.
 
@@ -311,28 +291,6 @@ class FourierGrids:
     def cube_ifft(self, coeffs: np.ndarray) -> np.ndarray:
         """Plain inverse DFT of a flat coefficient vector (1/N normalised)."""
         return scipy.fft.ifftn(coeffs.reshape(self._cube_shape), axes=(2, 1, 0)).ravel()
-
-
-def to_cos_sin(coeffs: np.ndarray) -> np.ndarray:
-    """T c for every row of coeffs (last axis n_b): (c_G + c_-G, i (c_G - c_-G)) / sqrt 2."""
-    h = coeffs.shape[-1] // 2
-    plus, minus = coeffs[..., :h], coeffs[..., :h:-1]       # G_j and -G_j, j < h
-    out = np.empty(coeffs.shape, dtype=np.complex128)
-    out[..., h] = coeffs[..., h]
-    out[..., :h] = (plus + minus) * _SQRT_HALF
-    out[..., :h:-1] = (plus - minus) * (1j * _SQRT_HALF)
-    return out
-
-
-def from_cos_sin(coeffs: np.ndarray) -> np.ndarray:
-    """T^H u for every row of u: the inverse of `to_cos_sin`."""
-    h = coeffs.shape[-1] // 2
-    cos, sin = coeffs[..., :h], coeffs[..., :h:-1]
-    out = np.empty(coeffs.shape, dtype=np.complex128)
-    out[..., h] = coeffs[..., h]
-    out[..., :h] = (cos - 1j * sin) * _SQRT_HALF
-    out[..., :h:-1] = (cos + 1j * sin) * _SQRT_HALF
-    return out
 
 
 def real_rows(rows: np.ndarray, atol=0.0) -> np.ndarray:
@@ -357,16 +315,6 @@ def real_rows(rows: np.ndarray, atol=0.0) -> np.ndarray:
         raise InvariantViolationError(
             f"row {j} is not a real function: |Im T c| = {imag[j]:.2e} of |T c| = {whole[j]:.2e}")
     return rows.real
-
-
-def real_basis(phi: np.ndarray) -> np.ndarray:
-    """R = T Phi, real (n_b, m), for orthonormal real functions Phi (n_b, m).
-
-    Then T Phi Phi^H T^H = R R^T, so the projector off span(Phi) is real
-    in the cos/sin basis.  Raises as `real_rows` when a column of Phi is
-    not a real function.
-    """
-    return np.ascontiguousarray(real_rows(to_cos_sin(phi.T)).T)
 
 
 _last_grids = (None, None)         # (key, FourierGrids) of the last `build_grids` call

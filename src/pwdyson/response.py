@@ -26,7 +26,6 @@ import numpy as np
 from .errors import InvariantViolationError
 from .groundstate import GroundState, real_hamiltonian
 from .kernels import KernelSpec, apply_kernel
-from .pwbasis import from_cos_sin, to_cos_sin
 from .sternheimer import project_out_occupied, solve_sternheimer
 
 DEGENERACY_RTOL = 1e-8
@@ -43,17 +42,6 @@ class DielectricApplication:
     cg_iterations_per_band: list
     tolerances_used: list
     ham_applications: int           # Hamiltonian applications of the block solve
-
-
-def delta_eigen_occupations(gs: GroundState, dv: np.ndarray):
-    """First-order eigenvalue, Fermi-level and occupation changes.
-
-    delta_eps_n = <phi_n, dv phi_n>; the Fermi-level shift distributes the
-    occupation change so that sum_n delta_f_n = 0.  For gapped systems
-    (all f'_n ~ 0) the Fermi level is pinned and delta_eps_F = 0.
-    """
-    _, m = _occupied_matrix(gs, dv)
-    return _first_order_occupations(gs, m)
 
 
 def _occupied_matrix(gs: GroundState, dv: np.ndarray):
@@ -132,12 +120,6 @@ def _occupied_pair_weights(gs: GroundState) -> np.ndarray:
     return weights
 
 
-def delta_phi_occupied(gs: GroundState, dv: np.ndarray) -> np.ndarray:
-    """Occupied-subspace orbital response, one column of sphere coefficients per occupied band."""
-    _, m = _occupied_matrix(gs, dv)
-    return from_cos_sin(_occupied_orbital_response(gs, m).T).T
-
-
 def _occupied_orbital_response(gs: GroundState, m: np.ndarray) -> np.ndarray:
     """The occupied-subspace response in the cos/sin basis, (n_b, n_occ)."""
     return gs.u_occ @ (_occupied_pair_weights(gs) * m)
@@ -204,7 +186,7 @@ def apply_chi0(gs: GroundState, dv: np.ndarray, tolerances) -> tuple:
     _, _, delta_f = _first_order_occupations(gs, m)
     dphi = _occupied_orbital_response(gs, m) + _extra_band_response(gs, dvpsi)
 
-    rhs = -project_out_occupied(basis, dvpsi.T, basis.T).T
+    rhs = -project_out_occupied(basis, dvpsi.T).T
     solve = solve_sternheimer(gs, np.arange(n_occ), rhs, tolerances, basis, h_r=h_r)
     dphi += solve.solution.T
     # every array below is real; in place, as these (n_occ, n_g) arrays
@@ -242,27 +224,14 @@ def apply_dielectric(gs: GroundState, kernel: KernelSpec, v: np.ndarray,
     )
 
 
-def orbital_row_norm(grids, phi: np.ndarray) -> float:
-    """Maximum over grid points of the l2 row norm of to_real(Phi), Phi (n_b, k).
-
-    For orthonormal Phi this lies between sqrt(n_occ/|Omega|) and
-    sqrt(n_g/|Omega|).  to_real(Phi) = X + i Y with X and Y the real
-    transforms of Re T Phi and Im T Phi, so |to_real(Phi)|^2 = X^2 + Y^2.
-    """
-    rows = to_cos_sin(phi.T)
-    return _max_row_norm(grids.to_real_many(np.concatenate([rows.real, rows.imag])))
-
-
-def _max_row_norm(psi_r: np.ndarray) -> float:
-    """The row norm of real orbitals on the grid, (k, n_g)."""
-    return float(np.sqrt(np.max(np.sum(psi_r ** 2, axis=0))))
-
-
 def dielectric_error_bound(gs: GroundState, kv_norm: float, tolerances) -> float:
     """Computable bound on ||(E - E_inexact) v|| from the solve tolerances.
 
-        2 |Kv| ||to_real(Phi)||_{2,inf} sqrt(n_g n_occ / |Omega|)
+        2 |Kv| ||psi_occ||_{2,inf} sqrt(n_g n_occ / |Omega|)
             * max_n f_n tau_n / (eps_{N_occ+1} - eps_n)
+
+    with ||psi_occ||_{2,inf} the row norm of the occupied orbitals on the
+    grid (`_cached_row_norm`).
 
     `apply_chi0` solves on the complement of every kept band, so the error
     of band n's solve is at most tau_n / (eps_{N_kept+1} - eps_n), which is
@@ -280,5 +249,12 @@ def dielectric_error_bound(gs: GroundState, kv_norm: float, tolerances) -> float
 
 
 def _cached_row_norm(gs: GroundState) -> float:
-    """`orbital_row_norm` of the occupied orbitals, computed once per state."""
-    return gs.derived("row_norm", lambda: _max_row_norm(gs.psi_occ_real))
+    """||psi_occ||_{2,inf}, computed once per state.
+
+    The maximum over grid points of the l2 norm of the occupied orbitals'
+    values there; for orthonormal orbitals it lies between
+    sqrt(n_occ/|Omega|) and sqrt(n_g/|Omega|).
+    """
+    def compute():
+        return float(np.sqrt(np.max(np.sum(gs.psi_occ_real ** 2, axis=0))))
+    return gs.derived("row_norm", compute)

@@ -9,10 +9,10 @@ definite on range(Q) as long as the lowest eigenvalue outside Phi lies
 above eps_n, which the occupation cutoff guarantees.
 
 The solve runs in real arithmetic.  In the cos/sin basis of the (G, -G)
-pairs (`pwbasis.to_cos_sin`, the unitary map T) H is the real symmetric
-H_r of `real_hamiltonian`, the kinetic preconditioner keeps its diagonal,
-and Q becomes I - R R^T for the real orthonormal R = T Phi of real
-orbitals (`real_basis`).  For a real perturbation and real orbitals each
+pairs (the unitary map T of `pwbasis`) H is the real symmetric H_r of
+`real_hamiltonian`, the kinetic preconditioner keeps its diagonal, and Q
+becomes I - R R^T for the real orthonormal R = T Phi of real orbitals,
+the ground state's `u`.  For a real perturbation and real orbitals each
 right-hand side T b_n is real, so a band is one real row: the solve
 takes and returns real cos/sin rows, and a complex row with an imaginary
 part above round-off is rejected.
@@ -52,16 +52,9 @@ class SternheimerResult:
     iterations_per_band: list       # (k,) ints
 
 
-def project_out_occupied(phi: np.ndarray, psi: np.ndarray,
-                         phi_h: np.ndarray = None) -> np.ndarray:
-    """Q psi = psi - Phi (Phi^H psi); idempotent for orthonormal Phi.
-
-    Callers that project many times pass `phi_h` = Phi^H, which saves a
-    copy of Phi per call.
-    """
-    if phi_h is None:
-        phi_h = phi.conj().T
-    return psi - phi @ (phi_h @ psi)
+def project_out_occupied(basis: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """Q psi = psi - R (R^T psi) for a real basis R (n_b, m); idempotent for orthonormal R."""
+    return psi - basis @ (basis.T @ psi)
 
 
 def _band_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -100,7 +93,7 @@ def solve_sternheimer(gs: GroundState, bands, rhs: np.ndarray, tol, basis: np.nd
             band, already in range(Q).
         tol: absolute l2 tolerance on each band's (unpreconditioned) CG
             residual; a scalar or k values.
-        basis: R = T Phi (`real_basis(Phi)`) of the orthonormal real
+        basis: R = T Phi, real (n_b, m), of the orthonormal real
             eigenvectors of H spanning the space Q projects out; Phi must
             hold every eigenvector with eigenvalue <= eps_n.
         h_r: `real_hamiltonian` of the state, as the response solve holds
@@ -184,7 +177,7 @@ def solve_sternheimer(gs: GroundState, bands, rhs: np.ndarray, tol, basis: np.nd
             raise InvariantViolationError(
                 f"Sternheimer CG for band {bands[live[j]]}: p^H A p = {denom[j]:.3e} <= 0 "
                 f"at residual {res[j]:.3e} (target {tol[j]:.3e}); "
-                "phi must hold every eigenvector below eps_n")
+                "the basis must hold every eigenvector below eps_n")
         if done.any():
             stopped = x[:n][done]
             solution[live[done]] = stopped - (stopped @ basis) @ basis.T

@@ -1,0 +1,82 @@
+"""Complex plane-wave oracles that the tests check the program's real path against.
+
+The program holds every orbital as real cos/sin coefficients u = T c
+(`pwbasis`).  Here are the same objects in the plane-wave basis e_G: T
+and T^H, a ground state's orbitals phi = T^H u, the single-vector
+transforms, the projector off a complex span and the complex Hamiltonian.
+"""
+
+import numpy as np
+
+from pwdyson.pwbasis import real_rows
+
+_SQRT_HALF = np.sqrt(0.5)
+
+
+def to_cos_sin(coeffs: np.ndarray) -> np.ndarray:
+    """T c for every row of coeffs (last axis n_b): (c_G + c_-G, i (c_G - c_-G)) / sqrt 2."""
+    h = coeffs.shape[-1] // 2
+    plus, minus = coeffs[..., :h], coeffs[..., :h:-1]       # G_j and -G_j, j < h
+    out = np.array(coeffs, dtype=np.complex128)
+    out[..., :h] = (plus + minus) * _SQRT_HALF
+    out[..., :h:-1] = (plus - minus) * (1j * _SQRT_HALF)
+    return out
+
+
+def from_cos_sin(coeffs: np.ndarray) -> np.ndarray:
+    """T^H u for every row of u: the inverse of `to_cos_sin`."""
+    h = coeffs.shape[-1] // 2
+    cos, sin = coeffs[..., :h], coeffs[..., :h:-1]
+    out = np.array(coeffs, dtype=np.complex128)
+    out[..., :h] = (cos - 1j * sin) * _SQRT_HALF
+    out[..., :h:-1] = (cos + 1j * sin) * _SQRT_HALF
+    return out
+
+
+def phi(gs) -> np.ndarray:
+    """The ground state's orbitals as sphere coefficients, (n_b, n_kept): T^H u."""
+    return np.ascontiguousarray(from_cos_sin(gs.u.T).T)
+
+
+def real_basis(orbitals: np.ndarray) -> np.ndarray:
+    """R = T Phi, real (n_b, m), for orthonormal real functions Phi; raises as `real_rows`."""
+    return np.ascontiguousarray(real_rows(to_cos_sin(orbitals.T)).T)
+
+
+def project_out(orbitals: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """Q psi = psi - Phi (Phi^H psi) for complex orthonormal columns Phi."""
+    return psi - orbitals @ (orbitals.conj().T @ psi)
+
+
+def to_real(grids, coeffs: np.ndarray) -> np.ndarray:
+    """Grid values w^-1 W^-1 Z c of sphere coefficients c, from the real pair by linearity."""
+    rows = to_cos_sin(coeffs)
+    re, im = grids.to_real_many(np.stack([rows.real, rows.imag]))
+    return re + 1j * im
+
+
+def to_fourier(grids, values: np.ndarray) -> np.ndarray:
+    """Sphere coefficients w Z^T W u of grid values u, from the real pair by linearity."""
+    re, im = grids.to_fourier_many(np.array([values.real, values.imag], dtype=float))
+    return from_cos_sin(re + 1j * im)
+
+
+def apply_hamiltonian(grids, v_local: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """H psi = |G|^2 psi / 2 + to_fourier(v_local to_real(psi)) for a sphere vector psi."""
+    return 0.5 * grids.g2_sphere * psi + to_fourier(grids, v_local * to_real(grids, psi))
+
+
+def dense_from_matvec(grids, v_local: np.ndarray) -> np.ndarray:
+    """The complex n_b x n_b Hamiltonian, column by column through `apply_hamiltonian`."""
+    return np.array([apply_hamiltonian(grids, v_local, e) for e in np.eye(grids.n_b)]).T
+
+
+def dense_hamiltonian(grids, v_local: np.ndarray) -> np.ndarray:
+    """The complex Hamiltonian by the convolution theorem, V_{G,G'} = vhat(G - G').
+
+    Every difference of two sphere vectors fits in the cube, so the
+    wrap-around indexing is alias-free.
+    """
+    h = (grids.cube_fft(v_local) / grids.n_g)[grids.sphere_difference_index]
+    h[np.arange(grids.n_b), np.arange(grids.n_b)] += 0.5 * grids.g2_sphere
+    return h

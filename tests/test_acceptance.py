@@ -21,10 +21,11 @@ import numpy as np
 import pytest
 
 from pwdyson import Lattice, build_grids
-from pwdyson.config import Perturbation, reference_config
+from pwdyson.config import reference_config
 from pwdyson.harness import (
     TIGHT_CG_TOL,
     check_bound_dominance,
+    compare_strategies,
     ensure_ground_state,
     run_response,
     tolerance_context,
@@ -213,11 +214,11 @@ def test_criterion_6_kerker_properties():
 
 
 def test_criterion_7_row_norm_bounds(toy_metal, toy_insulator, tiny_oracle_gs):
-    from pwdyson.response import orbital_row_norm
+    from pwdyson.response import _cached_row_norm
 
     worst_margin = np.inf
     for _, gs in (toy_metal, toy_insulator, (None, tiny_oracle_gs)):
-        val = orbital_row_norm(gs.grids, gs.phi_occ)
+        val = _cached_row_norm(gs)
         vol = gs.grids.lattice.volume
         lo, hi = np.sqrt(gs.n_occ / vol), np.sqrt(gs.grids.n_g / vol)
         if not lo * (1 - 1e-12) <= val <= hi * (1 + 1e-12):
@@ -296,3 +297,14 @@ def test_criterion_10_chi0_gauge_invariance(toy_metal, toy_insulator):
         ok &= rel <= 1e-10
         results.append(f"{label} {rel:.2e}")
     assert report(10, ok, "||chi0(const)|| / N <= 1e-10: " + ", ".join(results))
+
+
+def test_compare_keeps_its_rows_when_grt_meets_the_tolerance_floor(toy_metal, metal_runs):
+    """Unpreconditioned grt's tolerances fall below the floor at its second
+    application (|Kv| about 1.7e3): its row is not converged, pbal's stays."""
+    config, gs = toy_metal
+    rows = {r["strategy"]: r for r in compare_strategies(config, ["pbal", "grt"], gs=gs)}
+    pbal = metal_runs["pbal"]
+    assert rows["pbal"]["converged"] and rows["pbal"]["n_ham"] == pbal.n_ham
+    assert rows["pbal"]["final_true_res"] == pbal.final_true_res
+    assert rows["grt"]["converged"] is False and rows["grt"]["n_ham"] > 0

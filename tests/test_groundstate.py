@@ -9,9 +9,7 @@ from pwdyson import FourierGrids, Lattice, NonConvergenceError, build_grids, gro
 from pwdyson.groundstate import (
     GaussianWell,
     ModelSpec,
-    apply_hamiltonian,
     compute_density,
-    dense_hamiltonian,
     diagonalize_dense,
     external_potential,
     external_potential_derivative,
@@ -20,21 +18,13 @@ from pwdyson.groundstate import (
     run_scf,
     smearing_function,
 )
-from pwdyson.pwbasis import from_cos_sin, to_cos_sin
+
+from oracles import (apply_hamiltonian, dense_from_matvec, dense_hamiltonian, from_cos_sin, phi,
+                     to_cos_sin, to_real)
 
 
 def small_grids(e_cut=4.0, alat=3.0):
     return build_grids(Lattice.cubic(alat), e_cut)
-
-
-def dense_from_matvec(grids, v_local):
-    """Column-by-column assembly through apply_hamiltonian (independent path)."""
-    h = np.zeros((grids.n_b, grids.n_b), dtype=complex)
-    for j in range(grids.n_b):
-        e = np.zeros(grids.n_b, dtype=complex)
-        e[j] = 1.0
-        h[:, j] = apply_hamiltonian(grids, v_local, e)
-    return h
 
 
 # -- Hamiltonian --------------------------------------------------------------
@@ -212,7 +202,7 @@ def test_dense_eigenvectors_are_real_functions():
     # T phi = T T^H u is real bit for bit; to_real(phi) is real to round-off
     phi = from_cos_sin(u.T).T
     assert not np.any(to_cos_sin(phi.T).imag)
-    psi = np.array([grids.to_real(c) for c in phi.T])
+    psi = np.array([to_real(grids, c) for c in phi.T])
     assert np.abs(psi.imag).max() <= 1e-14 * np.abs(psi).max()
     np.testing.assert_allclose(grids.to_real_many(u.T), psi.real,
                                rtol=0, atol=1e-13 * np.abs(psi).max())
@@ -221,12 +211,12 @@ def test_dense_eigenvectors_are_real_functions():
 @pytest.mark.parametrize("fixture", ["metal_gs", "insulator_gs"])
 def test_scf_orbitals_are_real_eigenfunctions(fixture, request):
     gs = request.getfixturevalue(fixture)
-    assert gs.u.dtype == np.float64 and gs.u.shape == gs.phi.shape == (gs.grids.n_b, gs.n_kept)
-    np.testing.assert_array_equal(gs.phi, from_cos_sin(gs.u.T).T)
-    assert not np.any(to_cos_sin(gs.phi.T).imag)
+    assert gs.u.dtype == np.float64 and gs.u.shape == (gs.grids.n_b, gs.n_kept)
+    orbitals = phi(gs)
+    assert not np.any(to_cos_sin(orbitals.T).imag)
     np.testing.assert_allclose(gs.u.T @ gs.u, np.eye(gs.n_kept), rtol=0, atol=1e-12)
     for k in range(gs.n_kept):
-        r = apply_hamiltonian(gs.grids, gs.v_local, gs.phi[:, k]) - gs.eps[k] * gs.phi[:, k]
+        r = apply_hamiltonian(gs.grids, gs.v_local, orbitals[:, k]) - gs.eps[k] * orbitals[:, k]
         assert np.linalg.norm(r) <= 1e-10
 
 
@@ -492,7 +482,8 @@ def test_scf_ground_state_invariants():
     model = toy_insulating_model()
     gs = run_scf(model, tol=1e-10)
     n_kept = gs.n_kept
-    np.testing.assert_allclose(gs.phi.conj().T @ gs.phi, np.eye(n_kept), atol=1e-10)
+    orbitals = phi(gs)
+    np.testing.assert_allclose(orbitals.conj().T @ orbitals, np.eye(n_kept), atol=1e-10)
     assert abs(gs.occ.sum() - model.n_electrons) < 1e-10
     assert gs.rho.min() >= -1e-12
     total = gs.rho.sum() * model.lattice.volume / gs.grids.n_g

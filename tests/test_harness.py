@@ -27,10 +27,11 @@ from pwdyson.config import (
     model_to_dict,
     reference_config,
 )
-from pwdyson.groundstate import GaussianWell, ModelSpec, external_potential
+from pwdyson.groundstate import GaussianWell, ModelSpec
 from pwdyson.harness import (
     BOUND_RTOL,
     TIGHT_CG_TOL,
+    bound_margin,
     budgeted_dielectric,
     build_perturbation,
     check_orthonormality,
@@ -43,8 +44,10 @@ from pwdyson.harness import (
 )
 from pwdyson.igmres import igmres_solve
 from pwdyson.kernels import KernelSpec, KerkerSpec, apply_kerker
-from pwdyson.response import apply_dielectric, orbital_row_norm
-from pwdyson.strategies import StrategySpec, parse_strategy, select_tolerances
+from pwdyson.response import apply_dielectric
+from pwdyson.strategies import TOLERANCE_FLOOR, StrategySpec, parse_strategy, select_tolerances
+
+from oracles import phi
 
 
 def tiny_config(gs, strategy="pbal", tau=1e-7, m=8):
@@ -87,18 +90,12 @@ def test_perturbation_index_out_of_range(metal_gs):
 def test_base_context_reuses_row_norm(metal_gs, monkeypatch):
     gs = metal_gs
     first = tolerance_context(gs, rhs_norm=1.0)
-    calls = []
-    grids_type = type(gs.grids)
-    for name in ("to_real", "to_real_many"):
-        def counted(self, arg, _name=name, _original=getattr(grids_type, name)):
-            calls.append(_name)
-            return _original(self, arg)
-        monkeypatch.setattr(grids_type, name, counted)
+    monkeypatch.setattr(type(gs.grids), "to_real_many", lambda *args: pytest.fail("recomputed"))
     second = tolerance_context(gs, rhs_norm=1.0)
-    assert calls == []
     monkeypatch.undo()
     assert first.row_norm == second.row_norm
-    assert second.row_norm == orbital_row_norm(gs.grids, gs.phi_occ)
+    psi = gs.grids.to_real_many(gs.u_occ.T)
+    assert second.row_norm == float(np.sqrt(np.max(np.sum(psi ** 2, axis=0))))
 
 
 def test_perturbation_mean_vanishes(metal_gs):
@@ -136,13 +133,18 @@ def test_archive_roundtrip_bit_exact(metal_gs, tmp_path):
     for name in os.listdir(path):
         assert stat.S_IMODE(os.stat(os.path.join(path, name)).st_mode) == 0o644, name
     loaded = load_ground_state(path)
-    np.testing.assert_array_equal(loaded.phi, metal_gs.phi)
+    np.testing.assert_array_equal(loaded.u, metal_gs.u)
     np.testing.assert_array_equal(loaded.rho, metal_gs.rho)
     np.testing.assert_array_equal(loaded.v_local, metal_gs.v_local)
     np.testing.assert_array_equal(loaded.eps, metal_gs.eps)
     np.testing.assert_array_equal(loaded.occ, metal_gs.occ)
     assert loaded.fermi_level == metal_gs.fermi_level
     assert loaded.n_occ == metal_gs.n_occ
+    # the real u is the one orbital representation, after the SCF and after a load
+    for gs in (metal_gs, loaded):
+        arrays = {name: v for name, v in vars(gs).items() if isinstance(v, np.ndarray)}
+        assert sorted(arrays) == ["eps", "occ", "rho", "u", "v_local"]
+        assert not any(np.iscomplexobj(v) for v in arrays.values())
 
 
 def test_archive_truncated_blob(metal_gs, tmp_path):
@@ -173,8 +175,8 @@ def as_format_1(path, gs):
     meta["format_version"] = 1
     json.dump(meta, open(meta_path, "w"))
     os.remove(os.path.join(path, "u.bin"))
-    gs.phi.real.tofile(os.path.join(path, "phi_re.bin"))
-    gs.phi.imag.tofile(os.path.join(path, "phi_im.bin"))
+    phi(gs).real.tofile(os.path.join(path, "phi_re.bin"))
+    phi(gs).imag.tofile(os.path.join(path, "phi_im.bin"))
 
 
 def test_archive_stores_real_orbitals_in_half_the_bytes(metal_gs, tmp_path):
@@ -183,7 +185,7 @@ def test_archive_stores_real_orbitals_in_half_the_bytes(metal_gs, tmp_path):
     assert FORMAT_VERSION == 2
     assert json.load(open(os.path.join(path, "meta.json")))["format_version"] == 2
     assert sorted(os.listdir(path)) == ["meta.json", "rho.bin", "u.bin", "v_local.bin"]
-    assert os.path.getsize(os.path.join(path, "u.bin")) == metal_gs.phi.nbytes // 2
+    assert os.path.getsize(os.path.join(path, "u.bin")) == phi(metal_gs).nbytes // 2
     np.testing.assert_array_equal(load_ground_state(path).u, metal_gs.u)
 
 
@@ -269,7 +271,7 @@ def test_ensure_ground_state_rebuilds_older_format_archive(metal_gs, tmp_path, m
     # the rewritten archive is reused; an archive of a newer format is not overwritten
     again = ensure_ground_state(config, archive_path=path)
     assert len(scf_runs) == 1
-    np.testing.assert_array_equal(again.phi, rebuilt.phi)
+    np.testing.assert_array_equal(again.u, rebuilt.u)
     meta_path = os.path.join(path, "meta.json")
     meta = json.load(open(meta_path))
     meta["format_version"] = FORMAT_VERSION + 1
@@ -532,6 +534,28 @@ def test_grt_guard_raises_when_a_bound_exceeds_its_budget(metal_gs, monkeypatch)
     assert metrics.converged and metrics.bound_margin_min < 1.0 - BOUND_RTOL
 
 
+def test_grt_budget_out_of_the_floors_reach_is_nonconvergence(metal_gs, h_applications):
+    # a budget below what TOLERANCE_FLOOR can honour clamps every band tolerance
+    # (with no tolerance at the floor it is a fault: the doubled-gap test above)
+    gs = metal_gs
+    spec = StrategySpec("grt", False, 1e-7, 8)
+    tols = select_tolerances(spec, tolerance_context(gs, rhs_norm=1.0), 1e-30, 2.0)
+    assert np.all(tols == TOLERANCE_FLOOR)
+    floor = (rf"{gs.n_occ} of {gs.n_occ} band tolerances sat at the tolerance floor 1e-16 "
+             r"at \|Kv\| = 2")
+    with pytest.raises(NonConvergenceError, match=floor) as err:
+        bound_margin(gs, spec, 1e-30, 2.0, tols)
+    assert err.value.cost == 0 and err.value.report is None
+    # inside the solve the operator raises with the cost of the application it made
+    op, applications = budgeted_dielectric(gs, spec, KernelSpec(xc=gs.model.xc), None, 1.0)
+    v = np.random.default_rng(19).standard_normal(gs.grids.n_g)
+    before = h_applications()
+    with pytest.raises(NonConvergenceError, match="tolerance floor") as err:
+        op(v, 1e-30)
+    assert err.value.cost == h_applications() - before > 0
+    assert applications == []
+
+
 def test_run_response_est_res_monotone_within_cycles(metal_gs):
     config = tiny_config(metal_gs, strategy="pd10", tau=1e-7)
     metrics = run_response(config, gs=metal_gs)
@@ -547,7 +571,7 @@ def test_true_residual_of_exact_solution_and_zero(metal_gs):
     kernel = KernelSpec()
     rng = np.random.default_rng(0)
     b = rng.standard_normal(gs.grids.n_g)
-    assert true_residual(gs, kernel, np.zeros_like(b), b) == pytest.approx(np.linalg.norm(b))
+    np.testing.assert_array_equal(true_residual(gs, kernel, np.zeros_like(b), b), b)
 
 
 def test_compare_strategies_table(metal_gs, tmp_path):
@@ -621,14 +645,18 @@ def test_verify_suite_passes_on_tiny_model(metal_gs, tmp_path):
         assert check["margin"] >= 1.0
     assert json.load(open(os.path.join(out, "verify.json")))["ok"]
     assert metal_gs._derived == {}
+    # the row norm checked is the one grt's tolerances read
+    row_norm = next(c for c in result["checks"] if c["name"] == "row_norm_bounds")
+    assert row_norm["details"]["value"] == tolerance_context(metal_gs, 1.0).row_norm
 
 
 def test_verify_negative_control(metal_gs):
     import copy
 
+    assert check_orthonormality(metal_gs)["passed"]
     corrupted = copy.copy(metal_gs)
-    corrupted.phi = metal_gs.phi.copy()
-    corrupted.phi[:, 0] *= 1.5
+    corrupted.u = metal_gs.u.copy()
+    corrupted.u[:, 0] *= 1.5
     check = check_orthonormality(corrupted)
     assert not check["passed"]
 

@@ -9,20 +9,20 @@ from pwdyson import InvariantViolationError, Lattice
 from pwdyson.groundstate import GaussianWell, ModelSpec, diagonalize_dense, run_scf
 from pwdyson.kernels import KernelSpec, apply_kernel
 from pwdyson.response import (
+    _cached_row_norm,
     _extra_band_response,
+    _first_order_occupations,
     _kept_bases,
     _occupied_matrix,
+    _occupied_orbital_response,
     apply_chi0,
     apply_dielectric,
-    delta_eigen_occupations,
-    delta_phi_occupied,
     dielectric_error_bound,
-    orbital_row_norm,
 )
-from pwdyson.pwbasis import from_cos_sin
 from pwdyson.sternheimer import kinetic_energies, project_out_occupied, solve_sternheimer
 
 from conftest import dense_chi0_oracle
+from oracles import from_cos_sin, phi, to_fourier, to_real
 
 TIGHT = 1e-13
 
@@ -31,7 +31,17 @@ def tight_tols(gs, value=TIGHT):
     return np.full(gs.n_occ, value)
 
 
-# -- delta_eigen_occupations ---------------------------------------------------
+def delta_eigen_occupations(gs, dv):
+    """First-order (delta_eps, delta_eps_F, delta_f) as `apply_chi0` computes them."""
+    return _first_order_occupations(gs, _occupied_matrix(gs, dv)[1])
+
+
+def delta_phi_occupied(gs, dv):
+    """`apply_chi0`'s occupied-subspace orbital response, one sphere column per band."""
+    return from_cos_sin(_occupied_orbital_response(gs, _occupied_matrix(gs, dv)[1]).T).T
+
+
+# -- first-order eigenvalues and occupations -------------------------------------
 
 
 def test_constant_shift_metal(metal_gs):
@@ -90,13 +100,13 @@ def test_occupied_orbitals_in_real_space_are_kept_read_only(metal_gs):
     assert psi_r.dtype == np.float64 and psi_r.shape == (gs.n_occ, gs.grids.n_g)
     np.testing.assert_array_equal(psi_r, gs.grids.to_real_many(gs.u_occ.T))
     for n in (0, gs.n_occ - 1):
-        psi_n = gs.grids.to_real(gs.phi[:, n])
+        psi_n = to_real(gs.grids, phi(gs)[:, n])
         assert np.linalg.norm(psi_r[n] - psi_n) <= 1e-13 * np.linalg.norm(psi_n)
     with pytest.raises(ValueError):
         psi_r[0, 0] = 0.0
 
 
-# -- delta_phi_occupied ---------------------------------------------------------
+# -- occupied-subspace orbital response ----------------------------------------
 
 
 def test_constant_perturbation_gives_zero_occupied_response(metal_gs):
@@ -114,10 +124,11 @@ def test_two_band_hand_assembly(metal_gs):
 
     grids = gs.grids
     f, eps, fprime = gs.occ_occ, gs.eps_occ, gs.fprime_occ()
+    orbitals = phi(gs)
     expected = np.zeros_like(out)
     for n in range(gs.n_occ):
-        psi_n = grids.to_real(gs.phi[:, n])
-        dvpsi = grids.to_fourier(dv * psi_n)
+        psi_n = to_real(grids, orbitals[:, n])
+        dvpsi = to_fourier(grids, dv * psi_n)
         for m in range(gs.n_occ):
             if m == n:
                 continue
@@ -127,7 +138,7 @@ def test_two_band_hand_assembly(metal_gs):
             else:
                 ratio = (f[n] - f[m]) / de
             weight = ratio * f[n] / (f[n] ** 2 + f[m] ** 2)
-            expected[:, n] += weight * np.vdot(gs.phi[:, m], dvpsi) * gs.phi[:, m]
+            expected[:, n] += weight * np.vdot(orbitals[:, m], dvpsi) * orbitals[:, m]
     np.testing.assert_allclose(out, expected, rtol=1e-10, atol=1e-12)
 
 
@@ -281,9 +292,9 @@ def test_split_band_response_equals_occupied_complement_solve(fixture, request):
     extra = _extra_band_response(gs, dvpsi)
     occ, kept = gs.u_occ, gs.u
     for n in range(gs.n_occ):
-        whole = solve_sternheimer(gs, [n], -project_out_occupied(occ, dvpsi[n], occ.T)[None],
+        whole = solve_sternheimer(gs, [n], -project_out_occupied(occ, dvpsi[n])[None],
                                   1e-14, occ).solution[0]
-        rest = solve_sternheimer(gs, [n], -project_out_occupied(kept, dvpsi[n], kept.T)[None],
+        rest = solve_sternheimer(gs, [n], -project_out_occupied(kept, dvpsi[n])[None],
                                  1e-14, kept).solution[0]
         assert np.linalg.norm(extra[:, n] + rest - whole) <= 1e-10 * np.linalg.norm(whole)
 
@@ -291,11 +302,11 @@ def test_split_band_response_equals_occupied_complement_solve(fixture, request):
 def test_kept_complement_solution_has_no_kept_component(wide_gs):
     gs = wide_gs
     rng = np.random.default_rng(17)
-    rhs = project_out_occupied(gs.u, rng.standard_normal(gs.grids.n_b), gs.u.T)
+    rhs = project_out_occupied(gs.u, rng.standard_normal(gs.grids.n_b))
     basis, h_r = _kept_bases(gs)
     for n in range(gs.n_occ):
         result = solve_sternheimer(gs, [n], rhs[None], 1e-11, basis, h_r=h_r)
-        leak = np.abs(gs.phi.conj().T @ from_cos_sin(result.solution[0]))
+        leak = np.abs(phi(gs).conj().T @ from_cos_sin(result.solution[0]))
         assert leak.max() <= 1e-10 * np.linalg.norm(result.solution)
 
 
@@ -406,9 +417,9 @@ def test_bound_dominates_measured_error(metal_gs):
 def test_row_norm_constant_orbital(metal_gs):
     grids = metal_gs.grids
     izero = int(np.flatnonzero((grids.g_int == 0).all(axis=1))[0])
-    phi = np.zeros((grids.n_b, 1), dtype=complex)
-    phi[izero, 0] = 1.0
-    val = orbital_row_norm(grids, phi)
+    u = np.zeros((grids.n_b, 1))
+    u[izero, 0] = 1.0
+    val = _cached_row_norm(dataclasses.replace(metal_gs, u=u, n_occ=1))
     assert val == pytest.approx(np.sqrt(1.0 / grids.lattice.volume), rel=1e-12)
 
 
@@ -416,9 +427,8 @@ def test_row_norm_bounds_random_orthonormal(metal_gs):
     grids = metal_gs.grids
     rng = np.random.default_rng(14)
     k = 4
-    q, _ = np.linalg.qr(rng.standard_normal((grids.n_b, k))
-                        + 1j * rng.standard_normal((grids.n_b, k)))
-    val = orbital_row_norm(grids, q)
+    q, _ = np.linalg.qr(rng.standard_normal((grids.n_b, k)))
+    val = _cached_row_norm(dataclasses.replace(metal_gs, u=q, n_occ=k))
     vol = grids.lattice.volume
     assert np.sqrt(k / vol) - 1e-12 <= val <= np.sqrt(grids.n_g / vol) + 1e-12
 
@@ -426,9 +436,9 @@ def test_row_norm_bounds_random_orthonormal(metal_gs):
 def test_row_norm_matches_direct_evaluation(metal_gs):
     gs = metal_gs
     grids = gs.grids
-    psi = np.array([grids.to_real(phi) for phi in gs.phi_occ.T])
+    psi = np.array([to_real(grids, orbital) for orbital in phi(gs)[:, :gs.n_occ].T])
     direct = np.sqrt(np.max(np.sum(np.abs(psi.T) ** 2, axis=1)))
-    assert orbital_row_norm(grids, gs.phi_occ) == pytest.approx(direct, rel=1e-14)
+    assert _cached_row_norm(gs) == pytest.approx(direct, rel=1e-14)
     # the orbitals are real functions: their real parts carry the whole norm
     real_part = np.sqrt(np.max(np.sum(psi.real.T ** 2, axis=1)))
-    assert orbital_row_norm(grids, gs.phi_occ) == pytest.approx(real_part, rel=1e-14)
+    assert _cached_row_norm(gs) == pytest.approx(real_part, rel=1e-14)

@@ -13,13 +13,14 @@ from pwdyson.groundstate import (
     GaussianWell,
     GroundState,
     ModelSpec,
-    dense_hamiltonian,
     external_potential,
     real_hamiltonian,
     run_scf,
 )
-from pwdyson.pwbasis import from_cos_sin, real_basis, to_cos_sin
 from pwdyson.sternheimer import project_out_occupied, solve_sternheimer
+
+from oracles import (dense_from_matvec, dense_hamiltonian, from_cos_sin, phi, project_out,
+                     real_basis, to_cos_sin, to_fourier, to_real)
 
 
 @pytest.fixture(scope="module")
@@ -38,9 +39,8 @@ def tiny_gs():
 def solve_on_sphere(gs, bands, rhs, tol, basis, **kwargs):
     """`solve_sternheimer` with right-hand sides and solutions as sphere coefficients.
 
-    The solver works on the real cos/sin rows T b_n: the rows are mapped
-    with T on the way in (complex rows whose imaginary part is not
-    round-off are the solver's to reject) and back with T^H on the way out.
+    Rows go in as T b_n (the solver rejects those not real to round-off)
+    and come out as T^H x_n.
     """
     result = solve_sternheimer(gs, bands, to_cos_sin(rhs), tol, basis, **kwargs)
     result.solution = from_cos_sin(result.solution)
@@ -52,54 +52,44 @@ def real_functions(rng, shape):
     return from_cos_sin(rng.standard_normal(shape))
 
 
+def phi_occ(gs):
+    """The occupied orbitals as sphere coefficients, (n_b, n_occ)."""
+    return phi(gs)[:, :gs.n_occ]
+
+
 def dense_operator(gs, n):
     """Dense A_n = Q (H - eps_n) Q via matvec columns (independent path)."""
-    from pwdyson.groundstate import apply_hamiltonian
-
-    grids = gs.grids
-    nb = grids.n_b
-    phi = gs.phi_occ
-    q = np.eye(nb, dtype=complex) - phi @ phi.conj().T
-    h = np.zeros((nb, nb), dtype=complex)
-    for j in range(nb):
-        e = np.zeros(nb, dtype=complex)
-        e[j] = 1.0
-        h[:, j] = apply_hamiltonian(grids, gs.v_local, e)
+    nb = gs.grids.n_b
+    occ = phi_occ(gs)
+    q = np.eye(nb, dtype=complex) - occ @ occ.conj().T
+    h = dense_from_matvec(gs.grids, gs.v_local)
     return q @ (h - gs.eps[n] * np.eye(nb)) @ q
-
-
-def test_projector_with_kept_adjoint_is_bit_identical(tiny_gs):
-    rng = np.random.default_rng(5)
-    psi = rng.standard_normal(tiny_gs.grids.n_b) + 1j * rng.standard_normal(tiny_gs.grids.n_b)
-    phi = tiny_gs.phi_occ
-    np.testing.assert_array_equal(project_out_occupied(phi, psi, phi.conj().T),
-                                  project_out_occupied(phi, psi))
 
 
 def test_projector_annihilates_occupied(tiny_gs):
     gs = tiny_gs
     for k in range(gs.n_occ):
-        out = project_out_occupied(gs.phi_occ, gs.phi[:, k])
+        out = project_out_occupied(gs.u_occ, gs.u[:, k])
         assert np.linalg.norm(out) < 1e-12
 
 
 def test_projector_leaves_orthogonal_complement(tiny_gs):
     gs = tiny_gs
     rng = np.random.default_rng(0)
-    psi = rng.standard_normal(gs.grids.n_b) + 1j * rng.standard_normal(gs.grids.n_b)
-    q_psi = project_out_occupied(gs.phi_occ, psi)
-    again = project_out_occupied(gs.phi_occ, q_psi)
+    psi = rng.standard_normal(gs.grids.n_b)
+    q_psi = project_out_occupied(gs.u_occ, psi)
+    again = project_out_occupied(gs.u_occ, q_psi)
     assert np.linalg.norm(again - q_psi) <= 1e-12 * np.linalg.norm(q_psi)
 
 
 def test_projector_pythagoras(tiny_gs):
     gs = tiny_gs
     rng = np.random.default_rng(1)
-    phi = gs.phi_occ
-    p_dense = phi @ phi.conj().T
+    basis = gs.u_occ
+    p_dense = basis @ basis.T
     for _ in range(5):
-        psi = rng.standard_normal(gs.grids.n_b) + 1j * rng.standard_normal(gs.grids.n_b)
-        q_psi = project_out_occupied(phi, psi)
+        psi = rng.standard_normal(gs.grids.n_b)
+        q_psi = project_out_occupied(basis, psi)
         p_psi = p_dense @ psi
         lhs = np.linalg.norm(q_psi) ** 2 + np.linalg.norm(p_psi) ** 2
         assert lhs == pytest.approx(np.linalg.norm(psi) ** 2, rel=1e-12)
@@ -108,7 +98,7 @@ def test_projector_pythagoras(tiny_gs):
 def test_zero_rhs_one_iteration(tiny_gs, h_applications):
     gs = tiny_gs
     result = solve_on_sphere(gs, [0], np.zeros((1, gs.grids.n_b), dtype=complex),
-                             tol=1e-10, basis=real_basis(gs.phi_occ))
+                             tol=1e-10, basis=real_basis(phi_occ(gs)))
     assert result.cg_iterations == 1
     assert h_applications() == 1
     assert np.linalg.norm(result.solution) == 0.0
@@ -117,8 +107,8 @@ def test_zero_rhs_one_iteration(tiny_gs, h_applications):
 def test_counter_matches_iterations(tiny_gs, h_applications):
     gs = tiny_gs
     rng = np.random.default_rng(2)
-    rhs = project_out_occupied(gs.phi_occ, real_functions(rng, gs.grids.n_b))
-    result = solve_on_sphere(gs, [1], rhs[None], tol=1e-9, basis=real_basis(gs.phi_occ))
+    rhs = project_out(phi_occ(gs), real_functions(rng, gs.grids.n_b))
+    result = solve_on_sphere(gs, [1], rhs[None], tol=1e-9, basis=real_basis(phi_occ(gs)))
     assert h_applications() == result.cg_iterations
     assert result.final_residual_norm <= 1e-9
 
@@ -126,10 +116,10 @@ def test_counter_matches_iterations(tiny_gs, h_applications):
 def test_solution_stays_in_unoccupied_range(tiny_gs):
     gs = tiny_gs
     rng = np.random.default_rng(3)
-    rhs = project_out_occupied(gs.phi_occ, real_functions(rng, gs.grids.n_b))
+    rhs = project_out(phi_occ(gs), real_functions(rng, gs.grids.n_b))
     result = solve_on_sphere(gs, [gs.n_occ - 1], rhs[None], tol=1e-11,
-                             basis=real_basis(gs.phi_occ))
-    leak = np.linalg.norm(gs.phi_occ.conj().T @ result.solution[0])
+                             basis=real_basis(phi_occ(gs)))
+    leak = np.linalg.norm(phi_occ(gs).conj().T @ result.solution[0])
     assert leak <= 1e-10 * np.linalg.norm(result.solution)
 
 
@@ -139,9 +129,9 @@ def test_matches_dense_pseudoinverse(tiny_gs):
     rng = np.random.default_rng(4)
     for n in (0, gs.n_occ - 1):
         a = dense_operator(gs, n)
-        rhs = project_out_occupied(gs.phi_occ, real_functions(rng, gs.grids.n_b))
+        rhs = project_out(phi_occ(gs), real_functions(rng, gs.grids.n_b))
         tol = 1e-10
-        result = solve_on_sphere(gs, [n], rhs[None], tol=tol, basis=real_basis(gs.phi_occ))
+        result = solve_on_sphere(gs, [n], rhs[None], tol=tol, basis=real_basis(phi_occ(gs)))
         x_ref = np.linalg.pinv(a, rcond=1e-8) @ rhs
         a_pinv_norm = 1.0 / (gs.eps_gap_ref - gs.eps[n])
         err = np.linalg.norm(result.solution - x_ref)
@@ -155,10 +145,10 @@ def test_error_bounded_by_gap_scaled_residual(tiny_gs):
     a = dense_operator(gs, n)
     x_exact = None
     for tol in (1e-4, 1e-6, 1e-8):
-        rhs = project_out_occupied(gs.phi_occ, real_functions(rng, gs.grids.n_b))
+        rhs = project_out(phi_occ(gs), real_functions(rng, gs.grids.n_b))
         if x_exact is None:
             x_exact = np.linalg.pinv(a, rcond=1e-8)
-        result = solve_on_sphere(gs, [n], rhs[None], tol=tol, basis=real_basis(gs.phi_occ))
+        result = solve_on_sphere(gs, [n], rhs[None], tol=tol, basis=real_basis(phi_occ(gs)))
         z = np.linalg.norm(result.solution - x_exact @ rhs)
         bound = result.final_residual_norm / (gs.eps_gap_ref - gs.eps[n])
         assert z <= bound * (1 + 1e-6)
@@ -167,9 +157,9 @@ def test_error_bounded_by_gap_scaled_residual(tiny_gs):
 def test_max_iter_raises_with_residual(tiny_gs, h_applications):
     gs = tiny_gs
     rng = np.random.default_rng(6)
-    rhs = project_out_occupied(gs.phi_occ, real_functions(rng, gs.grids.n_b))
+    rhs = project_out(phi_occ(gs), real_functions(rng, gs.grids.n_b))
     with pytest.raises(NonConvergenceError) as err:
-        solve_on_sphere(gs, [0], rhs[None], tol=1e-14, basis=real_basis(gs.phi_occ),
+        solve_on_sphere(gs, [0], rhs[None], tol=1e-14, basis=real_basis(phi_occ(gs)),
                         max_iter=2)
     assert err.value.residual is not None and err.value.residual > 0
     assert err.value.cost == h_applications() == 2
@@ -179,8 +169,8 @@ def test_indefinite_operator_fails_fast(tiny_gs):
     # without band 0 in phi, Q (H - eps_n) Q is indefinite for the top band
     gs = tiny_gs
     rng = np.random.default_rng(7)
-    phi = gs.phi_occ[:, 1:]
-    rhs = project_out_occupied(phi, real_functions(rng, gs.grids.n_b))
+    phi = phi_occ(gs)[:, 1:]
+    rhs = project_out(phi, real_functions(rng, gs.grids.n_b))
     # a solve still running at step 2 would raise NonConvergenceError instead
     with pytest.raises(InvariantViolationError, match=f"band {gs.n_occ - 1}"):
         solve_on_sphere(gs, [gs.n_occ - 1], rhs[None], tol=1e-10, basis=real_basis(phi),
@@ -192,18 +182,18 @@ def test_indefinite_operator_fails_fast(tiny_gs):
 
 def _block_rhs(gs, seed):
     raw = real_functions(np.random.default_rng(seed), (gs.n_occ, gs.grids.n_b))
-    return project_out_occupied(gs.phi, raw.T).T
+    return project_out(phi(gs), raw.T).T
 
 
 def test_block_solve_matches_one_row_solves(metal_gs):
     gs = metal_gs
     rhs = _block_rhs(gs, 8)
     tols = np.geomspace(1e-6, 1e-11, gs.n_occ)
-    block = solve_on_sphere(gs, range(gs.n_occ), rhs, tols, real_basis(gs.phi))
+    block = solve_on_sphere(gs, range(gs.n_occ), rhs, tols, real_basis(phi(gs)))
     assert isinstance(block.cg_iterations, int)
     assert block.cg_iterations == sum(block.iterations_per_band)
     for n in range(gs.n_occ):
-        one = solve_on_sphere(gs, [n], rhs[n:n + 1], tols[n], real_basis(gs.phi))
+        one = solve_on_sphere(gs, [n], rhs[n:n + 1], tols[n], real_basis(phi(gs)))
         assert block.iterations_per_band[n] == one.iterations_per_band[0] == one.cg_iterations
         assert (np.linalg.norm(block.solution[n] - one.solution[0])
                 <= 1e-12 * np.linalg.norm(one.solution[0]))
@@ -214,10 +204,10 @@ def test_zero_rhs_row_costs_one_application(metal_gs, h_applications):
     gs = metal_gs
     rhs = _block_rhs(gs, 9)
     bands = range(gs.n_occ)
-    full = solve_on_sphere(gs, bands, rhs, 1e-9, real_basis(gs.phi))
+    full = solve_on_sphere(gs, bands, rhs, 1e-9, real_basis(phi(gs)))
     rhs[1] = 0.0
     before = h_applications()
-    zeroed = solve_on_sphere(gs, bands, rhs, 1e-9, real_basis(gs.phi))
+    zeroed = solve_on_sphere(gs, bands, rhs, 1e-9, real_basis(phi(gs)))
     assert h_applications() - before == zeroed.cg_iterations
     assert zeroed.iterations_per_band[1] == 1
     assert np.linalg.norm(zeroed.solution[1]) == 0.0
@@ -233,7 +223,7 @@ def test_counter_sums_per_band_iterations_as_bands_drop_out(metal_gs, h_applicat
     rhs = _block_rhs(gs, 10)
     tols = np.full(gs.n_occ, 1e-11)
     tols[::2] = 1e-4                        # these bands stop early
-    result = solve_on_sphere(gs, range(gs.n_occ), rhs, tols, real_basis(gs.phi))
+    result = solve_on_sphere(gs, range(gs.n_occ), rhs, tols, real_basis(phi(gs)))
     assert h_applications() == result.cg_iterations == sum(result.iterations_per_band)
     iters = np.array(result.iterations_per_band)
     assert iters[::2].max() < iters[1::2].min()
@@ -243,7 +233,7 @@ def test_counter_sums_per_band_iterations_as_bands_drop_out(metal_gs, h_applicat
 def test_stall_cost_counts_converged_and_stalled_bands(metal_gs, h_applications):
     gs = metal_gs
     rhs = _block_rhs(gs, 11)
-    basis = real_basis(gs.phi)
+    basis = real_basis(phi(gs))
     tols = np.full(gs.n_occ, 1e-14)
     tols[0] = 1e-4
     early = solve_on_sphere(gs, [0], rhs[:1], tols[0], basis).cg_iterations
@@ -373,12 +363,12 @@ def textbook_cg(gs, n, b, tol, phi):
 @pytest.mark.parametrize("fixture", ["metal_gs", "tiny_gs"])
 def test_real_block_cg_matches_textbook_complex_cg(fixture, request):
     gs = request.getfixturevalue(fixture)
-    basis = real_basis(gs.phi)
+    basis = real_basis(phi(gs))
     for seed, tol in ((22, 1e-6), (23, 1e-10), (24, 1e-13)):
         rhs = _block_rhs(gs, seed)
         block = solve_on_sphere(gs, range(gs.n_occ), rhs, tol, basis)
         for n in range(gs.n_occ):
-            x, iterations = textbook_cg(gs, n, rhs[n], tol, gs.phi)
+            x, iterations = textbook_cg(gs, n, rhs[n], tol, phi(gs))
             assert block.iterations_per_band[n] == iterations
             assert np.linalg.norm(block.solution[n] - x) <= 1e-12 * np.linalg.norm(x)
 
@@ -389,20 +379,21 @@ def test_real_basis_rejects_span_not_closed_under_conjugation(insulator_gs):
     # with one of them alone the span is not closed under conjugation either
     gs = insulator_gs
     assert gs.eps[2] == pytest.approx(gs.eps[3], abs=1e-9) == pytest.approx(0.48942, abs=1e-5)
-    a, b = gs.phi[:, 2], gs.phi[:, 3]
-    phased = np.column_stack([gs.phi[:, :2], (a + 1j * b) / np.sqrt(2),
-                              (a - 1j * b) / np.sqrt(2), gs.phi[:, 4:]])
+    orbitals = phi(gs)
+    a, b = orbitals[:, 2], orbitals[:, 3]
+    phased = np.column_stack([orbitals[:, :2], (a + 1j * b) / np.sqrt(2),
+                              (a - 1j * b) / np.sqrt(2), orbitals[:, 4:]])
     np.testing.assert_allclose(phased.conj().T @ phased, np.eye(gs.n_kept), rtol=0, atol=1e-12)
     np.testing.assert_allclose(phased[:, 2:4] @ phased[:, 2:4].conj().T,
-                               gs.phi[:, 2:4] @ gs.phi[:, 2:4].conj().T, rtol=0, atol=1e-12)
-    assert real_basis(gs.phi).shape == (gs.grids.n_b, gs.n_kept)
+                               orbitals[:, 2:4] @ orbitals[:, 2:4].conj().T, rtol=0, atol=1e-12)
+    assert real_basis(orbitals).shape == (gs.grids.n_b, gs.n_kept)
     with pytest.raises(InvariantViolationError, match="row 2 is not a real function"):
         real_basis(phased)
     with pytest.raises(InvariantViolationError, match="not a real function"):
         real_basis(phased[:, :3])
     # an overall phase leaves the span and the density, not the real basis
     with pytest.raises(InvariantViolationError, match="row 0 is not a real function"):
-        real_basis(np.exp(0.3j) * gs.phi)
+        real_basis(np.exp(0.3j) * orbitals)
 
 
 def test_complex_gauge_rhs_rejected(metal_gs, h_applications):
@@ -410,7 +401,7 @@ def test_complex_gauge_rhs_rejected(metal_gs, h_applications):
     # is imaginary, and a solve of its real part alone would be wrong
     gs = metal_gs
     rhs = _block_rhs(gs, 25)
-    basis = real_basis(gs.phi)
+    basis = real_basis(phi(gs))
     solve_on_sphere(gs, range(gs.n_occ), rhs, 1e-8, basis)
     rhs[1] *= np.exp(0.25j)
     with pytest.raises(InvariantViolationError, match="row 1 is not a real function"):
@@ -429,11 +420,12 @@ def test_rhs_of_real_orbitals_is_real_to_roundoff(metal_gs):
     dv = np.random.default_rng(27).standard_normal(gs.grids.n_g)
     dvpsi, _ = _occupied_matrix(gs, dv)
     assert dvpsi.dtype == np.float64
-    products = np.array([gs.grids.to_fourier(dv * gs.grids.to_real(phi)) for phi in gs.phi_occ.T])
-    rows = to_cos_sin(-project_out_occupied(gs.phi, products.T).T)
+    products = np.array([to_fourier(gs.grids, dv * to_real(gs.grids, orbital))
+                         for orbital in phi_occ(gs).T])
+    rows = to_cos_sin(-project_out(phi(gs), products.T).T)
     rel = np.linalg.norm(rows.imag, axis=1) / np.linalg.norm(rows, axis=1)
     assert rel.max() <= 1e-14
-    real_rows = -project_out_occupied(gs.u, dvpsi.T, gs.u.T).T
+    real_rows = -project_out_occupied(gs.u, dvpsi.T).T
     assert np.linalg.norm(real_rows - rows.real) <= 1e-13 * np.linalg.norm(rows)
 
 

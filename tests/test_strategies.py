@@ -6,7 +6,6 @@ import pytest
 from pwdyson import ConfigurationError, Lattice, harness
 from pwdyson.config import Perturbation
 from pwdyson.groundstate import GaussianWell, ModelSpec, run_scf
-from pwdyson.response import orbital_row_norm
 from pwdyson.strategies import (
     StrategySpec,
     ToleranceContext,
