@@ -4,7 +4,8 @@ The model is a reduced Hartree-Fock solid: kinetic energy, a lattice-summed
 sum of Gaussian wells as the external potential, the Hartree potential of
 the electron density, and optionally a local LDA exchange term.  At desk
 scale (n_b up to a couple thousand) the eigenproblem is solved densely,
-which keeps every downstream test exact.
+which keeps every downstream test exact, one block per mirror sector of
+the potential (`sector_hamiltonian`).
 """
 
 import itertools
@@ -16,7 +17,7 @@ import scipy.linalg
 from scipy.special import erfc, expit
 
 from .errors import ConfigurationError, InvariantViolationError, NonConvergenceError
-from .pwbasis import FourierGrids, Lattice, build_grids
+from .pwbasis import FourierGrids, Lattice, SectorBasis, build_grids
 
 
 @dataclass(frozen=True)
@@ -188,7 +189,10 @@ def real_hamiltonian(grids: FourierGrids, v_local: np.ndarray) -> np.ndarray:
     of V_{G,G'} = vhat(G - G'), which hold every vhat(G_i - G_j),
     vhat(G_i + G_j) and vhat(G_i) of the pairs.  Those rows are gathered
     from Re vhat and Im vhat separately, in blocks of _REAL_H_ROWS, and
-    H_r is written in place.
+    H_r is written in place.  vhat is one real FFT of v_local
+    (`FourierGrids.cube_fft`).  The SCF and the Sternheimer CG use H_r
+    through `sector_hamiltonian`: its blocks in the mirror sectors of
+    v_local, or H_r itself when v_local has no mirror.
 
     Raises:
         InvariantViolationError: the sphere is not symmetric under G -> -G
@@ -221,16 +225,80 @@ def real_hamiltonian(grids: FourierGrids, v_local: np.ndarray) -> np.ndarray:
     return hr
 
 
+MIRROR_RTOL = 1e-13          # max |v - v o M| / max |v| of a mirror M taken as a symmetry
+SECTOR_DEFECT_LIMIT = 1e-12  # commutation defect / max |H_r| allowed of those mirrors
+
+
+@dataclass(frozen=True)
+class SectorHamiltonian:
+    """H_r as one dense block per mirror sector: S_c^T H_r S_c (see `pwbasis.SectorBasis`).
+
+    Rows handed to `apply` are in the adapted basis, sector by sector
+    (`basis.to_sectors`).  `defect` is the mirrors' commutation defect
+    max_M ||M H_r - H_r M||, in the max norm of the adapted basis, over
+    max |H_r|.  A mirror is diagonal there (+-1 by sector), so the
+    defect is twice the largest entry the blocks drop, relative.
+    """
+
+    basis: SectorBasis
+    blocks: tuple
+    defect: float
+
+    def apply(self, rows: np.ndarray, out: np.ndarray = None) -> np.ndarray:
+        """rows H (H symmetric) for (k, n_b) rows in the adapted basis: one GEMM per sector."""
+        if out is None:
+            out = np.empty_like(rows)
+        for s, block in zip(self.basis.sectors, self.blocks):
+            np.matmul(rows[:, s], block, out=out[:, s])
+        return out
+
+
+def sector_hamiltonian(grids: FourierGrids, v_local: np.ndarray) -> SectorHamiltonian:
+    """`real_hamiltonian` in the basis adapted to the mirrors of v_local, as per-sector blocks.
+
+    The mirrors are those of `grids.mirrors` that leave v_local unchanged
+    to MIRROR_RTOL.  Their commutation defect with H_r must stay within
+    SECTOR_DEFECT_LIMIT, since the blocks drop every entry outside them.
+    With no mirror there is one block, H_r itself, and the identity map.
+
+    Raises:
+        InvariantViolationError: the mirrors do not commute with H_r.
+    """
+    h_r = real_hamiltonian(grids, v_local)
+    basis = grids.sector_basis(v_local, MIRROR_RTOL)
+    blocks, dropped = basis.blocks(h_r)
+    defect = 2.0 * dropped / float(np.max(np.abs(h_r)))
+    if defect > SECTOR_DEFECT_LIMIT:
+        raise InvariantViolationError(
+            f"mirrors of v_local (axes {basis.mirror_axes}) do not commute with H_r: "
+            f"defect {defect:.2e} > {SECTOR_DEFECT_LIMIT:.0e}")
+    for block in blocks:
+        block.flags.writeable = False
+    return SectorHamiltonian(basis=basis, blocks=blocks, defect=defect)
+
+
 def diagonalize_dense(grids: FourierGrids, v_local: np.ndarray, n_states: int):
     """Lowest n_states eigenpairs (eps, u) of the discretised Hamiltonian.
 
-    A real symmetric `eigh` of H_r gives the eigenvectors as u, (n_b,
-    n_states), orthonormal real coefficients in the cos/sin basis: every
-    orbital is a real function.
+    One real symmetric `eigh` per mirror sector of `sector_hamiltonian`
+    gives each sector's lowest n_states; a stable sort of their
+    eigenvalues keeps the lowest n_states overall, ties in sector order.
+    The eigenvectors, mapped back, are u, (n_b, n_states), orthonormal
+    real coefficients in the cos/sin basis: every orbital is a real
+    function, and each lies in one sector.
     """
     if n_states > grids.n_b:
         raise ConfigurationError(f"n_states={n_states} exceeds basis size {grids.n_b}")
-    return scipy.linalg.eigh(real_hamiltonian(grids, v_local), subset_by_index=[0, n_states - 1])
+    ham = sector_hamiltonian(grids, v_local)
+    eps, rows = [], []
+    for s, block in zip(ham.basis.sectors, ham.blocks):
+        e, y = scipy.linalg.eigh(block, subset_by_index=[0, min(n_states, len(block)) - 1])
+        vectors = np.zeros((len(e), grids.n_b))
+        vectors[:, s] = y.T
+        eps.append(e)
+        rows.append(vectors)
+    keep = np.argsort(np.concatenate(eps), kind="stable")[:n_states]
+    return np.concatenate(eps)[keep], ham.basis.from_sectors(np.concatenate(rows)[keep]).T
 
 
 # -- density and potentials ---------------------------------------------------
@@ -248,12 +316,11 @@ def compute_density(grids: FourierGrids, u: np.ndarray, occ: np.ndarray) -> np.n
 
 def hartree_potential(grids: FourierGrids, rho: np.ndarray) -> np.ndarray:
     """Zero-mean solution of -Laplacian v = 4 pi (rho - mean rho)."""
-    rhof = grids.cube_fft(rho)
+    rhof = grids.cube_rfft(rho)
     with np.errstate(divide="ignore", invalid="ignore"):
-        vf = 4 * np.pi * rhof / grids.g2_cube
-    vf[grids.g2_cube == 0] = 0.0
-    v = grids.cube_ifft(vf)
-    return v.real
+        rhof *= 4 * np.pi / grids.g2_half
+    rhof[grids.g2_half == 0] = 0.0
+    return grids.cube_irfft(rhof)
 
 
 def lda_exchange_potential(rho: np.ndarray) -> np.ndarray:

@@ -20,6 +20,7 @@ from .archive import atomic_write, is_older_format, load_ground_state, save_grou
 from .config import ExperimentConfig, model_to_dict
 from .errors import ConfigurationError, InvariantViolationError, NonConvergenceError
 from .groundstate import (
+    SECTOR_DEFECT_LIMIT,
     GroundState,
     external_potential,
     external_potential_derivative,
@@ -33,6 +34,7 @@ from .pwbasis import build_grids
 from .response import (
     DielectricApplication,
     _cached_row_norm,
+    _kept_bases,
     apply_chi0,
     apply_dielectric,
     dielectric_error_bound,
@@ -529,6 +531,17 @@ def check_sternheimer_error_bound(gs: GroundState, rng) -> dict:
             "margin": 1.0 / max(worst, 1e-300)}
 
 
+def check_mirror_sectors(gs: GroundState) -> dict:
+    # the blocks the Sternheimer CG applies: sector sizes and the mirrors' commutation defect
+    ham = _kept_bases(gs)[1]
+    sizes = [len(block) for block in ham.blocks]
+    passed = ham.defect <= SECTOR_DEFECT_LIMIT and sum(sizes) == gs.grids.n_b
+    return {"name": "mirror_sectors", "passed": passed,
+            "margin": SECTOR_DEFECT_LIMIT / max(ham.defect, 1e-300),
+            "details": {"mirror_axes": list(ham.basis.mirror_axes), "sector_sizes": sizes,
+                        "defect": ham.defect}}
+
+
 def verify_suite(config: ExperimentConfig, gs: GroundState = None,
                  out_dir: str = None) -> dict:
     """Run the executable-lemma checks; returns {ok, checks: [...]}.
@@ -550,6 +563,7 @@ def verify_suite(config: ExperimentConfig, gs: GroundState = None,
             check_bound_dominance(gs, kernel, rng),
             check_y_bound(gs, config),
             check_sternheimer_error_bound(gs, rng),
+            check_mirror_sectors(gs),
         ]
     finally:
         gs.drop_derived()

@@ -1,8 +1,8 @@
 """Hartree (+ optional LDA exchange) kernel and the Kerker preconditioner.
 
 Both act on real grid vectors and are diagonal in Fourier space (the
-exchange part is pointwise in real space), so applications are one FFT
-round trip.
+exchange part is pointwise in real space), so applications are one real
+FFT round trip on the half spectrum.
 """
 
 from dataclasses import dataclass
@@ -46,11 +46,11 @@ def apply_kernel(spec: KernelSpec, grids: FourierGrids, rho_ref: np.ndarray,
     pointwise derivative of the LDA exchange potential at rho_ref, with
     the density floored to keep rho^(-2/3) bounded.
     """
-    vf = grids.cube_fft(v)
+    vf = grids.cube_rfft(v)
     with np.errstate(divide="ignore", invalid="ignore"):
-        vf *= 4 * np.pi / grids.g2_cube
-    vf[grids.g2_cube == 0] = 0.0
-    out = grids.cube_ifft(vf).real
+        vf *= 4 * np.pi / grids.g2_half
+    vf[grids.g2_half == 0] = 0.0
+    out = grids.cube_irfft(vf)
     if spec.xc == "lda_x":
         rho = np.clip(rho_ref, LDA_X_DENSITY_FLOOR, None)
         out = out - (1.0 / 3.0) * (3.0 / np.pi) ** (1.0 / 3.0) * rho ** (-2.0 / 3.0) * v
@@ -65,7 +65,7 @@ def apply_kerker(spec: KerkerSpec, grids: FourierGrids, v: np.ndarray) -> np.nda
     """
     if spec.alpha == 0.0:
         return np.array(v, dtype=float, copy=True)
-    damp = grids.g2_cube / (grids.g2_cube + spec.alpha**2)
-    damp[grids.g2_cube == 0] = 1.0
-    return grids.cube_ifft(grids.cube_fft(v) * damp).real
+    damp = grids.g2_half / (grids.g2_half + spec.alpha**2)
+    damp[grids.g2_half == 0] = 1.0
+    return grids.cube_irfft(grids.cube_rfft(v) * damp)
 

@@ -29,10 +29,17 @@ values on the grid and `to_fourier_many . to_real_many` is the identity
 on cos/sin rows.  They run a half-spectrum `irfft`/`rfft` along x and
 complex FFTs along y and z over only the lines that hold sphere points of
 the half spectrum kx >= 0.
+
+A coordinate mirror i_a -> -i_a that maps the sphere onto itself with
+|G| unchanged is a signed permutation of the cos/sin indices (`Mirror`).
+`SectorBasis` is the real basis adapted to the mirrors a potential has:
+an operator that commutes with them is block-diagonal there, one block
+per sector.
 """
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 import scipy.fft
@@ -41,8 +48,17 @@ from .errors import ConfigurationError, InvariantViolationError
 
 TWO_PI = 2.0 * np.pi
 _DIFFERENCE_ROWS = 64       # rows per block of `sphere_difference_index`
+_SECTOR_ROWS = 32           # adapted rows per gather in `SectorBasis.blocks`
 _SQRT_HALF = np.sqrt(0.5)
 REAL_FUNCTION_RTOL = 1e-12  # |Im T c| / |T c| above this: c is not a real function
+
+
+class Mirror(NamedTuple):
+    """The coordinate mirror i_axis -> -i_axis on cos/sin coefficients: e_i -> sign[i] e_perm[i]."""
+
+    axis: int               # 0, 1, 2 for x, y, z
+    perm: np.ndarray        # (n_b,) int
+    sign: np.ndarray        # (n_b,) +-1.0
 
 
 @dataclass(frozen=True)
@@ -111,9 +127,10 @@ def _integer_box(b: np.ndarray, a: np.ndarray, radius: float) -> np.ndarray:
 class FourierGrids:
     """Spherical orbital grid and cubic density grid for one cutoff.
 
-    Immutable after construction, apart from `sphere_difference_index`,
-    which is built on first use; every stored array is read-only, and
-    transforms are pure functions of the stored index tables.
+    Immutable after construction, apart from `sphere_difference_index`
+    and the bases of `sector_basis`, which are built on first use; every
+    stored array is read-only, and transforms are pure functions of the
+    stored index tables.
 
     Attributes:
         lattice: the unit cell.
@@ -126,6 +143,10 @@ class FourierGrids:
         n_b, n_g: sphere / cube sizes.
         w: FFT normalisation sqrt(|Omega|)/sqrt(n_g).
         g2_cube: (n_g,) squared norms on the cube, flat x-fastest.
+        g2_half: (Nz, Ny, Nx//2 + 1) the same on the half spectrum of
+            `cube_rfft`.
+        mirrors: the coordinate mirrors i_a -> -i_a that map the sphere
+            onto itself with |G| unchanged, as `Mirror`s on cos/sin indices.
         sphere_difference_index: (n_b, n_b) flat cube index of
             g_int[i] - g_int[j], read-only.
     """
@@ -199,8 +220,37 @@ class FourierGrids:
         cube_int = np.stack([ix.ravel(), iy.ravel(), iz.ravel()], axis=1)
         cube_cart = cube_int @ lattice.b
         self.g2_cube = np.einsum("ij,ij->i", cube_cart, cube_cart)
+        self.g2_half = np.ascontiguousarray(
+            self.g2_cube.reshape(self._cube_shape)[..., :nx // 2 + 1])
+
+        # Coordinate mirrors i_a -> -i_a that map the sphere onto itself with
+        # |G| unchanged (every axis of an orthorhombic cell).  On cos/sin
+        # index i of pair j = min(i, n_b - 1 - i) the mirror sends G_j to
+        # G_q; cos(G_q r) is the cos of pair q' = min(q, n_b - 1 - q), and
+        # sin(G_q r) is minus the sin of q' when q lies past G = 0.
+        span = 2 * np.max(np.abs(self.g_int), axis=0) + 1
+        weights = np.array([span[1] * span[2], span[2], 1])
+        keys = self.g_int @ weights                     # ascending, as g_int is lexicographic
+        index = np.arange(self.n_b)
+        pair, sin = np.minimum(index, self.n_b - 1 - index), index > h
+        mirrors = []
+        for axis in range(3):
+            flipped = self.g_int * np.where(np.arange(3) == axis, -1, 1)
+            q = np.minimum(np.searchsorted(keys, flipped @ weights), self.n_b - 1)
+            if (not np.array_equal(self.g_int[q], flipped)
+                    or np.max(np.abs(self.g2_sphere[q] - self.g2_sphere))
+                    > 1e-13 * np.max(self.g2_sphere)):
+                continue
+            q = q[pair]
+            q_pair = np.minimum(q, self.n_b - 1 - q)
+            mirrors.append(Mirror(axis, np.where(sin, self.n_b - 1 - q_pair, q_pair),
+                                  np.where(sin & (q > h), -1.0, 1.0)))
+        self.mirrors = tuple(mirrors)
+        for mirror in self.mirrors:
+            mirror.perm.flags.writeable = mirror.sign.flags.writeable = False
 
         self._to_fourier_scale = np.sqrt(lattice.volume) / self.n_g
+        self._sector_bases = {}                # mirror axes -> SectorBasis, see `sector_basis`
         for value in vars(self).values():
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
@@ -280,17 +330,155 @@ class FourierGrids:
         np.multiply(upper[:, 1:].imag, self._to_fourier_scale / _SQRT_HALF, out=rows[:, h + 1:])
         return rows
 
-    # -- full-cube FFTs (for Fourier-diagonal operators) --------------------
+    # -- full-cube FFTs of real grid vectors (for Fourier-diagonal operators) --
     # axes=(2, 1, 0) keeps the x -> y -> z pass order on the C-order view.
+    # The real pair keeps the half spectrum kx >= 0, shaped (Nz, Ny, Nx//2 + 1)
+    # like `g2_half`: axes=(0, 1, 2) halves x, the view's last axis.
 
     def cube_fft(self, values: np.ndarray) -> np.ndarray:
-        """Plain forward DFT of a flat grid vector (no normalisation)."""
-        cube = values.astype(np.complex128).reshape(self._cube_shape)
-        return scipy.fft.fftn(cube, axes=(2, 1, 0)).ravel()
+        """Plain forward DFT of a real flat grid vector, every G (no normalisation).
 
-    def cube_ifft(self, coeffs: np.ndarray) -> np.ndarray:
-        """Plain inverse DFT of a flat coefficient vector (1/N normalised)."""
-        return scipy.fft.ifftn(coeffs.reshape(self._cube_shape), axes=(2, 1, 0)).ravel()
+        pocketfft transforms a real input by a real FFT and fills the other
+        half of the spectrum by vhat(-G) = conj vhat(G).
+        """
+        return scipy.fft.fftn(values.reshape(self._cube_shape), axes=(2, 1, 0)).ravel()
+
+    def cube_rfft(self, values: np.ndarray) -> np.ndarray:
+        """Plain forward DFT of a real flat grid vector on the half spectrum (no normalisation)."""
+        return scipy.fft.rfftn(values.reshape(self._cube_shape), axes=(0, 1, 2))
+
+    def cube_irfft(self, half: np.ndarray) -> np.ndarray:
+        """Real flat grid vector of a Hermitian half spectrum: the inverse DFT (1/N normalised)."""
+        return scipy.fft.irfftn(half, s=self._cube_shape, axes=(0, 1, 2)).ravel()
+
+    # -- coordinate mirrors ------------------------------------------------
+
+    def sector_basis(self, values: np.ndarray, rtol: float) -> "SectorBasis":
+        """The `SectorBasis` of the `mirrors` that leave a real grid vector unchanged.
+
+        A mirror i_a -> -i_a of the sphere is the mirror n_a -> -n_a (mod
+        N_a) of the grid; it counts when max |values - mirrored values| is
+        at most rtol max |values|.  Each set of mirrors builds its basis
+        once per grid.
+        """
+        cube = values.reshape(self._cube_shape)
+        limit = rtol * np.max(np.abs(values), initial=0.0)
+        found = []
+        for mirror in self.mirrors:
+            # n_a = 0 is fixed; n_a and N_a - n_a swap, a reversal of n_a >= 1
+            axis = 2 - mirror.axis                  # x is the C-order view's last axis
+            moved = cube[(slice(None),) * axis + (slice(1, None),)]
+            if np.max(np.abs(moved - np.flip(moved, axis)), initial=0.0) <= limit:
+                found.append(mirror)
+        key = tuple(m.axis for m in found)
+        if key not in self._sector_bases:
+            self._sector_bases[key] = SectorBasis(self.n_b, found)
+        return self._sector_bases[key]
+
+
+class SectorBasis:
+    """The real orthonormal basis S adapted to a set of commuting coordinate mirrors.
+
+    Each `Mirror` is a signed permutation of the cos/sin indices, and k
+    of them generate a group of 2^k involutions g: e_i -> s_g(i) e_g(i).
+    Every column of S projects a cos/sin basis vector e_r onto one
+    character chi of that group (chi(g) = +-1, one sign per mirror):
+    sum_g chi(g) s_g(r) e_g(r), normalised, which is (+-e_i +- e_j ...) /
+    sqrt(o) over the orbit of r, o <= 8 entries.  The columns are grouped
+    by character into sectors, `sectors` holding their slices in that
+    order, and within a sector ordered by r.  An operator that commutes
+    with every mirror, such as the Hamiltonian of a mirror-symmetric real
+    potential, is block-diagonal in S, and a function of |G| is diagonal
+    there with the value of the orbit (`orbit_index`).  With no mirror S
+    is the identity and there is one sector.
+
+    S is never formed: `to_sectors` and `from_sectors` are gathers with
+    signs, 2^k terms per coefficient, summed in a fixed order.
+    """
+
+    def __init__(self, n_b: int, mirrors=()):
+        size = 2 ** len(mirrors)
+        # perm[g, i], sign[g, i]: group element g, the product of the mirrors of its bits
+        perm = np.empty((size, n_b), dtype=np.intp)
+        sign = np.empty((size, n_b))
+        perm[0], sign[0] = np.arange(n_b), 1.0
+        for bit, mirror in enumerate(mirrors):
+            low = slice(0, 1 << bit)
+            perm[1 << bit: 2 << bit] = mirror.perm[perm[low]]
+            sign[1 << bit: 2 << bit] = sign[low] * mirror.sign[perm[low]]
+        # chi[c, g] = (-1)^(number of mirrors in both c and g), the character table
+        chi = np.array([[(-1.0) ** bin(c & g).count("1") for g in range(size)]
+                        for c in range(size)])
+
+        rep = perm.min(axis=0)                     # lowest index of each orbit
+        reps = np.flatnonzero(rep == np.arange(n_b))
+        amp = chi[:, :, None] * sign[:, reps]      # [character, g, orbit]
+        fixed = perm[:, reps] == reps              # g in the stabiliser of the orbit's rep
+        n_fixed = fixed.sum(axis=0)
+        # a character gives a column when it agrees with the signs of the stabiliser
+        valid = (amp * fixed).sum(axis=1) == n_fixed
+        chars, orbits = np.nonzero(valid)          # character-major: sector order
+        if len(chars) != n_b:
+            raise InvariantViolationError(f"mirror-adapted basis has {len(chars)} columns, "
+                                          f"expected {n_b}")
+        # column (chi, r) = sum_g chi(g) s_g(r) sqrt(o) / 2^k e_g(r); repeated
+        # indices (the stabiliser) add up to the normalised entry
+        self._index = np.ascontiguousarray(perm[:, reps[orbits]].T)
+        self._coef = amp[chars, :, orbits] / np.sqrt(size * n_fixed[orbits])[:, None]
+        self.orbit_index = self._index[:, 0]
+        # row i of S: for each character, the column of i's orbit and its entry
+        # chi(g) s_g(rep) / sqrt(o), g any element taking rep to i
+        orbit_of = np.searchsorted(reps, rep)
+        column = np.zeros((size, len(reps)), dtype=np.intp)
+        column[chars, orbits] = np.arange(n_b)
+        g = np.argmax(perm[:, rep] == np.arange(n_b), axis=0)
+        self._row_index = np.ascontiguousarray(column[:, orbit_of].T)
+        self._row_coef = np.ascontiguousarray(np.where(
+            valid[:, orbit_of], chi[:, g] * sign[g, rep] * np.sqrt(n_fixed[orbit_of] / size),
+            0.0).T)
+        bounds = np.cumsum(np.bincount(chars, minlength=size))
+        self.sectors = tuple(slice(int(a), int(b)) for a, b in zip(np.r_[0, bounds[:-1]], bounds)
+                             if b > a)
+        self.mirror_axes = tuple(m.axis for m in mirrors)
+
+    def to_sectors(self, rows: np.ndarray) -> np.ndarray:
+        """rows S: (k, n_b) cos/sin rows in the adapted basis, sector by sector."""
+        return np.einsum("...it,it->...i", rows[..., self._index], self._coef)
+
+    def from_sectors(self, rows: np.ndarray) -> np.ndarray:
+        """rows S^T: (k, n_b) rows of the adapted basis back to cos/sin rows."""
+        return np.einsum("...it,it->...i", rows[..., self._row_index], self._row_coef)
+
+    def blocks(self, symmetric: np.ndarray) -> tuple:
+        """(blocks, dropped) of a symmetric (n_b, n_b) A: S_c^T A S_c for every sector c.
+
+        `dropped` is the largest |(S^T A S)_ab| outside the blocks, a below
+        b (S^T A S is symmetric).  For each sector, A S_c is gathered from
+        A's columns and S^T A S_c from its rows, _SECTOR_ROWS adapted rows
+        at a time, so no (n_b, n_b) array is made.
+        """
+        def chunks(start, stop):
+            return (slice(j, min(j + _SECTOR_ROWS, stop)) for j in range(start, stop, _SECTOR_ROWS))
+
+        def rows(matrix, i, out=None):
+            """(S^T X)[i] from the rows of X."""
+            return np.einsum("it,itk->ik", self._coef[i], matrix[self._index[i]], out=out)
+
+        n_b = len(symmetric)
+        out, dropped = [], 0.0
+        for s in self.sectors:
+            size = s.stop - s.start
+            half, block = np.empty((n_b, size)), np.empty((size, size))     # A S_c, S_c^T A S_c
+            for i in chunks(s.start, s.stop):
+                j = slice(i.start - s.start, i.stop - s.start)
+                np.einsum("kit,it->ki", symmetric[:, self._index[i]], self._coef[i],
+                          out=half[:, j])
+            for i in chunks(s.start, s.stop):
+                rows(half, i, out=block[i.start - s.start:i.stop - s.start])
+            for i in chunks(s.stop, n_b):
+                dropped = max(dropped, float(np.max(np.abs(rows(half, i)))))
+            out.append(block)
+        return tuple(out), dropped
 
 
 def real_rows(rows: np.ndarray, atol=0.0) -> np.ndarray:

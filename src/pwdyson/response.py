@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvariantViolationError
-from .groundstate import GroundState, real_hamiltonian
+from .groundstate import GroundState, sector_hamiltonian
 from .kernels import KernelSpec, apply_kernel
 from .sternheimer import project_out_occupied, solve_sternheimer
 
@@ -126,30 +126,32 @@ def _occupied_orbital_response(gs: GroundState, m: np.ndarray) -> np.ndarray:
 
 
 def _kept_bases(gs: GroundState) -> tuple:
-    """(R, H_r) of every kept band, computed once per state.
+    """(R, H) of every kept band, computed once per state.
 
     R = T Phi, the state's real orbitals `u`, is the real basis the
-    Sternheimer CG projects against, and H_r is the Hamiltonian it
-    applies: built once, and reused by every solve until `drop_derived`.
+    Sternheimer CG projects against, and H is the Hamiltonian it
+    applies: `sector_hamiltonian`, the blocks of H_r in the basis adapted
+    to the mirrors of v_local (one block, H_r itself, when it has none),
+    built once and reused by every solve until `drop_derived`.
     The extra-band sum over states in `apply_chi0` is exact only for
-    eigenvectors of H[v_local], so ||H_r u_e - eps_e u_e|| is checked for
-    every extra band first (a diagnostic is not a Hamiltonian
-    application).
+    eigenvectors of H[v_local], so ||H u_e - eps_e u_e|| is checked for
+    every extra band first, with the same blocks (a diagnostic is not a
+    Hamiltonian application).
 
     Raises:
         InvariantViolationError: an extra band's eigen-residual exceeds
-            EXTRA_BAND_RESIDUAL_LIMIT.
+            EXTRA_BAND_RESIDUAL_LIMIT, or a mirror does not commute with H_r.
     """
     def compute():
-        h = real_hamiltonian(gs.grids, gs.v_local)
-        extra = gs.u[:, gs.n_occ:]                              # (n_b, n_extra)
-        residuals = np.linalg.norm(h @ extra - extra * gs.eps[gs.n_occ:], axis=0)
+        ham = sector_hamiltonian(gs.grids, gs.v_local)
+        extra = ham.basis.to_sectors(gs.u[:, gs.n_occ:].T)         # (n_extra, n_b)
+        residuals = np.linalg.norm(ham.apply(extra) - gs.eps[gs.n_occ:, None] * extra, axis=1)
         worst = float(np.max(residuals, initial=0.0))
         if worst > EXTRA_BAND_RESIDUAL_LIMIT:
             raise InvariantViolationError(
                 f"kept extra bands are not eigenvectors of H: residual {worst:.2e} "
                 f"> {EXTRA_BAND_RESIDUAL_LIMIT:.0e}")
-        return gs.u, h
+        return gs.u, ham
     return gs.derived("kept_bases", compute)
 
 
@@ -181,13 +183,13 @@ def apply_chi0(gs: GroundState, dv: np.ndarray, tolerances) -> tuple:
         raise ValueError("Sternheimer tolerances must be positive")
 
     psi_r = gs.psi_occ_real                                   # (n_occ, n_g) real
-    basis, h_r = _kept_bases(gs)
+    basis, ham = _kept_bases(gs)
     dvpsi, m = _occupied_matrix(gs, dv)
     _, _, delta_f = _first_order_occupations(gs, m)
     dphi = _occupied_orbital_response(gs, m) + _extra_band_response(gs, dvpsi)
 
     rhs = -project_out_occupied(basis, dvpsi.T).T
-    solve = solve_sternheimer(gs, np.arange(n_occ), rhs, tolerances, basis, h_r=h_r)
+    solve = solve_sternheimer(gs, np.arange(n_occ), rhs, tolerances, basis, ham=ham)
     dphi += solve.solution.T
     # every array below is real; in place, as these (n_occ, n_g) arrays
     # set the memory high-water mark: psi (2 f dphi + delta_f psi)

@@ -21,18 +21,28 @@ The search directions stay in range(Q), so a CG step applies
 A_n = H_r - eps_n to them unprojected and re-projects only the residual
 and the preconditioned residual, which stops roundoff from leaking
 components along Phi back in; each band's iterate is projected once,
-when the band stops.  H_r is built once per response solve
+when the band stops.
+
+The CG works in the mirror-adapted basis S of `pwbasis.SectorBasis`:
+the coordinate mirrors that leave v_local unchanged commute with H_r, so
+H_r is block-diagonal there, one block per sector (a character of the
+mirrors), and `groundstate.sector_hamiltonian` holds only those blocks.
+A solve maps the right-hand sides, R and the kinetic diagonal into S
+once, applies H as one GEMM per sector block, and maps the solutions
+back.  With no mirror there is one sector, S is the identity and the
+block is H_r.  The blocks are built once per response solve
 (`response._kept_bases`) and handed to every call; a call given none
 builds its own.
 
 Each band is preconditioned by diag(1/(|G|^2/2 + T_n)), with T_n its
-kinetic energy (Teter, Payne and Allan, Phys. Rev. B 40, 12255 (1989)).
+kinetic energy (Teter, Payne and Allan, Phys. Rev. B 40, 12255 (1989));
+|G| is constant on a mirror orbit, so it stays diagonal in S.
 
 The bands' CG runs are independent and share one Hamiltonian, so they
-advance in lockstep: each step applies H_r to every band still iterating
-in one real matrix product, while each band keeps its own step lengths,
-preconditioner shift, tolerance and stopping iteration; converged bands
-drop out.
+advance in lockstep: each step applies H to every band still iterating
+in one real matrix product per sector, while each band keeps its own
+step lengths, preconditioner shift, tolerance and stopping iteration;
+converged bands drop out.
 """
 
 from dataclasses import dataclass
@@ -40,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvariantViolationError, NonConvergenceError
-from .groundstate import GroundState, real_hamiltonian
+from .groundstate import GroundState, SectorHamiltonian, sector_hamiltonian
 from .pwbasis import real_rows
 
 
@@ -76,7 +86,7 @@ def kinetic_energies(gs: GroundState) -> np.ndarray:
 
 
 def solve_sternheimer(gs: GroundState, bands, rhs: np.ndarray, tol, basis: np.ndarray,
-                      max_iter: int = None, h_r: np.ndarray = None) -> SternheimerResult:
+                      max_iter: int = None, ham: SectorHamiltonian = None) -> SternheimerResult:
     """CG on A_n = Q (H - eps_n) Q with kinetic-energy preconditioning, per band.
 
     The preconditioner is Q diag(1/(|G|^2/2 + T_n)) Q with T_n the band's
@@ -96,8 +106,8 @@ def solve_sternheimer(gs: GroundState, bands, rhs: np.ndarray, tol, basis: np.nd
         basis: R = T Phi, real (n_b, m), of the orthonormal real
             eigenvectors of H spanning the space Q projects out; Phi must
             hold every eigenvector with eigenvalue <= eps_n.
-        h_r: `real_hamiltonian` of the state, as the response solve holds
-            it; built here when not given.
+        ham: `sector_hamiltonian` of the state, as the response solve
+            holds it; built here when not given.
 
     Returns the solutions as real cos/sin rows, T x_n.
 
@@ -120,8 +130,11 @@ def solve_sternheimer(gs: GroundState, bands, rhs: np.ndarray, tol, basis: np.nd
     tol = np.broadcast_to(np.asarray(tol, dtype=float), (k,))
     if max_iter is None:
         max_iter = 10 * n_b
+    if ham is None:
+        ham = sector_hamiltonian(grids, gs.v_local)
+    sectors = ham.basis
 
-    # Work buffers, (k, n_b): row n is band n in the cos/sin basis.  The
+    # Work buffers, (k, n_b): row n is band n in the adapted basis.  The
     # first `n` rows are the bands still iterating.  The iterate and the
     # residual share one buffer, and the search direction and -A p another,
     # so one broadcast update advances both.
@@ -130,9 +143,8 @@ def solve_sternheimer(gs: GroundState, bands, rhs: np.ndarray, tol, basis: np.nd
     x, r = xr
     p, nap = pa
     z, tmp = work[6], update[0]
-    r[:] = real_rows(rhs, atol=tol)
-    if h_r is None:
-        h_r = real_hamiltonian(grids, gs.v_local)   # symmetric: rows of H p are p^T H_r
+    r[:] = sectors.to_sectors(real_rows(rhs, atol=tol))
+    basis = np.ascontiguousarray(sectors.to_sectors(basis.T).T)
     coef = np.empty((k, basis.shape[1]))
     alpha = np.empty(k)
 
@@ -144,7 +156,8 @@ def solve_sternheimer(gs: GroundState, bands, rhs: np.ndarray, tol, basis: np.nd
         a[:n] -= tmp[:n]
 
     eps = gs.eps[bands][:, None]
-    minv = 1.0 / (0.5 * grids.g2_sphere + kinetic_energies(gs)[bands][:, None])
+    minv = 1.0 / (0.5 * grids.g2_sphere[sectors.orbit_index]
+                  + kinetic_energies(gs)[bands][:, None])
     solution = np.zeros((k, n_b))
     residual = np.zeros(k)
     iterations = np.zeros(k, dtype=int)
@@ -157,7 +170,7 @@ def solve_sternheimer(gs: GroundState, bands, rhs: np.ndarray, tol, basis: np.nd
     step = 0
 
     while True:
-        np.matmul(p[:n], h_r, out=nap[:n])
+        ham.apply(p[:n], out=nap[:n])
         np.multiply(eps, p[:n], out=tmp[:n])
         np.subtract(tmp[:n], nap[:n], out=nap[:n])
         step += 1
@@ -204,7 +217,7 @@ def solve_sternheimer(gs: GroundState, bands, rhs: np.ndarray, tol, basis: np.nd
         p[:n] += z[:n]
         rz = rz_next
 
-    return SternheimerResult(solution=solution,
+    return SternheimerResult(solution=sectors.from_sectors(solution),
                              final_residual_norm=residual,
                              cg_iterations=int(iterations.sum()),
                              iterations_per_band=iterations.tolist())

@@ -1,5 +1,7 @@
 """Shared tiny model fixtures for the response-side tests."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,35 +13,37 @@ from pwdyson.groundstate import GaussianWell, ModelSpec, run_scf
 def h_applications(monkeypatch):
     """Callable returning how many band vectors the Sternheimer CG has multiplied by H.
 
-    The CG applies the array `real_hamiltonian` returns, H_r: the one
-    `response._kept_bases` holds for a response solve (counted as it is
-    handed out, so an H_r cached before the test counts too), or one
-    `solve_sternheimer` builds itself when it is given none.  Every product y @ H with that array on
-    the right counts the rows of y.  A band vector is one real row in the
-    cos/sin basis, so the count is the number of band-vector products with
-    H, and the returned costs can be checked against the work actually
-    done.
+    The CG applies the `SectorHamiltonian` that `sector_hamiltonian`
+    returns: the one `response._kept_bases` holds for a response solve
+    (counted as it is handed out, so one cached before the test counts
+    too), or one `solve_sternheimer` builds itself when it is given none.
+    Every `apply` of that object counts the rows it is handed, once
+    however many sector blocks it multiplies them by.  A band vector is
+    one real row, so the count is the number of band-vector products
+    with H, and the returned costs can be checked against the work
+    actually done.  The extra-band guard applies its own, uncounted copy.
     """
     from pwdyson import response, sternheimer
+    from pwdyson.groundstate import SectorHamiltonian
 
     rows = [0]
 
-    class Counted(np.ndarray):
-        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-            if ufunc is np.matmul and inputs[-1] is self:
-                rows[0] += len(inputs[0]) if np.ndim(inputs[0]) == 2 else 1
-            if "out" in kwargs:
-                kwargs["out"] = tuple(np.asarray(x) for x in kwargs["out"])
-            return getattr(ufunc, method)(*(np.asarray(x) for x in inputs), **kwargs)
+    class Counted(SectorHamiltonian):
+        def apply(self, vectors, out=None):
+            rows[0] += len(vectors)
+            return super().apply(vectors, out)
 
-    original = sternheimer.real_hamiltonian
-    monkeypatch.setattr(sternheimer, "real_hamiltonian",
-                        lambda grids, v_local: original(grids, v_local).view(Counted))
+    def counted(ham):
+        return Counted(**{f.name: getattr(ham, f.name) for f in dataclasses.fields(ham)})
+
+    original = sternheimer.sector_hamiltonian
+    monkeypatch.setattr(sternheimer, "sector_hamiltonian",
+                        lambda grids, v_local: counted(original(grids, v_local)))
     kept_bases = response._kept_bases
 
     def counted_kept_bases(gs):
-        basis, h_r = kept_bases(gs)
-        return basis, h_r.view(Counted)
+        basis, ham = kept_bases(gs)
+        return basis, counted(ham)
     monkeypatch.setattr(response, "_kept_bases", counted_kept_bases)
     return lambda: rows[0]
 

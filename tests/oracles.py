@@ -1,9 +1,11 @@
-"""Complex plane-wave oracles that the tests check the program's real path against.
+"""Oracles that the tests check the program against: complex plane-wave objects and a dense CG.
 
 The program holds every orbital as real cos/sin coefficients u = T c
 (`pwbasis`).  Here are the same objects in the plane-wave basis e_G: T
 and T^H, a ground state's orbitals phi = T^H u, the single-vector
-transforms, the projector off a complex span and the complex Hamiltonian.
+transforms, the projector off a complex span and the complex Hamiltonian,
+and the Sternheimer CG with one dense real H_r, as the program ran it
+before it applied H by mirror-sector blocks.
 """
 
 import numpy as np
@@ -80,3 +82,84 @@ def dense_hamiltonian(grids, v_local: np.ndarray) -> np.ndarray:
     h = (grids.cube_fft(v_local) / grids.n_g)[grids.sphere_difference_index]
     h[np.arange(grids.n_b), np.arange(grids.n_b)] += 0.5 * grids.g2_sphere
     return h
+
+
+def dense_sternheimer(gs, bands, rhs, tol, basis, max_iter=None):
+    """The block CG of `sternheimer.solve_sternheimer` with one dense H_r product per step.
+
+    The program applies H by mirror-sector blocks; this is the same CG on
+    the whole cos/sin basis, with `real_hamiltonian` as one matrix, as it
+    ran before the sectors.  Returns (solution rows, residual norms,
+    per-band iteration counts).
+    """
+    from pwdyson.groundstate import real_hamiltonian
+    from pwdyson.sternheimer import kinetic_energies
+
+    n_b = gs.grids.n_b
+    bands = np.asarray(bands, dtype=int)
+    k = len(bands)
+    tol = np.broadcast_to(np.asarray(tol, dtype=float), (k,))
+    max_iter = 10 * n_b if max_iter is None else max_iter
+    work = np.zeros((7, k, n_b))
+    xr, pa, update = work[0:2], work[2:4], work[4:6]
+    x, r = xr
+    p, nap = pa
+    z, tmp = work[6], update[0]
+    r[:] = real_rows(rhs, atol=tol)
+    h_r = real_hamiltonian(gs.grids, gs.v_local)
+    coef = np.empty((k, basis.shape[1]))
+    alpha = np.empty(k)
+
+    def project(a, n):
+        np.matmul(a[:n], basis, out=coef[:n])
+        np.matmul(coef[:n], basis.T, out=tmp[:n])
+        a[:n] -= tmp[:n]
+
+    def dots(a, b):
+        return np.einsum("bi,bi->b", a, b)
+
+    eps = gs.eps[bands][:, None]
+    minv = 1.0 / (0.5 * gs.grids.g2_sphere + kinetic_energies(gs)[bands][:, None])
+    solution, residual = np.zeros((k, n_b)), np.zeros(k)
+    iterations = np.zeros(k, dtype=int)
+    live, n = np.arange(k), k
+    np.multiply(minv, r, out=p)
+    project(p, n)
+    rz = dots(r, p)
+    step = 0
+    while True:
+        np.matmul(p[:n], h_r, out=nap[:n])
+        np.multiply(eps, p[:n], out=tmp[:n])
+        np.subtract(tmp[:n], nap[:n], out=nap[:n])
+        step += 1
+        denom = -dots(p[:n], nap[:n])
+        curved = denom > 0
+        step_length = alpha[:n]
+        step_length.fill(0.0)
+        np.divide(rz, denom, out=step_length, where=curved)
+        np.multiply(step_length[:, None], pa[:, :n], out=update[:, :n])
+        xr[:, :n] += update[:, :n]
+        project(r, n)
+        res = np.sqrt(dots(r[:n], r[:n]))
+        done = res <= tol
+        assert not (~done & ~curved).any(), "A_n is not positive definite on range(Q)"
+        if done.any():
+            stopped = x[:n][done]
+            solution[live[done]] = stopped - (stopped @ basis) @ basis.T
+            residual[live[done]] = res[done]
+            iterations[live[done]] = step
+            keep = ~done
+            n = int(keep.sum())
+            if n == 0:
+                break
+            for a in (x, r, p, minv):
+                a[:n] = a[:len(keep)][keep]
+            live, rz, res, tol, eps = (a[keep] for a in (live, rz, res, tol, eps))
+        assert step < max_iter, "dense CG stalled"
+        np.multiply(minv[:n], r[:n], out=z[:n])
+        project(z, n)
+        rz_next = dots(r[:n], z[:n])
+        p[:n] *= (rz_next / rz)[:, None]
+        p[:n] += z[:n]
+        rz = rz_next
+    return solution, residual, iterations.tolist()

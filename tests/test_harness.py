@@ -414,25 +414,25 @@ def test_run_response_reraises_sternheimer_stall(metal_gs, monkeypatch):
 
 
 def test_run_response_builds_h_r_once_and_drops_it(metal_gs, monkeypatch):
-    # one H_r per response solve: the extra-band guard runs on it, and every
-    # application of chi0 reuses it until the end
+    # one sector Hamiltonian per response solve: the extra-band guard runs on
+    # it, and every application of chi0 reuses it until the end
     import dataclasses
 
     from pwdyson import response, sternheimer
 
     builds, solves = [], []
-    original_h, original_solve = response.real_hamiltonian, response.solve_sternheimer
+    original_h, original_solve = response.sector_hamiltonian, response.solve_sternheimer
 
     def counted(grids, v_local):
         builds.append(grids.n_b)
         return original_h(grids, v_local)
 
     def recorded(*args, **kwargs):
-        solves.append(kwargs.get("h_r") is not None)
+        solves.append(kwargs.get("ham") is not None)
         return original_solve(*args, **kwargs)
 
     for module in (response, sternheimer):
-        monkeypatch.setattr(module, "real_hamiltonian", counted)
+        monkeypatch.setattr(module, "sector_hamiltonian", counted)
     monkeypatch.setattr(response, "solve_sternheimer", recorded)
     metal_gs.drop_derived()
     metrics = run_response(tiny_config(metal_gs), gs=metal_gs)
@@ -640,7 +640,7 @@ def test_verify_suite_passes_on_tiny_model(metal_gs, tmp_path):
     names = {c["name"] for c in result["checks"]}
     assert {"fft_roundtrip", "kerker_lemma", "row_norm_bounds",
             "chi0_gauge_invariance", "error_bound_dominance",
-            "y_coefficient_bound", "sternheimer_error_bound"} <= names
+            "y_coefficient_bound", "sternheimer_error_bound", "mirror_sectors"} <= names
     for check in result["checks"]:
         assert check["margin"] >= 1.0
     assert json.load(open(os.path.join(out, "verify.json")))["ok"]

@@ -303,9 +303,9 @@ def test_kept_complement_solution_has_no_kept_component(wide_gs):
     gs = wide_gs
     rng = np.random.default_rng(17)
     rhs = project_out_occupied(gs.u, rng.standard_normal(gs.grids.n_b))
-    basis, h_r = _kept_bases(gs)
+    basis, ham = _kept_bases(gs)
     for n in range(gs.n_occ):
-        result = solve_sternheimer(gs, [n], rhs[None], 1e-11, basis, h_r=h_r)
+        result = solve_sternheimer(gs, [n], rhs[None], 1e-11, basis, ham=ham)
         leak = np.abs(phi(gs).conj().T @ from_cos_sin(result.solution[0]))
         assert leak.max() <= 1e-10 * np.linalg.norm(result.solution)
 
