@@ -17,6 +17,7 @@ import scipy.linalg
 from scipy.special import erfc, expit
 
 from .errors import ConfigurationError, InvariantViolationError, NonConvergenceError
+from .kernels import KerkerSpec, apply_kerker, hartree_potential
 from .pwbasis import FourierGrids, Lattice, SectorBasis, build_grids
 
 
@@ -314,15 +315,6 @@ def compute_density(grids: FourierGrids, u: np.ndarray, occ: np.ndarray) -> np.n
     return np.asarray(occ, dtype=float) @ psi_r
 
 
-def hartree_potential(grids: FourierGrids, rho: np.ndarray) -> np.ndarray:
-    """Zero-mean solution of -Laplacian v = 4 pi (rho - mean rho)."""
-    rhof = grids.cube_rfft(rho)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rhof *= 4 * np.pi / grids.g2_half
-    rhof[grids.g2_half == 0] = 0.0
-    return grids.cube_irfft(rhof)
-
-
 def lda_exchange_potential(rho: np.ndarray) -> np.ndarray:
     """Slater exchange V_x = -(3/pi)^(1/3) rho^(1/3)."""
     return -((3.0 / np.pi) ** (1.0 / 3.0)) * np.cbrt(np.clip(rho, 0.0, None))
@@ -356,10 +348,12 @@ class GroundState:
     SCF's `eigh` returns it, the Sternheimer CG projects against it,
     chi0 transforms it to the grid and the archive writes it.
 
-    Quantities derived for a response solve (`psi_occ_real`, the kept
-    bases with the Hamiltonian H_r, the bands' kinetic energies, the row
-    norm) are cached until `drop_derived`, which `run_response` calls
-    when it ends.
+    Quantities derived for a response solve are cached until
+    `drop_derived`, which `run_response` calls when it ends: the occupied
+    orbitals on the grid (`psi_occ_real`), the Sternheimer operator
+    (`sternheimer.hamiltonian`), the bands' kinetic energies
+    (`sternheimer.kinetic_energies`) and the row norm
+    (`response._cached_row_norm`).
     """
 
     model: ModelSpec
@@ -434,8 +428,7 @@ def _choose_n_extra(n_occ: int) -> int:
 
 def run_scf(model: ModelSpec, tol: float, max_iter: int = 200, *,
             mixing: str = "kerker", kerker_alpha: float = 0.8,
-            damping: float = 0.8, grids: FourierGrids = None,
-            verbose: bool = False) -> GroundState:
+            damping: float = 0.8) -> GroundState:
     """Anderson-mixed fixed-point SCF iteration for the toy solid.
 
     Each iteration maps the input density rho_k to the output density
@@ -456,15 +449,12 @@ def run_scf(model: ModelSpec, tol: float, max_iter: int = 200, *,
     input density rho_k, its potential and the orbitals of H[rho_k], not
     the output F_KS(rho_k), whose own residual can be many times tol.
     """
-    from .kernels import KerkerSpec, apply_kerker
-
     if not tol > 0:
         raise ConfigurationError("scf tolerance must be positive")
     if mixing not in ("kerker", "identity"):
         raise ConfigurationError(f"unknown mixing {mixing!r}")
 
-    if grids is None:
-        grids = build_grids(model.lattice, model.e_cut)
+    grids = build_grids(model.lattice, model.e_cut)
     v_ext = external_potential(model, grids)
     kerker = KerkerSpec(alpha=kerker_alpha) if mixing == "kerker" else None
 
@@ -475,7 +465,7 @@ def run_scf(model: ModelSpec, tol: float, max_iter: int = 200, *,
     history = np.empty((2, ANDERSON_DEPTH, grids.n_g))
     stored, previous, res_norm = 0, None, np.nan
 
-    for it in range(max_iter):
+    for _ in range(max_iter):
         v_loc = total_local_potential(model, grids, v_ext, rho)
         eps, u = diagonalize_dense(grids, v_loc, n_states)
         fermi, occ = fermi_and_occupations(eps, model.n_electrons,
@@ -492,8 +482,6 @@ def run_scf(model: ModelSpec, tol: float, max_iter: int = 200, *,
 
         residual = compute_density(grids, u, occ) - rho
         res_norm = np.linalg.norm(residual) * weight
-        if verbose:
-            print(f"scf iter {it:3d}  residual {res_norm:.3e}  fermi {fermi:+.6f}")
         if res_norm <= tol:
             n_kept = n_occ + n_extra
             return GroundState(

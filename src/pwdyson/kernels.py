@@ -37,20 +37,28 @@ class KerkerSpec:
             raise ConfigurationError(f"kerker alpha must be >= 0, got {self.alpha}")
 
 
+def hartree_potential(grids: FourierGrids, rho: np.ndarray) -> np.ndarray:
+    """Zero-mean solution of -Laplacian v = 4 pi (rho - mean rho).
+
+    4 pi / |G|^2 in Fourier space with the G = 0 entry zero
+    (compensating background charge).
+    """
+    rhof = grids.cube_rfft(rho)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rhof *= 4 * np.pi / grids.g2_half
+    rhof[grids.g2_half == 0] = 0.0
+    return grids.cube_irfft(rhof)
+
+
 def apply_kernel(spec: KernelSpec, grids: FourierGrids, rho_ref: np.ndarray,
                  v: np.ndarray) -> np.ndarray:
     """Apply K = K_Hartree (+ K_x) to a real grid vector.
 
-    The Hartree part is 4 pi / |G|^2 in Fourier space with the G = 0
-    entry zero (compensating background charge); the exchange part is the
+    The Hartree part is `hartree_potential`; the exchange part is the
     pointwise derivative of the LDA exchange potential at rho_ref, with
     the density floored to keep rho^(-2/3) bounded.
     """
-    vf = grids.cube_rfft(v)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        vf *= 4 * np.pi / grids.g2_half
-    vf[grids.g2_half == 0] = 0.0
-    out = grids.cube_irfft(vf)
+    out = hartree_potential(grids, v)
     if spec.xc == "lda_x":
         rho = np.clip(rho_ref, LDA_X_DENSITY_FLOOR, None)
         out = out - (1.0 / 3.0) * (3.0 / np.pi) ** (1.0 / 3.0) * rho ** (-2.0 / 3.0) * v

@@ -50,7 +50,6 @@ TWO_PI = 2.0 * np.pi
 _DIFFERENCE_ROWS = 64       # rows per block of `sphere_difference_index`
 _SECTOR_ROWS = 32           # adapted rows per gather in `SectorBasis.blocks`
 _SQRT_HALF = np.sqrt(0.5)
-REAL_FUNCTION_RTOL = 1e-12  # |Im T c| / |T c| above this: c is not a real function
 
 
 class Mirror(NamedTuple):
@@ -479,30 +478,6 @@ class SectorBasis:
                 dropped = max(dropped, float(np.max(np.abs(rows(half, i)))))
             out.append(block)
         return tuple(out), dropped
-
-
-def real_rows(rows: np.ndarray, atol=0.0) -> np.ndarray:
-    """Re u for rows u of cos/sin coefficients, each a real function (u real to round-off).
-
-    Real rows are returned as they are.  `atol` (a scalar or one value
-    per row) lets a row through whose imaginary part is no larger, as for
-    a right-hand side that a projection has left at round-off level.
-
-    Raises:
-        InvariantViolationError: a row's Im u has a norm above both
-            REAL_FUNCTION_RTOL times that of u and atol, so it is not a
-            real function (such as a degenerate pair mixed by a complex
-            phase).
-    """
-    if not np.iscomplexobj(rows):
-        return rows
-    imag, whole = np.linalg.norm(rows.imag, axis=-1), np.linalg.norm(rows, axis=-1)
-    complex_rows = np.flatnonzero(imag > np.maximum(REAL_FUNCTION_RTOL * whole, atol))
-    if len(complex_rows):
-        j = complex_rows[0]
-        raise InvariantViolationError(
-            f"row {j} is not a real function: |Im T c| = {imag[j]:.2e} of |T c| = {whole[j]:.2e}")
-    return rows.real
 
 
 _last_grids = (None, None)         # (key, FourierGrids) of the last `build_grids` call

@@ -23,14 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvariantViolationError
-from .groundstate import GroundState, sector_hamiltonian
+from .groundstate import GroundState
 from .kernels import KernelSpec, apply_kernel
 from .sternheimer import project_out_occupied, solve_sternheimer
 
 DEGENERACY_RTOL = 1e-8
-EXTRA_BAND_RESIDUAL_LIMIT = 1e-10
-IMAG_EIGENSHIFT_RTOL = 1e-10
 
 
 @dataclass
@@ -48,36 +45,10 @@ def _occupied_matrix(gs: GroundState, dv: np.ndarray):
     """Rows T(dv phi_n), (n_occ, n_b), and M[m, n] = <phi_m, dv phi_n>, both real.
 
     One batched real transform of dv psi_n for every occupied band, in
-    the cos/sin basis, where M = U_occ^T T(dv Phi_occ).  A complex dv
-    passes only through `_real_perturbation`.
+    the cos/sin basis, where M = U_occ^T T(dv Phi_occ).
     """
-    rows = gs.grids.to_fourier_many(_real_perturbation(gs, dv) * gs.psi_occ_real)
+    rows = gs.grids.to_fourier_many(dv * gs.psi_occ_real)
     return rows, gs.u_occ.T @ rows.T
-
-
-def _real_perturbation(gs: GroundState, dv: np.ndarray) -> np.ndarray:
-    """dv when it is real; for a complex dv, its real part once Im dv is shown to be noise.
-
-    Im dv shifts eigenvalue n by the imaginary part of <phi_n, dv phi_n>
-    = (|Omega|/n_g) sum_r psi_n(r)^2 dv(r).  Below FFT round-off of the
-    scale max(|<phi_n, Re dv phi_n>|, |dv| w) it is dropped.
-
-    Raises:
-        FloatingPointError: a first-order eigenvalue shift has an
-            imaginary part above IMAG_EIGENSHIFT_RTOL times that scale.
-    """
-    if not np.iscomplexobj(dv):
-        return dv
-    density = gs.psi_occ_real ** 2
-    shifts = (density @ dv.real) * gs.grids.w ** 2
-    imag = float(np.max(np.abs(density @ dv.imag))) * gs.grids.w ** 2
-    scale = max(float(np.max(np.abs(shifts), initial=0.0)),
-                float(np.linalg.norm(dv)) * gs.grids.w)
-    if scale > 0 and imag > IMAG_EIGENSHIFT_RTOL * scale:
-        raise FloatingPointError(
-            f"first-order eigenvalue shifts have imaginary part {imag:.2e} "
-            f"relative to {scale:.2e}")
-    return dv.real
 
 
 def _first_order_occupations(gs: GroundState, m: np.ndarray):
@@ -125,36 +96,6 @@ def _occupied_orbital_response(gs: GroundState, m: np.ndarray) -> np.ndarray:
     return gs.u_occ @ (_occupied_pair_weights(gs) * m)
 
 
-def _kept_bases(gs: GroundState) -> tuple:
-    """(R, H) of every kept band, computed once per state.
-
-    R = T Phi, the state's real orbitals `u`, is the real basis the
-    Sternheimer CG projects against, and H is the Hamiltonian it
-    applies: `sector_hamiltonian`, the blocks of H_r in the basis adapted
-    to the mirrors of v_local (one block, H_r itself, when it has none),
-    built once and reused by every solve until `drop_derived`.
-    The extra-band sum over states in `apply_chi0` is exact only for
-    eigenvectors of H[v_local], so ||H u_e - eps_e u_e|| is checked for
-    every extra band first, with the same blocks (a diagnostic is not a
-    Hamiltonian application).
-
-    Raises:
-        InvariantViolationError: an extra band's eigen-residual exceeds
-            EXTRA_BAND_RESIDUAL_LIMIT, or a mirror does not commute with H_r.
-    """
-    def compute():
-        ham = sector_hamiltonian(gs.grids, gs.v_local)
-        extra = ham.basis.to_sectors(gs.u[:, gs.n_occ:].T)         # (n_extra, n_b)
-        residuals = np.linalg.norm(ham.apply(extra) - gs.eps[gs.n_occ:, None] * extra, axis=1)
-        worst = float(np.max(residuals, initial=0.0))
-        if worst > EXTRA_BAND_RESIDUAL_LIMIT:
-            raise InvariantViolationError(
-                f"kept extra bands are not eigenvectors of H: residual {worst:.2e} "
-                f"> {EXTRA_BAND_RESIDUAL_LIMIT:.0e}")
-        return gs.u, ham
-    return gs.derived("kept_bases", compute)
-
-
 def _extra_band_response(gs: GroundState, dvpsi: np.ndarray) -> np.ndarray:
     """-sum_e u_e <phi_e, dv phi_n> / (eps_e - eps_n), (n_b, n_occ) in the cos/sin basis."""
     extra = gs.u[:, gs.n_occ:]
@@ -183,13 +124,12 @@ def apply_chi0(gs: GroundState, dv: np.ndarray, tolerances) -> tuple:
         raise ValueError("Sternheimer tolerances must be positive")
 
     psi_r = gs.psi_occ_real                                   # (n_occ, n_g) real
-    basis, ham = _kept_bases(gs)
     dvpsi, m = _occupied_matrix(gs, dv)
     _, _, delta_f = _first_order_occupations(gs, m)
     dphi = _occupied_orbital_response(gs, m) + _extra_band_response(gs, dvpsi)
 
-    rhs = -project_out_occupied(basis, dvpsi.T).T
-    solve = solve_sternheimer(gs, np.arange(n_occ), rhs, tolerances, basis, ham=ham)
+    rhs = -project_out_occupied(gs.u, dvpsi.T).T
+    solve = solve_sternheimer(gs, np.arange(n_occ), rhs, tolerances, gs.u)
     dphi += solve.solution.T
     # every array below is real; in place, as these (n_occ, n_g) arrays
     # set the memory high-water mark: psi (2 f dphi + delta_f psi)

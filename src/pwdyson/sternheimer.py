@@ -14,8 +14,7 @@ pairs (the unitary map T of `pwbasis`) H is the real symmetric H_r of
 becomes I - R R^T for the real orthonormal R = T Phi of real orbitals,
 the ground state's `u`.  For a real perturbation and real orbitals each
 right-hand side T b_n is real, so a band is one real row: the solve
-takes and returns real cos/sin rows, and a complex row with an imaginary
-part above round-off is rejected.
+takes and returns real cos/sin rows.
 
 The search directions stay in range(Q), so a CG step applies
 A_n = H_r - eps_n to them unprojected and re-projects only the residual
@@ -30,9 +29,8 @@ mirrors), and `groundstate.sector_hamiltonian` holds only those blocks.
 A solve maps the right-hand sides, R and the kinetic diagonal into S
 once, applies H as one GEMM per sector block, and maps the solutions
 back.  With no mirror there is one sector, S is the identity and the
-block is H_r.  The blocks are built once per response solve
-(`response._kept_bases`) and handed to every call; a call given none
-builds its own.
+block is H_r.  The blocks are built once per ground state (`hamiltonian`)
+and every solve on that state applies them.
 
 Each band is preconditioned by diag(1/(|G|^2/2 + T_n)), with T_n its
 kinetic energy (Teter, Payne and Allan, Phys. Rev. B 40, 12255 (1989));
@@ -51,7 +49,8 @@ import numpy as np
 
 from .errors import InvariantViolationError, NonConvergenceError
 from .groundstate import GroundState, SectorHamiltonian, sector_hamiltonian
-from .pwbasis import real_rows
+
+EXTRA_BAND_RESIDUAL_LIMIT = 1e-10
 
 
 @dataclass
@@ -85,12 +84,38 @@ def kinetic_energies(gs: GroundState) -> np.ndarray:
     return gs.derived("kinetic_energies", compute)
 
 
+def hamiltonian(gs: GroundState) -> SectorHamiltonian:
+    """The operator the CG applies: `sector_hamiltonian` of the state, built once per state.
+
+    `response.apply_chi0` takes the response in the extra bands by a sum
+    over states, exact only for eigenvectors of H[v_local], so before the
+    blocks are handed out ||H u_e - eps_e u_e|| is checked for every extra
+    band with them (a diagnostic, not a Hamiltonian application).
+
+    Raises:
+        InvariantViolationError: an extra band's eigen-residual exceeds
+            EXTRA_BAND_RESIDUAL_LIMIT, or a mirror does not commute with H_r.
+    """
+    def compute():
+        ham = sector_hamiltonian(gs.grids, gs.v_local)
+        extra = ham.basis.to_sectors(gs.u[:, gs.n_occ:].T)         # (n_extra, n_b)
+        residuals = np.linalg.norm(ham.apply(extra) - gs.eps[gs.n_occ:, None] * extra, axis=1)
+        worst = float(np.max(residuals, initial=0.0))
+        if worst > EXTRA_BAND_RESIDUAL_LIMIT:
+            raise InvariantViolationError(
+                f"kept extra bands are not eigenvectors of H: residual {worst:.2e} "
+                f"> {EXTRA_BAND_RESIDUAL_LIMIT:.0e}")
+        return ham
+    return gs.derived("hamiltonian", compute)
+
+
 def solve_sternheimer(gs: GroundState, bands, rhs: np.ndarray, tol, basis: np.ndarray,
-                      max_iter: int = None, ham: SectorHamiltonian = None) -> SternheimerResult:
+                      max_iter: int = None) -> SternheimerResult:
     """CG on A_n = Q (H - eps_n) Q with kinetic-energy preconditioning, per band.
 
-    The preconditioner is Q diag(1/(|G|^2/2 + T_n)) Q with T_n the band's
-    kinetic energy (`kinetic_energies`), positive for every band.  Every
+    H is the state's `hamiltonian`.  The preconditioner is
+    Q diag(1/(|G|^2/2 + T_n)) Q with T_n the band's kinetic energy
+    (`kinetic_energies`), positive for every band.  Every
     band performs at least one iteration (one A application), even for a
     zero rhs; each band's step applies H to one vector, so
     `cg_iterations` is the solve's Hamiltonian cost.
@@ -106,17 +131,14 @@ def solve_sternheimer(gs: GroundState, bands, rhs: np.ndarray, tol, basis: np.nd
         basis: R = T Phi, real (n_b, m), of the orthonormal real
             eigenvectors of H spanning the space Q projects out; Phi must
             hold every eigenvector with eigenvalue <= eps_n.
-        ham: `sector_hamiltonian` of the state, as the response solve
-            holds it; built here when not given.
 
     Returns the solutions as real cos/sin rows, T x_n.
 
     Raises:
-        InvariantViolationError: a complex right-hand side row is not a
-            real function: |Im T b_n| exceeds both round-off of |T b_n| and
-            tol_n (see `pwbasis.real_rows`); or a band meets p^H A p <= 0 with
-            its residual above tol, so A_n is not positive definite on
-            range(Q) (Phi misses an eigenvector below eps_n).
+        TypeError: the right-hand sides are complex.
+        InvariantViolationError: a band meets p^H A p <= 0 with its
+            residual above tol, so A_n is not positive definite on range(Q)
+            (Phi misses an eigenvector below eps_n); or `hamiltonian` raises.
         NonConvergenceError: a band needs more than max_iter (default
             10 n_b) iterations; carries its last residual norm and, as
             `cost`, the H applications spent over every band.
@@ -125,13 +147,14 @@ def solve_sternheimer(gs: GroundState, bands, rhs: np.ndarray, tol, basis: np.nd
     n_b = grids.n_b
     bands = np.asarray(bands, dtype=int)
     k = len(bands)
+    if np.iscomplexobj(rhs):
+        raise TypeError("solve_sternheimer takes real cos/sin rows")
     if rhs.shape != (k, n_b):
         raise ValueError(f"expected ({k}, {n_b}) right-hand sides, got {rhs.shape}")
     tol = np.broadcast_to(np.asarray(tol, dtype=float), (k,))
     if max_iter is None:
         max_iter = 10 * n_b
-    if ham is None:
-        ham = sector_hamiltonian(grids, gs.v_local)
+    ham = hamiltonian(gs)
     sectors = ham.basis
 
     # Work buffers, (k, n_b): row n is band n in the adapted basis.  The
@@ -143,7 +166,7 @@ def solve_sternheimer(gs: GroundState, bands, rhs: np.ndarray, tol, basis: np.nd
     x, r = xr
     p, nap = pa
     z, tmp = work[6], update[0]
-    r[:] = sectors.to_sectors(real_rows(rhs, atol=tol))
+    r[:] = sectors.to_sectors(rhs)
     basis = np.ascontiguousarray(sectors.to_sectors(basis.T).T)
     coef = np.empty((k, basis.shape[1]))
     alpha = np.empty(k)

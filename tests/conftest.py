@@ -13,17 +13,15 @@ from pwdyson.groundstate import GaussianWell, ModelSpec, run_scf
 def h_applications(monkeypatch):
     """Callable returning how many band vectors the Sternheimer CG has multiplied by H.
 
-    The CG applies the `SectorHamiltonian` that `sector_hamiltonian`
-    returns: the one `response._kept_bases` holds for a response solve
-    (counted as it is handed out, so one cached before the test counts
-    too), or one `solve_sternheimer` builds itself when it is given none.
-    Every `apply` of that object counts the rows it is handed, once
-    however many sector blocks it multiplies them by.  A band vector is
-    one real row, so the count is the number of band-vector products
-    with H, and the returned costs can be checked against the work
-    actually done.  The extra-band guard applies its own, uncounted copy.
+    The CG applies the state's `sternheimer.hamiltonian`, counted as it
+    is handed out, so one cached before the test counts too.  Every
+    `apply` of that object counts the rows it is handed, once however
+    many sector blocks it multiplies them by.  A band vector is one real
+    row, so the count is the number of band-vector products with H, and
+    the returned costs can be checked against the work actually done.
+    The extra-band guard runs inside the wrapped call, uncounted.
     """
-    from pwdyson import response, sternheimer
+    from pwdyson import sternheimer
     from pwdyson.groundstate import SectorHamiltonian
 
     rows = [0]
@@ -33,18 +31,12 @@ def h_applications(monkeypatch):
             rows[0] += len(vectors)
             return super().apply(vectors, out)
 
-    def counted(ham):
+    original = sternheimer.hamiltonian
+
+    def counted(gs):
+        ham = original(gs)
         return Counted(**{f.name: getattr(ham, f.name) for f in dataclasses.fields(ham)})
-
-    original = sternheimer.sector_hamiltonian
-    monkeypatch.setattr(sternheimer, "sector_hamiltonian",
-                        lambda grids, v_local: counted(original(grids, v_local)))
-    kept_bases = response._kept_bases
-
-    def counted_kept_bases(gs):
-        basis, ham = kept_bases(gs)
-        return basis, counted(ham)
-    monkeypatch.setattr(response, "_kept_bases", counted_kept_bases)
+    monkeypatch.setattr(sternheimer, "hamiltonian", counted)
     return lambda: rows[0]
 
 

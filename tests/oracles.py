@@ -2,17 +2,17 @@
 
 The program holds every orbital as real cos/sin coefficients u = T c
 (`pwbasis`).  Here are the same objects in the plane-wave basis e_G: T
-and T^H, a ground state's orbitals phi = T^H u, the single-vector
-transforms, the projector off a complex span and the complex Hamiltonian,
-and the Sternheimer CG with one dense real H_r, as the program ran it
-before it applied H by mirror-sector blocks.
+and T^H, the round-off check that takes complex cos/sin rows to the real
+ones the program accepts, a ground state's orbitals phi = T^H u, the
+single-vector transforms, the projector off a complex span and the
+complex Hamiltonian, and the Sternheimer CG with one dense real H_r, as
+the program ran it before it applied H by mirror-sector blocks.
 """
 
 import numpy as np
 
-from pwdyson.pwbasis import real_rows
-
 _SQRT_HALF = np.sqrt(0.5)
+REAL_FUNCTION_RTOL = 1e-12  # |Im T c| / |T c| above this: c is not a real function
 
 
 def to_cos_sin(coeffs: np.ndarray) -> np.ndarray:
@@ -33,6 +33,27 @@ def from_cos_sin(coeffs: np.ndarray) -> np.ndarray:
     out[..., :h] = (cos - 1j * sin) * _SQRT_HALF
     out[..., :h:-1] = (cos + 1j * sin) * _SQRT_HALF
     return out
+
+
+def real_rows(rows: np.ndarray, atol=0.0) -> np.ndarray:
+    """Re u for complex cos/sin rows u, each a real function to round-off.
+
+    `atol` (a scalar or one value per row) lets a row through whose
+    imaginary part is no larger, as for a right-hand side that a
+    projection has left at round-off level.
+
+    Raises:
+        ValueError: a row's Im u has a norm above both REAL_FUNCTION_RTOL
+            times that of u and atol, so it is not a real function (such
+            as a degenerate pair mixed by a complex phase).
+    """
+    imag, whole = np.linalg.norm(rows.imag, axis=-1), np.linalg.norm(rows, axis=-1)
+    complex_rows = np.flatnonzero(imag > np.maximum(REAL_FUNCTION_RTOL * whole, atol))
+    if len(complex_rows):
+        j = complex_rows[0]
+        raise ValueError(f"row {j} is not a real function: "
+                         f"|Im T c| = {imag[j]:.2e} of |T c| = {whole[j]:.2e}")
+    return rows.real
 
 
 def phi(gs) -> np.ndarray:
@@ -105,7 +126,7 @@ def dense_sternheimer(gs, bands, rhs, tol, basis, max_iter=None):
     x, r = xr
     p, nap = pa
     z, tmp = work[6], update[0]
-    r[:] = real_rows(rhs, atol=tol)
+    r[:] = rhs
     h_r = real_hamiltonian(gs.grids, gs.v_local)
     coef = np.empty((k, basis.shape[1]))
     alpha = np.empty(k)

@@ -35,6 +35,7 @@ from pwdyson.harness import (
     budgeted_dielectric,
     build_perturbation,
     check_orthonormality,
+    check_sternheimer_error_bound,
     compare_strategies,
     ensure_ground_state,
     run_response,
@@ -45,6 +46,7 @@ from pwdyson.harness import (
 from pwdyson.igmres import igmres_solve
 from pwdyson.kernels import KernelSpec, KerkerSpec, apply_kerker
 from pwdyson.response import apply_dielectric
+from pwdyson.sternheimer import hamiltonian
 from pwdyson.strategies import TOLERANCE_FLOOR, StrategySpec, parse_strategy, select_tolerances
 
 from oracles import phi
@@ -413,30 +415,24 @@ def test_run_response_reraises_sternheimer_stall(metal_gs, monkeypatch):
     assert np.isnan(report.final_true_res)
 
 
-def test_run_response_builds_h_r_once_and_drops_it(metal_gs, monkeypatch):
+def test_run_response_builds_h_r_once_and_drops_it(metal_gs, monkeypatch, h_applications):
     # one sector Hamiltonian per response solve: the extra-band guard runs on
     # it, and every application of chi0 reuses it until the end
     import dataclasses
 
-    from pwdyson import response, sternheimer
+    from pwdyson import sternheimer
 
-    builds, solves = [], []
-    original_h, original_solve = response.sector_hamiltonian, response.solve_sternheimer
+    builds = []
+    original = sternheimer.sector_hamiltonian
 
     def counted(grids, v_local):
         builds.append(grids.n_b)
-        return original_h(grids, v_local)
+        return original(grids, v_local)
 
-    def recorded(*args, **kwargs):
-        solves.append(kwargs.get("ham") is not None)
-        return original_solve(*args, **kwargs)
-
-    for module in (response, sternheimer):
-        monkeypatch.setattr(module, "sector_hamiltonian", counted)
-    monkeypatch.setattr(response, "solve_sternheimer", recorded)
+    monkeypatch.setattr(sternheimer, "sector_hamiltonian", counted)
     metal_gs.drop_derived()
     metrics = run_response(tiny_config(metal_gs), gs=metal_gs)
-    assert metrics.converged and len(solves) > 2 and all(solves)
+    assert metrics.converged and metrics.igmres.iterations > 1
     assert builds == [metal_gs.grids.n_b]
     assert metal_gs._derived == {}
 
@@ -461,10 +457,10 @@ def test_run_response_builds_h_r_once_and_drops_it(metal_gs, monkeypatch):
     a, b = metal_gs.u[:, metal_gs.n_occ - 1], metal_gs.u[:, metal_gs.n_occ]
     u[:, metal_gs.n_occ - 1], u[:, metal_gs.n_occ] = (a + b) / np.sqrt(2), (b - a) / np.sqrt(2)
     mixed = dataclasses.replace(metal_gs, u=u)
-    solves.clear()
+    spent = h_applications()
     with pytest.raises(InvariantViolationError, match="extra bands"):
         run_response(tiny_config(mixed), gs=mixed)
-    assert solves == [] and len(builds) == 3
+    assert h_applications() == spent and len(builds) == 3
     assert mixed._derived == {}
 
 
@@ -480,7 +476,7 @@ def test_run_response_drops_what_the_solve_derived(metal_gs, monkeypatch):
     monkeypatch.setattr("pwdyson.harness.apply_dielectric", stall)
     with pytest.raises(NonConvergenceError, match="Sternheimer"):
         run_response(tiny_config(metal_gs), gs=metal_gs)
-    assert {"psi_occ_real", "kept_bases"} <= set(cached)
+    assert {"psi_occ_real", "hamiltonian"} <= set(cached)
     assert metal_gs._derived == {}
 
 
@@ -659,6 +655,25 @@ def test_verify_negative_control(metal_gs):
     corrupted.u[:, 0] *= 1.5
     check = check_orthonormality(corrupted)
     assert not check["passed"]
+
+
+def test_sternheimer_error_bound_check_applies_the_cached_operator(metal_gs, insulator_gs):
+    # the check runs the production solve, so a state whose cached operator is
+    # off by 1e-6 I fails it against the full eigh of H_r
+    import dataclasses
+
+    for gs in (metal_gs, insulator_gs):
+        check = check_sternheimer_error_bound(gs, np.random.default_rng(40))
+        assert check["passed"] and check["margin"] >= 1.0
+    ham = hamiltonian(metal_gs)
+    shifted = dataclasses.replace(
+        ham, blocks=tuple(block + 1e-6 * np.eye(len(block)) for block in ham.blocks))
+    perturbed = dataclasses.replace(metal_gs)
+    assert perturbed.derived("hamiltonian", lambda: shifted) is shifted
+    check = check_sternheimer_error_bound(perturbed, np.random.default_rng(40))
+    assert not check["passed"] and check["margin"] < 1.0
+    for gs in (metal_gs, insulator_gs):
+        gs.drop_derived()
 
 
 # -- config -------------------------------------------------------------------------
