@@ -9,12 +9,10 @@ the potential (`sector_hamiltonian`).
 """
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.fft
-import scipy.linalg
-from scipy.special import erfc, expit
 
 from .errors import ConfigurationError, InvariantViolationError, NonConvergenceError
 from .kernels import KerkerSpec, apply_kerker, hartree_potential
@@ -60,22 +58,32 @@ class ModelSpec:
 
 # -- smearing ---------------------------------------------------------------
 
+_erfc = np.frompyfunc(math.erfc, 1, 1)
+
+
 def smearing_function(kind: str):
-    """Occupation f(x) on [0, 2) and its derivative f'(x), both monotone."""
+    """Occupation f(x) on [0, 2) and its derivative f'(x), both monotone.
+
+    Fermi-Dirac: f = 2 / (1 + e^x), which is 0 once e^x overflows, and
+    f' = -2 e^-|x| / (1 + e^-|x|)^2, which loses no digits to 1 - f/2.
+    Gaussian: f = erfc(x), `math.erfc` element by element (eigenvalue
+    arrays are short).
+    """
     if kind == "fermi_dirac":
         def f(x):
-            return 2.0 * expit(-np.asarray(x, dtype=float))
+            with np.errstate(over="ignore"):
+                return 2.0 / (1.0 + np.exp(np.asarray(x, dtype=float)))
 
         def fprime(x):
-            s = expit(-np.asarray(x, dtype=float))
-            return -2.0 * s * (1.0 - s)
+            e = np.exp(-np.abs(np.asarray(x, dtype=float)))
+            return -2.0 * e / (1.0 + e) ** 2
     elif kind == "gaussian":
         def f(x):
-            return erfc(np.asarray(x, dtype=float))
+            return np.asarray(_erfc(np.asarray(x, dtype=float)), dtype=float)
 
         def fprime(x):
             x = np.asarray(x, dtype=float)
-            return -2.0 / np.sqrt(np.pi) * np.exp(-np.clip(x * x, 0, 700))
+            return -2.0 / np.sqrt(np.pi) * np.exp(-x * x)
     else:
         raise ConfigurationError(f"unknown smearing {kind!r}")
     return f, fprime
@@ -281,9 +289,10 @@ def sector_hamiltonian(grids: FourierGrids, v_local: np.ndarray) -> SectorHamilt
 def diagonalize_dense(grids: FourierGrids, v_local: np.ndarray, n_states: int):
     """Lowest n_states eigenpairs (eps, u) of the discretised Hamiltonian.
 
-    One real symmetric `eigh` per mirror sector of `sector_hamiltonian`
-    gives each sector's lowest n_states; a stable sort of their
-    eigenvalues keeps the lowest n_states overall, ties in sector order.
+    One full real symmetric `eigh` per mirror sector of
+    `sector_hamiltonian` gives each sector's lowest n_states; a stable
+    sort of their eigenvalues keeps the lowest n_states overall, ties in
+    sector order.
     The eigenvectors, mapped back, are u, (n_b, n_states), orthonormal
     real coefficients in the cos/sin basis: every orbital is a real
     function, and each lies in one sector.
@@ -293,10 +302,10 @@ def diagonalize_dense(grids: FourierGrids, v_local: np.ndarray, n_states: int):
     ham = sector_hamiltonian(grids, v_local)
     eps, rows = [], []
     for s, block in zip(ham.basis.sectors, ham.blocks):
-        e, y = scipy.linalg.eigh(block, subset_by_index=[0, min(n_states, len(block)) - 1])
-        vectors = np.zeros((len(e), grids.n_b))
-        vectors[:, s] = y.T
-        eps.append(e)
+        e, y = np.linalg.eigh(block)
+        vectors = np.zeros((min(n_states, len(e)), grids.n_b))
+        vectors[:, s] = y[:, :n_states].T
+        eps.append(e[:n_states])
         rows.append(vectors)
     keep = np.argsort(np.concatenate(eps), kind="stable")[:n_states]
     return np.concatenate(eps)[keep], ham.basis.from_sectors(np.concatenate(rows)[keep]).T
@@ -338,7 +347,8 @@ class GroundState:
     ||F_KS(rho) - rho|| sqrt(|Omega|/n_g), `scf_residual`, passed the
     stop test; v_local is its potential and u/eps/occ are the
     eigenstates of H[v_local].  They cover the occupied bands plus
-    n_extra unoccupied eigenstates: eps[n_occ] (the lowest retained
+    n_extra unoccupied eigenstates, as many more as it takes to end
+    between two levels (DEGENERACY_RTOL): eps[n_occ] (the lowest retained
     unoccupied level) feeds the response error bounds, and `apply_chi0`
     takes the response in these states by a sum over states instead of a
     Sternheimer solve.
@@ -420,6 +430,7 @@ class GroundState:
 
 
 ANDERSON_DEPTH = 8          # density/residual pairs `run_scf` mixes over
+DEGENERACY_RTOL = 1e-8      # |eps_a - eps_b| <= this max(1, |eps|): one level
 
 
 def _choose_n_extra(n_occ: int) -> int:
@@ -471,19 +482,19 @@ def run_scf(model: ModelSpec, tol: float, max_iter: int = 200, *,
         fermi, occ = fermi_and_occupations(eps, model.n_electrons,
                                            model.temperature, model.smearing)
         n_occ = int(np.max(np.nonzero(occ > model.occupation_threshold)[0])) + 1
-        n_extra = _choose_n_extra(n_occ)
-        if n_occ + n_extra > n_states:
-            if n_occ + n_extra > grids.n_b:
-                raise NonConvergenceError(
-                    f"basis too small: need {n_occ + n_extra} states, have {grids.n_b}"
-                )
-            n_states = min(grids.n_b, n_occ + n_extra + 4)
+        n_kept = n_occ + _choose_n_extra(n_occ)
+        while (n_kept < n_states
+               and eps[n_kept] - eps[n_kept - 1] <= DEGENERACY_RTOL * max(1.0, abs(eps[n_kept]))):
+            n_kept += 1                 # the kept set ends between two levels
+        if n_kept > grids.n_b:
+            raise NonConvergenceError(f"basis too small: need {n_kept} states, have {grids.n_b}")
+        if n_kept >= n_states and n_states < grids.n_b:     # eps[n_kept] not seen
+            n_states = min(grids.n_b, n_kept + 4)
             continue
 
         residual = compute_density(grids, u, occ) - rho
         res_norm = np.linalg.norm(residual) * weight
         if res_norm <= tol:
-            n_kept = n_occ + n_extra
             return GroundState(
                 model=model, grids=grids, u=np.ascontiguousarray(u[:, :n_kept]),
                 eps=eps[:n_kept].copy(), occ=occ[:n_kept].copy(),
@@ -498,7 +509,8 @@ def run_scf(model: ModelSpec, tol: float, max_iter: int = 200, *,
             stored += 1
         previous = rho, f
         d_rho, d_f = history[:, :min(stored, ANDERSON_DEPTH)]
-        gamma = scipy.linalg.lstsq(d_f.T, f)[0] if stored else np.zeros(0)
+        # rcond eps: numpy's default, eps n_g, would drop nearly dependent history
+        gamma = np.linalg.lstsq(d_f.T, f, rcond=np.finfo(float).eps)[0] if stored else np.zeros(0)
         rho = rho - gamma @ d_rho + damping * (f - gamma @ d_f)
 
     raise NonConvergenceError(

@@ -23,7 +23,6 @@ whole error accounting rests on.
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ConfigurationError, NonConvergenceError
 
@@ -104,7 +103,7 @@ class IGmresState:
     def solution_coefficients(self) -> np.ndarray:
         """y minimising ||beta e1 - H y|| via the triangularised system."""
         i = self.size
-        return scipy.linalg.solve_triangular(self.r[:i, :i], self.g[:i])
+        return np.linalg.solve(self.r[:i, :i], self.g[:i])    # R upper triangular: LU is R itself
 
     def assemble(self, x0: np.ndarray, y: np.ndarray) -> np.ndarray:
         x = x0.copy()
@@ -147,7 +146,7 @@ def hessenberg_min_singular(h: np.ndarray) -> float:
     """Smallest singular value of a rectangular Hessenberg matrix."""
     if h.size == 0:
         raise ConfigurationError("empty Hessenberg matrix")
-    return float(scipy.linalg.svdvals(h)[-1])
+    return float(np.linalg.svd(h, compute_uv=False)[-1])
 
 
 @dataclass

@@ -42,7 +42,6 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-import scipy.fft
 
 from .errors import ConfigurationError, InvariantViolationError
 
@@ -296,13 +295,13 @@ class FourierGrids:
         lines = np.zeros((k, len(self._line_x), nz), dtype=np.complex128)
         lines.real[:, self._half_line, self._half_z] = rows[:, self._half_cos] * self._half_re
         lines.imag[:, self._half_line, self._half_z] = rows[:, self._half_sin] * self._half_im
-        lines = scipy.fft.ifft(lines, axis=2, norm="forward", overwrite_x=True)
+        np.fft.ifft(lines, axis=2, norm="forward", out=lines)
         columns = np.zeros((k, nz, ny, len(self._half_x)), dtype=np.complex128)
         columns[:, :, self._line_y, self._line_x] = lines.transpose(0, 2, 1)
-        columns = scipy.fft.ifft(columns, axis=2, norm="forward", overwrite_x=True)
+        np.fft.ifft(columns, axis=2, norm="forward", out=columns)
         spectrum = np.zeros((k, nz, ny, nx // 2 + 1), dtype=np.complex128)
         spectrum[..., self._half_x] = columns
-        values = scipy.fft.irfft(spectrum, n=nx, axis=3, norm="forward", overwrite_x=True)
+        values = np.fft.irfft(spectrum, n=nx, axis=3, norm="forward")
         return values.reshape(k, self.n_g)
 
     def to_fourier_many(self, values: np.ndarray) -> np.ndarray:
@@ -317,10 +316,11 @@ class FourierGrids:
         k = len(values)
         if values.shape != (k, self.n_g):
             raise ValueError(f"expected (k, {self.n_g}) grid values, got {values.shape}")
-        spectrum = scipy.fft.rfft(values.reshape(k, *self._cube_shape), axis=3)
-        columns = scipy.fft.fft(spectrum[..., self._half_x], axis=2, overwrite_x=True)
-        lines = scipy.fft.fft(columns[:, :, self._line_y, self._line_x], axis=1,
-                              overwrite_x=True)
+        spectrum = np.fft.rfft(values.reshape(k, *self._cube_shape), axis=3)
+        columns = spectrum[..., self._half_x]
+        np.fft.fft(columns, axis=2, out=columns)
+        lines = columns[:, :, self._line_y, self._line_x]
+        np.fft.fft(lines, axis=1, out=lines)
         upper = lines[:, self._upper_z, self._upper_line]
         h = self.n_b // 2
         rows = np.empty((k, self.n_b))
@@ -330,25 +330,25 @@ class FourierGrids:
         return rows
 
     # -- full-cube FFTs of real grid vectors (for Fourier-diagonal operators) --
-    # axes=(2, 1, 0) keeps the x -> y -> z pass order on the C-order view.
-    # The real pair keeps the half spectrum kx >= 0, shaped (Nz, Ny, Nx//2 + 1)
-    # like `g2_half`: axes=(0, 1, 2) halves x, the view's last axis.
+    # On the C-order view x is the last axis, which numpy's n-dimensional
+    # FFTs transform first.  The real pair keeps the half spectrum kx >= 0,
+    # shaped (Nz, Ny, Nx//2 + 1) like `g2_half`.
 
     def cube_fft(self, values: np.ndarray) -> np.ndarray:
         """Plain forward DFT of a real flat grid vector, every G (no normalisation).
 
-        pocketfft transforms a real input by a real FFT and fills the other
-        half of the spectrum by vhat(-G) = conj vhat(G).
+        `numpy.fft.fftn` casts the real input to complex and runs the full
+        complex transform, so vhat(-G) = conj vhat(G) holds to round-off.
         """
-        return scipy.fft.fftn(values.reshape(self._cube_shape), axes=(2, 1, 0)).ravel()
+        return np.fft.fftn(values.reshape(self._cube_shape)).ravel()
 
     def cube_rfft(self, values: np.ndarray) -> np.ndarray:
         """Plain forward DFT of a real flat grid vector on the half spectrum (no normalisation)."""
-        return scipy.fft.rfftn(values.reshape(self._cube_shape), axes=(0, 1, 2))
+        return np.fft.rfftn(values.reshape(self._cube_shape))
 
     def cube_irfft(self, half: np.ndarray) -> np.ndarray:
         """Real flat grid vector of a Hermitian half spectrum: the inverse DFT (1/N normalised)."""
-        return scipy.fft.irfftn(half, s=self._cube_shape, axes=(0, 1, 2)).ravel()
+        return np.fft.irfftn(half, s=self._cube_shape, axes=(0, 1, 2)).ravel()
 
     # -- coordinate mirrors ------------------------------------------------
 

@@ -23,11 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groundstate import GroundState
+from .groundstate import DEGENERACY_RTOL, GroundState
 from .kernels import KernelSpec, apply_kernel
 from .sternheimer import project_out_occupied, solve_sternheimer
-
-DEGENERACY_RTOL = 1e-8
 
 
 @dataclass
@@ -52,16 +50,19 @@ def _occupied_matrix(gs: GroundState, dv: np.ndarray):
 
 
 def _first_order_occupations(gs: GroundState, m: np.ndarray):
-    """(delta_eps, delta_eps_F, delta_f) from M[m, n] = <phi_m, dv phi_n>."""
+    """(delta_eps, delta_eps_F, delta_f) from M[m, n] = <phi_m, dv phi_n>.
+
+    Occupations move only when T |sum_n f'_n| exceeds 1e-14 per band: a
+    gapped state's top band sits where its occupation rounds to 2, where
+    T f' is about 2 eps_machine at any T.
+    """
     delta_eps = np.diag(m)
     fprime = gs.fprime_occ()
     fp_sum = fprime.sum()
-    if abs(fp_sum) > 1e-14 * gs.n_occ:
-        delta_eps_f = float(fprime @ delta_eps / fp_sum)
-    else:
-        delta_eps_f = 0.0
-    delta_f = fprime * (delta_eps - delta_eps_f)
-    return delta_eps, delta_eps_f, delta_f
+    if abs(fp_sum) * gs.model.temperature <= 1e-14 * gs.n_occ:
+        return delta_eps, 0.0, np.zeros_like(delta_eps)
+    delta_eps_f = float(fprime @ delta_eps / fp_sum)
+    return delta_eps, delta_eps_f, fprime * (delta_eps - delta_eps_f)
 
 
 def _occupied_pair_weights(gs: GroundState) -> np.ndarray:

@@ -19,8 +19,9 @@ import time
 
 import numpy as np
 import pytest
+from scipy.special import erfc, expit
 
-from pwdyson import Lattice, build_grids
+from pwdyson import Lattice, build_grids, groundstate
 from pwdyson.config import reference_config
 from pwdyson.harness import (
     TIGHT_CG_TOL,
@@ -308,3 +309,15 @@ def test_compare_keeps_its_rows_when_grt_meets_the_tolerance_floor(toy_metal, me
     assert rows["pbal"]["converged"] and rows["pbal"]["n_ham"] == pbal.n_ham
     assert rows["pbal"]["final_true_res"] == pbal.final_true_res
     assert rows["grt"]["converged"] is False and rows["grt"]["n_ham"] > 0
+
+
+@pytest.mark.parametrize("smearing", ["fermi_dirac", "gaussian"])
+def test_fermi_level_matches_scipy_smearing(toy_metal, smearing, monkeypatch):
+    """The bisection on toy_metal's eigenvalues lands where scipy's occupations put it."""
+    _, gs = toy_metal
+    args = (gs.eps, gs.model.n_electrons, gs.model.temperature, smearing)
+    fermi, _ = groundstate.fermi_and_occupations(*args)
+    f = {"fermi_dirac": lambda x: 2.0 * expit(-x), "gaussian": erfc}[smearing]
+    monkeypatch.setattr(groundstate, "smearing_function", lambda kind: (f, None))
+    reference, _ = groundstate.fermi_and_occupations(*args)
+    assert abs(fermi - reference) <= 1e-15 * abs(reference)

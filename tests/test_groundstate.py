@@ -4,9 +4,11 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy.special import erfc, expit
 
 from pwdyson import FourierGrids, Lattice, NonConvergenceError, build_grids, groundstate
 from pwdyson.groundstate import (
+    DEGENERACY_RTOL,
     GaussianWell,
     ModelSpec,
     compute_density,
@@ -19,6 +21,7 @@ from pwdyson.groundstate import (
     smearing_function,
 )
 
+from conftest import full_spectrum
 from oracles import (apply_hamiltonian, dense_from_matvec, dense_hamiltonian, from_cos_sin, phi,
                      to_cos_sin, to_real)
 
@@ -272,12 +275,13 @@ def test_bisection_against_fine_scan(smearing):
     n, t = 14, 0.05
     fermi, occ = fermi_and_occupations(eps, n, t, smearing)
     assert abs(occ.sum() - n) < 1e-12
-    # fine scan oracle
-    f, _ = smearing_function(smearing)
+    # fine scan oracle, 4e7 values of f: scipy's ufuncs, not `math.erfc` one by one
+    f = {"fermi_dirac": lambda x: 2.0 * expit(-x), "gaussian": erfc}[smearing]
     mus = np.linspace(eps.min() - 1, eps.max() + 1, 2_000_001)
     counts = f((eps[None, :] - mus[:, None]) / t).sum(axis=1)
     scan = mus[np.argmin(np.abs(counts - n))]
     assert abs(fermi - scan) < 1e-5  # limited by scan resolution
+    f, _ = smearing_function(smearing)
     # refine scan by local bisection to confirm at 1e-10
     lo, hi = scan - 1e-5, scan + 1e-5
     for _ in range(80):
@@ -292,6 +296,28 @@ def test_bisection_against_fine_scan(smearing):
 def test_insufficient_states():
     with pytest.raises(NonConvergenceError):
         fermi_and_occupations([0.0, 1.0], 4, 1e-2)
+
+
+@pytest.mark.parametrize("smearing", ["fermi_dirac", "gaussian"])
+def test_smearing_matches_scipy(smearing):
+    """f and f' against scipy.special on [-40, 40], +-700, +-inf and 0-d inputs.
+
+    scipy's erfc is itself off by up to 5.7e-14 relative for x > 0.5,
+    where `math.erfc` stays within 3e-16 of the exact value (checked with
+    mpmath), so there the gaussian f is held to 1e-13.  Values below the
+    smallest normal double are compared absolutely.
+    """
+    f, fp = smearing_function(smearing)
+    line = np.concatenate([np.linspace(-40.0, 40.0, 16001), [-700.0, 700.0, -np.inf, np.inf]])
+    for x in (line, np.array(0.3), np.float64(-1.7)):
+        if smearing == "fermi_dirac":
+            f_ref, fp_ref, rtol = 2.0 * expit(-x), -2.0 * expit(x) * expit(-x), 1e-15
+        else:
+            f_ref, fp_ref = erfc(x), -2.0 / np.sqrt(np.pi) * np.exp(-x * x)
+            rtol = np.where(x <= 0.5, 1e-15, 1e-13)
+        assert np.shape(f(x)) == np.shape(fp(x)) == np.shape(x)
+        assert np.all(np.abs(f(x) - f_ref) <= rtol * np.abs(f_ref) + np.finfo(float).tiny)
+        assert np.all(np.abs(fp(x) - fp_ref) <= 1e-15 * np.abs(fp_ref) + np.finfo(float).tiny)
 
 
 def test_fprime_finite_difference():
@@ -468,7 +494,8 @@ def test_scf_asking_for_more_states_keeps_anderson_history(monkeypatch):
     iterations = scf_iterations(monkeypatch)
     wider = run_scf(model, tol=1e-10)
     assert iterations() == n_plain + 1
-    assert wider.n_kept == plain.n_kept + 5
+    # 1 + 3 and 1 + 3 + 5 kept states would each end inside a degenerate level
+    assert plain.n_kept == 5 and wider.n_kept == 11
     diff = np.linalg.norm(wider.rho - plain.rho) * np.sqrt(model.lattice.volume / plain.grids.n_g)
     assert diff <= 1e-12
 
@@ -477,6 +504,36 @@ def test_scf_asking_for_more_states_keeps_anderson_history(monkeypatch):
     with pytest.raises(NonConvergenceError) as err:
         run_scf(model, tol=1e-10, max_iter=1)
     assert np.isnan(err.value.residual)
+
+
+def test_kept_set_holds_a_degenerate_level_whole(insulator_gs):
+    """The p-like triplet at 0.48942 Ha is kept whole or not at all."""
+    eps = full_spectrum(insulator_gs)[0]
+    triplet = np.flatnonzero(np.abs(eps - 0.48942) < 1e-4)
+    assert len(triplet) == 3
+    kept = triplet < insulator_gs.n_kept
+    assert kept.all() or not kept.any()
+    n_kept = insulator_gs.n_kept
+    assert eps[n_kept] - eps[n_kept - 1] > DEGENERACY_RTOL * max(1.0, abs(eps[n_kept]))
+
+
+def test_scf_diagonalises_again_when_a_level_runs_past_its_states(monkeypatch):
+    # 1 + 3 + 2 kept states end inside the pair at 0.622 Ha, and the 7 states
+    # diagonalised end with it: the SCF cannot see where the level ends, so it
+    # diagonalises the same density again with more states
+    model = toy_insulating_model()
+    iterations = scf_iterations(monkeypatch)
+    plain = run_scf(model, tol=1e-10)
+    n_plain = iterations()
+
+    original = groundstate._choose_n_extra
+    monkeypatch.setattr(groundstate, "_choose_n_extra", lambda n_occ: original(n_occ) + 2)
+    iterations = scf_iterations(monkeypatch)
+    wider = run_scf(model, tol=1e-10)
+    assert iterations() == n_plain + 1
+    assert wider.n_kept == 7 and wider.eps[5] == pytest.approx(wider.eps[6], abs=1e-8)
+    diff = np.linalg.norm(wider.rho - plain.rho) * np.sqrt(model.lattice.volume / plain.grids.n_g)
+    assert diff <= 1e-12
 
 
 def test_scf_ground_state_invariants():

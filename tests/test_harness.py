@@ -4,6 +4,8 @@ import csv
 import json
 import os
 import stat
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -780,3 +782,37 @@ def test_reference_configs_load():
         assert config.model.n_electrons % 2 == 0
     with pytest.raises(ConfigurationError):
         reference_config("no_such_config")
+
+
+# -- runtime dependencies -----------------------------------------------------------
+
+NO_SCIPY_RUN = """
+import sys
+sys.modules["scipy"] = None             # from here on, importing scipy raises ImportError
+import pwdyson.cli
+import pwdyson.harness
+from pwdyson.config import config_from_dict
+from pwdyson.groundstate import run_scf
+
+config = config_from_dict({
+    "model": {"lattice": [[3.4, 0, 0], [0, 3.4, 0], [0, 0, 3.4]], "e_cut": 3.8,
+              "n_electrons": 4, "temperature": 5e-3, "smearing": "gaussian",
+              "gaussians": [{"center": [0.4, 0.45, 0.5], "amplitude": -3.0, "width": 0.8},
+                            {"center": [0.7, 0.6, 0.45], "amplitude": -2.0, "width": 0.7}]},
+    "scf": {"tol": 1e-10, "damping": 0.3},
+    "response": {"strategy": "pgrt", "tau": 1e-7, "perturbation": {"gaussian": 0}},
+})
+gs = run_scf(config.model, tol=config.scf.tol, max_iter=600, damping=config.scf.damping)
+metrics = pwdyson.harness.run_response(config, gs=gs)
+print(gs.grids.n_g, metrics.converged, metrics.n_ham)
+"""
+
+
+def test_the_program_runs_without_scipy():
+    """SCF and a pgrt solve in a process where any import of scipy, eager or lazy, fails."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY_RUN], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    n_g, converged, n_ham = proc.stdout.split()
+    assert int(n_g) <= 400 and converged == "True" and int(n_ham) > 0
