@@ -94,6 +94,10 @@ def fermi_and_occupations(eps, n_electrons, temperature, smearing="fermi_dirac")
 
     Bisects sum_n f((eps_n - mu)/T) = N down to float resolution in mu;
     the smearing functions are strictly monotone so the level is unique.
+    The count runs on Python floats: `math.erfc` for Gaussian smearing,
+    and for Fermi-Dirac 2 / (1 + e^x), written 2 e^-x / (1 + e^-x) for
+    x > 0 so that `math.exp` cannot overflow.  The occupations returned
+    are `smearing_function`'s f at the level found.
 
     Raises:
         NonConvergenceError: the retained spectrum cannot hold N electrons
@@ -107,9 +111,18 @@ def fermi_and_occupations(eps, n_electrons, temperature, smearing="fermi_dirac")
         raise NonConvergenceError(
             f"{len(eps)} states cannot hold {n_electrons} electrons; retain more states"
         )
+    levels = eps.tolist()
+
+    def fermi_dirac(x):
+        if x > 0:
+            e = math.exp(-x)
+            return 2.0 * e / (1.0 + e)
+        return 2.0 / (1.0 + math.exp(x))
+
+    term = math.erfc if smearing == "gaussian" else fermi_dirac
 
     def count(mu):
-        return float(np.sum(f((eps - mu) / temperature)))
+        return math.fsum(term((e - mu) / temperature) for e in levels)
 
     lo = float(eps.min()) - temperature
     hi = float(eps.max()) + temperature
@@ -136,29 +149,89 @@ def fermi_and_occupations(eps, n_electrons, temperature, smearing="fermi_dirac")
 _TAIL_WIDTHS = np.sqrt(2 * np.log(1e18))
 
 
+def _image_box(grids: FourierGrids, well: GaussianWell) -> np.ndarray:
+    """m: every image n of `well` nearer than its tail r_tail to the cell has |n_k| <= m_k.
+
+    The component of (df + n) @ a along b_k is (df_k + n_k) 2 pi / |b_k|,
+    with df in [-1/2, 1/2] the minimum-image fractional offset, so an image
+    nearer than r_tail has |n_k| <= r_tail |b_k| / 2 pi + 1/2; the plane
+    spacing makes this hold for non-orthogonal cells too.
+    """
+    reach = well.width * _TAIL_WIDTHS * np.linalg.norm(grids.lattice.b, axis=1) / (2 * np.pi)
+    return np.floor(reach + 0.5).astype(int)
+
+
+def _orthogonal(lattice: Lattice) -> bool:
+    """Whether a a^T has exactly zero off-diagonal entries: lattice sums factorise by axis."""
+    gram = lattice.a @ lattice.a.T
+    return not np.any(gram - np.diag(np.diag(gram)))
+
+
 def _image_displacements(grids: FourierGrids, well: GaussianWell):
-    """Yield r - (c + R) on the grid for every image of `well` within its tail.
+    """Yield r - (c + R) on the grid for every image of `well` in its `_image_box`.
 
     Fractional offsets are reduced to the minimum image, df in [-1/2, 1/2].
-    The component of (df + n) @ a along b_k is (df_k + n_k) 2 pi / |b_k|,
-    so an image nearer than r_tail has |n_k| <= r_tail |b_k| / 2 pi + 1/2;
-    the plane spacing makes this hold for non-orthogonal cells too.
     """
     a = grids.lattice.a
     df = grids.real_space_points() @ np.linalg.inv(a) - np.asarray(well.center, dtype=float)
     df -= np.round(df)
     base = df @ a
-    reach = well.width * _TAIL_WIDTHS * np.linalg.norm(grids.lattice.b, axis=1) / (2 * np.pi)
-    for n in itertools.product(*(range(-m, m + 1) for m in np.floor(reach + 0.5).astype(int))):
+    for n in itertools.product(*(range(-m, m + 1) for m in _image_box(grids, well))):
         yield base + np.asarray(n, dtype=float) @ a
 
 
+def _axis_sum(grids: FourierGrids, well: GaussianWell, direction) -> np.ndarray:
+    """`_lattice_sum` on an orthogonal cell: the same image box, factorised by axis.
+
+    With a a^T diagonal, d = r - (c + R) has the component x_k = (df_k +
+    n_k) |a_k| along a_k, |d|^2 = sum_k x_k^2 and df_k depends on the
+    grid's plane index along a_k alone.  The box is a product of ranges,
+    so the sum of e(d) is exactly the outer product of the three per-axis
+    sums s_k = sum_{n_k} exp(-x_k^2 / 2 w^2), each (N_k,).  With a
+    direction, d . direction = sum_k x_k (a_k / |a_k|) . direction, and
+    term k puts t_k = sum_{n_k} x_k exp(-x_k^2 / 2 w^2) in place of s_k.
+    """
+    lengths = np.linalg.norm(grids.lattice.a, axis=1)
+    s, t = [], []
+    for n_k, c, length, m in zip(grids.cube_dims, well.center, lengths, _image_box(grids, well)):
+        df = np.arange(n_k) / n_k - c
+        df -= np.round(df)
+        x = (df[:, None] + np.arange(-m, m + 1)) * length
+        gauss = np.exp(-x * x / (2 * well.width**2))
+        s.append(gauss.sum(axis=1))
+        t.append((x * gauss).sum(axis=1))
+
+    def outer(f):
+        """f_x (x) f_y (x) f_z, flat x-fastest."""
+        return np.multiply.outer(np.multiply.outer(f[2], f[1]), f[0]).ravel()
+
+    if direction is None:
+        return outer(s)
+    along = grids.lattice.a @ direction / lengths
+    return sum(along[k] * outer([t[j] if j == k else s[j] for j in range(3)]) for k in range(3))
+
+
+def _lattice_sum(grids: FourierGrids, well: GaussianWell, direction=None) -> np.ndarray:
+    """sum_R e(d) on the grid, or sum_R e(d) (d . direction) given a unit direction.
+
+    e(d) = exp(-|d|^2 / 2 w^2) with d = r - (c + R), R over the images of
+    `_image_box`.  On an orthogonal cell the sum is taken per axis
+    (`_axis_sum`), else image by image.
+    """
+    if _orthogonal(grids.lattice):
+        return _axis_sum(grids, well, direction)
+    total = np.zeros(grids.n_g)
+    for d in _image_displacements(grids, well):
+        gauss = np.exp(-np.einsum("ij,ij->i", d, d) / (2 * well.width**2))
+        total += gauss if direction is None else gauss * (d @ direction)
+    return total
+
+
 def external_potential(model: ModelSpec, grids: FourierGrids) -> np.ndarray:
-    """Lattice-summed Gaussian wells evaluated on the cube grid."""
+    """Lattice-summed Gaussian wells on the cube grid, one `_lattice_sum` per well."""
     v = np.zeros(grids.n_g)
     for g in model.gaussians:
-        for d in _image_displacements(grids, g):
-            v += g.amplitude * np.exp(-np.einsum("ij,ij->i", d, d) / (2 * g.width**2))
+        v += g.amplitude * _lattice_sum(grids, g)
     return v
 
 
@@ -171,49 +244,54 @@ def gaussian_well(model: ModelSpec, index: int) -> GaussianWell:
 
 def external_potential_derivative(model: ModelSpec, grids: FourierGrids,
                                   index: int, direction: np.ndarray) -> np.ndarray:
-    """d/dc [lattice-summed well `index`] contracted with a unit direction."""
+    """d/dc [lattice-summed well `index`] contracted with a unit direction.
+
+    A / w^2 times `_lattice_sum` with the direction, sum_R e(d) (d . direction).
+    """
     g = gaussian_well(model, index)
     direction = np.asarray(direction, dtype=float)
     norm = np.linalg.norm(direction)
     if norm == 0 or not np.all(np.isfinite(direction)):
         raise ConfigurationError("perturbation direction must be a nonzero vector")
-    direction = direction / norm
-    dv = np.zeros(grids.n_g)
-    for d in _image_displacements(grids, g):
-        gauss = np.exp(-np.einsum("ij,ij->i", d, d) / (2 * g.width**2))
-        dv += g.amplitude * gauss * (d @ direction) / g.width**2
-    return dv
+    return (g.amplitude / g.width**2) * _lattice_sum(grids, g, direction / norm)
 
 
 # -- Hamiltonian ------------------------------------------------------------
 
-_REAL_H_ROWS = 64           # rows of V per block in `real_hamiltonian`
+_REAL_H_ROWS = 64           # rows of V per block in `_hamiltonian_of_vhat`
 
 
 def real_hamiltonian(grids: FourierGrids, v_local: np.ndarray) -> np.ndarray:
     """H_r = T H T^H, the dense Hamiltonian in the cos/sin basis (see `pwbasis`).
 
-    For a real v_local H_r is real symmetric.  Its blocks are sums and
-    differences of the real and imaginary parts of the first n_b // 2 rows
-    of V_{G,G'} = vhat(G - G'), which hold every vhat(G_i - G_j),
-    vhat(G_i + G_j) and vhat(G_i) of the pairs.  Those rows are gathered
-    from Re vhat and Im vhat separately, in blocks of _REAL_H_ROWS, and
-    H_r is written in place.  vhat is one real FFT of v_local
-    (`FourierGrids.cube_fft`).  The SCF and the Sternheimer CG use H_r
-    through `sector_hamiltonian`: its blocks in the mirror sectors of
-    v_local, or H_r itself when v_local has no mirror.
+    For a real v_local H_r is real symmetric, exactly so, since
+    `FourierGrids.cube_fft` makes vhat(-G) = conj vhat(G) exact.  Built
+    from vhat by `_hamiltonian_of_vhat`.  The SCF and the Sternheimer CG
+    use H_r through `sector_hamiltonian`: its blocks in the mirror sectors
+    of v_local, or H_r itself when v_local has no mirror.
 
     Raises:
         InvariantViolationError: the sphere is not symmetric under G -> -G
             in the index order that T assumes.
+    """
+    return _hamiltonian_of_vhat(grids, grids.cube_fft(v_local) / grids.n_g)
+
+
+def _hamiltonian_of_vhat(grids: FourierGrids, vhat: np.ndarray) -> np.ndarray:
+    """H_r of the potential whose normalised DFT is vhat = `cube_fft`(v_local) / n_g.
+
+    Its blocks are sums and differences of the real and imaginary parts
+    of the first n_b // 2 rows of V_{G,G'} = vhat(G - G'), which hold
+    every vhat(G_i - G_j), vhat(G_i + G_j) and vhat(G_i) of the pairs.
+    Those rows are gathered from Re vhat and Im vhat separately, in blocks
+    of _REAL_H_ROWS, and H_r is written in place.
     """
     if not np.array_equal(grids.g_int[::-1], -grids.g_int):
         raise InvariantViolationError("sphere is not reversal-symmetric: -G of index j "
                                       "must be index n_b - 1 - j")
     n_b, h = grids.n_b, grids.n_b // 2
     hr = np.empty((n_b, n_b))
-    vfft = grids.cube_fft(v_local) / grids.n_g
-    v_re, v_im = vfft.real.copy(), vfft.imag.copy()
+    v_re, v_im = vhat.real.copy(), vhat.imag.copy()
     # rows and columns: cos of pair i at i, sin of pair i at n_b - 1 - i
     sin_rows = hr[:h:-1]
     for start in range(0, h, _REAL_H_ROWS):
@@ -235,7 +313,7 @@ def real_hamiltonian(grids: FourierGrids, v_local: np.ndarray) -> np.ndarray:
 
 
 MIRROR_RTOL = 1e-13          # max |v - v o M| / max |v| of a mirror M taken as a symmetry
-SECTOR_DEFECT_LIMIT = 1e-12  # commutation defect / max |H_r| allowed of those mirrors
+SECTOR_DEFECT_LIMIT = 1e-12  # bound on the blocks' error / max |H_r| allowed of those mirrors
 
 
 @dataclass(frozen=True)
@@ -243,10 +321,9 @@ class SectorHamiltonian:
     """H_r as one dense block per mirror sector: S_c^T H_r S_c (see `pwbasis.SectorBasis`).
 
     Rows handed to `apply` are in the adapted basis, sector by sector
-    (`basis.to_sectors`).  `defect` is the mirrors' commutation defect
-    max_M ||M H_r - H_r M||, in the max norm of the adapted basis, over
-    max |H_r|.  A mirror is diagonal there (+-1 by sector), so the
-    defect is twice the largest entry the blocks drop, relative.
+    (`basis.to_sectors`).  `defect` is `mirror_defect` over max |H_r|: a
+    bound, from vhat, on twice the largest entry of S^T H_r S that the
+    blocks drop and on twice the error of the representative-row blocks.
     """
 
     basis: SectorBasis
@@ -262,25 +339,49 @@ class SectorHamiltonian:
         return out
 
 
+def mirror_defect(grids: FourierGrids, vhat: np.ndarray, mirrors) -> float:
+    """2^k k max_M (2 max |vhat o M - vhat| + max |g2 o M - g2| / 2) over k mirrors M.
+
+    The bracket bounds delta = max_M max |M H_r M - H_r|: a potential
+    entry of H_r combines two values of vhat, and the kinetic diagonal is
+    |G|^2 / 2.  A group element, a product of j <= k mirrors, moves H_r by
+    at most j delta, so the projector P of a character, the mean of the
+    2^k signed elements, has max |[H_r, P]| <= k delta / 2.  An adapted
+    column holds o <= 2^k entries of 1 / sqrt(o), so each entry that
+    `SectorBasis.commuting_blocks` gets wrong, and each entry of S^T H_r S
+    outside the blocks, is off by at most 2^(k-1) k delta: the value
+    returned is twice that.  Zero with no mirror.
+    """
+    g2 = grids.g2_sphere
+    worst = max((2.0 * grids.mirror_change(vhat, m) + 0.5 * float(np.max(np.abs(g2[m.perm] - g2)))
+                 for m in mirrors), default=0.0)
+    return 2.0 ** len(mirrors) * len(mirrors) * worst
+
+
 def sector_hamiltonian(grids: FourierGrids, v_local: np.ndarray) -> SectorHamiltonian:
     """`real_hamiltonian` in the basis adapted to the mirrors of v_local, as per-sector blocks.
 
     The mirrors are those of `grids.mirrors` that leave v_local unchanged
-    to MIRROR_RTOL.  Their commutation defect with H_r must stay within
-    SECTOR_DEFECT_LIMIT, since the blocks drop every entry outside them.
-    With no mirror there is one block, H_r itself, and the identity map.
+    to MIRROR_RTOL.  vhat is computed once and feeds both H_r and the
+    guard: `mirror_defect` / max |H_r| must stay within
+    SECTOR_DEFECT_LIMIT, since the blocks are formed from H_r's rows at
+    the orbit representatives (`SectorBasis.commuting_blocks`), which is
+    exact only for an H_r that commutes with the mirrors, and every entry
+    outside them is dropped.  With no mirror there is one block, H_r
+    itself, and the identity map.
 
     Raises:
         InvariantViolationError: the mirrors do not commute with H_r.
     """
-    h_r = real_hamiltonian(grids, v_local)
+    vhat = grids.cube_fft(v_local) / grids.n_g
+    h_r = _hamiltonian_of_vhat(grids, vhat)
     basis = grids.sector_basis(v_local, MIRROR_RTOL)
-    blocks, dropped = basis.blocks(h_r)
-    defect = 2.0 * dropped / float(np.max(np.abs(h_r)))
+    defect = mirror_defect(grids, vhat, basis.mirrors) / float(np.max(np.abs(h_r)))
     if defect > SECTOR_DEFECT_LIMIT:
         raise InvariantViolationError(
             f"mirrors of v_local (axes {basis.mirror_axes}) do not commute with H_r: "
             f"defect {defect:.2e} > {SECTOR_DEFECT_LIMIT:.0e}")
+    blocks = basis.commuting_blocks(h_r)
     for block in blocks:
         block.flags.writeable = False
     return SectorHamiltonian(basis=basis, blocks=blocks, defect=defect)

@@ -22,6 +22,7 @@ from .errors import ConfigurationError, InvariantViolationError, NonConvergenceE
 from .groundstate import (
     SECTOR_DEFECT_LIMIT,
     GroundState,
+    ModelSpec,
     external_potential,
     external_potential_derivative,
     gaussian_well,
@@ -30,7 +31,7 @@ from .groundstate import (
 )
 from .igmres import igmres_solve
 from .kernels import KernelSpec, KerkerSpec, apply_kerker
-from .pwbasis import build_grids
+from .pwbasis import FourierGrids, build_grids
 from .response import (
     DielectricApplication,
     _cached_row_norm,
@@ -172,35 +173,43 @@ def bound_margin(gs: GroundState, spec: StrategySpec, budget: float, kv_norm: fl
     return margin
 
 
+def perturbation_potential(model: ModelSpec, grids: FourierGrids, pert) -> np.ndarray:
+    """dV0 of a displacement perturbation on the grid.
+
+    The analytic derivative of the indexed Gaussian's lattice sum with
+    respect to its centre, contracted with the unit direction, or a
+    central finite difference with a 1e-5 Bohr step when the analytic
+    flag is off.
+    """
+    if pert.analytic:
+        return external_potential_derivative(model, grids, pert.gaussian, pert.direction)
+    h = 1e-5
+    direction = np.asarray(pert.direction, dtype=float)
+    norm = np.linalg.norm(direction)
+    if norm == 0:
+        raise ConfigurationError("perturbation direction must be a nonzero vector")
+    direction = direction / norm
+    base = gaussian_well(model, pert.gaussian)
+    frac_step = h * direction @ np.linalg.inv(model.lattice.a)
+
+    def shifted(sign):
+        well = replace(base, center=tuple(np.asarray(base.center) + sign * frac_step))
+        return external_potential(replace(model, gaussians=(well,)), grids)
+
+    return (shifted(+1) - shifted(-1)) / (2 * h)
+
+
 def build_perturbation(gs: GroundState, pert, spec: StrategySpec):
     """Displacement perturbation dV0 and the right-hand side chi0 dV0.
 
-    dV0 is the analytic derivative of the indexed Gaussian's lattice sum
-    with respect to its centre, contracted with the unit direction (or a
-    central finite difference when the analytic flag is off).  The
-    right-hand side applies chi0 in rescaled form, with per-band
-    tolerances drawn from the strategy and the budget tau/3; the static
-    baselines use their fixed tolerance instead.  A grt application is
-    checked against its budget (`bound_margin`) before it is made.
+    dV0 is `perturbation_potential`.  The right-hand side applies chi0 in
+    rescaled form, with per-band tolerances drawn from the strategy and
+    the budget tau/3; the static baselines use their fixed tolerance
+    instead.  A grt application is checked against its budget
+    (`bound_margin`) before it is made.
     """
     model, grids = gs.model, gs.grids
-    if pert.analytic:
-        dv0 = external_potential_derivative(model, grids, pert.gaussian, pert.direction)
-    else:
-        h = 1e-5
-        direction = np.asarray(pert.direction, dtype=float)
-        norm = np.linalg.norm(direction)
-        if norm == 0:
-            raise ConfigurationError("perturbation direction must be a nonzero vector")
-        direction = direction / norm
-        base = gaussian_well(model, pert.gaussian)
-        frac_step = h * direction @ np.linalg.inv(model.lattice.a)
-
-        def shifted(sign):
-            well = replace(base, center=tuple(np.asarray(base.center) + sign * frac_step))
-            return external_potential(replace(model, gaussians=(well,)), grids)
-
-        dv0 = (shifted(+1) - shifted(-1)) / (2 * h)
+    dv0 = perturbation_potential(model, grids, pert)
 
     dv_norm = float(np.linalg.norm(dv0))
     if dv_norm == 0.0:
@@ -529,7 +538,7 @@ def check_sternheimer_error_bound(gs: GroundState, rng) -> dict:
 
 
 def check_mirror_sectors(gs: GroundState) -> dict:
-    # the blocks the Sternheimer CG applies: sector sizes and the mirrors' commutation defect
+    # the blocks the Sternheimer CG applies: sector sizes and the guard's bound from vhat
     ham = hamiltonian(gs)
     sizes = [len(block) for block in ham.blocks]
     passed = ham.defect <= SECTOR_DEFECT_LIMIT and sum(sizes) == gs.grids.n_b

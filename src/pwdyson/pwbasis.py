@@ -47,7 +47,6 @@ from .errors import ConfigurationError, InvariantViolationError
 
 TWO_PI = 2.0 * np.pi
 _DIFFERENCE_ROWS = 64       # rows per block of `sphere_difference_index`
-_SECTOR_ROWS = 32           # adapted rows per gather in `SectorBasis.blocks`
 _SQRT_HALF = np.sqrt(0.5)
 
 
@@ -337,10 +336,22 @@ class FourierGrids:
     def cube_fft(self, values: np.ndarray) -> np.ndarray:
         """Plain forward DFT of a real flat grid vector, every G (no normalisation).
 
-        `numpy.fft.fftn` casts the real input to complex and runs the full
-        complex transform, so vhat(-G) = conj vhat(G) holds to round-off.
+        One `rfftn` gives the half spectrum kx <= Nx/2, and the rest is
+        filled as vhat(-G) = conj vhat(G).  The planes kx = 0 and Nx/2 hold
+        both G and -G; each of their values is averaged with the conjugate
+        of its partner's.  The symmetry then holds exactly, which makes
+        `groundstate.real_hamiltonian` exactly symmetric.
         """
-        return np.fft.fftn(values.reshape(self._cube_shape)).ravel()
+        nz, ny, nx = self._cube_shape
+        half = self.cube_rfft(values)
+        # partner[kz, ky, kx] = conj half[-kz, -ky, kx], indices mod N
+        partner = np.roll(half[::-1, ::-1], 1, axis=(0, 1)).conj()
+        full = np.empty(self._cube_shape, dtype=np.complex128)
+        full[..., :nx // 2 + 1] = half
+        full[..., nx // 2 + 1:] = partner[..., nx // 2 - 1:0:-1]
+        for kx in (0, nx // 2):
+            full[..., kx] = 0.5 * (half[..., kx] + partner[..., kx])
+        return full.ravel()
 
     def cube_rfft(self, values: np.ndarray) -> np.ndarray:
         """Plain forward DFT of a real flat grid vector on the half spectrum (no normalisation)."""
@@ -352,6 +363,17 @@ class FourierGrids:
 
     # -- coordinate mirrors ------------------------------------------------
 
+    def mirror_change(self, values: np.ndarray, mirror: Mirror) -> float:
+        """max |values o M - values| of a flat cube vector under the mirror n_a -> -n_a (mod N_a).
+
+        The same index map mirrors grid values and a full spectrum such as
+        `cube_fft`'s: n_a = 0 is fixed, and n_a and N_a - n_a swap, a
+        reversal of n_a >= 1.
+        """
+        axis = 2 - mirror.axis                      # x is the C-order view's last axis
+        moved = values.reshape(self._cube_shape)[(slice(None),) * axis + (slice(1, None),)]
+        return float(np.max(np.abs(moved - np.flip(moved, axis)), initial=0.0))
+
     def sector_basis(self, values: np.ndarray, rtol: float) -> "SectorBasis":
         """The `SectorBasis` of the `mirrors` that leave a real grid vector unchanged.
 
@@ -360,15 +382,8 @@ class FourierGrids:
         at most rtol max |values|.  Each set of mirrors builds its basis
         once per grid.
         """
-        cube = values.reshape(self._cube_shape)
         limit = rtol * np.max(np.abs(values), initial=0.0)
-        found = []
-        for mirror in self.mirrors:
-            # n_a = 0 is fixed; n_a and N_a - n_a swap, a reversal of n_a >= 1
-            axis = 2 - mirror.axis                  # x is the C-order view's last axis
-            moved = cube[(slice(None),) * axis + (slice(1, None),)]
-            if np.max(np.abs(moved - np.flip(moved, axis)), initial=0.0) <= limit:
-                found.append(mirror)
+        found = [m for m in self.mirrors if self.mirror_change(values, m) <= limit]
         key = tuple(m.axis for m in found)
         if key not in self._sector_bases:
             self._sector_bases[key] = SectorBasis(self.n_b, found)
@@ -392,7 +407,9 @@ class SectorBasis:
     is the identity and there is one sector.
 
     S is never formed: `to_sectors` and `from_sectors` are gathers with
-    signs, 2^k terms per coefficient, summed in a fixed order.
+    signs, 2^k terms per coefficient, summed in a fixed order, and
+    `commuting_blocks` forms the blocks of such an operator from its rows
+    at the orbit representatives.
     """
 
     def __init__(self, n_b: int, mirrors=()):
@@ -425,6 +442,7 @@ class SectorBasis:
         self._index = np.ascontiguousarray(perm[:, reps[orbits]].T)
         self._coef = amp[chars, :, orbits] / np.sqrt(size * n_fixed[orbits])[:, None]
         self.orbit_index = self._index[:, 0]
+        self._orbit_scale = np.sqrt(size / n_fixed[orbits])     # sqrt(o), o the orbit size
         # row i of S: for each character, the column of i's orbit and its entry
         # chi(g) s_g(rep) / sqrt(o), g any element taking rep to i
         orbit_of = np.searchsorted(reps, rep)
@@ -438,6 +456,7 @@ class SectorBasis:
         bounds = np.cumsum(np.bincount(chars, minlength=size))
         self.sectors = tuple(slice(int(a), int(b)) for a, b in zip(np.r_[0, bounds[:-1]], bounds)
                              if b > a)
+        self.mirrors = tuple(mirrors)
         self.mirror_axes = tuple(m.axis for m in mirrors)
 
     def to_sectors(self, rows: np.ndarray) -> np.ndarray:
@@ -448,36 +467,31 @@ class SectorBasis:
         """rows S^T: (k, n_b) rows of the adapted basis back to cos/sin rows."""
         return np.einsum("...it,it->...i", rows[..., self._row_index], self._row_coef)
 
-    def blocks(self, symmetric: np.ndarray) -> tuple:
-        """(blocks, dropped) of a symmetric (n_b, n_b) A: S_c^T A S_c for every sector c.
+    def commuting_blocks(self, a: np.ndarray) -> tuple:
+        """S_c^T A S_c for every sector c of a symmetric (n_b, n_b) A commuting with the mirrors.
 
-        `dropped` is the largest |(S^T A S)_ab| outside the blocks, a below
-        b (S^T A S is symmetric).  For each sector, A S_c is gathered from
-        A's columns and S^T A S_c from its rows, _SECTOR_ROWS adapted rows
-        at a time, so no (n_b, n_b) array is made.
+        Column b of S is sqrt(o) P e_r: r the lowest index of its orbit
+        (`orbit_index`), o the orbit's size and P the symmetric projector
+        onto b's character.  An A that commutes with every mirror commutes
+        with P, so (S^T A S)_ab = sqrt(o_a) e_r(a)^T A S_b: each block reads
+        only the rows of A at its representatives.  For any other A the
+        blocks are wrong, so the caller bounds A's commutation defect.
         """
-        def chunks(start, stop):
-            return (slice(j, min(j + _SECTOR_ROWS, stop)) for j in range(start, stop, _SECTOR_ROWS))
-
-        def rows(matrix, i, out=None):
-            """(S^T X)[i] from the rows of X."""
-            return np.einsum("it,itk->ik", self._coef[i], matrix[self._index[i]], out=out)
-
-        n_b = len(symmetric)
-        out, dropped = [], 0.0
+        out = []
         for s in self.sectors:
-            size = s.stop - s.start
-            half, block = np.empty((n_b, size)), np.empty((size, size))     # A S_c, S_c^T A S_c
-            for i in chunks(s.start, s.stop):
-                j = slice(i.start - s.start, i.stop - s.start)
-                np.einsum("kit,it->ki", symmetric[:, self._index[i]], self._coef[i],
-                          out=half[:, j])
-            for i in chunks(s.start, s.stop):
-                rows(half, i, out=block[i.start - s.start:i.stop - s.start])
-            for i in chunks(s.stop, n_b):
-                dropped = max(dropped, float(np.max(np.abs(rows(half, i)))))
+            rows = a[self.orbit_index[s]]
+            rows *= self._orbit_scale[s, None]
+            index, coef = self._index[s], self._coef[s]
+            # one (size, size) gather at a time; `take` gives C order, A's
+            # layout, so products with a block round as with A
+            block = np.take(rows, index[:, 0], axis=1)
+            block *= coef[:, 0]
+            for t in range(1, index.shape[1]):
+                term = np.take(rows, index[:, t], axis=1)
+                term *= coef[:, t]
+                block += term
             out.append(block)
-        return tuple(out), dropped
+        return tuple(out)
 
 
 _last_grids = (None, None)         # (key, FourierGrids) of the last `build_grids` call

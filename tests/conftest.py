@@ -86,6 +86,16 @@ def tiny_oracle_gs():
     return run_scf(model, tol=1e-11, max_iter=600, damping=0.3)
 
 
+def chain_model():
+    """Six jittered wells 3.5 Bohr apart at y = z = 0.5, like the benchmark's chain."""
+    x = (3.5 * np.arange(6) + np.array([0.02, -0.01, 0.015, 0.0, -0.02, 0.01])) / 21.0
+    return ModelSpec(
+        lattice=Lattice.orthorhombic(21.0, 2.6, 2.6), e_cut=6.5,
+        n_electrons=6, temperature=5e-3, smearing="gaussian",
+        gaussians=tuple(GaussianWell(center=(xi, 0.5, 0.5), amplitude=-4.5, width=0.55)
+                        for xi in x))
+
+
 def full_spectrum(gs):
     """All n_b eigenpairs (eps, u) of the stored Hamiltonian plus their occupations."""
     from pwdyson.groundstate import diagonalize_dense, smearing_function

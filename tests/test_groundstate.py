@@ -7,6 +7,7 @@ import pytest
 from scipy.special import erfc, expit
 
 from pwdyson import FourierGrids, Lattice, NonConvergenceError, build_grids, groundstate
+from pwdyson.config import Perturbation, reference_config
 from pwdyson.groundstate import (
     DEGENERACY_RTOL,
     GaussianWell,
@@ -17,11 +18,13 @@ from pwdyson.groundstate import (
     external_potential_derivative,
     fermi_and_occupations,
     hartree_potential,
+    real_hamiltonian,
     run_scf,
     smearing_function,
 )
+from pwdyson.harness import perturbation_potential
 
-from conftest import full_spectrum
+from conftest import chain_model, full_spectrum
 from oracles import (apply_hamiltonian, dense_from_matvec, dense_hamiltonian, from_cos_sin, phi,
                      to_cos_sin, to_real)
 
@@ -173,6 +176,70 @@ def test_lattice_sum_tail_bound_is_needed(sheared_reference, monkeypatch):
     assert np.max(np.abs(external_potential(wide, grids) - ref[0][0])) > 1e-4
 
 
+ORTHOGONAL_MODELS = {
+    "toy_metal": lambda: reference_config("toy_metal").model,
+    "toy_insulator": lambda: reference_config("toy_insulator").model,
+    "chain": chain_model,
+    # a a^T diagonal, but no vector along its own coordinate axis, and one reversed
+    "permuted": lambda: dataclasses.replace(
+        sheared_model(), lattice=Lattice.from_vectors([0, 0, 3.1], [-3.2, 0, 0], [0, 2.9, 0])),
+}
+AXES = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+
+
+def lattice_sums(model, grids):
+    """v, dv of well 0 along each axis and DIRECTION, and the finite-difference dV0s."""
+    v = external_potential(model, grids)
+    dv = [external_potential_derivative(model, grids, 0, np.array(d)) for d in AXES + (DIRECTION,)]
+    fd = [perturbation_potential(model, grids, Perturbation(gaussian=0, direction=d,
+                                                            analytic=False)) for d in AXES]
+    return v, dv, fd
+
+
+@pytest.mark.parametrize("name", list(ORTHOGONAL_MODELS))
+def test_per_axis_lattice_sum_matches_the_image_loop(name, monkeypatch):
+    model = ORTHOGONAL_MODELS[name]()
+    grids = build_grids(model.lattice, model.e_cut)
+    with monkeypatch.context() as m:
+        m.setattr(groundstate, "_image_displacements",
+                  lambda *args: pytest.fail("image loop on an orthogonal cell"))
+        v, dv, fd = lattice_sums(model, grids)
+    monkeypatch.setattr(groundstate, "_orthogonal", lambda lattice: False)    # the oracle
+    v_ref, dv_ref, fd_ref = lattice_sums(model, grids)
+    scale = np.abs(v_ref).max()
+    assert np.abs(v - v_ref).max() <= 1e-13 * scale
+    for got, ref in zip(dv, dv_ref):
+        assert np.abs(ref).max() > 1e-2 * scale
+        assert np.abs(got - ref).max() <= 1e-13 * scale
+    # the quotient divides two potentials, each within 1e-13 max |v|, by 2h with h = 1e-5
+    for got, ref in zip(fd, fd_ref):
+        assert np.abs(got - ref).max() <= 1e-13 * scale / 1e-5
+
+
+def test_non_orthogonal_cell_never_takes_the_per_axis_path(sheared_reference, monkeypatch):
+    model, grids, ref = sheared_reference
+    assert not groundstate._orthogonal(model.lattice)
+    assert not groundstate._orthogonal(Lattice.from_vectors([3.0, 0, 0], [1e-12, 3.0, 0],
+                                                            [0, 0, 3.0]))
+    monkeypatch.setattr(groundstate, "_axis_sum",
+                        lambda *args: pytest.fail("per-axis sum on a non-orthogonal cell"))
+    v, dv, fd = lattice_sums(model, grids)
+    assert np.max(np.abs(v - ref[0][0] - ref[1][0])) <= 1e-13
+    assert np.max(np.abs(dv[-1] - ref[0][1])) <= 1e-13
+    assert all(np.all(np.isfinite(x)) for x in fd)
+
+
+@pytest.mark.parametrize("noise", [0.0, 1e-3])
+@pytest.mark.parametrize("name", ["toy_metal", "sheared"])
+def test_real_hamiltonian_is_exactly_symmetric(name, noise):
+    model = reference_config("toy_metal").model if name == "toy_metal" else sheared_model()
+    grids = build_grids(model.lattice, model.e_cut)
+    rng = np.random.default_rng(34)
+    v = external_potential(model, grids) + noise * rng.standard_normal(grids.n_g)
+    h_r = real_hamiltonian(grids, v)
+    assert np.array_equal(h_r, h_r.T)
+
+
 # -- dense diagonalisation -----------------------------------------------------
 
 
@@ -291,6 +358,22 @@ def test_bisection_against_fine_scan(smearing):
         else:
             hi = mid
     assert abs(fermi - 0.5 * (lo + hi)) < 1e-10
+
+
+@pytest.mark.parametrize("smearing", ["fermi_dirac", "gaussian"])
+@pytest.mark.parametrize("t", [0.05, 1e-4])
+def test_fermi_level_of_the_float_count_matches_a_vectorised_count(smearing, t):
+    # an odd electron count puts the level inside a state; at t = 1e-4, |x| reaches 2e4,
+    # where e^x overflows a double
+    eps = np.sort(np.random.default_rng(35).uniform(-1.0, 1.0, size=20))
+    fermi, occ = fermi_and_occupations(eps, 13, t, smearing)
+    assert abs(occ.sum() - 13) < 1e-12
+    f = {"fermi_dirac": lambda x: 2.0 * expit(-x), "gaussian": erfc}[smearing]
+    lo, hi = eps.min() - 1.0, eps.max() + 1.0
+    while lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if f((eps - mid) / t).sum() < 13 else (lo, mid)
+    assert abs(fermi - lo) <= 1e-15 * abs(lo)
 
 
 def test_insufficient_states():

@@ -328,3 +328,15 @@ def test_real_pair_matches_full_cube_fft(lengths, shear, n_target, seed):
         assert np.linalg.norm(on_sphere[k] - expected.real) <= 1e-13 * scale
     back = grids.to_fourier_many(on_grid)
     assert np.linalg.norm(back - rows) <= 1e-13 * np.linalg.norm(rows)
+
+
+@pytest.mark.parametrize("cell", [
+    Lattice.cubic(3.0), Lattice.from_vectors([3.2, 0, 0], [1.3, 2.9, 0], [0.7, -0.9, 3.1])])
+def test_cube_fft_is_exactly_hermitian_and_matches_the_complex_transform(cell):
+    grids = FourierGrids(cell, 4.0)
+    values = np.random.default_rng(36).standard_normal(grids.n_g)
+    full = grids.cube_fft(values).reshape(grids.cube_dims[::-1])
+    at_minus_g = np.roll(np.flip(full), 1, axis=(0, 1, 2))      # index -q mod N on every axis
+    assert np.array_equal(at_minus_g, full.conj())
+    reference = np.fft.fftn(values.reshape(grids.cube_dims[::-1]))
+    assert np.abs(full - reference).max() <= 1e-13 * np.abs(reference).max()

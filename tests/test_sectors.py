@@ -13,6 +13,7 @@ from pwdyson.groundstate import (
     ModelSpec,
     diagonalize_dense,
     external_potential,
+    mirror_defect,
     real_hamiltonian,
     run_scf,
     sector_hamiltonian,
@@ -22,17 +23,8 @@ from pwdyson.pwbasis import SectorBasis
 from pwdyson.response import _occupied_matrix
 from pwdyson.sternheimer import hamiltonian, project_out_occupied, solve_sternheimer
 
+from conftest import chain_model
 from oracles import dense_sternheimer
-
-
-def chain_model():
-    """Six jittered wells 3.5 Bohr apart at y = z = 0.5, like the benchmark's chain."""
-    x = (3.5 * np.arange(6) + np.array([0.02, -0.01, 0.015, 0.0, -0.02, 0.01])) / 21.0
-    return ModelSpec(
-        lattice=Lattice.orthorhombic(21.0, 2.6, 2.6), e_cut=6.5,
-        n_electrons=6, temperature=5e-3, smearing="gaussian",
-        gaussians=tuple(GaussianWell(center=(xi, 0.5, 0.5), amplitude=-4.5, width=0.55)
-                        for xi in x))
 
 
 MODELS = {
@@ -95,6 +87,62 @@ def test_blocked_product_equals_the_dense_one(name):
     blocked = ham.basis.from_sectors(ham.apply(ham.basis.to_sectors(p)))
     dense = p @ h_r
     assert np.abs(blocked - dense).max() <= 1e-13 * np.abs(dense).max()
+
+
+def dense_sector_product(basis, h_r):
+    """S^T H_r S with S from `to_sectors(I)`, and the largest |entry| outside its blocks."""
+    s = basis.to_sectors(np.eye(len(h_r)))
+    dense = s.T @ h_r @ s
+    off = dense.copy()
+    for sector in basis.sectors:
+        off[sector, sector] = 0.0
+    return dense, float(np.abs(off).max(initial=0.0))
+
+
+@pytest.mark.parametrize("name", ["toy_metal", "toy_insulator", "chain"])
+def test_representative_row_blocks_equal_the_dense_product(name):
+    grids, v = model_potential(name)
+    ham = sector_hamiltonian(grids, v)
+    assert len(ham.blocks) == {"toy_metal": 4, "toy_insulator": 8, "chain": 4}[name]
+    h_r = real_hamiltonian(grids, v)
+    dense, _ = dense_sector_product(ham.basis, h_r)
+    for sector, block in zip(ham.basis.sectors, ham.blocks):
+        assert np.abs(block - dense[sector, sector]).max() <= 1e-14 * np.abs(h_r).max()
+
+
+def mirror_breaking(grids, v, kind, size):
+    """v plus a perturbation of size * max |v| that no mirror of v leaves unchanged.
+
+    "odd": a sine along each mirror axis of v, odd under that mirror;
+    "white": uniform noise in [-size, size] max |v|.
+    """
+    if kind == "white":
+        noise = np.random.default_rng(33).uniform(-1.0, 1.0, grids.n_g)
+    else:
+        cube = np.zeros(grids.cube_dims[::-1])
+        for axis in grids.sector_basis(v, MIRROR_RTOL).mirror_axes:
+            n = grids.cube_dims[axis]
+            shape = [1, 1, 1]
+            shape[2 - axis] = n
+            cube = cube + np.sin(2 * np.pi * np.arange(n) / n).reshape(shape)
+        noise = cube.ravel() / np.abs(cube).max()
+    return v + size * np.abs(v).max() * noise
+
+
+@pytest.mark.parametrize("kind", ["odd", "white"])
+@pytest.mark.parametrize("name", ["toy_metal", "toy_insulator", "chain"])
+def test_defect_bounds_the_entries_the_blocks_drop(name, kind):
+    # the noise stays below MIRROR_RTOL, so the mirrors are still taken as symmetries
+    grids, v = model_potential(name)
+    noisy = mirror_breaking(grids, v, kind, 4e-14)
+    ham = sector_hamiltonian(grids, noisy)
+    assert ham.basis.mirror_axes == grids.sector_basis(v, MIRROR_RTOL).mirror_axes != ()
+    h_r = real_hamiltonian(grids, noisy)
+    _, off = dense_sector_product(ham.basis, h_r)
+    scale = np.abs(h_r).max()
+    if kind == "odd":
+        assert off >= 1e-15 * scale      # well above the dense product's round-off
+    assert 2.0 * off / scale <= ham.defect <= SECTOR_DEFECT_LIMIT
 
 
 @pytest.mark.parametrize("name", ["toy_metal", "toy_insulator", "chain"])
@@ -183,6 +231,11 @@ def test_mirror_sectors_check_reports_sizes_and_defect(mirror_gs, metal_gs):
     assert len(check["details"]["sector_sizes"]) == 4
     assert sum(check["details"]["sector_sizes"]) == mirror_gs.grids.n_b
     assert 0 <= check["details"]["defect"] <= SECTOR_DEFECT_LIMIT
+    # the value reported is the guard's bound from vhat
+    grids, v = mirror_gs.grids, mirror_gs.v_local
+    mirrors = grids.sector_basis(v, MIRROR_RTOL).mirrors
+    bound = mirror_defect(grids, grids.cube_fft(v) / grids.n_g, mirrors)
+    assert check["details"]["defect"] == bound / np.abs(real_hamiltonian(grids, v)).max()
     asymmetric = check_mirror_sectors(metal_gs)
     assert asymmetric["passed"] and asymmetric["details"]["sector_sizes"] == [metal_gs.grids.n_b]
     mirror_gs.drop_derived()
