@@ -4,8 +4,8 @@ The model is a reduced Hartree-Fock solid: kinetic energy, a lattice-summed
 sum of Gaussian wells as the external potential, the Hartree potential of
 the electron density, and optionally a local LDA exchange term.  At desk
 scale (n_b up to a couple thousand) the eigenproblem is solved densely,
-which keeps every downstream test exact, one block per mirror sector of
-the potential (`sector_hamiltonian`).
+which keeps every downstream test exact, one block per sector of the
+potential's symmetries (`sector_hamiltonian`).
 """
 
 import itertools
@@ -267,8 +267,8 @@ def real_hamiltonian(grids: FourierGrids, v_local: np.ndarray) -> np.ndarray:
     For a real v_local H_r is real symmetric, exactly so, since
     `FourierGrids.cube_fft` makes vhat(-G) = conj vhat(G) exact.  Built
     from vhat by `_hamiltonian_of_vhat`.  The SCF and the Sternheimer CG
-    use H_r through `sector_hamiltonian`: its blocks in the mirror sectors
-    of v_local, or H_r itself when v_local has no mirror.
+    use H_r through `sector_hamiltonian`: its blocks in the sectors of
+    v_local's symmetries, or H_r itself when v_local has none.
 
     Raises:
         InvariantViolationError: the sphere is not symmetric under G -> -G
@@ -312,13 +312,13 @@ def _hamiltonian_of_vhat(grids: FourierGrids, vhat: np.ndarray) -> np.ndarray:
     return hr
 
 
-MIRROR_RTOL = 1e-13          # max |v - v o M| / max |v| of a mirror M taken as a symmetry
-SECTOR_DEFECT_LIMIT = 1e-12  # bound on the blocks' error / max |H_r| allowed of those mirrors
+MIRROR_RTOL = 1e-13          # max |v - v o M| / max |v| of an operation M taken as a symmetry
+SECTOR_DEFECT_LIMIT = 1e-12  # bound on the blocks' error / max |H_r| allowed of those operations
 
 
 @dataclass(frozen=True)
 class SectorHamiltonian:
-    """H_r as one dense block per mirror sector: S_c^T H_r S_c (see `pwbasis.SectorBasis`).
+    """H_r as one dense block per sector: S_c^T H_r S_c (see `pwbasis.SectorBasis`).
 
     Rows handed to `apply` are in the adapted basis, sector by sector
     (`basis.to_sectors`).  `defect` is `mirror_defect` over max |H_r|: a
@@ -330,56 +330,91 @@ class SectorHamiltonian:
     blocks: tuple
     defect: float
 
-    def apply(self, rows: np.ndarray, out: np.ndarray = None) -> np.ndarray:
-        """rows H (H symmetric) for (k, n_b) rows in the adapted basis: one GEMM per sector."""
+    def apply(self, rows: np.ndarray, out: np.ndarray = None, sectors=None) -> np.ndarray:
+        """rows H (H symmetric) for (k, n_b) rows in the adapted basis: one GEMM per sector.
+
+        Given the indices of some `sectors`, in ascending order, the rows
+        hold only those sectors' coefficients, one sector after another,
+        and only their blocks are applied.
+        """
         if out is None:
             out = np.empty_like(rows)
-        for s, block in zip(self.basis.sectors, self.blocks):
+        start = 0
+        for c in range(len(self.blocks)) if sectors is None else sectors:
+            block = self.blocks[c]
+            s = slice(start, start + len(block))
             np.matmul(rows[:, s], block, out=out[:, s])
+            start = s.stop
         return out
 
 
 def mirror_defect(grids: FourierGrids, vhat: np.ndarray, mirrors) -> float:
-    """2^k k max_M (2 max |vhat o M - vhat| + max |g2 o M - g2| / 2) over k mirrors M.
+    """2^k k max_M (2 max |vhat o M - vhat| + max |g2 o M - g2| / 2) over k generators M.
 
-    The bracket bounds delta = max_M max |M H_r M - H_r|: a potential
-    entry of H_r combines two values of vhat, and the kinetic diagonal is
-    |G|^2 / 2.  A group element, a product of j <= k mirrors, moves H_r by
-    at most j delta, so the projector P of a character, the mean of the
-    2^k signed elements, has max |[H_r, P]| <= k delta / 2.  An adapted
-    column holds o <= 2^k entries of 1 / sqrt(o), so each entry that
+    M is any `pwbasis.Mirror`: a coordinate mirror, a mirror product or an
+    axis exchange, which moves vhat by the index map of the grid
+    (`FourierGrids.mirror_change`).  The bracket bounds delta = max_M
+    max |M H_r M - H_r|: a potential entry of H_r combines two values of
+    vhat, and the kinetic diagonal is |G|^2 / 2.  A group element, a
+    product of j <= k generators, moves H_r by at most j delta, so the
+    projector P of a character, the mean of the 2^k signed elements, has
+    max |[H_r, P]| <= k delta / 2.  An adapted column holds o <= 2^k
+    entries of 1 / sqrt(o), so each entry that
     `SectorBasis.commuting_blocks` gets wrong, and each entry of S^T H_r S
     outside the blocks, is off by at most 2^(k-1) k delta: the value
-    returned is twice that.  Zero with no mirror.
+    returned is twice that.  Zero with no generator.
     """
+    return _group_bound([_commutation_change(grids, vhat, m) for m in mirrors])
+
+
+def _commutation_change(grids: FourierGrids, vhat: np.ndarray, mirror) -> float:
+    """2 max |vhat o M - vhat| + max |g2 o M - g2| / 2: a bound on max |M H_r M - H_r|."""
     g2 = grids.g2_sphere
-    worst = max((2.0 * grids.mirror_change(vhat, m) + 0.5 * float(np.max(np.abs(g2[m.perm] - g2)))
-                 for m in mirrors), default=0.0)
-    return 2.0 ** len(mirrors) * len(mirrors) * worst
+    return 2.0 * grids.mirror_change(vhat, mirror) + 0.5 * float(np.max(np.abs(g2[mirror.perm] - g2)))
+
+
+def _group_bound(changes) -> float:
+    """`mirror_defect` from the `_commutation_change` of each of its k generators."""
+    return 2.0 ** len(changes) * len(changes) * max(changes, default=0.0)
 
 
 def sector_hamiltonian(grids: FourierGrids, v_local: np.ndarray) -> SectorHamiltonian:
-    """`real_hamiltonian` in the basis adapted to the mirrors of v_local, as per-sector blocks.
+    """`real_hamiltonian` in the basis adapted to symmetries of v_local, as per-sector blocks.
 
-    The mirrors are those of `grids.mirrors` that leave v_local unchanged
-    to MIRROR_RTOL.  vhat is computed once and feeds both H_r and the
-    guard: `mirror_defect` / max |H_r| must stay within
-    SECTOR_DEFECT_LIMIT, since the blocks are formed from H_r's rows at
-    the orbit representatives (`SectorBasis.commuting_blocks`), which is
-    exact only for an H_r that commutes with the mirrors, and every entry
-    outside them is dropped.  With no mirror there is one block, H_r
-    itself, and the identity map.
+    The candidates are the operations of `grids.mirrors` (mirrors, mirror
+    products, axis exchanges) that leave v_local unchanged to
+    MIRROR_RTOL.  They are taken in the order of their own bound from
+    vhat, and each is accepted only if `mirror_defect` of the set that
+    `grids.sector_basis` then picks from the accepted ones stays within
+    SECTOR_DEFECT_LIMIT of max |H_r|: so a potential whose candidates
+    pass the first test but break the second loses an operation instead
+    of stopping the run.  The blocks are formed from H_r's rows at the
+    orbit representatives (`SectorBasis.commuting_blocks`), exact only for
+    an H_r that commutes with the set, and every entry outside them is
+    dropped; the guard checks the bound of the set once more.  vhat is
+    computed once and feeds both H_r and the bounds.  With no operation
+    there is one block, H_r itself, and the identity map.
 
     Raises:
-        InvariantViolationError: the mirrors do not commute with H_r.
+        InvariantViolationError: the set of the basis does not commute
+            with H_r (a basis forced past the acceptance).
     """
     vhat = grids.cube_fft(v_local) / grids.n_g
     h_r = _hamiltonian_of_vhat(grids, vhat)
-    basis = grids.sector_basis(v_local, MIRROR_RTOL)
-    defect = mirror_defect(grids, vhat, basis.mirrors) / float(np.max(np.abs(h_r)))
+    scale = float(np.max(np.abs(h_r)))
+    limit = MIRROR_RTOL * np.max(np.abs(v_local), initial=0.0)
+    change = {m.label: _commutation_change(grids, vhat, m) for m in grids.mirrors}
+    found = [m for m in grids.mirrors if grids.mirror_change(v_local, m) <= limit]
+    accepted = []
+    for m in sorted(found, key=lambda m: change[m.label]):
+        trial = grids.sector_basis(accepted + [m])
+        if _group_bound([change[g.label] for g in trial.mirrors]) <= SECTOR_DEFECT_LIMIT * scale:
+            accepted.append(m)
+    basis = grids.sector_basis(accepted)
+    defect = mirror_defect(grids, vhat, basis.mirrors) / scale
     if defect > SECTOR_DEFECT_LIMIT:
         raise InvariantViolationError(
-            f"mirrors of v_local (axes {basis.mirror_axes}) do not commute with H_r: "
+            f"operations of v_local ({', '.join(basis.labels)}) do not commute with H_r: "
             f"defect {defect:.2e} > {SECTOR_DEFECT_LIMIT:.0e}")
     blocks = basis.commuting_blocks(h_r)
     for block in blocks:
@@ -390,7 +425,7 @@ def sector_hamiltonian(grids: FourierGrids, v_local: np.ndarray) -> SectorHamilt
 def diagonalize_dense(grids: FourierGrids, v_local: np.ndarray, n_states: int):
     """Lowest n_states eigenpairs (eps, u) of the discretised Hamiltonian.
 
-    One full real symmetric `eigh` per mirror sector of
+    One full real symmetric `eigh` per sector block of
     `sector_hamiltonian` gives each sector's lowest n_states; a stable
     sort of their eigenvalues keeps the lowest n_states overall, ties in
     sector order.
@@ -462,8 +497,9 @@ class GroundState:
     Quantities derived for a response solve are cached until
     `drop_derived`, which `run_response` calls when it ends: the occupied
     orbitals on the grid (`psi_occ_real`), the Sternheimer operator
-    (`sternheimer.hamiltonian`), the bands' kinetic energies
-    (`sternheimer.kinetic_energies`) and the row norm
+    (`sternheimer.hamiltonian`), the kept bands and the kinetic diagonal
+    in its sectors (`sternheimer.sector_constants`), the bands' kinetic
+    energies (`sternheimer.kinetic_energies`) and the row norm
     (`response._cached_row_norm`).
     """
 

@@ -538,13 +538,14 @@ def check_sternheimer_error_bound(gs: GroundState, rng) -> dict:
 
 
 def check_mirror_sectors(gs: GroundState) -> dict:
-    # the blocks the Sternheimer CG applies: sector sizes and the guard's bound from vhat
+    # the blocks the Sternheimer CG applies: the labels of the operations
+    # that generate the sectors, the sector sizes and the guard's bound from vhat
     ham = hamiltonian(gs)
     sizes = [len(block) for block in ham.blocks]
     passed = ham.defect <= SECTOR_DEFECT_LIMIT and sum(sizes) == gs.grids.n_b
     return {"name": "mirror_sectors", "passed": passed,
             "margin": SECTOR_DEFECT_LIMIT / max(ham.defect, 1e-300),
-            "details": {"mirror_axes": list(ham.basis.mirror_axes), "sector_sizes": sizes,
+            "details": {"operations": list(ham.basis.labels), "sector_sizes": sizes,
                         "defect": ham.defect}}
 
 

@@ -30,13 +30,19 @@ on cos/sin rows.  They run a half-spectrum `irfft`/`rfft` along x and
 complex FFTs along y and z over only the lines that hold sphere points of
 the half spectrum kx >= 0.
 
-A coordinate mirror i_a -> -i_a that maps the sphere onto itself with
-|G| unchanged is a signed permutation of the cos/sin indices (`Mirror`).
-`SectorBasis` is the real basis adapted to the mirrors a potential has:
-an operator that commutes with them is block-diagonal there, one block
-per sector.
+A coordinate mirror i_a -> -i_a, an exchange i_a <-> i_b of two axes
+(the mirror through the plane i_a = i_b) and the product of two
+coordinate mirrors (a two-fold rotation), when it maps the sphere onto
+itself with |G| unchanged, is a signed permutation of the cos/sin
+indices (`Mirror`).  `SectorBasis` is the real basis adapted to a set of
+such operations that commute with each other: an operator that commutes
+with them is block-diagonal there, one block per sector.
+`FourierGrids.sector_basis` picks, among the pairwise-commuting sets of
+the operations a potential has, the one whose blocks hold the fewest
+entries.
 """
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -51,11 +57,59 @@ _SQRT_HALF = np.sqrt(0.5)
 
 
 class Mirror(NamedTuple):
-    """The coordinate mirror i_axis -> -i_axis on cos/sin coefficients: e_i -> sign[i] e_perm[i]."""
+    """An involution i -> R i of integer coordinates on cos/sin coefficients: e_i -> sign[i] e_perm[i].
 
-    axis: int               # 0, 1, 2 for x, y, z
+    R is a signed permutation matrix equal to its inverse: a coordinate
+    mirror (label "-y"), the product of two ("-y-z") or the exchange of
+    two axes ("y<->z").  It acts on a function as f(r) -> f(R r) and on
+    Fourier coefficients as c_G -> c_RG, so grid values and a full
+    spectrum move by the same index map (`FourierGrids.mirror_change`).
+    """
+
+    label: str
+    matrix: np.ndarray      # (3, 3) int, R
     perm: np.ndarray        # (n_b,) int
     sign: np.ndarray        # (n_b,) +-1.0
+    cube: np.ndarray        # (n_g,) int: flat cube index of R n (mod N) for every point n
+
+
+_AXES = "xyz"
+
+
+def _operations():
+    """Groups of candidate involutions (label, R): each mirror alone, then per pair of axes
+    their exchange and, with it, the product of their mirrors."""
+    for a in range(3):
+        r = np.eye(3, dtype=int)
+        r[a, a] = -1
+        yield [(f"-{_AXES[a]}", r)]
+    for a, b in itertools.combinations(range(3), 2):
+        swap, product = np.eye(3, dtype=int), np.eye(3, dtype=int)
+        swap[[a, b]] = swap[[b, a]]
+        product[a, a] = product[b, b] = -1
+        yield [(f"{_AXES[a]}<->{_AXES[b]}", swap), (f"-{_AXES[a]}-{_AXES[b]}", product)]
+
+
+def _commuting_sets(mirrors) -> list:
+    """Generators of each maximal group of pairwise-commuting `mirrors`, in a fixed order.
+
+    Larger sets come first and, among sets of one size, those earlier in
+    `mirrors`; a set whose group is contained in one already found is
+    left out, so each group appears once, generated by its first set.
+    """
+    found = []
+    for size in range(len(mirrors), 0, -1):
+        for generators in itertools.combinations(mirrors, size):
+            if any(np.any(a.matrix @ b.matrix != b.matrix @ a.matrix)
+                   for a, b in itertools.combinations(generators, 2)):
+                continue
+            group = {np.eye(3, dtype=int).tobytes()}
+            for m in generators:
+                group |= {(np.frombuffer(g, dtype=int).reshape(3, 3) @ m.matrix).tobytes()
+                          for g in group}
+            if len(group) == 2 ** size and not any(group <= other for _, other in found):
+                found.append((generators, group))
+    return [generators for generators, _ in found] or [()]
 
 
 @dataclass(frozen=True)
@@ -142,8 +196,10 @@ class FourierGrids:
         g2_cube: (n_g,) squared norms on the cube, flat x-fastest.
         g2_half: (Nz, Ny, Nx//2 + 1) the same on the half spectrum of
             `cube_rfft`.
-        mirrors: the coordinate mirrors i_a -> -i_a that map the sphere
-            onto itself with |G| unchanged, as `Mirror`s on cos/sin indices.
+        mirrors: the coordinate mirrors, axis exchanges and mirror
+            products (`Mirror`, in the order of `_operations`) that map the
+            sphere onto itself with |G| unchanged; an exchange of two axes
+            also needs equal cube dimensions along them.
         sphere_difference_index: (n_b, n_b) flat cube index of
             g_int[i] - g_int[j], read-only.
     """
@@ -220,34 +276,40 @@ class FourierGrids:
         self.g2_half = np.ascontiguousarray(
             self.g2_cube.reshape(self._cube_shape)[..., :nx // 2 + 1])
 
-        # Coordinate mirrors i_a -> -i_a that map the sphere onto itself with
-        # |G| unchanged (every axis of an orthorhombic cell).  On cos/sin
-        # index i of pair j = min(i, n_b - 1 - i) the mirror sends G_j to
-        # G_q; cos(G_q r) is the cos of pair q' = min(q, n_b - 1 - q), and
-        # sin(G_q r) is minus the sin of q' when q lies past G = 0.
+        # Involutions i -> R i that map the sphere onto itself with |G|
+        # unchanged (every mirror of an orthorhombic cell, and the exchange of
+        # two axes of equal length).  On cos/sin index i of pair j = min(i,
+        # n_b - 1 - i) the operation sends G_j to G_q; cos(G_q r) is the cos
+        # of pair q' = min(q, n_b - 1 - q), and sin(G_q r) is minus the sin
+        # of q' when q lies past G = 0.
         span = 2 * np.max(np.abs(self.g_int), axis=0) + 1
         weights = np.array([span[1] * span[2], span[2], 1])
         keys = self.g_int @ weights                     # ascending, as g_int is lexicographic
         index = np.arange(self.n_b)
         pair, sin = np.minimum(index, self.n_b - 1 - index), index > h
         mirrors = []
-        for axis in range(3):
-            flipped = self.g_int * np.where(np.arange(3) == axis, -1, 1)
-            q = np.minimum(np.searchsorted(keys, flipped @ weights), self.n_b - 1)
-            if (not np.array_equal(self.g_int[q], flipped)
-                    or np.max(np.abs(self.g2_sphere[q] - self.g2_sphere))
-                    > 1e-13 * np.max(self.g2_sphere)):
-                continue
-            q = q[pair]
-            q_pair = np.minimum(q, self.n_b - 1 - q)
-            mirrors.append(Mirror(axis, np.where(sin, self.n_b - 1 - q_pair, q_pair),
-                                  np.where(sin & (q > h), -1.0, 1.0)))
+        for group in _operations():
+            found = []
+            for label, r in group:
+                moved = self.g_int @ r.T
+                q = np.minimum(np.searchsorted(keys, moved @ weights), self.n_b - 1)
+                if (not np.array_equal(self.g_int[q], moved)
+                        or np.max(np.abs(self.g2_sphere[q] - self.g2_sphere))
+                        > 1e-13 * np.max(self.g2_sphere)
+                        or np.any(np.abs(r) @ self.cube_dims != self.cube_dims)):
+                    break                       # an exchange that fails takes its product along
+                q = q[pair]
+                q_pair = np.minimum(q, self.n_b - 1 - q)
+                found.append(Mirror(label, r, np.where(sin, self.n_b - 1 - q_pair, q_pair),
+                                    np.where(sin & (q > h), -1.0, 1.0), self._moved_cube(r)))
+            mirrors += found
         self.mirrors = tuple(mirrors)
         for mirror in self.mirrors:
-            mirror.perm.flags.writeable = mirror.sign.flags.writeable = False
+            for table in mirror[1:]:
+                table.flags.writeable = False
 
         self._to_fourier_scale = np.sqrt(lattice.volume) / self.n_g
-        self._sector_bases = {}                # mirror axes -> SectorBasis, see `sector_basis`
+        self._sector_bases = {}                # mirror labels -> SectorBasis, see `sector_basis`
         for value in vars(self).values():
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
@@ -361,50 +423,66 @@ class FourierGrids:
         """Real flat grid vector of a Hermitian half spectrum: the inverse DFT (1/N normalised)."""
         return np.fft.irfftn(half, s=self._cube_shape, axes=(0, 1, 2)).ravel()
 
-    # -- coordinate mirrors ------------------------------------------------
+    # -- mirrors, exchanges and rotations ------------------------------------
+
+    def _moved_cube(self, r: np.ndarray) -> np.ndarray:
+        """Flat index of R n (mod N) at every cube point n, for an involution R.
+
+        Coordinate a of R n is s_a n_p(a), R's row a holding s_a at column
+        p(a): a negated axis keeps n_a = 0 and reverses n_a >= 1, and an
+        exchange transposes two axes of equal length.
+        """
+        cube = np.arange(self.n_g).reshape(self._cube_shape)    # coordinate a is C-order axis 2 - a
+        for a in np.flatnonzero(np.sum(r, axis=1) < 0):
+            cube = np.roll(np.flip(cube, 2 - a), 1, axis=2 - a)
+        source = np.argmax(np.abs(r), axis=1)                   # p(a), equal to p^-1(a)
+        return np.ascontiguousarray(np.transpose(cube, [2 - source[2 - i] for i in range(3)])).ravel()
 
     def mirror_change(self, values: np.ndarray, mirror: Mirror) -> float:
-        """max |values o M - values| of a flat cube vector under the mirror n_a -> -n_a (mod N_a).
+        """max |values o M - values| of a flat cube vector under M: n -> R n (mod N).
 
-        The same index map mirrors grid values and a full spectrum such as
-        `cube_fft`'s: n_a = 0 is fixed, and n_a and N_a - n_a swap, a
-        reversal of n_a >= 1.
+        The same index map moves grid values and a full spectrum such as
+        `cube_fft`'s.
         """
-        axis = 2 - mirror.axis                      # x is the C-order view's last axis
-        moved = values.reshape(self._cube_shape)[(slice(None),) * axis + (slice(1, None),)]
-        return float(np.max(np.abs(moved - np.flip(moved, axis)), initial=0.0))
+        return float(np.max(np.abs(values[mirror.cube] - values), initial=0.0))
 
-    def sector_basis(self, values: np.ndarray, rtol: float) -> "SectorBasis":
-        """The `SectorBasis` of the `mirrors` that leave a real grid vector unchanged.
+    def sector_basis(self, mirrors) -> "SectorBasis":
+        """The `SectorBasis` of a pairwise-commuting subset of `mirrors` with the fewest block entries.
 
-        A mirror i_a -> -i_a of the sphere is the mirror n_a -> -n_a (mod
-        N_a) of the grid; it counts when max |values - mirrored values| is
-        at most rtol max |values|.  Each set of mirrors builds its basis
-        once per grid.
+        Among the maximal such subsets (`_commuting_sets`) it keeps the
+        one whose sectors have the smallest sum of squared sizes, the
+        first on a tie, so coordinate mirrors win over exchanges that
+        split no finer.  Each set of `mirrors` picks its basis once per
+        grid.
         """
-        limit = rtol * np.max(np.abs(values), initial=0.0)
-        found = [m for m in self.mirrors if self.mirror_change(values, m) <= limit]
-        key = tuple(m.axis for m in found)
+        labels = {m.label for m in mirrors}
+        given = [m for m in self.mirrors if m.label in labels]
+        key = tuple(m.label for m in given)
         if key not in self._sector_bases:
-            self._sector_bases[key] = SectorBasis(self.n_b, found)
+            self._sector_bases[key] = min(
+                (SectorBasis(self.n_b, generators) for generators in _commuting_sets(given)),
+                key=lambda basis: sum((s.stop - s.start) ** 2 for s in basis.sectors))
         return self._sector_bases[key]
 
 
 class SectorBasis:
-    """The real orthonormal basis S adapted to a set of commuting coordinate mirrors.
+    """The real orthonormal basis S adapted to a set of pairwise-commuting `Mirror`s.
 
-    Each `Mirror` is a signed permutation of the cos/sin indices, and k
-    of them generate a group of 2^k involutions g: e_i -> s_g(i) e_g(i).
+    Each `Mirror` (a coordinate mirror, a mirror product or an axis
+    exchange) is a signed permutation of the cos/sin indices, and k
+    commuting ones, none a product of the others, generate a group of 2^k
+    involutions g: e_i -> s_g(i) e_g(i).
     Every column of S projects a cos/sin basis vector e_r onto one
-    character chi of that group (chi(g) = +-1, one sign per mirror):
+    character chi of that group (chi(g) = +-1, one sign per generator):
     sum_g chi(g) s_g(r) e_g(r), normalised, which is (+-e_i +- e_j ...) /
     sqrt(o) over the orbit of r, o <= 8 entries.  The columns are grouped
     by character into sectors, `sectors` holding their slices in that
     order, and within a sector ordered by r.  An operator that commutes
-    with every mirror, such as the Hamiltonian of a mirror-symmetric real
-    potential, is block-diagonal in S, and a function of |G| is diagonal
-    there with the value of the orbit (`orbit_index`).  With no mirror S
-    is the identity and there is one sector.
+    with every generator, such as the Hamiltonian of a real potential
+    that they leave unchanged, is block-diagonal in S, and a function of
+    |G| is diagonal there with the value of the orbit (`orbit_index`).
+    `labels` names the generators.  With none S is the identity and there
+    is one sector.
 
     S is never formed: `to_sectors` and `from_sectors` are gathers with
     signs, 2^k terms per coefficient, summed in a fixed order, and
@@ -457,7 +535,7 @@ class SectorBasis:
         self.sectors = tuple(slice(int(a), int(b)) for a, b in zip(np.r_[0, bounds[:-1]], bounds)
                              if b > a)
         self.mirrors = tuple(mirrors)
-        self.mirror_axes = tuple(m.axis for m in mirrors)
+        self.labels = tuple(m.label for m in mirrors)
 
     def to_sectors(self, rows: np.ndarray) -> np.ndarray:
         """rows S: (k, n_b) cos/sin rows in the adapted basis, sector by sector."""

@@ -22,25 +22,33 @@ and the preconditioned residual, which stops roundoff from leaking
 components along Phi back in; each band's iterate is projected once,
 when the band stops.
 
-The CG works in the mirror-adapted basis S of `pwbasis.SectorBasis`:
-the coordinate mirrors that leave v_local unchanged commute with H_r, so
-H_r is block-diagonal there, one block per sector (a character of the
-mirrors), and `groundstate.sector_hamiltonian` holds only those blocks.
-A solve maps the right-hand sides, R and the kinetic diagonal into S
-once, applies H as one GEMM per sector block, and maps the solutions
-back.  With no mirror there is one sector, S is the identity and the
-block is H_r.  The blocks are built once per ground state (`hamiltonian`)
-and every solve on that state applies them.
+The CG works in the adapted basis S of `pwbasis.SectorBasis`: the
+mirrors, mirror products and axis exchanges that leave v_local unchanged
+commute with H_r, so H_r is block-diagonal there, one block per sector
+(a character of their group), and `groundstate.sector_hamiltonian` holds
+only those blocks.  The kept bands and the kinetic diagonal are mapped
+into S once per ground state (`sector_constants`), and the blocks are
+built once per ground state (`hamiltonian`); every solve on that state
+uses them.  A solve maps the right-hand sides into S once and the
+solutions back.  Every kept band lies in one sector, so Q, A_n and the
+preconditioner are block-diagonal too, and a band's CG on one sector
+never touches another: each band runs only on the sectors its
+right-hand side occupies, with parts within its tolerance skipped and
+counted in its residual, and the bands that keep the same sectors run
+together on those sectors' coefficients, blocks and kept bands alone
+(Baroni, de Gironcoli, Dal Corso and Giannozzi, Rev. Mod. Phys. 73, 515
+(2001), use the same selection rules).  With no symmetry there is one
+sector, S is the identity and the block is H_r.
 
 Each band is preconditioned by diag(1/(|G|^2/2 + T_n)), with T_n its
 kinetic energy (Teter, Payne and Allan, Phys. Rev. B 40, 12255 (1989));
-|G| is constant on a mirror orbit, so it stays diagonal in S.
+|G| is constant on an orbit of the operations, so it stays diagonal in S.
 
-The bands' CG runs are independent and share one Hamiltonian, so they
-advance in lockstep: each step applies H to every band still iterating
-in one real matrix product per sector, while each band keeps its own
-step lengths, preconditioner shift, tolerance and stopping iteration;
-converged bands drop out.
+The bands' CG runs are independent and share one Hamiltonian, so the
+bands of a group advance in lockstep: each step applies H to every band
+still iterating in one real matrix product per kept sector, while each
+band keeps its own step lengths, preconditioner shift, tolerance and
+stopping iteration; converged bands drop out.
 """
 
 from dataclasses import dataclass
@@ -51,6 +59,7 @@ from .errors import InvariantViolationError, NonConvergenceError
 from .groundstate import GroundState, SectorHamiltonian, sector_hamiltonian
 
 EXTRA_BAND_RESIDUAL_LIMIT = 1e-10
+SECTOR_LEAK_RTOL = 1e-12    # a basis vector with more of its norm outside one sector spans several
 
 
 @dataclass
@@ -64,11 +73,6 @@ class SternheimerResult:
 def project_out_occupied(basis: np.ndarray, psi: np.ndarray) -> np.ndarray:
     """Q psi = psi - R (R^T psi) for a real basis R (n_b, m); idempotent for orthonormal R."""
     return psi - basis @ (basis.T @ psi)
-
-
-def _band_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """<a_n, b_n> for every band n: row-wise dot products of (k, n_b) arrays."""
-    return np.einsum("bi,bi->b", a, b)
 
 
 def kinetic_energies(gs: GroundState) -> np.ndarray:
@@ -94,7 +98,7 @@ def hamiltonian(gs: GroundState) -> SectorHamiltonian:
 
     Raises:
         InvariantViolationError: an extra band's eigen-residual exceeds
-            EXTRA_BAND_RESIDUAL_LIMIT, or a mirror does not commute with H_r.
+            EXTRA_BAND_RESIDUAL_LIMIT, or `sector_hamiltonian` raises.
     """
     def compute():
         ham = sector_hamiltonian(gs.grids, gs.v_local)
@@ -109,6 +113,39 @@ def hamiltonian(gs: GroundState) -> SectorHamiltonian:
     return gs.derived("hamiltonian", compute)
 
 
+def _sector_weights(rows: np.ndarray, sectors) -> np.ndarray:
+    """(k, number of sectors): the squared norm of each row's part in each sector."""
+    return np.stack([np.vecdot(rows[:, s], rows[:, s]) for s in sectors], axis=1)
+
+
+def _in_sectors(sectors, vectors: np.ndarray):
+    """(vectors in the adapted basis, (n_b, m), and the sector of each, or None if one spans several).
+
+    A vector lies in the sector holding most of its norm when the rest is
+    at most SECTOR_LEAK_RTOL of it (the round-off of the map).
+    """
+    rows = sectors.to_sectors(vectors.T)
+    weights = _sector_weights(rows, sectors.sectors)
+    main = np.argmax(weights, axis=1)
+    outside = np.sum(weights, axis=1, where=np.arange(len(sectors.sectors)) != main[:, None])
+    pure = np.all(outside <= SECTOR_LEAK_RTOL ** 2 * np.sum(weights, axis=1))
+    return np.ascontiguousarray(rows.T), main if pure else None
+
+
+def sector_constants(gs: GroundState):
+    """(u S, the sector of each kept band, |G|^2 / 2 on the orbits), computed once per state.
+
+    The CG's per-state constants in the adapted basis of `hamiltonian`:
+    the kept bands as (n_b, n_kept) columns with their sectors
+    (`_in_sectors`), and the kinetic diagonal, one value per orbit.
+    """
+    def compute():
+        sectors = hamiltonian(gs).basis
+        rows, sector_of = _in_sectors(sectors, gs.u)
+        return rows, sector_of, 0.5 * gs.grids.g2_sphere[sectors.orbit_index]
+    return gs.derived("sector_constants", compute)
+
+
 def solve_sternheimer(gs: GroundState, bands, rhs: np.ndarray, tol, basis: np.ndarray,
                       max_iter: int = None) -> SternheimerResult:
     """CG on A_n = Q (H - eps_n) Q with kinetic-energy preconditioning, per band.
@@ -120,17 +157,31 @@ def solve_sternheimer(gs: GroundState, bands, rhs: np.ndarray, tol, basis: np.nd
     zero rhs; each band's step applies H to one vector, so
     `cg_iterations` is the solve's Hamiltonian cost.
 
+    A and the preconditioner are block-diagonal in the sectors when every
+    basis vector lies in one sector, so each band's residual splits into
+    independent sector parts.  The right-hand sides are mapped into the
+    sectors once; each band skips its sectors other than the one with
+    the largest part, smallest first, while their summed squared norm
+    stays <= tol_n^2 / 4, keeps x = 0 there and so leaves that part of
+    its residual as it is.  The bands are grouped by the sectors they
+    keep, and each group runs the lockstep CG on only those sectors'
+    coefficients, blocks and basis vectors, its bands stopping at
+    sqrt(tol_n^2 - skipped_n).  The residual reported is the CG's and the
+    skipped part's together, at most tol_n.  A basis vector that spans
+    several sectors makes every band keep every sector.
+
     Args:
         gs: converged ground state (grids, orbitals, eigenvalues and the
             local potential that defines H).
         bands: k band indices (0-based) of the shifts eps_n.
         rhs: (k, n_b) right-hand sides T b_n, one real cos/sin row per
             band, already in range(Q).
-        tol: absolute l2 tolerance on each band's (unpreconditioned) CG
+        tol: absolute l2 tolerance on each band's (unpreconditioned)
             residual; a scalar or k values.
         basis: R = T Phi, real (n_b, m), of the orthonormal real
             eigenvectors of H spanning the space Q projects out; Phi must
-            hold every eigenvector with eigenvalue <= eps_n.
+            hold every eigenvector with eigenvalue <= eps_n.  For the
+            state's own `u` the sector images come from `sector_constants`.
 
     Returns the solutions as real cos/sin rows, T x_n.
 
@@ -155,19 +206,65 @@ def solve_sternheimer(gs: GroundState, bands, rhs: np.ndarray, tol, basis: np.nd
     if max_iter is None:
         max_iter = 10 * n_b
     ham = hamiltonian(gs)
-    sectors = ham.basis
+    sectors = ham.basis.sectors
+    kept_rows, kept_sector, kinetic = sector_constants(gs)
+    basis, basis_sector = ((kept_rows, kept_sector) if basis is gs.u
+                           else _in_sectors(ham.basis, basis))
 
-    # Work buffers, (k, n_b): row n is band n in the adapted basis.  The
-    # first `n` rows are the bands still iterating.  The iterate and the
-    # residual share one buffer, and the search direction and -A p another,
-    # so one broadcast update advances both.
-    work = np.zeros((7, k, n_b))
+    rows = ham.basis.to_sectors(rhs)
+    weights = _sector_weights(rows, sectors)
+    keep = np.ones(weights.shape, dtype=bool)
+    if basis_sector is not None:
+        order = np.argsort(weights, axis=1, kind="stable")      # the largest part last
+        skip = np.cumsum(np.take_along_axis(weights, order, axis=1), axis=1) <= 0.25 * tol[:, None] ** 2
+        skip[:, -1] = False
+        np.put_along_axis(keep, order, ~skip, axis=1)
+    skipped = np.sum(weights, axis=1, where=~keep)
+    target = np.where(skipped > 0, np.sqrt(tol ** 2 - skipped), tol)
+    minv = 1.0 / (kinetic + kinetic_energies(gs)[bands][:, None])
+
+    solution = np.zeros((k, n_b))
+    residual = np.zeros(k)
+    iterations = np.zeros(k, dtype=int)
+    codes = keep @ (1 << np.arange(len(sectors)))
+    for code in np.unique(codes):
+        members = np.flatnonzero(codes == code)
+        kept = np.flatnonzero(keep[members[0]])
+        columns = np.concatenate([np.arange(sectors[c].start, sectors[c].stop) for c in kept])
+        group_basis = (basis if len(kept) == len(sectors)
+                       else basis[columns][:, np.isin(basis_sector, kept)])
+        x, res, steps = _lockstep_cg(
+            lambda p, out: ham.apply(p, out=out, sectors=kept), rows[np.ix_(members, columns)],
+            group_basis, minv[np.ix_(members, columns)], gs.eps[bands[members]][:, None],
+            target[members], max_iter, bands[members], int(iterations.sum()))
+        solution[np.ix_(members, columns)] = x
+        residual[members], iterations[members] = res, steps
+
+    return SternheimerResult(solution=ham.basis.from_sectors(solution),
+                             final_residual_norm=np.hypot(residual, np.sqrt(skipped)),
+                             cg_iterations=int(iterations.sum()),
+                             iterations_per_band=iterations.tolist())
+
+
+def _lockstep_cg(apply, r0: np.ndarray, basis: np.ndarray, minv: np.ndarray, eps: np.ndarray,
+                 tol: np.ndarray, max_iter: int, bands: np.ndarray, spent: int):
+    """The projected preconditioned CG of every row of r0 in lockstep: (x, residuals, iterations).
+
+    Rows and the basis hold the same coefficients of the adapted basis;
+    `apply(p, out)` writes p H.  `spent` is what earlier groups cost, for
+    the NonConvergenceError.
+    """
+    k, m = r0.shape
+    # Work buffers, (k, m): row n is band n.  The first `n` rows are the
+    # bands still iterating.  The iterate and the residual share one
+    # buffer, and the search direction and -A p another, so one broadcast
+    # update advances both.
+    work = np.zeros((7, k, m))
     xr, pa, update = work[0:2], work[2:4], work[4:6]
     x, r = xr
     p, nap = pa
     z, tmp = work[6], update[0]
-    r[:] = sectors.to_sectors(rhs)
-    basis = np.ascontiguousarray(sectors.to_sectors(basis.T).T)
+    r[:] = r0
     coef = np.empty((k, basis.shape[1]))
     alpha = np.empty(k)
 
@@ -178,10 +275,7 @@ def solve_sternheimer(gs: GroundState, bands, rhs: np.ndarray, tol, basis: np.nd
         np.matmul(c, basis.T, out=tmp[:n])
         a[:n] -= tmp[:n]
 
-    eps = gs.eps[bands][:, None]
-    minv = 1.0 / (0.5 * grids.g2_sphere[sectors.orbit_index]
-                  + kinetic_energies(gs)[bands][:, None])
-    solution = np.zeros((k, n_b))
+    solution = np.zeros((k, m))
     residual = np.zeros(k)
     iterations = np.zeros(k, dtype=int)
 
@@ -189,15 +283,15 @@ def solve_sternheimer(gs: GroundState, bands, rhs: np.ndarray, tol, basis: np.nd
     n = k
     np.multiply(minv, r, out=p)
     project(p, n)
-    rz = _band_dots(r, p)
+    rz = np.vecdot(r, p)
     step = 0
 
     while True:
-        ham.apply(p[:n], out=nap[:n])
+        apply(p[:n], nap[:n])
         np.multiply(eps, p[:n], out=tmp[:n])
         np.subtract(tmp[:n], nap[:n], out=nap[:n])
         step += 1
-        denom = -_band_dots(p[:n], nap[:n])
+        denom = -np.vecdot(p[:n], nap[:n])
         curved = denom > 0
         step_length = alpha[:n]
         step_length.fill(0.0)
@@ -205,7 +299,7 @@ def solve_sternheimer(gs: GroundState, bands, rhs: np.ndarray, tol, basis: np.nd
         np.multiply(step_length[:, None], pa[:, :n], out=update[:, :n])
         xr[:, :n] += update[:, :n]              # x += alpha p, r -= alpha A p
         project(r, n)
-        res = np.sqrt(_band_dots(r[:n], r[:n]))
+        res = np.sqrt(np.vecdot(r[:n], r[:n]))
         done = res <= tol
         flat = ~done & ~curved
         if flat.any():
@@ -230,17 +324,13 @@ def solve_sternheimer(gs: GroundState, bands, rhs: np.ndarray, tol, basis: np.nd
             raise NonConvergenceError(
                 f"Sternheimer CG for band {bands[live[0]]} stalled at {res[0]:.3e} "
                 f"(target {tol[0]:.3e})",
-                residual=float(res[0]), cost=int(iterations.sum()) + step * n,
+                residual=float(res[0]), cost=spent + int(iterations.sum()) + step * n,
             )
         # rz > 0 for every band still iterating: r != 0 and minv > 0
         np.multiply(minv[:n], r[:n], out=z[:n])
         project(z, n)
-        rz_next = _band_dots(r[:n], z[:n])
+        rz_next = np.vecdot(r[:n], z[:n])
         p[:n] *= (rz_next / rz)[:, None]
         p[:n] += z[:n]
         rz = rz_next
-
-    return SternheimerResult(solution=sectors.from_sectors(solution),
-                             final_residual_norm=residual,
-                             cg_iterations=int(iterations.sum()),
-                             iterations_per_band=iterations.tolist())
+    return solution, residual, iterations

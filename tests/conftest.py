@@ -1,12 +1,15 @@
 """Shared tiny model fixtures for the response-side tests."""
 
 import dataclasses
+import os
 
 import numpy as np
 import pytest
 
 from pwdyson import Lattice, build_grids
+from pwdyson.config import reference_config
 from pwdyson.groundstate import GaussianWell, ModelSpec, run_scf
+from pwdyson.harness import ensure_ground_state
 
 
 @pytest.fixture
@@ -27,9 +30,9 @@ def h_applications(monkeypatch):
     rows = [0]
 
     class Counted(SectorHamiltonian):
-        def apply(self, vectors, out=None):
+        def apply(self, vectors, out=None, sectors=None):
             rows[0] += len(vectors)
-            return super().apply(vectors, out)
+            return super().apply(vectors, out, sectors)
 
     original = sternheimer.hamiltonian
 
@@ -38,6 +41,31 @@ def h_applications(monkeypatch):
         return Counted(**{f.name: getattr(ham, f.name) for f in dataclasses.fields(ham)})
     monkeypatch.setattr(sternheimer, "hamiltonian", counted)
     return lambda: rows[0]
+
+
+def build_or_load(name, config):
+    """The ground state of `config.model`, reused from PWDYSON_TEST_CACHE.
+
+    `ensure_ground_state` reuses a cached archive only when it holds the
+    configured model and otherwise rebuilds and overwrites it, so a stale
+    archive cannot decide a criterion.
+    """
+    cache = os.environ.get("PWDYSON_TEST_CACHE")
+    return ensure_ground_state(config, archive_path=os.path.join(cache, name) if cache else None)
+
+
+@pytest.fixture(scope="session")
+def toy_metal():
+    """(config, ground state) of the shipped `toy_metal`."""
+    config = reference_config("toy_metal")
+    return config, build_or_load("toy_metal", config)
+
+
+@pytest.fixture(scope="session")
+def toy_insulator():
+    """(config, ground state) of the shipped `toy_insulator`."""
+    config = reference_config("toy_insulator")
+    return config, build_or_load("toy_insulator", config)
 
 
 @pytest.fixture(scope="session")

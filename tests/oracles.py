@@ -5,8 +5,10 @@ The program holds every orbital as real cos/sin coefficients u = T c
 and T^H, the round-off check that takes complex cos/sin rows to the real
 ones the program accepts, a ground state's orbitals phi = T^H u, the
 single-vector transforms, the projector off a complex span and the
-complex Hamiltonian, and the Sternheimer CG with one dense real H_r, as
-the program ran it before it applied H by mirror-sector blocks.
+complex Hamiltonian, and the Sternheimer CG on whole rows: with one dense
+real H_r, as the program ran it before it applied H by sector blocks, or
+with the blocks on every sector of every band, as it ran before each
+band skipped the sectors its right-hand side does not occupy.
 """
 
 import numpy as np
@@ -105,29 +107,44 @@ def dense_hamiltonian(grids, v_local: np.ndarray) -> np.ndarray:
     return h
 
 
-def dense_sternheimer(gs, bands, rhs, tol, basis, max_iter=None):
-    """The block CG of `sternheimer.solve_sternheimer` with one dense H_r product per step.
+def dense_sternheimer(gs, bands, rhs, tol, basis, max_iter=None, blocks=False):
+    """The block CG of `sternheimer.solve_sternheimer` on whole rows.
 
-    The program applies H by mirror-sector blocks; this is the same CG on
-    the whole cos/sin basis, with `real_hamiltonian` as one matrix, as it
-    ran before the sectors.  Returns (solution rows, residual norms,
+    With blocks=False, one dense H_r product per step on the cos/sin
+    basis, with `real_hamiltonian` as one matrix, as the program ran
+    before the sectors.  With blocks=True, in the adapted basis of the
+    state's `hamiltonian`, every band on every sector: the program's CG
+    before it skipped sectors.  Returns (solution rows, residual norms,
     per-band iteration counts).
     """
     from pwdyson.groundstate import real_hamiltonian
-    from pwdyson.sternheimer import kinetic_energies
+    from pwdyson.sternheimer import hamiltonian, kinetic_energies
 
     n_b = gs.grids.n_b
     bands = np.asarray(bands, dtype=int)
     k = len(bands)
     tol = np.broadcast_to(np.asarray(tol, dtype=float), (k,))
     max_iter = 10 * n_b if max_iter is None else max_iter
+    g2 = gs.grids.g2_sphere
+    if blocks:
+        ham = hamiltonian(gs)
+        rhs = ham.basis.to_sectors(rhs)
+        basis = np.ascontiguousarray(ham.basis.to_sectors(basis.T).T)
+        g2 = g2[ham.basis.orbit_index]
+
+        def apply(p, out):
+            ham.apply(p, out=out)
+    else:
+        h_r = real_hamiltonian(gs.grids, gs.v_local)
+
+        def apply(p, out):
+            np.matmul(p, h_r, out=out)
     work = np.zeros((7, k, n_b))
     xr, pa, update = work[0:2], work[2:4], work[4:6]
     x, r = xr
     p, nap = pa
     z, tmp = work[6], update[0]
     r[:] = rhs
-    h_r = real_hamiltonian(gs.grids, gs.v_local)
     coef = np.empty((k, basis.shape[1]))
     alpha = np.empty(k)
 
@@ -136,24 +153,21 @@ def dense_sternheimer(gs, bands, rhs, tol, basis, max_iter=None):
         np.matmul(coef[:n], basis.T, out=tmp[:n])
         a[:n] -= tmp[:n]
 
-    def dots(a, b):
-        return np.einsum("bi,bi->b", a, b)
-
     eps = gs.eps[bands][:, None]
-    minv = 1.0 / (0.5 * gs.grids.g2_sphere + kinetic_energies(gs)[bands][:, None])
+    minv = 1.0 / (0.5 * g2 + kinetic_energies(gs)[bands][:, None])
     solution, residual = np.zeros((k, n_b)), np.zeros(k)
     iterations = np.zeros(k, dtype=int)
     live, n = np.arange(k), k
     np.multiply(minv, r, out=p)
     project(p, n)
-    rz = dots(r, p)
+    rz = np.vecdot(r, p)
     step = 0
     while True:
-        np.matmul(p[:n], h_r, out=nap[:n])
+        apply(p[:n], nap[:n])
         np.multiply(eps, p[:n], out=tmp[:n])
         np.subtract(tmp[:n], nap[:n], out=nap[:n])
         step += 1
-        denom = -dots(p[:n], nap[:n])
+        denom = -np.vecdot(p[:n], nap[:n])
         curved = denom > 0
         step_length = alpha[:n]
         step_length.fill(0.0)
@@ -161,7 +175,7 @@ def dense_sternheimer(gs, bands, rhs, tol, basis, max_iter=None):
         np.multiply(step_length[:, None], pa[:, :n], out=update[:, :n])
         xr[:, :n] += update[:, :n]
         project(r, n)
-        res = np.sqrt(dots(r[:n], r[:n]))
+        res = np.sqrt(np.vecdot(r[:n], r[:n]))
         done = res <= tol
         assert not (~done & ~curved).any(), "A_n is not positive definite on range(Q)"
         if done.any():
@@ -179,8 +193,10 @@ def dense_sternheimer(gs, bands, rhs, tol, basis, max_iter=None):
         assert step < max_iter, "dense CG stalled"
         np.multiply(minv[:n], r[:n], out=z[:n])
         project(z, n)
-        rz_next = dots(r[:n], z[:n])
+        rz_next = np.vecdot(r[:n], z[:n])
         p[:n] *= (rz_next / rz)[:, None]
         p[:n] += z[:n]
         rz = rz_next
+    if blocks:
+        solution = ham.basis.from_sectors(solution)
     return solution, residual, iterations.tolist()

@@ -1,8 +1,9 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
-The toy-model ground states are built once per session (about 20 s of
-SCF for the metal).  Set PWDYSON_TEST_CACHE to a directory to persist the
-archives between sessions.
+The toy-model ground states are the session fixtures `toy_metal` and
+`toy_insulator` of conftest.py, built once per session.  Set
+PWDYSON_TEST_CACHE to a directory to persist the archives between
+sessions.
 
 Criterion 2 checks the static-tolerance failure against the floor the
 restarted solver provably settles at: each restart refreshes the residual
@@ -14,7 +15,6 @@ test docstring.
 """
 
 import dataclasses
-import os
 import time
 
 import numpy as np
@@ -22,12 +22,10 @@ import pytest
 from scipy.special import erfc, expit
 
 from pwdyson import Lattice, build_grids, groundstate
-from pwdyson.config import reference_config
 from pwdyson.harness import (
     TIGHT_CG_TOL,
     check_bound_dominance,
     compare_strategies,
-    ensure_ground_state,
     run_response,
     tolerance_context,
 )
@@ -45,29 +43,6 @@ def report(number, passed, detail):
     status = "PASS" if passed else "FAIL"
     print(f"\nACCEPTANCE {number:2d} {status}: {detail}")
     return passed
-
-
-def build_or_load(name, config):
-    """The ground state of `config.model`, reused from PWDYSON_TEST_CACHE.
-
-    `ensure_ground_state` reuses a cached archive only when it holds the
-    configured model and otherwise rebuilds and overwrites it, so a stale
-    archive cannot decide a criterion.
-    """
-    cache = os.environ.get("PWDYSON_TEST_CACHE")
-    return ensure_ground_state(config, archive_path=os.path.join(cache, name) if cache else None)
-
-
-@pytest.fixture(scope="session")
-def toy_metal():
-    config = reference_config("toy_metal")
-    return config, build_or_load("toy_metal", config)
-
-
-@pytest.fixture(scope="session")
-def toy_insulator():
-    config = reference_config("toy_insulator")
-    return config, build_or_load("toy_insulator", config)
 
 
 @pytest.fixture(scope="session")
@@ -312,12 +287,19 @@ def test_compare_keeps_its_rows_when_grt_meets_the_tolerance_floor(toy_metal, me
 
 
 @pytest.mark.parametrize("smearing", ["fermi_dirac", "gaussian"])
-def test_fermi_level_matches_scipy_smearing(toy_metal, smearing, monkeypatch):
-    """The bisection on toy_metal's eigenvalues lands where scipy's occupations put it."""
+def test_fermi_level_matches_scipy_smearing(toy_metal, smearing):
+    """The bisection on toy_metal's eigenvalues lands where one on scipy's occupations does.
+
+    The reference bisects sum_n f((eps_n - mu) / T) = N with scipy's
+    `expit`/`erfc` as f, down to adjacent doubles, independently of the
+    program's count.
+    """
     _, gs = toy_metal
-    args = (gs.eps, gs.model.n_electrons, gs.model.temperature, smearing)
-    fermi, _ = groundstate.fermi_and_occupations(*args)
+    eps, n, t = gs.eps, gs.model.n_electrons, gs.model.temperature
+    fermi, _ = groundstate.fermi_and_occupations(eps, n, t, smearing)
     f = {"fermi_dirac": lambda x: 2.0 * expit(-x), "gaussian": erfc}[smearing]
-    monkeypatch.setattr(groundstate, "smearing_function", lambda kind: (f, None))
-    reference, _ = groundstate.fermi_and_occupations(*args)
-    assert abs(fermi - reference) <= 1e-15 * abs(reference)
+    lo, hi = eps.min() - 1.0, eps.max() + 1.0
+    while lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if f((eps - mid) / t).sum() < n else (lo, mid)
+    assert abs(fermi - lo) <= 1e-15 * abs(lo)
