@@ -48,7 +48,7 @@ class ExperimentConfig:
 
 
 # JSON values a field of each annotated type accepts, and how to name them
-_JSON_TYPES = {float: ((int, float), "a number"), int: (int, "an integer"),
+_JSON_TYPES = {float: ((int, float), "a finite number"), int: (int, "an integer"),
                bool: (bool, "true or false"), str: (str, "a string")}
 
 
@@ -56,8 +56,9 @@ def _known_keys(d: dict, cls, where: str) -> dict:
     """Return `d`; raise if it is no JSON object or a key names no field of `cls`.
 
     A value for a field annotated float, int, bool or str must be a JSON
-    value of that type (a number, an integer, true/false, a string; null
-    where the field defaults to None).
+    value of that type (a finite number, an integer, true/false, a string;
+    null where the field defaults to None): the JSON reader also takes
+    Infinity and NaN, which no field accepts.
     """
     if not isinstance(d, dict):
         raise ConfigurationError(f"{where} must be a JSON object, got {d!r}")
@@ -69,16 +70,31 @@ def _known_keys(d: dict, cls, where: str) -> dict:
         if kind not in _JSON_TYPES or (value is None and known[key].default is None):
             continue
         accepted, name = _JSON_TYPES[kind]
-        if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
+        if (isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted)
+                or (kind is float and not abs(value) < np.inf)):     # NaN, +-Infinity
             raise ConfigurationError(f"config key {key!r} in {where} must be {name}, "
                                      f"got {value!r}")
     return d
+
+
+def _finite_vector(value, key: str, where: str) -> np.ndarray:
+    """`value` as a float 3-vector; raise naming `key` unless it is three finite numbers."""
+    try:
+        vector = np.asarray(value, dtype=float)
+        if vector.shape == (3,) and np.all(np.isfinite(vector)):
+            return vector
+    except (TypeError, ValueError):
+        pass
+    raise ConfigurationError(f"config key {key!r} in {where} must be three finite numbers, "
+                             f"got {value!r}")
 
 
 def model_from_dict(d: dict) -> ModelSpec:
     _known_keys(d, ModelSpec, "model")
     for g in d.get("gaussians", []):
         _known_keys(g, GaussianWell, "a gaussian")
+        if "center" in g:
+            _finite_vector(g["center"], "center", "a gaussian")
     try:
         lattice = Lattice.from_vectors(*d["lattice"])
         gaussians = tuple(
@@ -124,8 +140,8 @@ def config_from_dict(d: dict) -> ExperimentConfig:
     scf = ScfParams(**_known_keys(d.get("scf", {}), ScfParams, "scf"))
     resp = dict(_known_keys(d.get("response", {}), ResponseParams, "response"))
     pert = Perturbation(**_known_keys(resp.pop("perturbation", {}), Perturbation, "perturbation"))
-    direction = np.asarray(pert.direction, dtype=float)
-    if direction.shape != (3,) or not np.linalg.norm(direction) > 0:
+    direction = _finite_vector(pert.direction, "direction", "perturbation")
+    if not np.linalg.norm(direction) > 0:
         raise ConfigurationError("perturbation direction must be a nonzero 3-vector")
     response = ResponseParams(perturbation=Perturbation(
         gaussian=pert.gaussian, direction=tuple(direction), analytic=pert.analytic,

@@ -529,7 +529,7 @@ def check_sternheimer_error_bound(gs: GroundState, rng) -> dict:
     perp, gaps = complement @ y, eps_perp[:, None] - gs.eps_occ
     rhs = project_out_occupied(gs.u, rng.standard_normal((gs.grids.n_b, gs.n_occ)))
     tol = 1e-8
-    res = solve_sternheimer(gs, np.arange(gs.n_occ), rhs.T, tol, gs.u)
+    res = solve_sternheimer(gs, rhs.T, tol)
     x_ref = perp @ ((perp.T @ rhs) / gaps)
     err = np.linalg.norm(res.solution - x_ref.T, axis=1)
     worst = float(np.max(err * gaps[0] / tol))

@@ -20,7 +20,7 @@ reorthogonalisation pass, since the basis orthonormality is what the
 whole error accounting rests on.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -162,15 +162,11 @@ class SolveReport:
     sigma_final: float
     y_final: np.ndarray = None
     final_est_res: float = np.inf
-    products: list = field(default_factory=list)          # only when recorded
-    hessenberg_final: np.ndarray = None
-    basis_final: list = field(default_factory=list)
 
 
 def igmres_solve(op, b: np.ndarray, x0: np.ndarray = None, m: int = 10,
                  tau: float = 1e-9, s_init: float = 1.0,
                  max_total_iterations: int = None,
-                 record_products: bool = False,
                  monitor=None) -> SolveReport:
     """Inexact GMRES(m) with budgeted operator applications.
 
@@ -185,8 +181,6 @@ def igmres_solve(op, b: np.ndarray, x0: np.ndarray = None, m: int = 10,
         s_init: initial estimate of sigma_m(H_m).
         max_total_iterations: cap on Arnoldi steps over all cycles
             (default 100 m).
-        record_products: keep the inexact products and final basis for
-            diagnostics (memory heavy; tests only).
         monitor: optional callable(info dict) invoked after every step;
             `total_cost` in it is the cost spent so far, x0 refreshes
             included.
@@ -207,23 +201,16 @@ def igmres_solve(op, b: np.ndarray, x0: np.ndarray = None, m: int = 10,
     budgets = []
     restarts = []
     cycle_est_res = []
-    products = []
     total_cost = 0
     total_iters = 0
     cycle = 0
 
-    def make_report(solution, converged, state=None, sigma=np.nan, y=None, est=np.inf):
+    def make_report(solution, converged, sigma=np.nan, y=None, est=np.inf):
         return SolveReport(
             solution=solution, converged=converged, iterations=total_iters,
             total_cost=total_cost, cycle_est_res=cycle_est_res, budgets=budgets,
             restarts=restarts, s_final=s, sigma_final=sigma, y_final=y, final_est_res=est,
-            products=products if record_products else [],
-            hessenberg_final=state.hessenberg() if state is not None else None,
-            basis_final=list(state.v) if (state is not None and record_products) else [],
         )
-
-    if norm_b == 0.0 and not np.any(x):
-        return make_report(x, True, est=0.0)
 
     state = IGmresState(max_dim=m)
     while True:
@@ -240,7 +227,9 @@ def igmres_solve(op, b: np.ndarray, x0: np.ndarray = None, m: int = 10,
         else:
             r0 = b.copy()
         if np.linalg.norm(r0) == 0.0:
-            return make_report(x, True, est=0.0)
+            # x solves the system exactly: a cycle of no step and no coefficient
+            cycle_est_res.append([0.0])
+            return make_report(x, True, y=np.zeros(0), est=0.0)
         state.start(r0)
         est = state.beta
 
@@ -256,8 +245,6 @@ def igmres_solve(op, b: np.ndarray, x0: np.ndarray = None, m: int = 10,
                                         est_res_prev=est_prev, budget_raw=raw,
                                         budget=budget, clamped=budget > raw,
                                         cost=cost))
-            if record_products:
-                products.append(w.copy())
             hcol = state.arnoldi_step(w)
             est = estimated_residual_update(state, hcol)
             if monitor is not None:
@@ -273,8 +260,7 @@ def igmres_solve(op, b: np.ndarray, x0: np.ndarray = None, m: int = 10,
                 x_new = state.assemble(x, y)
                 if s <= sigma:
                     cycle_est_res.append(list(state.est_res_history))
-                    return make_report(x_new, True, state=state, sigma=sigma,
-                                       y=y, est=est)
+                    return make_report(x_new, True, sigma=sigma, y=y, est=est)
                 restarts.append(RestartRecord(cycle=cycle, reason="s-violation",
                                               s_before=s, s_after=sigma, est_res=est))
                 s = sigma
@@ -283,7 +269,7 @@ def igmres_solve(op, b: np.ndarray, x0: np.ndarray = None, m: int = 10,
             if total_iters >= max_total_iterations:
                 y = state.solution_coefficients()
                 x_new = state.assemble(x, y)
-                report = make_report(x_new, False, state=state,
+                report = make_report(x_new, False,
                                      sigma=hessenberg_min_singular(state.hessenberg()),
                                      y=y, est=est)
                 raise NonConvergenceError(

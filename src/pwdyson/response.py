@@ -130,7 +130,7 @@ def apply_chi0(gs: GroundState, dv: np.ndarray, tolerances) -> tuple:
     dphi = _occupied_orbital_response(gs, m) + _extra_band_response(gs, dvpsi)
 
     rhs = -project_out_occupied(gs.u, dvpsi.T).T
-    solve = solve_sternheimer(gs, np.arange(n_occ), rhs, tolerances, gs.u)
+    solve = solve_sternheimer(gs, rhs, tolerances)
     dphi += solve.solution.T
     # every array below is real; in place, as these (n_occ, n_g) arrays
     # set the memory high-water mark: psi (2 f dphi + delta_f psi)

@@ -1,12 +1,12 @@
 """Projected preconditioned block CG for the unoccupied orbital response.
 
 Solves Q (H - eps_n) Q x_n = b_n restricted to range(Q), Q = I - Phi Phi^H,
-for a set of bands n at once, where the caller chooses the orthonormal
-eigenvector basis Phi: the occupied bands, or every kept band (occupied
-plus extra), in which case the extra-band part of the response is added
-separately by a sum over states.  The operator is Hermitian positive
-definite on range(Q) as long as the lowest eigenvalue outside Phi lies
-above eps_n, which the occupation cutoff guarantees.
+for every occupied band n at once, where Phi holds every kept band of the
+ground state (occupied plus extra): `response.apply_chi0` adds the
+extra-band part of the response separately by a sum over states.  The
+operator is Hermitian positive definite on range(Q) as long as the lowest
+eigenvalue outside Phi lies above eps_n, which the occupation cutoff
+guarantees.
 
 The solve runs in real arithmetic.  In the cos/sin basis of the (G, -G)
 pairs (the unitary map T of `pwbasis`) H is the real symmetric H_r of
@@ -30,7 +30,8 @@ only those blocks.  The kept bands and the kinetic diagonal are mapped
 into S once per ground state (`sector_constants`), and the blocks are
 built once per ground state (`hamiltonian`); every solve on that state
 uses them.  A solve maps the right-hand sides into S once and the
-solutions back.  Every kept band lies in one sector, so Q, A_n and the
+solutions back.  Every kept band lies in one sector (the SCF's `eigh`
+runs per block, and `sector_constants` checks it), so Q, A_n and the
 preconditioner are block-diagonal too, and a band's CG on one sector
 never touches another: each band runs only on the sectors its
 right-hand side occupies, with parts within its tolerance skipped and
@@ -59,7 +60,7 @@ from .errors import InvariantViolationError, NonConvergenceError
 from .groundstate import GroundState, SectorHamiltonian, sector_hamiltonian
 
 EXTRA_BAND_RESIDUAL_LIMIT = 1e-10
-SECTOR_LEAK_RTOL = 1e-12    # a basis vector with more of its norm outside one sector spans several
+SECTOR_LEAK_RTOL = 1e-12    # a kept band with more of its norm outside one sector spans several
 
 
 @dataclass
@@ -118,70 +119,65 @@ def _sector_weights(rows: np.ndarray, sectors) -> np.ndarray:
     return np.stack([np.vecdot(rows[:, s], rows[:, s]) for s in sectors], axis=1)
 
 
-def _in_sectors(sectors, vectors: np.ndarray):
-    """(vectors in the adapted basis, (n_b, m), and the sector of each, or None if one spans several).
-
-    A vector lies in the sector holding most of its norm when the rest is
-    at most SECTOR_LEAK_RTOL of it (the round-off of the map).
-    """
-    rows = sectors.to_sectors(vectors.T)
-    weights = _sector_weights(rows, sectors.sectors)
-    main = np.argmax(weights, axis=1)
-    outside = np.sum(weights, axis=1, where=np.arange(len(sectors.sectors)) != main[:, None])
-    pure = np.all(outside <= SECTOR_LEAK_RTOL ** 2 * np.sum(weights, axis=1))
-    return np.ascontiguousarray(rows.T), main if pure else None
-
-
 def sector_constants(gs: GroundState):
     """(u S, the sector of each kept band, |G|^2 / 2 on the orbits), computed once per state.
 
     The CG's per-state constants in the adapted basis of `hamiltonian`:
-    the kept bands as (n_b, n_kept) columns with their sectors
-    (`_in_sectors`), and the kinetic diagonal, one value per orbit.
+    the kept bands as (n_b, n_kept) columns with the sector holding most
+    of each one's norm, and the kinetic diagonal, one value per orbit.
+
+    Raises:
+        InvariantViolationError: a kept band holds more than
+            SECTOR_LEAK_RTOL of its norm outside its sector (beyond the
+            round-off of the map), so Q is not block-diagonal.
     """
     def compute():
         sectors = hamiltonian(gs).basis
-        rows, sector_of = _in_sectors(sectors, gs.u)
-        return rows, sector_of, 0.5 * gs.grids.g2_sphere[sectors.orbit_index]
+        rows = sectors.to_sectors(gs.u.T)
+        weights = _sector_weights(rows, sectors.sectors)
+        main = np.argmax(weights, axis=1)
+        outside = np.sum(weights, axis=1, where=np.arange(len(sectors.sectors)) != main[:, None])
+        mixed = np.flatnonzero(outside > SECTOR_LEAK_RTOL ** 2 * np.sum(weights, axis=1))
+        if len(mixed):
+            n = mixed[0]
+            share = np.sqrt(outside[n] / weights[n].sum())
+            raise InvariantViolationError(
+                f"kept band {n} spans several sectors: {share:.2e} of its norm lies outside "
+                f"sector {main[n]} (limit {SECTOR_LEAK_RTOL:.0e})")
+        return np.ascontiguousarray(rows.T), main, 0.5 * gs.grids.g2_sphere[sectors.orbit_index]
     return gs.derived("sector_constants", compute)
 
 
-def solve_sternheimer(gs: GroundState, bands, rhs: np.ndarray, tol, basis: np.ndarray,
+def solve_sternheimer(gs: GroundState, rhs: np.ndarray, tol,
                       max_iter: int = None) -> SternheimerResult:
-    """CG on A_n = Q (H - eps_n) Q with kinetic-energy preconditioning, per band.
+    """CG on A_n = Q (H - eps_n) Q with kinetic-energy preconditioning, for every occupied band.
 
-    H is the state's `hamiltonian`.  The preconditioner is
-    Q diag(1/(|G|^2/2 + T_n)) Q with T_n the band's kinetic energy
-    (`kinetic_energies`), positive for every band.  Every
+    H is the state's `hamiltonian` and Q projects out its kept bands u.
+    The preconditioner is Q diag(1/(|G|^2/2 + T_n)) Q with T_n the band's
+    kinetic energy (`kinetic_energies`), positive for every band.  Every
     band performs at least one iteration (one A application), even for a
     zero rhs; each band's step applies H to one vector, so
     `cg_iterations` is the solve's Hamiltonian cost.
 
-    A and the preconditioner are block-diagonal in the sectors when every
-    basis vector lies in one sector, so each band's residual splits into
-    independent sector parts.  The right-hand sides are mapped into the
-    sectors once; each band skips its sectors other than the one with
-    the largest part, smallest first, while their summed squared norm
-    stays <= tol_n^2 / 4, keeps x = 0 there and so leaves that part of
-    its residual as it is.  The bands are grouped by the sectors they
-    keep, and each group runs the lockstep CG on only those sectors'
-    coefficients, blocks and basis vectors, its bands stopping at
-    sqrt(tol_n^2 - skipped_n).  The residual reported is the CG's and the
-    skipped part's together, at most tol_n.  A basis vector that spans
-    several sectors makes every band keep every sector.
+    A and the preconditioner are block-diagonal in the sectors, since
+    every kept band lies in one (`sector_constants`), so each band's
+    residual splits into independent sector parts.  The right-hand sides
+    are mapped into the sectors once; each band skips its sectors other
+    than the one with the largest part, smallest first, while their
+    summed squared norm stays <= tol_n^2 / 4, keeps x = 0 there and so
+    leaves that part of its residual as it is.  The bands are grouped by
+    the sectors they keep, and each group runs the lockstep CG on only
+    those sectors' coefficients, blocks and kept bands, its bands
+    stopping at sqrt(tol_n^2 - skipped_n).  The residual reported is the
+    CG's and the skipped part's together, at most tol_n.
 
     Args:
         gs: converged ground state (grids, orbitals, eigenvalues and the
             local potential that defines H).
-        bands: k band indices (0-based) of the shifts eps_n.
-        rhs: (k, n_b) right-hand sides T b_n, one real cos/sin row per
-            band, already in range(Q).
+        rhs: (n_occ, n_b) right-hand sides T b_n, one real cos/sin row per
+            occupied band, already in range(Q).
         tol: absolute l2 tolerance on each band's (unpreconditioned)
-            residual; a scalar or k values.
-        basis: R = T Phi, real (n_b, m), of the orthonormal real
-            eigenvectors of H spanning the space Q projects out; Phi must
-            hold every eigenvector with eigenvalue <= eps_n.  For the
-            state's own `u` the sector images come from `sector_constants`.
+            residual; a scalar or n_occ values.
 
     Returns the solutions as real cos/sin rows, T x_n.
 
@@ -189,15 +185,15 @@ def solve_sternheimer(gs: GroundState, bands, rhs: np.ndarray, tol, basis: np.nd
         TypeError: the right-hand sides are complex.
         InvariantViolationError: a band meets p^H A p <= 0 with its
             residual above tol, so A_n is not positive definite on range(Q)
-            (Phi misses an eigenvector below eps_n); or `hamiltonian` raises.
+            (u misses an eigenvector below eps_n); or `hamiltonian` or
+            `sector_constants` raises.
         NonConvergenceError: a band needs more than max_iter (default
             10 n_b) iterations; carries its last residual norm and, as
             `cost`, the H applications spent over every band.
     """
     grids = gs.grids
     n_b = grids.n_b
-    bands = np.asarray(bands, dtype=int)
-    k = len(bands)
+    k = gs.n_occ
     if np.iscomplexobj(rhs):
         raise TypeError("solve_sternheimer takes real cos/sin rows")
     if rhs.shape != (k, n_b):
@@ -207,21 +203,18 @@ def solve_sternheimer(gs: GroundState, bands, rhs: np.ndarray, tol, basis: np.nd
         max_iter = 10 * n_b
     ham = hamiltonian(gs)
     sectors = ham.basis.sectors
-    kept_rows, kept_sector, kinetic = sector_constants(gs)
-    basis, basis_sector = ((kept_rows, kept_sector) if basis is gs.u
-                           else _in_sectors(ham.basis, basis))
+    basis, basis_sector, kinetic = sector_constants(gs)
 
     rows = ham.basis.to_sectors(rhs)
     weights = _sector_weights(rows, sectors)
-    keep = np.ones(weights.shape, dtype=bool)
-    if basis_sector is not None:
-        order = np.argsort(weights, axis=1, kind="stable")      # the largest part last
-        skip = np.cumsum(np.take_along_axis(weights, order, axis=1), axis=1) <= 0.25 * tol[:, None] ** 2
-        skip[:, -1] = False
-        np.put_along_axis(keep, order, ~skip, axis=1)
+    order = np.argsort(weights, axis=1, kind="stable")          # the largest part last
+    skip = np.cumsum(np.take_along_axis(weights, order, axis=1), axis=1) <= 0.25 * tol[:, None] ** 2
+    skip[:, -1] = False
+    keep = np.empty_like(skip)
+    np.put_along_axis(keep, order, ~skip, axis=1)
     skipped = np.sum(weights, axis=1, where=~keep)
     target = np.where(skipped > 0, np.sqrt(tol ** 2 - skipped), tol)
-    minv = 1.0 / (kinetic + kinetic_energies(gs)[bands][:, None])
+    minv = 1.0 / (kinetic + kinetic_energies(gs)[:k, None])
 
     solution = np.zeros((k, n_b))
     residual = np.zeros(k)
@@ -235,8 +228,8 @@ def solve_sternheimer(gs: GroundState, bands, rhs: np.ndarray, tol, basis: np.nd
                        else basis[columns][:, np.isin(basis_sector, kept)])
         x, res, steps = _lockstep_cg(
             lambda p, out: ham.apply(p, out=out, sectors=kept), rows[np.ix_(members, columns)],
-            group_basis, minv[np.ix_(members, columns)], gs.eps[bands[members]][:, None],
-            target[members], max_iter, bands[members], int(iterations.sum()))
+            group_basis, minv[np.ix_(members, columns)], gs.eps[members][:, None],
+            target[members], max_iter, members, int(iterations.sum()))
         solution[np.ix_(members, columns)] = x
         residual[members], iterations[members] = res, steps
 

@@ -8,7 +8,11 @@ single-vector transforms, the projector off a complex span and the
 complex Hamiltonian, and the Sternheimer CG on whole rows: with one dense
 real H_r, as the program ran it before it applied H by sector blocks, or
 with the blocks on every sector of every band, as it ran before each
-band skipped the sectors its right-hand side does not occupy.
+band skipped the sectors its right-hand side does not occupy.  The
+program solves every occupied band against the complement of the kept
+bands only; this CG takes any bands and any orthonormal eigenvector
+basis, so it is also the reference for other complements, such as that
+of the occupied bands alone.
 """
 
 import numpy as np
@@ -108,14 +112,16 @@ def dense_hamiltonian(grids, v_local: np.ndarray) -> np.ndarray:
 
 
 def dense_sternheimer(gs, bands, rhs, tol, basis, max_iter=None, blocks=False):
-    """The block CG of `sternheimer.solve_sternheimer` on whole rows.
+    """The block CG of `sternheimer.solve_sternheimer` on whole rows, for any bands and basis.
 
-    With blocks=False, one dense H_r product per step on the cos/sin
-    basis, with `real_hamiltonian` as one matrix, as the program ran
-    before the sectors.  With blocks=True, in the adapted basis of the
-    state's `hamiltonian`, every band on every sector: the program's CG
-    before it skipped sectors.  Returns (solution rows, residual norms,
-    per-band iteration counts).
+    The rows are the right-hand sides of `bands`, and Q = I - R R^T for
+    the real orthonormal eigenvectors R = `basis`, which must hold every
+    eigenvector below each band's eps_n.  With blocks=False, one dense
+    H_r product per step on the cos/sin basis, with `real_hamiltonian` as
+    one matrix, as the program ran before the sectors.  With blocks=True,
+    in the adapted basis of the state's `hamiltonian`, every band on every
+    sector: the program's CG before it skipped sectors.  Returns
+    (solution rows, residual norms, per-band iteration counts).
     """
     from pwdyson.groundstate import real_hamiltonian
     from pwdyson.sternheimer import hamiltonian, kinetic_energies

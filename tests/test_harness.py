@@ -38,6 +38,7 @@ from pwdyson.harness import (
     build_perturbation,
     check_orthonormality,
     check_sternheimer_error_bound,
+    check_y_bound,
     compare_strategies,
     ensure_ground_state,
     run_response,
@@ -648,6 +649,20 @@ def test_verify_suite_passes_on_tiny_model(metal_gs, tmp_path):
     assert row_norm["details"]["value"] == tolerance_context(metal_gs, 1.0).row_norm
 
 
+def test_y_bound_check_passes_on_a_zero_right_hand_side(metal_gs):
+    # a well of zero amplitude: dV0 = 0, so the Dyson solve stops at x = 0 before any
+    # Arnoldi step, and the y-coefficient bound holds vacuously
+    well = GaussianWell(center=(0.5, 0.5, 0.5), amplitude=0.0, width=0.7)
+    gs = replace(metal_gs, model=replace(metal_gs.model,
+                                         gaussians=metal_gs.model.gaussians + (well,)))
+    config = tiny_config(gs)
+    config = replace(config, response=replace(config.response,
+                                              perturbation=Perturbation(gaussian=2)))
+    report = run_response(config, gs=gs).igmres
+    assert report.converged and report.total_cost == 0 and not np.any(report.solution)
+    assert check_y_bound(gs, config)["passed"]
+
+
 def test_verify_negative_control(metal_gs):
     import copy
 
@@ -744,8 +759,20 @@ def test_malformed_config_section_rejected(metal_gs, section, value):
     (("model",), "e_cut", "6.5"),
     (("model",), "n_electrons", 4.0),
     (("model", "gaussians", 0), "amplitude", "-3"),
+    # JSON's Infinity and NaN parse as floats: no number, vector or well takes them
+    (("response",), "tau", float("nan")),
+    (("model", "gaussians", 0), "amplitude", float("nan")),
+    (("model", "gaussians", 0), "amplitude", float("inf")),
+    (("model", "gaussians", 0), "center", [0.3, float("-inf"), 0.5]),
+    (("model", "gaussians", 0), "center", "middle"),
+    (("response", "perturbation"), "direction", [float("inf"), 0.0, 0.0]),
+    (("response", "perturbation"), "direction", [0.0, float("nan"), 1.0]),
+    (("response", "perturbation"), "direction", [1.0, 0.0]),
 ], ids=["response-tau", "response-m", "perturbation-analytic", "scf-damping",
-        "scf-max_iter", "model-e_cut", "model-n_electrons", "gaussian-amplitude"])
+        "scf-max_iter", "model-e_cut", "model-n_electrons", "gaussian-amplitude",
+        "response-tau-nan", "gaussian-amplitude-nan", "gaussian-amplitude-inf",
+        "gaussian-center-inf", "gaussian-center-string", "perturbation-direction-inf",
+        "perturbation-direction-nan", "perturbation-direction-short"])
 def test_config_value_of_wrong_type_rejected(metal_gs, level, key, value):
     d = _config_dict(metal_gs)
     target = d
@@ -754,6 +781,19 @@ def test_config_value_of_wrong_type_rejected(metal_gs, level, key, value):
     target[key] = value
     with pytest.raises(ConfigurationError, match=f"'{key}' in .* must be"):
         config_from_dict(d)
+
+
+def test_cli_reports_infinite_direction_in_one_line(metal_gs, tmp_path, capsys):
+    d = _config_dict(metal_gs)
+    d["response"]["perturbation"].update(direction=[float("inf"), 0, 0], analytic=False)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(d))
+    assert "Infinity" in path.read_text()
+    for strategy in ("bal", "grt"):
+        assert cli.main(["respond", str(path), "--strategy", strategy,
+                         "-o", str(tmp_path / "out")]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "'direction'" in err[0]
 
 
 def test_cli_reports_string_number_in_one_line(metal_gs, tmp_path, capsys):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pwdyson import NonConvergenceError
 from pwdyson.igmres import (
@@ -56,9 +58,11 @@ def test_matches_dense_solve():
 
 
 def test_zero_rhs():
+    # x = 0 solves it: one cycle of no step, whose coefficients are empty
     report = igmres_solve(exact_op(np.eye(8)), np.zeros(8), m=4, tau=1e-8)
-    assert report.converged and report.iterations == 0
+    assert report.converged and report.iterations == 0 and report.total_cost == 0
     np.testing.assert_array_equal(report.solution, np.zeros(8))
+    assert report.y_final.shape == (0,) and report.cycle_est_res == [[0.0]]
 
 
 def test_nonzero_initial_guess():
@@ -88,6 +92,20 @@ def test_adversarial_budget_saturation_keeps_guarantee():
         if np.linalg.norm(b - a @ report.solution) > tau:
             failures += 1
     assert failures == 0
+
+
+@given(n=st.integers(20, 80), m=st.integers(1, 12), log_tau=st.floats(-10.0, -6.0),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_adversarial_budget_saturation_keeps_guarantee_on_drawn_problems(n, m, log_tau, seed):
+    # every application errs by exactly its budget: the true residual still ends below tau
+    rng = np.random.default_rng(seed)
+    a = well_conditioned(rng, n)
+    b = rng.standard_normal(n)
+    tau = 10.0 ** log_tau
+    report = igmres_solve(adversarial_op(a, rng), b, m=m, tau=tau)
+    assert report.converged
+    assert np.linalg.norm(b - a @ report.solution) <= tau
 
 
 def test_restart_involved_convergence():
@@ -161,16 +179,21 @@ def test_budget_formula_audit():
 
 
 def test_residual_gap_identity():
-    # ||[w_1 ... w_i] - V_{i+1} H_i||_F stays at roundoff level
+    # ||[w_1 ... w_i] - V_{i+1} H_i||_F stays at roundoff level for inexact products w_j
     rng = np.random.default_rng(8)
     a = well_conditioned(rng, 40)
-    b = rng.standard_normal(40)
-    report = igmres_solve(adversarial_op(a, rng), b, m=40, tau=1e-8,
-                          record_products=True)
-    h = report.hessenberg_final
-    v = np.array(report.basis_final).T
-    w = np.array(report.products[-h.shape[1]:]).T
-    gap = np.linalg.norm(w - v[:, : h.shape[0]] @ h)
+    op = adversarial_op(a, rng)
+    state = IGmresState(max_dim=25)
+    state.start(rng.standard_normal(40))
+    products = []
+    for _ in range(25):
+        w, _ = op(state.v[state.size], 1e-6)
+        products.append(w)
+        estimated_residual_update(state, state.arnoldi_step(w))
+    h = state.hessenberg()
+    v = np.array(state.v).T
+    assert h.shape == (26, 25) and v.shape == (40, 26)
+    gap = np.linalg.norm(np.array(products).T - v @ h)
     assert gap <= 1e-10 * max(np.linalg.norm(h), 1.0)
 
 

@@ -21,7 +21,7 @@ from pwdyson.response import (
 from pwdyson.sternheimer import kinetic_energies, project_out_occupied, solve_sternheimer
 
 from conftest import dense_chi0_oracle
-from oracles import from_cos_sin, phi, to_fourier, to_real
+from oracles import dense_sternheimer, from_cos_sin, phi, to_fourier, to_real
 
 TIGHT = 1e-13
 
@@ -292,23 +292,23 @@ def test_split_band_response_equals_occupied_complement_solve(fixture, request):
     rng = np.random.default_rng(16)
     dvpsi, _ = _occupied_matrix(gs, rng.standard_normal(gs.grids.n_g))
     extra = _extra_band_response(gs, dvpsi)
-    occ, kept = gs.u_occ, gs.u
-    for n in range(gs.n_occ):
-        whole = solve_sternheimer(gs, [n], -project_out_occupied(occ, dvpsi[n])[None],
-                                  1e-14, occ).solution[0]
-        rest = solve_sternheimer(gs, [n], -project_out_occupied(kept, dvpsi[n])[None],
-                                 1e-14, kept).solution[0]
-        assert np.linalg.norm(extra[:, n] + rest - whole) <= 1e-10 * np.linalg.norm(whole)
+    # the program solves on range(Q_kept) only; the dense oracle CG solves on range(Q_occ)
+    bands = np.arange(gs.n_occ)
+    whole, _, _ = dense_sternheimer(gs, bands, -project_out_occupied(gs.u_occ, dvpsi.T).T,
+                                    1e-14, gs.u_occ)
+    rest = solve_sternheimer(gs, -project_out_occupied(gs.u, dvpsi.T).T, 1e-14).solution
+    for n in bands:
+        assert np.linalg.norm(extra[:, n] + rest[n] - whole[n]) <= 1e-10 * np.linalg.norm(whole[n])
 
 
 def test_kept_complement_solution_has_no_kept_component(wide_gs):
     gs = wide_gs
     rng = np.random.default_rng(17)
     rhs = project_out_occupied(gs.u, rng.standard_normal(gs.grids.n_b))
+    result = solve_sternheimer(gs, np.tile(rhs, (gs.n_occ, 1)), 1e-11)
     for n in range(gs.n_occ):
-        result = solve_sternheimer(gs, [n], rhs[None], 1e-11, gs.u)
-        leak = np.abs(phi(gs).conj().T @ from_cos_sin(result.solution[0]))
-        assert leak.max() <= 1e-10 * np.linalg.norm(result.solution)
+        leak = np.abs(phi(gs).conj().T @ from_cos_sin(result.solution[n]))
+        assert leak.max() <= 1e-10 * np.linalg.norm(result.solution[n])
 
 
 def test_extra_band_guard_rejects_mixed_bands(metal_gs, h_applications):

@@ -1,5 +1,7 @@
 """Tests for the sectors: the chosen operations, the adapted basis, the blocks of H_r, the blocked eigh and CG."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -195,7 +197,7 @@ def test_asymmetric_state_has_one_sector_and_runs_the_dense_cg_bit_for_bit(metal
     rhs = -project_out_occupied(basis, dvpsi.T).T
     bands = np.arange(metal_gs.n_occ)
     for tol in (1e-6, 1e-11):
-        result = solve_sternheimer(metal_gs, bands, rhs, tol, basis)
+        result = solve_sternheimer(metal_gs, rhs, tol)
         solution, residual, iterations = dense_sternheimer(metal_gs, bands, rhs, tol, basis)
         np.testing.assert_array_equal(result.solution, solution)
         np.testing.assert_array_equal(result.final_residual_norm, residual)
@@ -213,7 +215,7 @@ def test_per_band_cg_counts_equal_the_dense_oracle_on_a_mirror_symmetric_state(m
         rhs = -project_out_occupied(basis, dvpsi.T).T
         bands = np.arange(gs.n_occ)
         for tol in (1e-6, 1e-11):
-            result = solve_sternheimer(gs, bands, rhs, tol, basis)
+            result = solve_sternheimer(gs, rhs, tol)
             solution, _, iterations = dense_sternheimer(gs, bands, rhs, tol, basis)
             assert result.iterations_per_band == iterations
             assert np.abs(result.solution - solution).max() <= 1e-9 * np.abs(solution).max()
@@ -223,12 +225,13 @@ def test_per_band_cg_counts_equal_the_dense_oracle_on_a_mirror_symmetric_state(m
 def test_all_sector_rhs_runs_the_full_row_cg_bit_for_bit(mirror_gs):
     # every band of a random right-hand side keeps every sector: one group, the whole rows
     gs = mirror_gs
-    rhs = project_out_occupied(gs.u, np.random.default_rng(36).standard_normal((gs.grids.n_b, 6))).T
+    raw = np.random.default_rng(36).standard_normal((gs.grids.n_b, gs.n_occ))
+    rhs = project_out_occupied(gs.u, raw).T
     rows = hamiltonian(gs).basis.to_sectors(rhs)
     assert all(np.linalg.norm(rows[:, s], axis=1).min() > 0.1 for s in hamiltonian(gs).basis.sectors)
-    bands = np.array([0, 1, 0, 1, 0, 1])
+    bands = np.arange(gs.n_occ)
     for tol in (1e-4, 1e-10):
-        result = solve_sternheimer(gs, bands, rhs, tol, gs.u)
+        result = solve_sternheimer(gs, rhs, tol)
         solution, residual, iterations = dense_sternheimer(gs, bands, rhs, tol, gs.u, blocks=True)
         assert result.iterations_per_band == iterations
         np.testing.assert_array_equal(result.final_residual_norm, residual)
@@ -236,20 +239,22 @@ def test_all_sector_rhs_runs_the_full_row_cg_bit_for_bit(mirror_gs):
     gs.drop_derived()
 
 
-def test_a_basis_that_mixes_sectors_keeps_every_sector(mirror_gs):
-    # a rotation of u spans the same space, so Q is the same, but its columns span
-    # several sectors: no sector may be skipped, and the solve matches the one on u
+def test_a_kept_band_across_sectors_is_rejected(mirror_gs, h_applications):
+    # the degenerate extra pair 4, 5 lies in sectors 3 and 2; rotated by 45 degrees it
+    # is still a pair of orthonormal eigenvectors with the same span, as a full eigh of
+    # H_r may return it, but each band spans both sectors and Q is not block-diagonal
     gs = mirror_gs
-    rotation, _ = np.linalg.qr(np.random.default_rng(38).standard_normal((gs.n_kept, gs.n_kept)))
-    mixed = gs.u @ rotation
+    assert sector_constants(gs)[1].tolist() == [0, 0, 0, 0, 3, 2]
+    u = gs.u.copy()
+    a, b = gs.u[:, 4], gs.u[:, 5]
+    u[:, 4], u[:, 5] = (a + b) / np.sqrt(2), (b - a) / np.sqrt(2)
+    mixed = dataclasses.replace(gs, u=u)
+    hamiltonian(mixed)                      # the extra bands are still eigenvectors of H
     dvpsi, _ = _occupied_matrix(gs, external_potential(gs.model, gs.grids))
-    rhs = -project_out_occupied(gs.u, dvpsi.T).T
-    bands = np.arange(gs.n_occ)
-    result = solve_sternheimer(gs, bands, rhs, 1e-10, mixed)
-    _, _, iterations = dense_sternheimer(gs, bands, rhs, 1e-10, mixed, blocks=True)
-    assert result.iterations_per_band == iterations
-    reference = solve_sternheimer(gs, bands, rhs, 1e-10, gs.u)
-    assert np.abs(result.solution - reference.solution).max() <= 1e-8 * np.abs(reference.solution).max()
+    rhs = -project_out_occupied(u, dvpsi.T).T
+    with pytest.raises(InvariantViolationError, match="kept band 4 spans several sectors: 7.07e-01"):
+        solve_sternheimer(mixed, rhs, 1e-10)
+    assert h_applications() == 0
     gs.drop_derived()
 
 
@@ -275,7 +280,7 @@ def test_small_segments_in_a_second_sector_are_skipped_and_reported(toy_metal, h
             segment = project_out_occupied(gs.u, sectors.from_sectors(segment).T).T
             segment *= size * tol / np.linalg.norm(segment, axis=1)[:, None]
             before = h_applications()
-            result = solve_sternheimer(gs, bands, rhs + segment, tol, gs.u)
+            result = solve_sternheimer(gs, rhs + segment, tol)
             assert h_applications() - before == result.cg_iterations
             x = sectors.to_sectors(result.solution)
             moved = np.array([np.abs(x[n, s]).max() for n, s in enumerate(other)])
@@ -291,10 +296,10 @@ def test_small_segments_in_a_second_sector_are_skipped_and_reported(toy_metal, h
             assert np.abs(true - reported).max() <= 1e-3 * tol
     # the CG part stops at sqrt(tol^2 - skipped): at a tolerance just above the residual
     # the solve without the segment stops at, the segment costs more iterations
-    plain = solve_sternheimer(gs, bands, rhs, 1e-7, gs.u)
+    plain = solve_sternheimer(gs, rhs, 1e-7)
     tol = plain.final_residual_norm / 0.95
     segment = 0.45 * tol[:, None] * segment / np.linalg.norm(segment, axis=1)[:, None]
-    result = solve_sternheimer(gs, bands, rhs + segment, tol, gs.u)
+    result = solve_sternheimer(gs, rhs + segment, tol)
     assert all(a > b for a, b in zip(result.iterations_per_band, plain.iterations_per_band))
     assert np.all(result.final_residual_norm <= tol)
     gs.drop_derived()
@@ -304,8 +309,7 @@ def test_zero_rhs_costs_one_application_per_band_on_a_state_with_sectors(mirror_
     gs = mirror_gs
     assert len(hamiltonian(gs).blocks) == 4
     before = h_applications()
-    result = solve_sternheimer(gs, np.arange(gs.n_occ), np.zeros((gs.n_occ, gs.grids.n_b)),
-                               1e-10, gs.u)
+    result = solve_sternheimer(gs, np.zeros((gs.n_occ, gs.grids.n_b)), 1e-10)
     assert result.iterations_per_band == [1] * gs.n_occ
     assert result.cg_iterations == h_applications() - before == gs.n_occ
     assert np.all(result.solution == 0.0) and np.all(result.final_residual_norm == 0.0)
@@ -328,7 +332,6 @@ def test_chosen_operations_hold_every_kept_band_in_one_sector(name, request):
     entries = [sum((s.stop - s.start) ** 2 for s in b.sectors) for b in (ham.basis, mirrors)]
     assert entries[0] < entries[1]
     rows, sector_of, _ = sector_constants(gs)
-    assert sector_of is not None
     for n, c in enumerate(sector_of):
         column = rows[:, n]
         assert np.linalg.norm(column[ham.basis.sectors[c]]) ** 2 >= 1.0 - 1e-14

@@ -1,6 +1,7 @@
 """Tests for the projected Sternheimer CG solver."""
 
 import copy
+import dataclasses
 
 import numpy as np
 import pytest
@@ -13,14 +14,16 @@ from pwdyson.groundstate import (
     GaussianWell,
     GroundState,
     ModelSpec,
+    diagonalize_dense,
     external_potential,
     real_hamiltonian,
     run_scf,
 )
 from pwdyson.sternheimer import project_out_occupied, solve_sternheimer
 
-from oracles import (dense_from_matvec, dense_hamiltonian, from_cos_sin, phi, project_out,
-                     real_basis, real_rows, to_cos_sin, to_fourier, to_real)
+from conftest import full_spectrum
+from oracles import (dense_from_matvec, dense_hamiltonian, dense_sternheimer, from_cos_sin, phi,
+                     project_out, real_basis, real_rows, to_cos_sin, to_fourier, to_real)
 
 
 @pytest.fixture(scope="module")
@@ -36,14 +39,13 @@ def tiny_gs():
     return run_scf(model, tol=1e-11, max_iter=300, damping=0.3)
 
 
-def solve_on_sphere(gs, bands, rhs, tol, basis, **kwargs):
+def solve_on_sphere(gs, rhs, tol, **kwargs):
     """`solve_sternheimer` with right-hand sides and solutions as sphere coefficients.
 
-    Rows go in as Re T b_n (`oracles.real_rows` rejects those not real to
-    round-off) and come out as T^H x_n.
+    Rows, one per occupied band, go in as Re T b_n (`oracles.real_rows`
+    rejects those not real to round-off) and come out as T^H x_n.
     """
-    result = solve_sternheimer(gs, bands, real_rows(to_cos_sin(rhs), atol=tol), tol, basis,
-                               **kwargs)
+    result = solve_sternheimer(gs, real_rows(to_cos_sin(rhs), atol=tol), tol, **kwargs)
     result.solution = from_cos_sin(result.solution)
     return result
 
@@ -58,11 +60,16 @@ def phi_occ(gs):
     return phi(gs)[:, :gs.n_occ]
 
 
-def dense_operator(gs, n):
-    """Dense A_n = Q (H - eps_n) Q via matvec columns (independent path)."""
+def kept_rhs(gs, seed):
+    """One random real right-hand side per occupied band in range(Q), as sphere coefficients."""
+    raw = real_functions(np.random.default_rng(seed), (gs.n_occ, gs.grids.n_b))
+    return project_out(phi(gs), raw.T).T
+
+
+def dense_operator(gs, n, orbitals):
+    """Dense A_n = Q (H - eps_n) Q, Q = I - Phi Phi^H, via matvec columns (independent path)."""
     nb = gs.grids.n_b
-    occ = phi_occ(gs)
-    q = np.eye(nb, dtype=complex) - occ @ occ.conj().T
+    q = np.eye(nb, dtype=complex) - orbitals @ orbitals.conj().T
     h = dense_from_matvec(gs.grids, gs.v_local)
     return q @ (h - gs.eps[n] * np.eye(nb)) @ q
 
@@ -98,117 +105,117 @@ def test_projector_pythagoras(tiny_gs):
 
 def test_zero_rhs_one_iteration(tiny_gs, h_applications):
     gs = tiny_gs
-    result = solve_on_sphere(gs, [0], np.zeros((1, gs.grids.n_b), dtype=complex),
-                             tol=1e-10, basis=real_basis(phi_occ(gs)))
-    assert result.cg_iterations == 1
-    assert h_applications() == 1
+    result = solve_on_sphere(gs, np.zeros((gs.n_occ, gs.grids.n_b), dtype=complex), tol=1e-10)
+    assert result.iterations_per_band == [1] * gs.n_occ
+    assert h_applications() == result.cg_iterations == gs.n_occ
     assert np.linalg.norm(result.solution) == 0.0
 
 
 def test_counter_matches_iterations(tiny_gs, h_applications):
     gs = tiny_gs
-    rng = np.random.default_rng(2)
-    rhs = project_out(phi_occ(gs), real_functions(rng, gs.grids.n_b))
-    result = solve_on_sphere(gs, [1], rhs[None], tol=1e-9, basis=real_basis(phi_occ(gs)))
+    result = solve_on_sphere(gs, kept_rhs(gs, 2), tol=1e-9)
     assert h_applications() == result.cg_iterations
-    assert result.final_residual_norm <= 1e-9
+    assert np.all(result.final_residual_norm <= 1e-9)
 
 
 def test_solution_stays_in_unoccupied_range(tiny_gs):
     gs = tiny_gs
-    rng = np.random.default_rng(3)
-    rhs = project_out(phi_occ(gs), real_functions(rng, gs.grids.n_b))
-    result = solve_on_sphere(gs, [gs.n_occ - 1], rhs[None], tol=1e-11,
-                             basis=real_basis(phi_occ(gs)))
-    leak = np.linalg.norm(phi_occ(gs).conj().T @ result.solution[0])
-    assert leak <= 1e-10 * np.linalg.norm(result.solution)
+    result = solve_on_sphere(gs, kept_rhs(gs, 3), tol=1e-11)
+    leak = np.linalg.norm(phi(gs).conj().T @ result.solution.T, axis=0)
+    assert leak.max() <= 1e-10 * np.linalg.norm(result.solution)
 
 
 def test_matches_dense_pseudoinverse(tiny_gs):
+    # the program's solve on the complement of the kept bands, and the dense oracle CG
+    # on that of the occupied bands alone: each error is at most tol / gap against
+    # the pseudo-inverse of the dense A_n, gap the lowest eigenvalue left in range(Q)
     gs = tiny_gs
     assert gs.grids.n_b <= 100
     rng = np.random.default_rng(4)
-    for n in (0, gs.n_occ - 1):
-        a = dense_operator(gs, n)
-        rhs = project_out(phi_occ(gs), real_functions(rng, gs.grids.n_b))
-        tol = 1e-10
-        result = solve_on_sphere(gs, [n], rhs[None], tol=tol, basis=real_basis(phi_occ(gs)))
-        x_ref = np.linalg.pinv(a, rcond=1e-8) @ rhs
-        a_pinv_norm = 1.0 / (gs.eps_gap_ref - gs.eps[n])
-        err = np.linalg.norm(result.solution - x_ref)
-        assert err <= a_pinv_norm * tol * (1 + 1e-6)
+    tol = 1e-10
+    for complement in ("kept", "occupied"):
+        orbitals = phi(gs) if complement == "kept" else phi_occ(gs)
+        rhs = project_out(orbitals, real_functions(rng, (gs.n_occ, gs.grids.n_b)).T).T
+        if complement == "kept":
+            solution = solve_on_sphere(gs, rhs, tol=tol).solution
+            lowest = full_spectrum(gs)[0][gs.n_kept]
+        else:
+            rows = real_rows(to_cos_sin(rhs), atol=tol)
+            solution = from_cos_sin(dense_sternheimer(gs, range(gs.n_occ), rows, tol,
+                                                      real_basis(orbitals))[0])
+            lowest = gs.eps_gap_ref
+        for n in range(gs.n_occ):
+            x_ref = np.linalg.pinv(dense_operator(gs, n, orbitals), rcond=1e-8) @ rhs[n]
+            err = np.linalg.norm(solution[n] - x_ref)
+            assert err <= tol / (lowest - gs.eps[n]) * (1 + 1e-6)
 
 
 def test_error_bounded_by_gap_scaled_residual(tiny_gs):
     gs = tiny_gs
-    rng = np.random.default_rng(5)
     n = gs.n_occ - 1
-    a = dense_operator(gs, n)
-    x_exact = None
-    for tol in (1e-4, 1e-6, 1e-8):
-        rhs = project_out(phi_occ(gs), real_functions(rng, gs.grids.n_b))
-        if x_exact is None:
-            x_exact = np.linalg.pinv(a, rcond=1e-8)
-        result = solve_on_sphere(gs, [n], rhs[None], tol=tol, basis=real_basis(phi_occ(gs)))
-        z = np.linalg.norm(result.solution - x_exact @ rhs)
-        bound = result.final_residual_norm / (gs.eps_gap_ref - gs.eps[n])
+    x_exact = np.linalg.pinv(dense_operator(gs, n, phi(gs)), rcond=1e-8)
+    gap = full_spectrum(gs)[0][gs.n_kept] - gs.eps[n]
+    for seed, tol in ((5, 1e-4), (6, 1e-6), (7, 1e-8)):
+        rhs = kept_rhs(gs, seed)
+        result = solve_on_sphere(gs, rhs, tol=tol)
+        z = np.linalg.norm(result.solution[n] - x_exact @ rhs[n])
+        bound = result.final_residual_norm[n] / gap
         assert z <= bound * (1 + 1e-6)
 
 
 def test_max_iter_raises_with_residual(tiny_gs, h_applications):
     gs = tiny_gs
-    rng = np.random.default_rng(6)
-    rhs = project_out(phi_occ(gs), real_functions(rng, gs.grids.n_b))
     with pytest.raises(NonConvergenceError) as err:
-        solve_on_sphere(gs, [0], rhs[None], tol=1e-14, basis=real_basis(phi_occ(gs)),
-                        max_iter=2)
+        solve_on_sphere(gs, kept_rhs(gs, 6), tol=1e-14, max_iter=2)
     assert err.value.residual is not None and err.value.residual > 0
-    assert err.value.cost == h_applications() == 2
+    assert err.value.cost == h_applications() == 2 * gs.n_occ
 
 
 def test_indefinite_operator_fails_fast(tiny_gs):
-    # without band 0 in phi, Q (H - eps_n) Q is indefinite for the top band
+    # a state whose lowest kept band is swapped for the eigenvector just above the kept
+    # set: band 0 is left in range(Q), so Q (H - eps_n) Q is indefinite for the top band
     gs = tiny_gs
-    rng = np.random.default_rng(7)
-    phi = phi_occ(gs)[:, 1:]
-    rhs = project_out(phi, real_functions(rng, gs.grids.n_b))
+    _, above = diagonalize_dense(gs.grids, gs.v_local, gs.n_kept + 1)
+    u = gs.u.copy()
+    u[:, 0] = above[:, gs.n_kept]
+    swapped = dataclasses.replace(gs, u=u)
+    rhs = np.zeros((gs.n_occ, gs.grids.n_b), dtype=complex)
+    rhs[-1] = project_out(phi(swapped), real_functions(np.random.default_rng(7), gs.grids.n_b))
     # a solve still running at step 2 would raise NonConvergenceError instead
-    with pytest.raises(InvariantViolationError, match=f"band {gs.n_occ - 1}"):
-        solve_on_sphere(gs, [gs.n_occ - 1], rhs[None], tol=1e-10, basis=real_basis(phi),
-                        max_iter=2)
+    with pytest.raises(InvariantViolationError, match=f"band {gs.n_occ - 1}: p\\^H A p"):
+        solve_on_sphere(swapped, rhs, tol=1e-10, max_iter=2)
 
 
 # -- block solves: every band keeps its own CG ------------------------------------
 
 
-def _block_rhs(gs, seed):
-    raw = real_functions(np.random.default_rng(seed), (gs.n_occ, gs.grids.n_b))
-    return project_out(phi(gs), raw.T).T
-
-
 def test_block_solve_matches_one_row_solves(metal_gs):
+    # a band's CG does not see the other rows: alone among zero rows it gives the same
     gs = metal_gs
-    rhs = _block_rhs(gs, 8)
+    rhs = kept_rhs(gs, 8)
     tols = np.geomspace(1e-6, 1e-11, gs.n_occ)
-    block = solve_on_sphere(gs, range(gs.n_occ), rhs, tols, real_basis(phi(gs)))
+    block = solve_on_sphere(gs, rhs, tols)
     assert isinstance(block.cg_iterations, int)
     assert block.cg_iterations == sum(block.iterations_per_band)
     for n in range(gs.n_occ):
-        one = solve_on_sphere(gs, [n], rhs[n:n + 1], tols[n], real_basis(phi(gs)))
-        assert block.iterations_per_band[n] == one.iterations_per_band[0] == one.cg_iterations
-        assert (np.linalg.norm(block.solution[n] - one.solution[0])
-                <= 1e-12 * np.linalg.norm(one.solution[0]))
+        alone = np.zeros_like(rhs)
+        alone[n] = rhs[n]
+        one = solve_on_sphere(gs, alone, tols)
+        assert block.iterations_per_band[n] == one.iterations_per_band[n]
+        assert one.cg_iterations == one.iterations_per_band[n] + gs.n_occ - 1
+        assert (np.linalg.norm(block.solution[n] - one.solution[n])
+                <= 1e-12 * np.linalg.norm(one.solution[n]))
         assert block.final_residual_norm[n] <= tols[n]
 
 
 def test_zero_rhs_row_costs_one_application(metal_gs, h_applications):
     gs = metal_gs
-    rhs = _block_rhs(gs, 9)
+    rhs = kept_rhs(gs, 9)
     bands = range(gs.n_occ)
-    full = solve_on_sphere(gs, bands, rhs, 1e-9, real_basis(phi(gs)))
+    full = solve_on_sphere(gs, rhs, 1e-9)
     rhs[1] = 0.0
     before = h_applications()
-    zeroed = solve_on_sphere(gs, bands, rhs, 1e-9, real_basis(phi(gs)))
+    zeroed = solve_on_sphere(gs, rhs, 1e-9)
     assert h_applications() - before == zeroed.cg_iterations
     assert zeroed.iterations_per_band[1] == 1
     assert np.linalg.norm(zeroed.solution[1]) == 0.0
@@ -221,10 +228,10 @@ def test_zero_rhs_row_costs_one_application(metal_gs, h_applications):
 
 def test_counter_sums_per_band_iterations_as_bands_drop_out(metal_gs, h_applications):
     gs = metal_gs
-    rhs = _block_rhs(gs, 10)
+    rhs = kept_rhs(gs, 10)
     tols = np.full(gs.n_occ, 1e-11)
     tols[::2] = 1e-4                        # these bands stop early
-    result = solve_on_sphere(gs, range(gs.n_occ), rhs, tols, real_basis(phi(gs)))
+    result = solve_on_sphere(gs, rhs, tols)
     assert h_applications() == result.cg_iterations == sum(result.iterations_per_band)
     iters = np.array(result.iterations_per_band)
     assert iters[::2].max() < iters[1::2].min()
@@ -233,14 +240,13 @@ def test_counter_sums_per_band_iterations_as_bands_drop_out(metal_gs, h_applicat
 
 def test_stall_cost_counts_converged_and_stalled_bands(metal_gs, h_applications):
     gs = metal_gs
-    rhs = _block_rhs(gs, 11)
-    basis = real_basis(phi(gs))
+    rhs = kept_rhs(gs, 11)
     tols = np.full(gs.n_occ, 1e-14)
     tols[0] = 1e-4
-    early = solve_on_sphere(gs, [0], rhs[:1], tols[0], basis).cg_iterations
+    early = solve_on_sphere(gs, rhs, tols[0]).iterations_per_band[0]
     before = h_applications()
     with pytest.raises(NonConvergenceError) as err:
-        solve_on_sphere(gs, range(gs.n_occ), rhs, tols, basis, max_iter=early + 3)
+        solve_on_sphere(gs, rhs, tols, max_iter=early + 3)
     assert err.value.cost == h_applications() - before == early + (gs.n_occ - 1) * (early + 3)
 
 
@@ -364,10 +370,9 @@ def textbook_cg(gs, n, b, tol, phi):
 @pytest.mark.parametrize("fixture", ["metal_gs", "tiny_gs"])
 def test_real_block_cg_matches_textbook_complex_cg(fixture, request):
     gs = request.getfixturevalue(fixture)
-    basis = real_basis(phi(gs))
     for seed, tol in ((22, 1e-6), (23, 1e-10), (24, 1e-13)):
-        rhs = _block_rhs(gs, seed)
-        block = solve_on_sphere(gs, range(gs.n_occ), rhs, tol, basis)
+        rhs = kept_rhs(gs, seed)
+        block = solve_on_sphere(gs, rhs, tol)
         for n in range(gs.n_occ):
             x, iterations = textbook_cg(gs, n, rhs[n], tol, phi(gs))
             assert block.iterations_per_band[n] == iterations
@@ -401,24 +406,23 @@ def test_complex_gauge_rhs_rejected(metal_gs):
     # i b for a real function b: in range(Q) and of the right shape, but T (i b)
     # is imaginary, and a solve of its real part alone would be wrong
     gs = metal_gs
-    rhs = _block_rhs(gs, 25)
-    basis = real_basis(phi(gs))
-    solve_on_sphere(gs, range(gs.n_occ), rhs, 1e-8, basis)
+    rhs = kept_rhs(gs, 25)
+    solve_on_sphere(gs, rhs, 1e-8)
     rhs[1] *= np.exp(0.25j)
     with pytest.raises(ValueError, match="row 1 is not a real function"):
-        solve_on_sphere(gs, range(gs.n_occ), rhs, 1e-8, basis)
+        solve_on_sphere(gs, rhs, 1e-8)
     with pytest.raises(ValueError, match="not a real function"):
-        solve_on_sphere(gs, [0], 1j * _block_rhs(gs, 26)[:1], 1e-8, basis)
+        solve_on_sphere(gs, 1j * kept_rhs(gs, 26), 1e-8)
 
 
 def test_complex_rhs_raises_before_any_hamiltonian_application(metal_gs, h_applications):
     # the solver takes real cos/sin rows only, even when the imaginary part is zero
     gs = metal_gs
-    rows = real_rows(to_cos_sin(_block_rhs(gs, 25)), atol=1e-8)
+    rows = real_rows(to_cos_sin(kept_rhs(gs, 25)), atol=1e-8)
     with pytest.raises(TypeError, match="real cos/sin rows"):
-        solve_sternheimer(gs, range(gs.n_occ), rows.astype(complex), 1e-8, gs.u)
+        solve_sternheimer(gs, rows.astype(complex), 1e-8)
     assert h_applications() == 0
-    solve_sternheimer(gs, range(gs.n_occ), rows, 1e-8, gs.u)
+    solve_sternheimer(gs, rows, 1e-8)
     assert h_applications() > 0
 
 
@@ -462,18 +466,17 @@ def test_one_row_cg_matches_dense_pseudo_inverse(center, amplitude, width, n_kep
     grids = build_grids(lattice, model.e_cut)
     assert grids.n_g <= 400
     v = external_potential(model, grids)
-    eps, u = np.linalg.eigh(real_hamiltonian(grids, v))
+    eps, u = diagonalize_dense(grids, v, grids.n_b)        # each eigenvector in one sector
     gaps = eps[n_kept] - eps[:n_kept]
     assume(gaps.min() > 1e-3)
     gs = GroundState(model=model, grids=grids, u=u[:, :n_kept], eps=eps[:n_kept],
                      occ=np.zeros(n_kept), fermi_level=0.0, rho=np.zeros(grids.n_g),
                      n_occ=n_kept, v_local=v)
-    basis = u[:, :n_kept]
     rng = np.random.default_rng(seed)
     rows = rng.standard_normal((n_kept, grids.n_b))
-    rows -= (rows @ basis) @ basis.T
+    rows -= (rows @ gs.u) @ gs.u.T
     tol = 10.0 ** log_tol * np.linalg.norm(rows, axis=1)
-    result = solve_on_sphere(gs, range(n_kept), from_cos_sin(rows), tol, basis)
+    result = solve_on_sphere(gs, from_cos_sin(rows), tol)
     perp = u[:, n_kept:]
     for n in range(n_kept):
         exact = perp @ ((perp.T @ rows[n]) / (eps[n_kept:] - eps[n]))
