@@ -70,31 +70,36 @@ def _known_keys(d: dict, cls, where: str) -> dict:
         if kind not in _JSON_TYPES or (value is None and known[key].default is None):
             continue
         accepted, name = _JSON_TYPES[kind]
-        if (isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted)
-                or (kind is float and not abs(value) < np.inf)):     # NaN, +-Infinity
+        if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
             raise ConfigurationError(f"config key {key!r} in {where} must be {name}, "
                                      f"got {value!r}")
+        if kind is float:
+            _finite_numbers(value, key, where, shape=())
     return d
 
 
-def _finite_vector(value, key: str, where: str) -> np.ndarray:
-    """`value` as a float 3-vector; raise naming `key` unless it is three finite numbers."""
+def _finite_numbers(value, key: str, where: str, shape=(3,)) -> np.ndarray:
+    """`value` as a float array of `shape`; raise naming `key` unless it holds that many
+    finite numbers (not NaN, +-Infinity or an integer too large for a double)."""
     try:
-        vector = np.asarray(value, dtype=float)
-        if vector.shape == (3,) and np.all(np.isfinite(vector)):
-            return vector
-    except (TypeError, ValueError):
+        array = np.asarray(value, dtype=float)
+        if array.shape == shape and np.all(np.isfinite(array)):
+            return array
+    except (TypeError, ValueError, OverflowError):
         pass
-    raise ConfigurationError(f"config key {key!r} in {where} must be three finite numbers, "
-                             f"got {value!r}")
+    what = {(): "a finite number", (3,): "three finite numbers"}.get(
+        shape, "three rows of three finite numbers")
+    raise ConfigurationError(f"config key {key!r} in {where} must be {what}, got {value!r}")
 
 
 def model_from_dict(d: dict) -> ModelSpec:
     _known_keys(d, ModelSpec, "model")
+    if "lattice" in d:
+        _finite_numbers(d["lattice"], "lattice", "model", shape=(3, 3))
     for g in d.get("gaussians", []):
         _known_keys(g, GaussianWell, "a gaussian")
         if "center" in g:
-            _finite_vector(g["center"], "center", "a gaussian")
+            _finite_numbers(g["center"], "center", "a gaussian")
     try:
         lattice = Lattice.from_vectors(*d["lattice"])
         gaussians = tuple(
@@ -140,7 +145,7 @@ def config_from_dict(d: dict) -> ExperimentConfig:
     scf = ScfParams(**_known_keys(d.get("scf", {}), ScfParams, "scf"))
     resp = dict(_known_keys(d.get("response", {}), ResponseParams, "response"))
     pert = Perturbation(**_known_keys(resp.pop("perturbation", {}), Perturbation, "perturbation"))
-    direction = _finite_vector(pert.direction, "direction", "perturbation")
+    direction = _finite_numbers(pert.direction, "direction", "perturbation")
     if not np.linalg.norm(direction) > 0:
         raise ConfigurationError("perturbation direction must be a nonzero 3-vector")
     response = ResponseParams(perturbation=Perturbation(
@@ -159,7 +164,7 @@ def load_config(path: str) -> ExperimentConfig:
     with open(path) as fh:
         try:
             raw = json.load(fh)
-        except json.JSONDecodeError as err:
+        except ValueError as err:           # also an integer of more digits than Python reads
             raise ConfigurationError(f"{path}: not valid JSON ({err})") from None
     return config_from_dict(raw)
 

@@ -497,10 +497,12 @@ class GroundState:
     Quantities derived for a response solve are cached until
     `drop_derived`, which `run_response` calls when it ends: the occupied
     orbitals on the grid (`psi_occ_real`), the Sternheimer operator
-    (`sternheimer.hamiltonian`), the kept bands and the kinetic diagonal
-    in its sectors (`sternheimer.sector_constants`), the bands' kinetic
-    energies (`sternheimer.kinetic_energies`) and the row norm
-    (`response._cached_row_norm`).
+    (`sternheimer.hamiltonian`), the kept bands and the preconditioner
+    in its sectors (`sternheimer.sector_constants`) and their cuts for each
+    set of kept sectors a CG group meets (`sternheimer._group_constants`),
+    the bands' kinetic energies (`sternheimer.kinetic_energies`), the
+    occupied pair weights (`response._occupied_pair_weights`) and the row
+    norm (`response._cached_row_norm`).
     """
 
     model: ModelSpec

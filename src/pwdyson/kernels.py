@@ -41,12 +41,10 @@ def hartree_potential(grids: FourierGrids, rho: np.ndarray) -> np.ndarray:
     """Zero-mean solution of -Laplacian v = 4 pi (rho - mean rho).
 
     4 pi / |G|^2 in Fourier space with the G = 0 entry zero
-    (compensating background charge).
+    (compensating background charge): `grids.coulomb_half`.
     """
     rhof = grids.cube_rfft(rho)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rhof *= 4 * np.pi / grids.g2_half
-    rhof[grids.g2_half == 0] = 0.0
+    rhof *= grids.coulomb_half
     return grids.cube_irfft(rhof)
 
 

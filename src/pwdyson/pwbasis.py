@@ -26,9 +26,9 @@ The transforms are one band-batched real pair on cos/sin rows,
 with W the unitary DFT, Z the sphere-into-cube zero-padding isometry and
 w = sqrt(|Omega|) / sqrt(n_g): `to_real_many` returns unscaled function
 values on the grid and `to_fourier_many . to_real_many` is the identity
-on cos/sin rows.  They run a half-spectrum `irfft`/`rfft` along x and
-complex FFTs along y and z over only the lines that hold sphere points of
-the half spectrum kx >= 0.
+on cos/sin rows.  They run a half-spectrum `irfft`/`rfft` along x, and
+between the (ky, kz) plane and the lines that hold sphere points of the
+half spectrum kx >= 0 one small complex matrix product.
 
 A coordinate mirror i_a -> -i_a, an exchange i_a <-> i_b of two axes
 (the mirror through the plane i_a = i_b) and the product of two
@@ -196,6 +196,7 @@ class FourierGrids:
         g2_cube: (n_g,) squared norms on the cube, flat x-fastest.
         g2_half: (Nz, Ny, Nx//2 + 1) the same on the half spectrum of
             `cube_rfft`.
+        coulomb_half: 4 pi / |G|^2 on that half spectrum, 0 at G = 0.
         mirrors: the coordinate mirrors, axis exchanges and mirror
             products (`Mirror`, in the order of `_operations`) that map the
             sphere onto itself with |G| unchanged; an exchange of two axes
@@ -245,27 +246,29 @@ class FourierGrids:
 
         # Pruning tables of the real pair.  A real function's coefficients
         # obey c_-G = conj c_G, so the half spectrum kx >= 0 (wrapped x
-        # below nx / 2) holds all of them.  Its points lie on z-lines
-        # (kx, ky); `to_real_many` transforms along z only those lines,
-        # along y only the sphere's kx >= 0 columns, and then runs one
-        # real `irfft` along x; `to_fourier_many` runs the same passes
-        # backwards.
+        # below nx / 2) holds all of them.  Its points lie on (ky, kz)
+        # lines; the pair maps those lines to the whole (ky, kz) plane by
+        # one matrix product, `_plane`, and runs one real FFT along x.
         h = self.n_b // 2
         wx, wy, wz = wrapped.T
         half = np.flatnonzero(wx < nx // 2)
-        self._half_x, x_of = np.unique(wx[half], return_inverse=True)
-        lines, line_of = np.unique(x_of + len(self._half_x) * wy[half], return_inverse=True)
-        self._line_x, self._line_y = lines % len(self._half_x), lines // len(self._half_x)
-        self._half_z, self._half_line = wz[half], line_of
+        lines, line_of = np.unique(wy[half] + ny * wz[half], return_inverse=True)
+        self._n_x = int(np.max(wx[half])) + 1
+        self._half_at = line_of * self._n_x + wx[half]   # flat index in (line, kx)
+        # _plane[iy + ny iz, l] = exp(2 pi i (ky_l iy / ny + kz_l iz / nz)),
+        # the inverse DFT of the plane from line l, phases reduced mod N
+        phase_y = np.exp(2j * np.pi * (np.outer(np.arange(ny), lines % ny) % ny) / ny)
+        phase_z = np.exp(2j * np.pi * (np.outer(np.arange(nz), lines // ny) % nz) / nz)
+        self._plane = (phase_z[:, None] * phase_y[None]).reshape(ny * nz, len(lines))
+        self._plane_h = np.ascontiguousarray(self._plane.conj().T)
         # c_s = (a_s u[cos_s] + i b_s u[sin_s]) / sqrt|Omega| for the half's
         # points s, from T^H; G = 0 has a = 1, b = 0
         mirror = self.n_b - 1 - half
         self._half_cos, self._half_sin = np.minimum(half, mirror), np.maximum(half, mirror)
         self._half_re = np.where(half == h, 1.0, _SQRT_HALF) / np.sqrt(lattice.volume)
         self._half_im = np.sign(half - h) * _SQRT_HALF / np.sqrt(lattice.volume)
-        # the sphere's upper half (index >= h, G = 0 first) on those lines
-        upper = np.searchsorted(half, np.arange(h, self.n_b))
-        self._upper_z, self._upper_line = self._half_z[upper], self._half_line[upper]
+        # the sphere's upper half (index >= h, G = 0 first) in (line, kx)
+        self._upper_at = self._half_at[np.searchsorted(half, np.arange(h, self.n_b))]
 
         # Signed integer coordinates of every cube point, x fastest.
         freqs = [np.fft.fftfreq(n, 1.0 / n).astype(int) for n in self.cube_dims]
@@ -275,6 +278,8 @@ class FourierGrids:
         self.g2_cube = np.einsum("ij,ij->i", cube_cart, cube_cart)
         self.g2_half = np.ascontiguousarray(
             self.g2_cube.reshape(self._cube_shape)[..., :nx // 2 + 1])
+        self.coulomb_half = np.divide(4 * np.pi, self.g2_half, where=self.g2_half != 0,
+                                      out=np.zeros_like(self.g2_half))
 
         # Involutions i -> R i that map the sphere onto itself with |G|
         # unchanged (every mirror of an orthorhombic cell, and the exchange of
@@ -344,8 +349,9 @@ class FourierGrids:
     def to_real_many(self, rows: np.ndarray) -> np.ndarray:
         """Real functions on the grid, (k, n_g), from (k, n_b) real cos/sin rows u = T c.
 
-        w^-1 W^-1 Z T^H u for each row; z-lines, then y, then one
-        half-spectrum `irfft` along x.  Complex rows raise TypeError.
+        w^-1 W^-1 Z T^H u for each row; the (ky, kz) plane from the
+        sphere's lines by one matrix product, then one half-spectrum
+        `irfft` along x.  Complex rows raise TypeError.
         """
         if np.iscomplexobj(rows):
             raise TypeError("to_real_many takes real cos/sin rows")
@@ -353,36 +359,31 @@ class FourierGrids:
         if rows.shape != (k, self.n_b):
             raise ValueError(f"expected (k, {self.n_b}) cos/sin rows, got {rows.shape}")
         nz, ny, nx = self._cube_shape
-        lines = np.zeros((k, len(self._line_x), nz), dtype=np.complex128)
-        lines.real[:, self._half_line, self._half_z] = rows[:, self._half_cos] * self._half_re
-        lines.imag[:, self._half_line, self._half_z] = rows[:, self._half_sin] * self._half_im
-        np.fft.ifft(lines, axis=2, norm="forward", out=lines)
-        columns = np.zeros((k, nz, ny, len(self._half_x)), dtype=np.complex128)
-        columns[:, :, self._line_y, self._line_x] = lines.transpose(0, 2, 1)
-        np.fft.ifft(columns, axis=2, norm="forward", out=columns)
-        spectrum = np.zeros((k, nz, ny, nx // 2 + 1), dtype=np.complex128)
-        spectrum[..., self._half_x] = columns
-        values = np.fft.irfft(spectrum, n=nx, axis=3, norm="forward")
+        lines = np.zeros((k, len(self._plane_h), self._n_x), dtype=np.complex128)
+        flat = lines.reshape(k, -1)
+        flat.real[:, self._half_at] = rows[:, self._half_cos] * self._half_re
+        flat.imag[:, self._half_at] = rows[:, self._half_sin] * self._half_im
+        spectrum = np.zeros((k, ny * nz, nx // 2 + 1), dtype=np.complex128)
+        np.matmul(self._plane, lines, out=spectrum[..., :self._n_x])
+        values = np.fft.irfft(spectrum, n=nx, axis=2, norm="forward")
         return values.reshape(k, self.n_g)
 
     def to_fourier_many(self, values: np.ndarray) -> np.ndarray:
         """Real cos/sin rows T c, (k, n_b), of the sphere projection of (k, n_g) real grid values.
 
-        T w Z^T W of each row; one `rfft` along x, then y on the sphere's
-        kx >= 0 columns, then z on its lines.  Complex values raise
-        TypeError rather than lose their imaginary part.
+        T w Z^T W of each row; one `rfft` along x, then the sphere's
+        (ky, kz) lines from the plane by one matrix product.  Complex
+        values raise TypeError rather than lose their imaginary part.
         """
         if np.iscomplexobj(values):
             raise TypeError("to_fourier_many takes real grid values")
         k = len(values)
         if values.shape != (k, self.n_g):
             raise ValueError(f"expected (k, {self.n_g}) grid values, got {values.shape}")
-        spectrum = np.fft.rfft(values.reshape(k, *self._cube_shape), axis=3)
-        columns = spectrum[..., self._half_x]
-        np.fft.fft(columns, axis=2, out=columns)
-        lines = columns[:, :, self._line_y, self._line_x]
-        np.fft.fft(lines, axis=1, out=lines)
-        upper = lines[:, self._upper_z, self._upper_line]
+        nz, ny, nx = self._cube_shape
+        spectrum = np.fft.rfft(values.reshape(k, ny * nz, nx), axis=2)
+        lines = np.matmul(self._plane_h, spectrum[..., :self._n_x])
+        upper = lines.reshape(k, -1)[:, self._upper_at]
         h = self.n_b // 2
         rows = np.empty((k, self.n_b))
         np.multiply(upper[:, 0].real, self._to_fourier_scale, out=rows[:, h])

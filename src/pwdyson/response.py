@@ -77,19 +77,18 @@ def _occupied_pair_weights(gs: GroundState) -> np.ndarray:
     Degenerate pairs use the derivative f'_n for the divided difference.
     The diagonal is zero: the delta_f term carries the full first-order
     occupation response, which is what keeps chi0 of a constant zero
-    for metals.
+    for metals.  Computed once per state.
     """
-    f = gs.occ_occ
-    eps = gs.eps_occ
-    fprime = gs.fprime_occ()
-    n = gs.n_occ
-    de = eps[None, :] - eps[:, None]               # eps_n - eps_m at [m, n]
-    df = f[None, :] - f[:, None]
-    degenerate = np.abs(de) <= DEGENERACY_RTOL * np.maximum(1.0, np.abs(eps[None, :]))
-    ratio = np.where(degenerate, fprime[None, :], df / np.where(degenerate, 1.0, de))
-    weights = ratio * f[None, :] / (f[None, :] ** 2 + f[:, None] ** 2)
-    np.fill_diagonal(weights, 0.0)
-    return weights
+    def compute():
+        f, eps = gs.occ_occ, gs.eps_occ
+        de = eps[None, :] - eps[:, None]               # eps_n - eps_m at [m, n]
+        df = f[None, :] - f[:, None]
+        degenerate = np.abs(de) <= DEGENERACY_RTOL * np.maximum(1.0, np.abs(eps[None, :]))
+        ratio = np.where(degenerate, gs.fprime_occ()[None, :], df / np.where(degenerate, 1.0, de))
+        weights = ratio * f[None, :] / (f[None, :] ** 2 + f[:, None] ** 2)
+        np.fill_diagonal(weights, 0.0)
+        return weights
+    return gs.derived("pair_weights", compute)
 
 
 def _occupied_orbital_response(gs: GroundState, m: np.ndarray) -> np.ndarray:

@@ -26,18 +26,19 @@ The CG works in the adapted basis S of `pwbasis.SectorBasis`: the
 mirrors, mirror products and axis exchanges that leave v_local unchanged
 commute with H_r, so H_r is block-diagonal there, one block per sector
 (a character of their group), and `groundstate.sector_hamiltonian` holds
-only those blocks.  The kept bands and the kinetic diagonal are mapped
-into S once per ground state (`sector_constants`), and the blocks are
-built once per ground state (`hamiltonian`); every solve on that state
-uses them.  A solve maps the right-hand sides into S once and the
-solutions back.  Every kept band lies in one sector (the SCF's `eigh`
-runs per block, and `sector_constants` checks it), so Q, A_n and the
-preconditioner are block-diagonal too, and a band's CG on one sector
-never touches another: each band runs only on the sectors its
-right-hand side occupies, with parts within its tolerance skipped and
-counted in its residual, and the bands that keep the same sectors run
-together on those sectors' coefficients, blocks and kept bands alone
-(Baroni, de Gironcoli, Dal Corso and Giannozzi, Rev. Mod. Phys. 73, 515
+only those blocks.  The kept bands and the preconditioner are mapped
+into S once per ground state (`sector_constants`), and cut to the
+sectors a group of bands keeps once per state and set of sectors
+(`_group_constants`); the blocks are built once per ground state
+(`hamiltonian`); every solve on that state uses them.  A solve maps the
+right-hand sides into S once and the solutions back.  Every kept band
+lies in one sector (the SCF's `eigh` runs per block, and
+`sector_constants` checks it), so Q, A_n and the preconditioner are
+block-diagonal too, and a band's CG on one sector never touches
+another: each band runs only on the sectors its right-hand side
+occupies, with parts within its tolerance skipped and counted in its
+residual, and the bands that keep the same sectors run together on
+those sectors' coefficients, blocks and kept bands alone (Baroni, de Gironcoli, Dal Corso and Giannozzi, Rev. Mod. Phys. 73, 515
 (2001), use the same selection rules).  With no symmetry there is one
 sector, S is the identity and the block is H_r.
 
@@ -120,11 +121,12 @@ def _sector_weights(rows: np.ndarray, sectors) -> np.ndarray:
 
 
 def sector_constants(gs: GroundState):
-    """(u S, the sector of each kept band, |G|^2 / 2 on the orbits), computed once per state.
+    """(u S, the sector of each kept band, the occupied bands' preconditioner), once per state.
 
     The CG's per-state constants in the adapted basis of `hamiltonian`:
     the kept bands as (n_b, n_kept) columns with the sector holding most
-    of each one's norm, and the kinetic diagonal, one value per orbit.
+    of each one's norm, and diag(1/(|G|^2/2 + T_n)) of every occupied band
+    n as one (n_occ, n_b) row each.
 
     Raises:
         InvariantViolationError: a kept band holds more than
@@ -144,8 +146,31 @@ def sector_constants(gs: GroundState):
             raise InvariantViolationError(
                 f"kept band {n} spans several sectors: {share:.2e} of its norm lies outside "
                 f"sector {main[n]} (limit {SECTOR_LEAK_RTOL:.0e})")
-        return np.ascontiguousarray(rows.T), main, 0.5 * gs.grids.g2_sphere[sectors.orbit_index]
+        kinetic = 0.5 * gs.grids.g2_sphere[sectors.orbit_index]
+        minv = 1.0 / (kinetic + kinetic_energies(gs)[:gs.n_occ, None])
+        return np.ascontiguousarray(rows.T), main, minv
     return gs.derived("sector_constants", compute)
+
+
+def _group_constants(gs: GroundState, code: int):
+    """(columns, sector indices, kept bands, preconditioner) of the sectors in bit set `code`.
+
+    The columns of those sectors in the adapted basis, a slice when they
+    are consecutive; their indices; the kept bands in them restricted to
+    those columns; and `sector_constants`' preconditioner on those
+    columns.  Computed once per state and `code`.
+    """
+    def compute():
+        basis, basis_sector, minv = sector_constants(gs)
+        sectors = hamiltonian(gs).basis.sectors
+        kept = [c for c in range(len(sectors)) if code >> c & 1]
+        columns = np.concatenate([np.arange(sectors[c].start, sectors[c].stop) for c in kept])
+        if columns[-1] - columns[0] == len(columns) - 1:
+            columns = slice(int(columns[0]), int(columns[-1]) + 1)
+        if len(kept) < len(sectors):
+            basis = basis[columns][:, np.isin(basis_sector, kept)]
+        return columns, kept, basis, np.ascontiguousarray(minv[:, columns])
+    return gs.derived(f"sternheimer_group_{code}", compute)
 
 
 def solve_sternheimer(gs: GroundState, rhs: np.ndarray, tol,
@@ -203,7 +228,6 @@ def solve_sternheimer(gs: GroundState, rhs: np.ndarray, tol,
         max_iter = 10 * n_b
     ham = hamiltonian(gs)
     sectors = ham.basis.sectors
-    basis, basis_sector, kinetic = sector_constants(gs)
 
     rows = ham.basis.to_sectors(rhs)
     weights = _sector_weights(rows, sectors)
@@ -214,7 +238,6 @@ def solve_sternheimer(gs: GroundState, rhs: np.ndarray, tol,
     np.put_along_axis(keep, order, ~skip, axis=1)
     skipped = np.sum(weights, axis=1, where=~keep)
     target = np.where(skipped > 0, np.sqrt(tol ** 2 - skipped), tol)
-    minv = 1.0 / (kinetic + kinetic_energies(gs)[:k, None])
 
     solution = np.zeros((k, n_b))
     residual = np.zeros(k)
@@ -222,15 +245,13 @@ def solve_sternheimer(gs: GroundState, rhs: np.ndarray, tol,
     codes = keep @ (1 << np.arange(len(sectors)))
     for code in np.unique(codes):
         members = np.flatnonzero(codes == code)
-        kept = np.flatnonzero(keep[members[0]])
-        columns = np.concatenate([np.arange(sectors[c].start, sectors[c].stop) for c in kept])
-        group_basis = (basis if len(kept) == len(sectors)
-                       else basis[columns][:, np.isin(basis_sector, kept)])
+        columns, kept, group_basis, minv = _group_constants(gs, int(code))
+        at = (members, columns) if isinstance(columns, slice) else np.ix_(members, columns)
         x, res, steps = _lockstep_cg(
-            lambda p, out: ham.apply(p, out=out, sectors=kept), rows[np.ix_(members, columns)],
-            group_basis, minv[np.ix_(members, columns)], gs.eps[members][:, None],
-            target[members], max_iter, members, int(iterations.sum()))
-        solution[np.ix_(members, columns)] = x
+            lambda p, out: ham.apply(p, out=out, sectors=kept), rows[at], group_basis,
+            minv[members], gs.eps[members][:, None], target[members], max_iter, members,
+            int(iterations.sum()))
+        solution[at] = x
         residual[members], iterations[members] = res, steps
 
     return SternheimerResult(solution=ham.basis.from_sectors(solution),
@@ -244,8 +265,8 @@ def _lockstep_cg(apply, r0: np.ndarray, basis: np.ndarray, minv: np.ndarray, eps
     """The projected preconditioned CG of every row of r0 in lockstep: (x, residuals, iterations).
 
     Rows and the basis hold the same coefficients of the adapted basis;
-    `apply(p, out)` writes p H.  `spent` is what earlier groups cost, for
-    the NonConvergenceError.
+    `apply(p, out)` writes p H.  `minv` is overwritten.  `spent` is what
+    earlier groups cost, for the NonConvergenceError.
     """
     k, m = r0.shape
     # Work buffers, (k, m): row n is band n.  The first `n` rows are the
@@ -253,77 +274,82 @@ def _lockstep_cg(apply, r0: np.ndarray, basis: np.ndarray, minv: np.ndarray, eps
     # buffer, and the search direction and -A p another, so one broadcast
     # update advances both.
     work = np.zeros((7, k, m))
-    xr, pa, update = work[0:2], work[2:4], work[4:6]
-    x, r = xr
-    p, nap = pa
-    z, tmp = work[6], update[0]
-    r[:] = r0
+    work[1] = r0
     coef = np.empty((k, basis.shape[1]))
     alpha = np.empty(k)
+    basis_t = basis.T
 
-    def project(a, n):
-        """a[:n] <- Q a[:n] in place."""
-        c = coef[:n]
-        np.matmul(a[:n], basis, out=c)
-        np.matmul(c, basis.T, out=tmp[:n])
-        a[:n] -= tmp[:n]
+    def rows(n):
+        """Views of the first n rows of every buffer."""
+        xr, pa, update = work[0:2, :n], work[2:4, :n], work[4:6, :n]
+        return (xr, pa, update, xr[0], xr[1], pa[0], pa[1], work[6, :n], update[0], coef[:n],
+                alpha[:n], minv[:n])
+
+    def project(a, c, tmp):
+        """a <- Q a in place."""
+        np.matmul(a, basis, out=c)
+        np.matmul(c, basis_t, out=tmp)
+        a -= tmp
 
     solution = np.zeros((k, m))
     residual = np.zeros(k)
     iterations = np.zeros(k, dtype=int)
 
     live = np.arange(k)                     # bands still iterating
-    n = k
-    np.multiply(minv, r, out=p)
-    project(p, n)
+    xr, pa, update, x, r, p, nap, z, tmp, c, step_length, mv = rows(k)
+    np.multiply(mv, r, out=p)
+    project(p, c, tmp)
     rz = np.vecdot(r, p)
     step = 0
 
     while True:
-        apply(p[:n], nap[:n])
-        np.multiply(eps, p[:n], out=tmp[:n])
-        np.subtract(tmp[:n], nap[:n], out=nap[:n])
+        apply(p, nap)
+        np.multiply(eps, p, out=tmp)
+        np.subtract(tmp, nap, out=nap)
         step += 1
-        denom = -np.vecdot(p[:n], nap[:n])
+        denom = -np.vecdot(p, nap)
         curved = denom > 0
-        step_length = alpha[:n]
-        step_length.fill(0.0)
-        np.divide(rz, denom, out=step_length, where=curved)
-        np.multiply(step_length[:, None], pa[:, :n], out=update[:, :n])
-        xr[:, :n] += update[:, :n]              # x += alpha p, r -= alpha A p
-        project(r, n)
-        res = np.sqrt(np.vecdot(r[:n], r[:n]))
+        bent = curved.all()
+        if bent:
+            np.divide(rz, denom, out=step_length)
+        else:
+            step_length.fill(0.0)
+            np.divide(rz, denom, out=step_length, where=curved)
+        np.multiply(step_length[:, None], pa, out=update)
+        xr += update                            # x += alpha p, r -= alpha A p
+        project(r, c, tmp)
+        res = np.sqrt(np.vecdot(r, r))
         done = res <= tol
-        flat = ~done & ~curved
-        if flat.any():
-            j = np.flatnonzero(flat)[0]
+        if not bent and (~done & ~curved).any():
+            j = np.flatnonzero(~done & ~curved)[0]
             raise InvariantViolationError(
                 f"Sternheimer CG for band {bands[live[j]]}: p^H A p = {denom[j]:.3e} <= 0 "
                 f"at residual {res[j]:.3e} (target {tol[j]:.3e}); "
                 "the basis must hold every eigenvector below eps_n")
         if done.any():
-            stopped = x[:n][done]
-            solution[live[done]] = stopped - (stopped @ basis) @ basis.T
+            stopped = x[done]
+            solution[live[done]] = stopped - (stopped @ basis) @ basis_t
             residual[live[done]] = res[done]
             iterations[live[done]] = step
             keep = ~done
             n = int(keep.sum())
             if n == 0:
                 break
-            for a in (x, r, p, minv):
-                a[:n] = a[:len(keep)][keep]
+            for a in (x, r, p, mv):
+                a[:n] = a[keep]
             live, rz, res, tol, eps = (a[keep] for a in (live, rz, res, tol, eps))
+            xr, pa, update, x, r, p, nap, z, tmp, c, step_length, mv = rows(n)
         if step >= max_iter:
             raise NonConvergenceError(
                 f"Sternheimer CG for band {bands[live[0]]} stalled at {res[0]:.3e} "
                 f"(target {tol[0]:.3e})",
-                residual=float(res[0]), cost=spent + int(iterations.sum()) + step * n,
+                residual=float(res[0]), cost=spent + int(iterations.sum()) + step * len(live),
             )
         # rz > 0 for every band still iterating: r != 0 and minv > 0
-        np.multiply(minv[:n], r[:n], out=z[:n])
-        project(z, n)
-        rz_next = np.vecdot(r[:n], z[:n])
-        p[:n] *= (rz_next / rz)[:, None]
-        p[:n] += z[:n]
+        np.multiply(mv, r, out=z)
+        project(z, c, tmp)
+        rz_next = np.vecdot(r, z)
+        p *= (rz_next / rz)[:, None]
+        p += z
         rz = rz_next
     return solution, residual, iterations

@@ -479,7 +479,8 @@ def test_run_response_drops_what_the_solve_derived(metal_gs, monkeypatch):
     monkeypatch.setattr("pwdyson.harness.apply_dielectric", stall)
     with pytest.raises(NonConvergenceError, match="Sternheimer"):
         run_response(tiny_config(metal_gs), gs=metal_gs)
-    assert {"psi_occ_real", "hamiltonian"} <= set(cached)
+    assert {"psi_occ_real", "hamiltonian", "sector_constants"} <= set(cached)
+    assert any(key.startswith("sternheimer_group_") for key in cached)
     assert metal_gs._derived == {}
 
 
@@ -768,11 +769,20 @@ def test_malformed_config_section_rejected(metal_gs, section, value):
     (("response", "perturbation"), "direction", [float("inf"), 0.0, 0.0]),
     (("response", "perturbation"), "direction", [0.0, float("nan"), 1.0]),
     (("response", "perturbation"), "direction", [1.0, 0.0]),
+    # JSON integers have no size limit: one too large for a double is no finite number
+    (("model",), "temperature", 10 ** 400),
+    (("model", "gaussians", 0), "amplitude", -10 ** 400),
+    (("model", "gaussians", 0), "center", [0.3, 10 ** 400, 0.5]),
+    (("response", "perturbation"), "direction", [10 ** 400, 0, 0]),
+    (("model",), "lattice", [[10 ** 400, 0, 0], [0, 3.0, 0], [0, 0, 3.0]]),
+    (("model",), "lattice", [[3.0, 0, 0], [0, 3.0, 0]]),
 ], ids=["response-tau", "response-m", "perturbation-analytic", "scf-damping",
         "scf-max_iter", "model-e_cut", "model-n_electrons", "gaussian-amplitude",
         "response-tau-nan", "gaussian-amplitude-nan", "gaussian-amplitude-inf",
         "gaussian-center-inf", "gaussian-center-string", "perturbation-direction-inf",
-        "perturbation-direction-nan", "perturbation-direction-short"])
+        "perturbation-direction-nan", "perturbation-direction-short", "model-temperature-huge",
+        "gaussian-amplitude-huge", "gaussian-center-huge", "perturbation-direction-huge",
+        "model-lattice-huge", "model-lattice-short"])
 def test_config_value_of_wrong_type_rejected(metal_gs, level, key, value):
     d = _config_dict(metal_gs)
     target = d
@@ -804,6 +814,20 @@ def test_cli_reports_string_number_in_one_line(metal_gs, tmp_path, capsys):
     assert cli.main(["respond", str(path), "-o", str(tmp_path / "out")]) == cli.EXIT_CONFIG
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and "'tau'" in err[0]
+
+
+@pytest.mark.parametrize("key, digits", [("temperature", 401), ("e_cut", 5000)])
+def test_cli_reports_huge_integer_in_one_line(metal_gs, tmp_path, capsys, key, digits):
+    # 401 digits overflow a double; 5000 exceed the digits Python's JSON reader converts
+    d = _config_dict(metal_gs)
+    d["model"][key] = 987654321987
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(d).replace("987654321987", "1" + "0" * (digits - 1)))
+    assert cli.main(["respond", str(path), "-o", str(tmp_path / "out")]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert (f"'{key}' in model must be a finite number" if digits < 4300
+            else "not valid JSON") in err[0]
 
 
 def test_cli_rejects_removed_use_gap_key(metal_gs, tmp_path, capsys):
@@ -856,3 +880,28 @@ def test_the_program_runs_without_scipy():
     assert proc.returncode == 0, proc.stderr
     n_g, converged, n_ham = proc.stdout.split()
     assert int(n_g) <= 400 and converged == "True" and int(n_ham) > 0
+
+
+SETUP_RUN = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import pwdyson.cli
+import pwdyson.harness
+from pwdyson import pwbasis
+import worker
+
+configs = worker.chain_configs(0)       # parsed by config_from_dict
+print(len(configs), "scipy" in sys.modules, pwbasis._last_grids == (None, None))
+"""
+
+
+def test_import_and_config_parsing_load_no_scipy_and_build_no_grid():
+    """What a benchmark process does before its clock starts: imports and the chain's config."""
+    root = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=root)
+    perfbench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                             "perfbench")
+    proc = subprocess.run([sys.executable, "-c", SETUP_RUN, perfbench], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["2", "False", "True"]

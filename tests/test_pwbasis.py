@@ -291,27 +291,50 @@ def test_real_pair_refuses_complex_input():
         grids.to_fourier_many(np.ones(grids.n_g))
 
 
+def plane_lines(grids) -> int:
+    """The (ky, kz) lines that hold sphere points of the half spectrum kx >= 0."""
+    nx, ny, _ = grids.cube_dims
+    wrapped = grids.g_int % np.array(grids.cube_dims)
+    half = wrapped[wrapped[:, 0] < nx // 2]
+    return len(np.unique(half[:, 1] + ny * half[:, 2]))
+
+
+# stretch of (ax, ay, az): "many" gives a thin cell whose wide (ky, kz) plane holds many
+# sphere lines, "few" a long cell like toy_metal's, whose sphere sits on a few lines
+PLANES = {"any": (1.0, 1.0, 1.0), "many": (0.25, 3.0, 3.0), "few": (8.0, 0.5, 0.5)}
+
+
 @given(lengths=st.tuples(*[st.floats(1.5, 5.0)] * 3),
        shear=st.tuples(*[st.floats(-0.6, 0.6)] * 3),
-       n_target=st.floats(1.0, 400.0), seed=st.integers(0, 2**32 - 1))
-@example(lengths=(2 * np.pi,) * 3, shear=(0.0, 0.0, 0.0), n_target=0.09, seed=0)  # gamma only
+       n_target=st.floats(1.0, 400.0), seed=st.integers(0, 2**32 - 1),
+       plane=st.sampled_from(sorted(PLANES)))
+@example(lengths=(2 * np.pi,) * 3, shear=(0.0, 0.0, 0.0), n_target=0.09, seed=0,
+         plane="any")  # gamma only
 # gamma only too: the one sphere coefficient, the mean of the values, nearly cancels
-@example(lengths=(2.0, 2.0, 2.0), shear=(0.0, 0.0, 0.0), n_target=2.0, seed=9934)
-@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-def test_real_pair_matches_full_cube_fft(lengths, shear, n_target, seed):
+@example(lengths=(2.0, 2.0, 2.0), shear=(0.0, 0.0, 0.0), n_target=2.0, seed=9934, plane="any")
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_real_pair_matches_full_cube_fft(lengths, shear, n_target, seed, plane):
     """The real pair against `ifftn`/`fftn` of the zero-padded cube, plus the sphere round trip.
 
     Orthorhombic cells (zero shear) and sheared ones, with the cutoff
-    chosen for about n_target sphere points; n_b <= 400.  The forward
-    transform's round-off scales with its input, w ||values|| (w the FFT
-    normalisation), not with its output, which can cancel almost entirely
-    when the sphere holds few points.
+    chosen for about n_target sphere points; n_b <= 400.  `plane` draws
+    cells whose (ky, kz) plane is at least 12 x 12 with many sphere
+    lines, or a few lines only, so the matrix product between lines and
+    plane runs at both ends.  The forward transform's round-off scales
+    with its input, w ||values|| (w the FFT normalisation), not with its
+    output, which can cancel almost entirely when the sphere holds few
+    points.
     """
-    ax, ay, az = lengths
+    ax, ay, az = np.multiply(lengths, PLANES[plane])
     lattice = Lattice.from_vectors([ax, 0, 0], [shear[0], ay, 0], [shear[1], shear[2], az])
     e_cut = 0.5 * (n_target * 3 * np.pi**2 / (np.sqrt(2.0) * lattice.volume)) ** (2 / 3)
     grids = FourierGrids(lattice, e_cut)
     assume(grids.n_b <= 400)
+    _, ny, nz = grids.cube_dims
+    if plane == "many":
+        assume(ny >= 12 and nz >= 12)
+    if plane == "few":
+        assume(plane_lines(grids) <= 9)
     ref_real, ref_fourier = full_cube_transforms(grids)
     rng = np.random.default_rng(seed)
     rows = rng.standard_normal((3, grids.n_b))

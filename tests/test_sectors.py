@@ -316,6 +316,33 @@ def test_zero_rhs_costs_one_application_per_band_on_a_state_with_sectors(mirror_
     gs.drop_derived()
 
 
+def test_drop_derived_forgets_the_group_tables_and_the_solve_repeats_bit_for_bit(toy_metal):
+    # bands keeping one sector, all four, two apart (gathered columns) and two adjacent
+    # (a slice); the kept bands of toy_metal all lie in sector 0
+    _, gs = toy_metal
+    gs.drop_derived()
+    sectors = hamiltonian(gs).basis
+    kept_sets = [(0,), (0, 1, 2, 3), (1, 3), (2, 3), (0, 2)]
+    rng = np.random.default_rng(43)
+    rows = np.zeros((gs.n_occ, gs.grids.n_b))
+    for n in range(gs.n_occ):
+        for c in kept_sets[n % len(kept_sets)]:
+            s = sectors.sectors[c]
+            rows[n, s] = rng.standard_normal(s.stop - s.start)
+    rhs = project_out_occupied(gs.u, sectors.from_sectors(rows).T).T
+    before = solve_sternheimer(gs, rhs, 1e-8)
+    groups = {key for key in gs._derived if key.startswith("sternheimer_group_")}
+    assert groups == {f"sternheimer_group_{sum(1 << c for c in kept)}" for kept in kept_sets}
+    gs.drop_derived()
+    assert gs._derived == {}
+    after = solve_sternheimer(gs, rhs, 1e-8)
+    assert np.array_equal(after.solution, before.solution)
+    assert np.array_equal(after.final_residual_norm, before.final_residual_norm)
+    assert after.iterations_per_band == before.iterations_per_band
+    assert np.all(before.final_residual_norm <= 1e-8)
+    gs.drop_derived()
+
+
 @pytest.mark.parametrize("name", ["toy_metal", "toy_insulator", "chain"])
 def test_chosen_operations_hold_every_kept_band_in_one_sector(name, request):
     if name == "chain":
