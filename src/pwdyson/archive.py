@@ -26,7 +26,7 @@ import tempfile
 import numpy as np
 
 from .config import model_from_dict, model_to_dict
-from .errors import ArchiveError
+from .errors import ArchiveError, ConfigurationError
 from .groundstate import GroundState
 from .pwbasis import build_grids
 
@@ -107,32 +107,59 @@ def _read_meta(path: str) -> dict:
     if not os.path.exists(meta_path):
         raise ArchiveError(f"no meta.json under {path}")
     with open(meta_path) as fh:
-        return json.load(fh)
+        try:
+            meta = json.load(fh)
+        except ValueError as err:           # a decoding error included
+            raise ArchiveError(f"{meta_path}: not valid JSON ({err})") from None
+    if not isinstance(meta, dict):
+        raise ArchiveError(f"{meta_path}: not a JSON object")
+    return meta
 
 
 def is_older_format(path: str) -> bool:
     """Whether the archive at `path` was written in a format before FORMAT_VERSION."""
     version = _read_meta(path).get("format_version")
-    return isinstance(version, int) and version < FORMAT_VERSION
+    return type(version) is int and version < FORMAT_VERSION
+
+
+_INTEGER = (lambda v: type(v) is int, "an integer")
+_NUMBER = (lambda v: type(v) in (int, float), "a number")
+_NUMBERS = (lambda v: type(v) is list and all(map(_NUMBER[0], v)), "a list of numbers")
+# the JSON type of each meta.json key that `load_ground_state` reads (true and false are no numbers)
+_META_KEYS = {"model": (lambda v: type(v) is dict, "an object"), "n_b": _INTEGER,
+              "cube_dims": (lambda v: type(v) is list, "a list"), "n_occ": _INTEGER,
+              "n_kept": _INTEGER, "eps": _NUMBERS, "occ": _NUMBERS, "fermi_level": _NUMBER,
+              "scf_residual": _NUMBER}
 
 
 def load_ground_state(path: str) -> GroundState:
+    """The archived ground state; ArchiveError, naming meta.json's key, where it is malformed."""
     meta = _read_meta(path)
     version = meta.get("format_version")
     if version != FORMAT_VERSION:
-        raise ArchiveError(f"archive format version {version}, expected {FORMAT_VERSION}")
+        raise ArchiveError(f"archive format version {version!r}, expected {FORMAT_VERSION}")
     if meta.get("endianness") != "little":
         raise ArchiveError(f"unsupported endianness tag {meta.get('endianness')!r}")
+    for key, (accepts, what) in _META_KEYS.items():
+        if not accepts(meta.get(key)):
+            raise ArchiveError(f"meta.json key {key!r} must be {what}, got "
+                               + (f"{meta[key]!r:.60}" if key in meta else "no such key"))
+    n_occ, n_kept = meta["n_occ"], meta["n_kept"]
+    if not 1 <= n_occ < n_kept:
+        raise ArchiveError(f"meta.json key 'n_occ' must lie in [1, n_kept = {n_kept}), "
+                           f"got {n_occ}")
 
-    model = model_from_dict(meta["model"])
+    try:
+        model = model_from_dict(meta["model"])
+    except ConfigurationError as err:
+        raise ArchiveError(f"meta.json key 'model': {err}") from None
     grids = build_grids(model.lattice, model.e_cut)
-    if grids.n_b != meta["n_b"] or list(grids.cube_dims) != list(meta["cube_dims"]):
+    if grids.n_b != meta["n_b"] or list(grids.cube_dims) != meta["cube_dims"]:
         raise ArchiveError(
             f"grid rebuild disagrees with archive: n_b {grids.n_b} vs {meta['n_b']}, "
-            f"dims {grids.cube_dims} vs {tuple(meta['cube_dims'])}"
+            f"dims {grids.cube_dims} vs {meta['cube_dims']}"
         )
 
-    n_kept = int(meta["n_kept"])
     u = _read_blob(os.path.join(path, "u.bin"), grids.n_b * n_kept)
     u = np.ascontiguousarray(u.reshape((grids.n_b, n_kept), order="F"))
     rho = _read_blob(os.path.join(path, "rho.bin"), grids.n_g)
@@ -146,6 +173,5 @@ def load_ground_state(path: str) -> GroundState:
     return GroundState(
         model=model, grids=grids, u=u, eps=eps, occ=occ,
         fermi_level=float(meta["fermi_level"]), rho=rho,
-        n_occ=int(meta["n_occ"]), v_local=v_local,
-        scf_residual=float(meta.get("scf_residual", 0.0)),
+        n_occ=n_occ, v_local=v_local, scf_residual=float(meta["scf_residual"]),
     )

@@ -24,7 +24,6 @@ class ScfParams:
 class Perturbation:
     gaussian: int = 0
     direction: tuple = (1.0, 0.0, 0.0)
-    analytic: bool = True
 
 
 @dataclass(frozen=True)
@@ -144,13 +143,16 @@ def config_from_dict(d: dict) -> ExperimentConfig:
         raise ConfigurationError("config misses required key 'model'")
     scf = ScfParams(**_known_keys(d.get("scf", {}), ScfParams, "scf"))
     resp = dict(_known_keys(d.get("response", {}), ResponseParams, "response"))
+    for key in ("true_residual_every", "seed"):
+        if resp.get(key, 0) < 0:
+            raise ConfigurationError(f"config key {key!r} in response must be a non-negative "
+                                     f"integer, got {resp[key]!r}")
     pert = Perturbation(**_known_keys(resp.pop("perturbation", {}), Perturbation, "perturbation"))
     direction = _finite_numbers(pert.direction, "direction", "perturbation")
     if not np.linalg.norm(direction) > 0:
         raise ConfigurationError("perturbation direction must be a nonzero 3-vector")
     response = ResponseParams(perturbation=Perturbation(
-        gaussian=pert.gaussian, direction=tuple(direction), analytic=pert.analytic,
-    ), **resp)
+        gaussian=pert.gaussian, direction=tuple(direction)), **resp)
     return ExperimentConfig(
         model=model_from_dict(d["model"]),
         scf=scf,

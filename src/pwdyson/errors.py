@@ -12,9 +12,10 @@ class ConfigurationError(PwdysonError):
 class NonConvergenceError(PwdysonError):
     """A solver ran out of iterations, or an error budget fell below grt's tolerance floor.
 
-    Carries the last residual, the Hamiltonian applications spent (`cost`,
-    for the Sternheimer solve or the application at the floor) and, for the
-    outer solve, a partial report, so callers can diagnose or salvage the run.
+    Carries the last residual, the Hamiltonian applications spent (`cost`:
+    the Sternheimer solve's, or 0 for an application refused at the floor,
+    which makes none) and, for the outer solve, a partial report, so
+    callers can diagnose or salvage the run.
     """
 
     def __init__(self, message, residual=None, report=None, cost=None):

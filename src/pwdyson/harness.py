@@ -2,7 +2,9 @@
 
 Wires the dielectric application into a budgeted operator for the outer
 inexact GMRES: each granted budget is translated into per-band Sternheimer
-tolerances by the configured strategy.  Costs are measured in Hamiltonian
+tolerances by the configured strategy, and held to it by the computable
+bound before chi0 is applied (`checked_tolerances`, the one such path for
+the right-hand side and the operator).  Costs are measured in Hamiltonian
 applications (one per band per inner CG iteration), the metric every
 report uses.  Each call returns what it spent and the harness adds the
 returned costs up: `n_ham` is the right-hand-side build plus the outer
@@ -12,26 +14,23 @@ the solve, are never part of it.
 
 import json
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from .archive import atomic_write, is_older_format, load_ground_state, save_ground_state
 from .config import ExperimentConfig, model_to_dict
-from .errors import ConfigurationError, InvariantViolationError, NonConvergenceError
+from .errors import InvariantViolationError, NonConvergenceError
 from .groundstate import (
     SECTOR_DEFECT_LIMIT,
     GroundState,
-    ModelSpec,
-    external_potential,
     external_potential_derivative,
-    gaussian_well,
     real_hamiltonian,
     run_scf,
 )
 from .igmres import igmres_solve
 from .kernels import KernelSpec, KerkerSpec, apply_kerker
-from .pwbasis import FourierGrids, build_grids
+from .pwbasis import build_grids
 from .response import (
     DielectricApplication,
     _cached_row_norm,
@@ -67,40 +66,21 @@ class RunMetrics:
     final_true_res_precond: float   # nan for unpreconditioned runs
     true_res0: float
     eta: float
-    history: list = field(default_factory=list)
-    restarts: list = field(default_factory=list)
     s_final: float = np.nan
     bound_margin_min: float = np.inf
+    restarts: list = field(default_factory=list)
+    history: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "format_version": REPORT_FORMAT_VERSION,
-            "strategy": self.strategy,
-            "tau": self.tau,
-            "m": self.m,
-            "converged": self.converged,
-            "n_ham": self.n_ham,
-            "n_ham_rhs": self.n_ham_rhs,
-            "final_est_res": self.final_est_res,
-            "final_true_res": self.final_true_res,
-            "final_true_res_precond": self.final_true_res_precond,
-            "true_res0": self.true_res0,
-            "eta": self.eta,
-            "s_final": self.s_final,
-            "bound_margin_min": self.bound_margin_min,
-            "restarts": self.restarts,
-            "history": [dict(zip(HISTORY_COLUMNS, row)) for row in self.history],
-        }
+        """The report's JSON object: the format version, then every field in order."""
+        report = {"format_version": REPORT_FORMAT_VERSION}
+        report.update((f.name, getattr(self, f.name)) for f in fields(self))
+        report["history"] = [dict(zip(HISTORY_COLUMNS, row)) for row in self.history]
+        return report
 
 
 def _json_default(obj):
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
+    if isinstance(obj, (np.generic, np.ndarray)):     # numpy scalars and arrays as Python's
         return obj.tolist()
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
@@ -118,7 +98,8 @@ def ensure_ground_state(config: ExperimentConfig, archive_path: str = None) -> G
     """Load the archive if it holds the configured model, otherwise run the SCF.
 
     A fresh SCF overwrites an archive of another model or of an older
-    archive format.
+    archive format; a malformed or newer-format archive is left in place
+    and raises `ArchiveError`.
     """
     path = archive_path or config.archive
     if path and os.path.exists(os.path.join(path, "meta.json")) and not is_older_format(path):
@@ -146,7 +127,7 @@ def tolerance_context(gs: GroundState, rhs_norm: float) -> ToleranceContext:
 
 def bound_margin(gs: GroundState, spec: StrategySpec, budget: float, kv_norm: float,
                  tolerances) -> float:
-    """budget / `dielectric_error_bound` of one application; inf when it solved nothing.
+    """budget / `dielectric_error_bound` of one application of chi0 to a vector of norm kv_norm.
 
     grt's tolerances invert the bound, so its margin is 1 up to round-off
     unless `select_tolerances` raised some of them to TOLERANCE_FLOOR.
@@ -157,8 +138,6 @@ def bound_margin(gs: GroundState, spec: StrategySpec, budget: float, kv_norm: fl
             sat at TOLERANCE_FLOOR, out of the budget's reach; `cost` 0.
         InvariantViolationError: the same, with no tolerance at the floor.
     """
-    if len(tolerances) == 0:
-        return np.inf
     bound = dielectric_error_bound(gs, kv_norm, tolerances)
     margin = budget / bound if bound > 0 else np.inf
     if spec.kind == "grt" and margin < 1.0 - BOUND_RTOL:
@@ -173,92 +152,75 @@ def bound_margin(gs: GroundState, spec: StrategySpec, budget: float, kv_norm: fl
     return margin
 
 
-def perturbation_potential(model: ModelSpec, grids: FourierGrids, pert) -> np.ndarray:
-    """dV0 of a displacement perturbation on the grid.
+def checked_tolerances(gs: GroundState, spec: StrategySpec, ctx: ToleranceContext,
+                       budget: float, dv_norm: float) -> tuple:
+    """(per-band tolerances, `bound_margin`) for one application of chi0 to a vector of norm dv_norm.
 
-    The analytic derivative of the indexed Gaussian's lattice sum with
-    respect to its centre, contracted with the unit direction, or a
-    central finite difference with a 1e-5 Bohr step when the analytic
-    flag is off.
+    The one path from a granted budget to Sternheimer tolerances: the
+    strategy's `select_tolerances`, then `bound_margin`, before any
+    Hamiltonian application, so a grt application its bound refuses
+    costs nothing.
     """
-    if pert.analytic:
-        return external_potential_derivative(model, grids, pert.gaussian, pert.direction)
-    h = 1e-5
-    direction = np.asarray(pert.direction, dtype=float)
-    norm = np.linalg.norm(direction)
-    if norm == 0:
-        raise ConfigurationError("perturbation direction must be a nonzero vector")
-    direction = direction / norm
-    base = gaussian_well(model, pert.gaussian)
-    frac_step = h * direction @ np.linalg.inv(model.lattice.a)
-
-    def shifted(sign):
-        well = replace(base, center=tuple(np.asarray(base.center) + sign * frac_step))
-        return external_potential(replace(model, gaussians=(well,)), grids)
-
-    return (shifted(+1) - shifted(-1)) / (2 * h)
+    tolerances = select_tolerances(spec, ctx, budget, dv_norm)
+    return tolerances, bound_margin(gs, spec, budget, dv_norm, tolerances)
 
 
 def build_perturbation(gs: GroundState, pert, spec: StrategySpec):
-    """Displacement perturbation dV0 and the right-hand side chi0 dV0.
+    """Displacement perturbation dV0 and the right-hand side chi0 dV0, with its cost.
 
-    dV0 is `perturbation_potential`.  The right-hand side applies chi0 in
-    rescaled form, with per-band tolerances drawn from the strategy and
-    the budget tau/3; the static baselines use their fixed tolerance
-    instead.  A grt application is checked against its budget
-    (`bound_margin`) before it is made.
+    dV0 is `external_potential_derivative` of the indexed well along the
+    direction.  The right-hand side applies chi0 in rescaled form, with
+    the `checked_tolerances` of the budget tau/3 at |dV0|; the static
+    baselines use their fixed tolerance instead, and d10n, which reads
+    |chi0 dV0|, measures it first with d10's and solves again if any of
+    its own is tighter.
     """
-    model, grids = gs.model, gs.grids
-    dv0 = perturbation_potential(model, grids, pert)
-
+    dv0 = external_potential_derivative(gs.model, gs.grids, pert.gaussian, pert.direction)
     dv_norm = float(np.linalg.norm(dv0))
     if dv_norm == 0.0:
-        return dv0, np.zeros(grids.n_g), 0
+        return dv0, np.zeros(gs.grids.n_g), 0
 
     # chi0 dV0 = |dV0| chi0(dV0 / |dV0|): the normalised application makes
     # the strategy tolerances commensurate with the error budget tau/3.
     budget = spec.tau / 3.0
     ctx = tolerance_context(gs, rhs_norm=np.nan)      # |chi0 dV0| is built here
-    if spec.kind == "d10n":
-        # self-referencing baseline: provisional pass to measure |chi0 dV0|
-        provisional = select_tolerances(replace(spec, kind="d10"), ctx, budget, dv_norm)
-        drho0, solve0 = apply_chi0(gs, dv0 / dv_norm, provisional)
-        ctx = replace(ctx, rhs_norm=float(np.linalg.norm(drho0)) * dv_norm)
-        tols = select_tolerances(spec, ctx, budget, dv_norm)
-        if np.all(tols >= provisional):
-            return dv0, dv_norm * drho0, solve0.cg_iterations
-        drho0, solve = apply_chi0(gs, dv0 / dv_norm, tols)
-        return dv0, dv_norm * drho0, solve0.cg_iterations + solve.cg_iterations
-    tols = select_tolerances(spec, ctx, budget, dv_norm)
-    bound_margin(gs, spec, budget, dv_norm, tols)
+    first = replace(spec, kind="d10") if spec.kind == "d10n" else spec
+    tols, _ = checked_tolerances(gs, first, ctx, budget, dv_norm)
     drho0, solve = apply_chi0(gs, dv0 / dv_norm, tols)
-    return dv0, dv_norm * drho0, solve.cg_iterations
+    cost = solve.cg_iterations
+    if spec.kind == "d10n":
+        ctx = replace(ctx, rhs_norm=float(np.linalg.norm(drho0)) * dv_norm)
+        tighter, _ = checked_tolerances(gs, spec, ctx, budget, dv_norm)
+        if np.any(tighter < tols):
+            drho0, solve = apply_chi0(gs, dv0 / dv_norm, tighter)
+            cost += solve.cg_iterations
+    return dv0, dv_norm * drho0, cost
 
 
 def budgeted_dielectric(gs: GroundState, spec: StrategySpec, kernel: KernelSpec,
                         kerker: KerkerSpec, rhs_norm: float):
     """The budgeted Dyson operator (v, budget) -> (E~v or P E~v, cost) of `igmres_solve`.
 
-    The strategy turns each granted budget into per-band Sternheimer
-    tolerances; with `kerker` the output is preconditioned.  Returns the
-    operator and the list it appends every (`bound_margin`,
-    DielectricApplication) to, the latter without its output; a grt
-    application whose bound exceeds its budget raises, at the tolerance
-    floor with the application's cost.
+    `apply_dielectric` takes each granted budget's `checked_tolerances` at
+    |Kv|, so a grt application its bound refuses raises before its
+    Sternheimer solve, with cost 0.  With `kerker` the output is
+    preconditioned.  Returns the operator and the list it appends every
+    (`bound_margin`, DielectricApplication) to, the latter without its
+    output; the margin is inf when Kv = 0 and nothing was solved.
     """
     ctx = tolerance_context(gs, rhs_norm)
     applications = []
 
     def op(v, budget):
-        app = apply_dielectric(gs, kernel, v,
-                               lambda kv_norm: select_tolerances(spec, ctx, budget, kv_norm))
-        try:
-            margin = bound_margin(gs, spec, budget, app.kv_norm, app.tolerances_used)
-        except NonConvergenceError as err:
-            err.cost = app.ham_applications
-            raise
+        margin = [np.inf]
+
+        def tolerances(kv_norm):
+            tols, margin[0] = checked_tolerances(gs, spec, ctx, budget, kv_norm)
+            return tols
+
+        app = apply_dielectric(gs, kernel, v, tolerances)
         out = apply_kerker(kerker, gs.grids, app.output) if kerker else app.output
-        applications.append((margin, replace(app, output=None)))   # keep no n_g vectors
+        applications.append((margin[0], replace(app, output=None)))   # keep no n_g vectors
         return out, app.ham_applications
 
     return op, applications

@@ -145,8 +145,9 @@ def apply_dielectric(gs: GroundState, kernel: KernelSpec, v: np.ndarray,
     """E v = v - |Kv| chi0(Kv / |Kv|); exact identity when Kv = 0.
 
     `tolerances` is either a per-band vector or a callable |Kv| -> vector,
-    for strategies whose prefactor needs the kernel-product norm of the
-    very vector being applied.
+    called before `apply_chi0` and not at all when Kv = 0: the budgeted
+    operator passes the harness's `checked_tolerances` so, and a refusal
+    raised there costs no Hamiltonian application.
     """
     grids = gs.grids
     u = apply_kernel(kernel, grids, gs.rho, np.asarray(v, dtype=float))

@@ -1,4 +1,5 @@
-"""Oracles that the tests check the program against: complex plane-wave objects and a dense CG.
+"""Oracles that the tests check the program against: complex plane-wave objects, a dense CG
+and a finite-difference dV0.
 
 The program holds every orbital as real cos/sin coefficients u = T c
 (`pwbasis`).  Here are the same objects in the plane-wave basis e_G: T
@@ -12,10 +13,16 @@ band skipped the sectors its right-hand side does not occupy.  The
 program solves every occupied band against the complement of the kept
 bands only; this CG takes any bands and any orthonormal eigenvector
 basis, so it is also the reference for other complements, such as that
-of the occupied bands alone.
+of the occupied bands alone.  Last, a central difference of the
+external potential, the oracle of the analytic dV0 that every
+right-hand side is built from.
 """
 
+from dataclasses import replace
+
 import numpy as np
+
+from pwdyson.groundstate import external_potential
 
 _SQRT_HALF = np.sqrt(0.5)
 REAL_FUNCTION_RTOL = 1e-12  # |Im T c| / |T c| above this: c is not a real function
@@ -109,6 +116,27 @@ def dense_hamiltonian(grids, v_local: np.ndarray) -> np.ndarray:
     h = (grids.cube_fft(v_local) / grids.n_g)[grids.sphere_difference_index]
     h[np.arange(grids.n_b), np.arange(grids.n_b)] += 0.5 * grids.g2_sphere
     return h
+
+
+FD_STEP = 1e-5              # Bohr, the step of `finite_difference_potential`
+
+
+def finite_difference_potential(model, grids, gaussian, direction) -> np.ndarray:
+    """dV0 of well `gaussian` moved along `direction`, by a central difference of FD_STEP.
+
+    The quotient (v(c + h d) - v(c - h d)) / 2h of two `external_potential`s
+    of that well alone, d the unit direction: the oracle of the program's
+    analytic `external_potential_derivative`.
+    """
+    direction = np.asarray(direction, dtype=float) / np.linalg.norm(direction)
+    well = model.gaussians[gaussian]
+    frac_step = FD_STEP * direction @ np.linalg.inv(model.lattice.a)
+
+    def shifted(sign):
+        moved = replace(well, center=tuple(np.asarray(well.center) + sign * frac_step))
+        return external_potential(replace(model, gaussians=(moved,)), grids)
+
+    return (shifted(+1) - shifted(-1)) / (2 * FD_STEP)
 
 
 def dense_sternheimer(gs, bands, rhs, tol, basis, max_iter=None, blocks=False):

@@ -7,7 +7,7 @@ import pytest
 from scipy.special import erfc, expit
 
 from pwdyson import FourierGrids, Lattice, NonConvergenceError, build_grids, groundstate
-from pwdyson.config import Perturbation, reference_config
+from pwdyson.config import reference_config
 from pwdyson.groundstate import (
     DEGENERACY_RTOL,
     GaussianWell,
@@ -22,11 +22,10 @@ from pwdyson.groundstate import (
     run_scf,
     smearing_function,
 )
-from pwdyson.harness import perturbation_potential
 
 from conftest import chain_model, full_spectrum
-from oracles import (apply_hamiltonian, dense_from_matvec, dense_hamiltonian, from_cos_sin, phi,
-                     to_cos_sin, to_real)
+from oracles import (apply_hamiltonian, dense_from_matvec, dense_hamiltonian,
+                     finite_difference_potential, from_cos_sin, phi, to_cos_sin, to_real)
 
 
 def small_grids(e_cut=4.0, alat=3.0):
@@ -191,8 +190,7 @@ def lattice_sums(model, grids):
     """v, dv of well 0 along each axis and DIRECTION, and the finite-difference dV0s."""
     v = external_potential(model, grids)
     dv = [external_potential_derivative(model, grids, 0, np.array(d)) for d in AXES + (DIRECTION,)]
-    fd = [perturbation_potential(model, grids, Perturbation(gaussian=0, direction=d,
-                                                            analytic=False)) for d in AXES]
+    fd = [finite_difference_potential(model, grids, 0, d) for d in AXES]
     return v, dv, fd
 
 

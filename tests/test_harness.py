@@ -10,6 +10,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pwdyson import (
     ArchiveError,
@@ -29,7 +31,7 @@ from pwdyson.config import (
     model_to_dict,
     reference_config,
 )
-from pwdyson.groundstate import GaussianWell, ModelSpec
+from pwdyson.groundstate import GaussianWell, ModelSpec, run_scf
 from pwdyson.harness import (
     BOUND_RTOL,
     TIGHT_CG_TOL,
@@ -52,7 +54,7 @@ from pwdyson.response import apply_dielectric
 from pwdyson.sternheimer import hamiltonian
 from pwdyson.strategies import TOLERANCE_FLOOR, StrategySpec, parse_strategy, select_tolerances
 
-from oracles import phi
+from oracles import finite_difference_potential, phi
 
 
 def tiny_config(gs, strategy="pbal", tau=1e-7, m=8):
@@ -70,10 +72,9 @@ def test_perturbation_finite_difference(metal_gs):
     gs = metal_gs
     spec = StrategySpec("d10", False, 1e-7, 8)
     pert = Perturbation(gaussian=1, direction=(0.6, 0.8, 0.0))
-    dv_analytic, _, _ = build_perturbation(gs, pert, spec)
-    dv_fd, _, _ = build_perturbation(
-        gs, Perturbation(gaussian=1, direction=(0.6, 0.8, 0.0), analytic=False), spec)
-    np.testing.assert_allclose(dv_analytic, dv_fd, atol=1e-8 * np.max(np.abs(dv_analytic)))
+    dv0, _, _ = build_perturbation(gs, pert, spec)
+    dv_fd = finite_difference_potential(gs.model, gs.grids, 1, (0.6, 0.8, 0.0))
+    np.testing.assert_allclose(dv0, dv_fd, atol=1e-8 * np.max(np.abs(dv0)))
 
 
 def test_perturbation_zero_direction_rejected(metal_gs):
@@ -83,13 +84,11 @@ def test_perturbation_zero_direction_rejected(metal_gs):
 
 
 def test_perturbation_index_out_of_range(metal_gs):
-    # both the analytic and the finite-difference branch, below and above the range
+    # below and above the range
     spec = StrategySpec("d10", False, 1e-7, 8)
-    for analytic in (True, False):
-        for index in (-1, 99):
-            pert = Perturbation(gaussian=index, direction=(1, 0, 0), analytic=analytic)
-            with pytest.raises(ConfigurationError):
-                build_perturbation(metal_gs, pert, spec)
+    for index in (-1, 99):
+        with pytest.raises(ConfigurationError):
+            build_perturbation(metal_gs, Perturbation(gaussian=index, direction=(1, 0, 0)), spec)
 
 
 def test_base_context_reuses_row_norm(metal_gs, monkeypatch):
@@ -256,6 +255,99 @@ def test_archive_format_1_rejected(metal_gs, tmp_path):
         load_ground_state(path)
 
 
+META_CORRUPTIONS = {
+    "truncated": (lambda text: text[:len(text) // 2], "not valid JSON"),
+    "list": (lambda text: json.dumps([json.loads(text)]), "not a JSON object"),
+    "no-n_kept": (lambda text: _edit(text, "n_kept"), "'n_kept'"),
+    "no-model": (lambda text: _edit(text, "model"), "'model'"),
+    "string-eps": (lambda text: _edit(text, "eps", "0.1 0.2"), "'eps'"),
+    "n_occ-999": (lambda text: _edit(text, "n_occ", 999), "'n_occ'"),
+    "n_occ-0": (lambda text: _edit(text, "n_occ", 0), "'n_occ'"),
+    "n_occ-true": (lambda text: _edit(text, "n_occ", True), "'n_occ'"),
+    "string-version": (lambda text: _edit(text, "format_version", "2"),
+                       "format version '2', expected 2"),
+    "model-without-e_cut": (lambda text: _edit(text, "model", {
+        k: v for k, v in json.loads(text)["model"].items() if k != "e_cut"}), "'model'.*e_cut"),
+}
+_DELETED = object()
+
+
+def _edit(text, key, value=_DELETED):
+    """meta.json text with `key` set to `value`, or deleted when no value is given."""
+    meta = json.loads(text)
+    if value is _DELETED:
+        del meta[key]
+    else:
+        meta[key] = value
+    return json.dumps(meta)
+
+
+@pytest.mark.parametrize("name", list(META_CORRUPTIONS))
+def test_malformed_archive_metadata_raises_archive_error(metal_gs, tmp_path, monkeypatch, name):
+    corrupt, message = META_CORRUPTIONS[name]
+    path = str(tmp_path / "archive")
+    save_ground_state(path, metal_gs)
+    meta_path = os.path.join(path, "meta.json")
+    with open(meta_path) as fh:
+        text = corrupt(fh.read())
+    with open(meta_path, "w") as fh:
+        fh.write(text)
+    with pytest.raises(ArchiveError, match=message):
+        load_ground_state(path)
+    # ensure_ground_state leaves the archive in place and raises, with no SCF
+    monkeypatch.setattr("pwdyson.harness.run_scf", lambda *args, **kwargs: pytest.fail("SCF"))
+    with pytest.raises(ArchiveError, match=message):
+        ensure_ground_state(tiny_config(metal_gs), archive_path=path)
+    with open(meta_path) as fh:
+        assert fh.read() == text
+
+
+# the keys load_ground_state reads, and JSON values none of them may take
+META_KEYS = ("format_version", "endianness", "model", "cube_dims", "n_b", "n_occ", "n_kept",
+             "eps", "occ", "fermi_level", "scf_residual")
+WRONG_JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=5),
+    st.lists(st.one_of(st.text(max_size=3), st.none()), min_size=1, max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(corruption=st.one_of(
+    st.tuples(st.just("truncate"), st.floats(0.0, 1.0, exclude_max=True)),
+    st.tuples(st.just("delete"), st.sampled_from(META_KEYS)),
+    st.tuples(st.just("retype"), st.sampled_from(META_KEYS), WRONG_JSON_VALUES)))
+def test_drawn_corruption_of_archive_metadata_raises_archive_error(metal_gs, tmp_path_factory,
+                                                                   corruption):
+    path = str(tmp_path_factory.getbasetemp() / "drawn-corruption")
+    save_ground_state(path, metal_gs)
+    meta_path = os.path.join(path, "meta.json")
+    with open(meta_path) as fh:
+        text = fh.read()
+    if corruption[0] == "truncate":
+        text = text[:int(corruption[1] * len(text))]
+    else:
+        text = _edit(text, *corruption[1:])
+    with open(meta_path, "w") as fh:
+        fh.write(text)
+    with pytest.raises(ArchiveError):
+        load_ground_state(path)
+
+
+def test_cli_exits_4_on_a_truncated_archive(metal_gs, tmp_path, capsys):
+    d = _config_dict(metal_gs)
+    d["archive"] = str(tmp_path / "archive")
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(d))
+    save_ground_state(d["archive"], metal_gs)
+    meta_path = os.path.join(d["archive"], "meta.json")
+    with open(meta_path, "r+b") as fh:
+        fh.truncate(40)
+    assert cli.main(["respond", str(path), "-o", str(tmp_path / "out")]) == cli.EXIT_IO
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "meta.json" in err[0]
+    assert os.path.getsize(meta_path) == 40
+
+
 def test_ensure_ground_state_rebuilds_older_format_archive(metal_gs, tmp_path, monkeypatch):
     path = str(tmp_path / "gs")
     config = tiny_config(metal_gs)
@@ -267,7 +359,6 @@ def test_ensure_ground_state_rebuilds_older_format_archive(metal_gs, tmp_path, m
         scf_runs.append(args)
         return run_scf(*args, **kwargs)
 
-    from pwdyson.groundstate import run_scf
     monkeypatch.setattr("pwdyson.harness.run_scf", counted)
     rebuilt = ensure_ground_state(config, archive_path=path)
     assert len(scf_runs) == 1
@@ -508,7 +599,27 @@ def test_grt_honours_every_budget_it_is_granted(metal_gs):
         assert metrics.final_true_res <= 1e-7
 
 
-def test_grt_guard_raises_when_a_bound_exceeds_its_budget(metal_gs, monkeypatch):
+@settings(max_examples=12, deadline=None)
+@given(center=st.tuples(*[st.floats(0.0, 1.0, exclude_max=True)] * 3),
+       direction=st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
+           lambda d: np.linalg.norm(d) >= 0.1),
+       log_tau=st.floats(-10.0, -6.0))
+def test_grt_meets_tau_and_honours_its_budgets_on_drawn_problems(tiny_oracle_gs, center,
+                                                                 direction, log_tau):
+    # well 0 of the tiny model moved to a drawn centre, displaced along a drawn direction
+    wells = tiny_oracle_gs.model.gaussians
+    model = replace(tiny_oracle_gs.model, gaussians=(replace(wells[0], center=center), wells[1]))
+    gs = run_scf(model, tol=1e-11, max_iter=600, damping=0.3)
+    tau = 10.0 ** log_tau
+    config = ExperimentConfig(model=model, response=ResponseParams(
+        strategy="grt", tau=tau, m=8, perturbation=Perturbation(gaussian=0, direction=direction)))
+    metrics = run_response(config, gs=gs)
+    assert metrics.converged and metrics.final_true_res <= tau
+    assert metrics.bound_margin_min >= 1.0 - BOUND_RTOL
+
+
+def test_grt_guard_raises_when_a_bound_exceeds_its_budget(metal_gs, monkeypatch,
+                                                          h_applications):
     # a doubled gap doubles grt's tolerances and so the bound: twice the budget
     original = tolerance_context
 
@@ -521,14 +632,14 @@ def test_grt_guard_raises_when_a_bound_exceeds_its_budget(metal_gs, monkeypatch)
     # application of the budgeted operator inside the solve
     with pytest.raises(InvariantViolationError, match="exceeds the granted budget"):
         run_response(tiny_config(metal_gs, strategy="pgrt"), gs=metal_gs)
-    assert metal_gs._derived == {}
+    assert metal_gs._derived == {} and h_applications() == 0
     spec = StrategySpec("grt", True, 1e-7, 8)
     op, applications = budgeted_dielectric(metal_gs, spec, KernelSpec(xc=metal_gs.model.xc),
                                            KerkerSpec(alpha=0.8), 1.0)
     v = np.random.default_rng(18).standard_normal(metal_gs.grids.n_g)
     with pytest.raises(InvariantViolationError, match=r"margin 0\.5"):
         op(v, 1e-8)
-    assert applications == []
+    assert applications == [] and h_applications() == 0
     # bal carries no guarantee and is not held to the bound
     metrics = run_response(tiny_config(metal_gs, strategy="pbal"), gs=metal_gs)
     assert metrics.converged and metrics.bound_margin_min < 1.0 - BOUND_RTOL
@@ -546,14 +657,41 @@ def test_grt_budget_out_of_the_floors_reach_is_nonconvergence(metal_gs, h_applic
     with pytest.raises(NonConvergenceError, match=floor) as err:
         bound_margin(gs, spec, 1e-30, 2.0, tols)
     assert err.value.cost == 0 and err.value.report is None
-    # inside the solve the operator raises with the cost of the application it made
+    # inside the solve the operator is refused at |Kv| before its Sternheimer solve
     op, applications = budgeted_dielectric(gs, spec, KernelSpec(xc=gs.model.xc), None, 1.0)
     v = np.random.default_rng(19).standard_normal(gs.grids.n_g)
-    before = h_applications()
     with pytest.raises(NonConvergenceError, match="tolerance floor") as err:
         op(v, 1e-30)
-    assert err.value.cost == h_applications() - before > 0
+    assert err.value.cost == 0 and h_applications() == 0
     assert applications == []
+
+
+def test_a_refused_grt_application_makes_no_hamiltonian_application(metal_gs,
+                                                                    h_applications,
+                                                                    monkeypatch):
+    # the right-hand side: tau/3 out of the floor's reach
+    pert = Perturbation(gaussian=0, direction=(1, 0, 0))
+    with pytest.raises(NonConvergenceError, match="tolerance floor") as err:
+        build_perturbation(metal_gs, pert, StrategySpec("grt", False, 1e-40, 8))
+    assert err.value.cost == 0 and h_applications() == 0
+    # the operator: the third application is granted a budget out of the floor's reach, so
+    # the stopped solve has spent the right-hand side and two applications, and nothing more
+    costs = []
+
+    def starved_third(op, *args, **kwargs):
+        def starved(v, budget):
+            out, cost = op(v, budget * (1e-30 if len(costs) == 2 else 1.0))
+            costs.append(cost)
+            return out, cost
+        return igmres_solve(starved, *args, **kwargs)
+
+    monkeypatch.setattr("pwdyson.harness.igmres_solve", starved_third)
+    with pytest.raises(NonConvergenceError, match="tolerance floor") as err:
+        run_response(tiny_config(metal_gs, strategy="grt"), gs=metal_gs)
+    partial = err.value.report
+    assert len(costs) == 2 and min(costs) > 0
+    assert partial.n_ham == partial.n_ham_rhs + sum(costs) == h_applications()
+    assert partial.history[-1][3] == partial.n_ham
 
 
 def test_run_response_est_res_monotone_within_cycles(metal_gs):
@@ -726,7 +864,9 @@ def _config_dict(metal_gs):
     (("scf",), "dampng"),
     (("response",), "use_gapp"),
     (("response", "perturbation"), "analytc"),
-], ids=["top", "model", "gaussian", "scf", "response", "perturbation"])
+    (("response", "perturbation"), "analytic"),         # a key that earlier configs held
+], ids=["top", "model", "gaussian", "scf", "response", "perturbation",
+        "perturbation-analytic"])
 def test_unknown_config_key_rejected(metal_gs, level, key):
     d = _config_dict(metal_gs)
     config_from_dict(d)
@@ -754,7 +894,9 @@ def test_malformed_config_section_rejected(metal_gs, section, value):
 @pytest.mark.parametrize("level,key,value", [
     (("response",), "tau", "1e-9"),
     (("response",), "m", 10.0),
-    (("response", "perturbation"), "analytic", "false"),
+    (("response", "perturbation"), "gaussian", "0"),
+    (("response",), "seed", -1),
+    (("response",), "true_residual_every", -1),
     (("scf",), "damping", "0.1"),
     (("scf",), "max_iter", True),
     (("model",), "e_cut", "6.5"),
@@ -776,7 +918,8 @@ def test_malformed_config_section_rejected(metal_gs, section, value):
     (("response", "perturbation"), "direction", [10 ** 400, 0, 0]),
     (("model",), "lattice", [[10 ** 400, 0, 0], [0, 3.0, 0], [0, 0, 3.0]]),
     (("model",), "lattice", [[3.0, 0, 0], [0, 3.0, 0]]),
-], ids=["response-tau", "response-m", "perturbation-analytic", "scf-damping",
+], ids=["response-tau", "response-m", "perturbation-gaussian", "response-seed-negative",
+        "response-true_residual_every-negative", "scf-damping",
         "scf-max_iter", "model-e_cut", "model-n_electrons", "gaussian-amplitude",
         "response-tau-nan", "gaussian-amplitude-nan", "gaussian-amplitude-inf",
         "gaussian-center-inf", "gaussian-center-string", "perturbation-direction-inf",
@@ -795,7 +938,7 @@ def test_config_value_of_wrong_type_rejected(metal_gs, level, key, value):
 
 def test_cli_reports_infinite_direction_in_one_line(metal_gs, tmp_path, capsys):
     d = _config_dict(metal_gs)
-    d["response"]["perturbation"].update(direction=[float("inf"), 0, 0], analytic=False)
+    d["response"]["perturbation"]["direction"] = [float("inf"), 0, 0]
     path = tmp_path / "config.json"
     path.write_text(json.dumps(d))
     assert "Infinity" in path.read_text()
@@ -814,6 +957,16 @@ def test_cli_reports_string_number_in_one_line(metal_gs, tmp_path, capsys):
     assert cli.main(["respond", str(path), "-o", str(tmp_path / "out")]) == cli.EXIT_CONFIG
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and "'tau'" in err[0]
+
+
+def test_cli_reports_negative_seed_in_one_line(metal_gs, tmp_path, capsys):
+    d = _config_dict(metal_gs)
+    d["response"]["seed"] = -1
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(d))
+    assert cli.main(["verify", str(path), "-o", str(tmp_path / "out")]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "'seed'" in err[0]
 
 
 @pytest.mark.parametrize("key, digits", [("temperature", 401), ("e_cut", 5000)])
