@@ -14,12 +14,14 @@ Write-read round trips are bit-exact.  All writes go through a temp file
 plus atomic rename, and meta.json is the commit marker: a save removes
 the old one first and writes the new one last, so a save that stops
 part way leaves no meta.json, and no archive that mixes the new model
-with the old blobs.  Format 1 stored the complex phi as two blobs,
+with the old blobs.  A load accepts only finite numbers, in meta.json
+and in every blob.  Format 1 stored the complex phi as two blobs,
 phi_re.bin and phi_im.bin; it is no longer read, and a save deletes
 those blobs.
 """
 
 import json
+import math
 import os
 import tempfile
 
@@ -64,6 +66,10 @@ def _read_blob(path: str, expected_count: int) -> np.ndarray:
             f"{os.path.basename(path)}: expected {expected_count} float64 values, "
             f"found {len(data)}"
         )
+    bad = np.flatnonzero(~np.isfinite(data))
+    if len(bad):
+        raise ArchiveError(f"{os.path.basename(path)}: {len(bad)} non-finite value(s), "
+                           f"the first {float(data[bad[0]])} at index {bad[0]}")
     return data
 
 
@@ -123,9 +129,10 @@ def is_older_format(path: str) -> bool:
 
 
 _INTEGER = (lambda v: type(v) is int, "an integer")
-_NUMBER = (lambda v: type(v) in (int, float), "a number")
-_NUMBERS = (lambda v: type(v) is list and all(map(_NUMBER[0], v)), "a list of numbers")
-# the JSON type of each meta.json key that `load_ground_state` reads (true and false are no numbers)
+_NUMBER = (lambda v: type(v) is int or type(v) is float and math.isfinite(v), "a finite number")
+_NUMBERS = (lambda v: type(v) is list and all(map(_NUMBER[0], v)), "a list of finite numbers")
+# the JSON type of each meta.json key that `load_ground_state` reads (true and false are no
+# numbers; nor are NaN and Infinity, which Python's JSON reader accepts)
 _META_KEYS = {"model": (lambda v: type(v) is dict, "an object"), "n_b": _INTEGER,
               "cube_dims": (lambda v: type(v) is list, "a list"), "n_occ": _INTEGER,
               "n_kept": _INTEGER, "eps": _NUMBERS, "occ": _NUMBERS, "fermi_level": _NUMBER,

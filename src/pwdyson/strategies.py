@@ -4,7 +4,8 @@ Implements the three adaptive prefactors (guaranteed / balanced /
 aggressive) and the static baselines.  The adaptive strategies scale the
 error budget granted for the application at hand: tau/3 for the
 right-hand-side build, and inside the solve the budget
-(s / 3m) tau / ||r~_{i-1}|| that `igmres_solve` hands the operator.  So
+(s / 3m) target / ||r~_{i-1}|| that `igmres_solve` hands the operator,
+its target 1e3 tau in the solver's first stage and tau after it.  So
 honoured tolerances translate directly into an honoured operator budget.
 grt inverts `response.dielectric_error_bound`: its tolerances make that
 bound equal the granted budget, up to round-off and the tolerance floor.

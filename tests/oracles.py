@@ -13,16 +13,17 @@ band skipped the sectors its right-hand side does not occupy.  The
 program solves every occupied band against the complement of the kept
 bands only; this CG takes any bands and any orthonormal eigenvector
 basis, so it is also the reference for other complements, such as that
-of the occupied bands alone.  Last, a central difference of the
+of the occupied bands alone.  Last, two central differences: of the
 external potential, the oracle of the analytic dV0 that every
-right-hand side is built from.
+right-hand side is built from, and of the SCF density, the oracle of
+the Dyson solution itself.
 """
 
 from dataclasses import replace
 
 import numpy as np
 
-from pwdyson.groundstate import external_potential
+from pwdyson.groundstate import external_potential, run_scf
 
 _SQRT_HALF = np.sqrt(0.5)
 REAL_FUNCTION_RTOL = 1e-12  # |Im T c| / |T c| above this: c is not a real function
@@ -137,6 +138,30 @@ def finite_difference_potential(model, grids, gaussian, direction) -> np.ndarray
         return external_potential(replace(model, gaussians=(moved,)), grids)
 
     return (shifted(+1) - shifted(-1)) / (2 * FD_STEP)
+
+
+def finite_difference_density(config, h: float, tol: float) -> np.ndarray:
+    """d rho / dR of the configured perturbation, by a central difference of two SCFs.
+
+    (rho(R + h d) - rho(R - h d)) / 2h, R the centre of the perturbed well
+    and d the unit direction, each rho from `run_scf` with the config's
+    SCF parameters at tolerance `tol`: independent of chi0, the kernel and
+    the Dyson solve, whose solution it approximates to O(h^2) plus about
+    tol / h.
+    """
+    model, pert, scf = config.model, config.response.perturbation, config.scf
+    direction = np.asarray(pert.direction, dtype=float) / np.linalg.norm(pert.direction)
+    frac_step = h * direction @ np.linalg.inv(model.lattice.a)
+
+    def rho(sign):
+        wells = list(model.gaussians)
+        well = wells[pert.gaussian]
+        wells[pert.gaussian] = replace(well, center=tuple(np.asarray(well.center) + sign * frac_step))
+        return run_scf(replace(model, gaussians=tuple(wells)), tol=tol, max_iter=scf.max_iter,
+                       mixing=scf.mixing, kerker_alpha=scf.kerker_alpha,
+                       damping=scf.damping).rho
+
+    return (rho(+1) - rho(-1)) / (2 * h)
 
 
 def dense_sternheimer(gs, bands, rhs, tol, basis, max_iter=None, blocks=False):

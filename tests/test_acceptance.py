@@ -6,12 +6,12 @@ PWDYSON_TEST_CACHE to a directory to persist the archives between
 sessions.
 
 Criterion 2 checks the static-tolerance failure against the floor the
-restarted solver provably settles at: each restart refreshes the residual
-with the same static operator, so d10's true residual ends at
-||(E~ - E) x*|| (1.57 tau on the shipped toy metal), not at a fixed
-multiple of tau.  The larger pre-refresh gap (76.5 tau at the first tau/3
-flag with m = 250, before the Schur-complement split) is described in the
-test docstring.
+restarted solver provably settles at: each restart of the solver's
+second stage refreshes the residual with the same static operator, so
+d10's true residual ends at ||(E~ - E) x*|| (1.57 tau on the shipped
+toy metal), not at a fixed multiple of tau.  The larger pre-refresh gap
+(76.5 tau at the first tau/3 flag with m = 250, before the
+Schur-complement split) is described in the test docstring.
 """
 
 import dataclasses
@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 from scipy.special import erfc, expit
 
-from pwdyson import Lattice, build_grids, groundstate
+from pwdyson import Lattice, NonConvergenceError, build_grids, groundstate
 from pwdyson.harness import (
     TIGHT_CG_TOL,
     check_bound_dominance,
@@ -89,7 +89,9 @@ def test_criterion_2_static_tolerance_failure(toy_metal, metal_runs):
     """d10's estimate claims convergence but its true residual misses tau,
     while pbal/pgrt hold tau.
 
-    Every restart recomputes r0 = b - E~ x with the same static d10
+    The solver's first stage (budgets for 1e3 tau, restarts from the
+    implicit residual) ends once the estimate is <= 1e3 tau.  From then
+    on every restart recomputes r0 = b - E~ x with the same static d10
     operator E~, which acts as iterative refinement: the true residual
     settles at the static floor ||(E~ - E) x*||, give or take the final
     estimate; the inner errors of the Krylov steps enter only through the
@@ -97,9 +99,9 @@ def test_criterion_2_static_tolerance_failure(toy_metal, metal_runs):
     magnitude d10 misses tau by is that floor, computed here at d10's own
     solution, and not a fixed multiple of tau.
 
-    Measured on the shipped toy_metal config: d10 stops at 1.61e-9
-    (1.61 tau) against a floor of 1.57e-9, estimate 3.23e-10; pd10 stops
-    at 1.55e-9.  The paper's larger gap shows before the refresh: with
+    Measured on the shipped toy_metal config: d10 stops at 1.56e-9
+    (1.56 tau) against a floor of 1.57e-9, estimate 1.25e-10; pd10 stops
+    at 1.66e-9.  The paper's larger gap shows before the refresh: with
     m = 250 the first tau/3 flag came at iteration 38 with the true
     residual at 7.65e-8 (76.5 tau), measured before the Sternheimer solves
     moved to the complement of the kept extra bands; the s-violation
@@ -275,12 +277,24 @@ def test_criterion_10_chi0_gauge_invariance(toy_metal, toy_insulator):
     assert report(10, ok, "||chi0(const)|| / N <= 1e-10: " + ", ".join(results))
 
 
-def test_compare_keeps_its_rows_when_grt_meets_the_tolerance_floor(toy_metal, metal_runs):
-    """Unpreconditioned grt's tolerances fall below the floor at its second
-    application (|Kv| about 1.7e3): its row is not converged, pbal's stays."""
+def test_compare_keeps_its_rows_when_grt_meets_the_tolerance_floor(toy_metal):
+    """At tau 1e-11 and m 40, unpreconditioned grt's tolerances fall below the
+    floor at its second application (|Kv| about 1.7e3, a first-stage budget
+    of (s / 3m) 1e3 tau / ||r~_1||): its row is not converged, pbal's stays.
+
+    The shipped tau 1e-9 and m 8 grant that application a budget large
+    enough for grt to converge.
+    """
     config, gs = toy_metal
+    config = dataclasses.replace(
+        config, response=dataclasses.replace(config.response, tau=1e-11, m=40))
+    grt = dataclasses.replace(config, response=dataclasses.replace(config.response,
+                                                                  strategy="grt"))
+    with pytest.raises(NonConvergenceError, match="tolerance floor"):
+        run_response(grt, gs=gs)
     rows = {r["strategy"]: r for r in compare_strategies(config, ["pbal", "grt"], gs=gs)}
-    pbal = metal_runs["pbal"]
+    pbal = run_response(dataclasses.replace(
+        config, response=dataclasses.replace(config.response, strategy="pbal")), gs=gs)
     assert rows["pbal"]["converged"] and rows["pbal"]["n_ham"] == pbal.n_ham
     assert rows["pbal"]["final_true_res"] == pbal.final_true_res
     assert rows["grt"]["converged"] is False and rows["grt"]["n_ham"] > 0

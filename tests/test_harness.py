@@ -54,7 +54,7 @@ from pwdyson.response import apply_dielectric
 from pwdyson.sternheimer import hamiltonian
 from pwdyson.strategies import TOLERANCE_FLOOR, StrategySpec, parse_strategy, select_tolerances
 
-from oracles import finite_difference_potential, phi
+from oracles import finite_difference_density, finite_difference_potential, phi
 
 
 def tiny_config(gs, strategy="pbal", tau=1e-7, m=8):
@@ -75,6 +75,43 @@ def test_perturbation_finite_difference(metal_gs):
     dv0, _, _ = build_perturbation(gs, pert, spec)
     dv_fd = finite_difference_potential(gs.model, gs.grids, 1, (0.6, 0.8, 0.0))
     np.testing.assert_allclose(dv0, dv_fd, atol=1e-8 * np.max(np.abs(dv0)))
+
+
+def _lda_x_metal_config():
+    """`metal_gs`'s two wells with LDA exchange, displaced obliquely: xc kernel and delta_f."""
+    model = ModelSpec(
+        lattice=Lattice.cubic(4.0), e_cut=3.0, n_electrons=4, temperature=5e-3,
+        smearing="fermi_dirac", xc="lda_x",
+        gaussians=(GaussianWell(center=(0.3, 0.4, 0.5), amplitude=-3.0, width=0.8),
+                   GaussianWell(center=(0.7, 0.6, 0.4), amplitude=-2.0, width=0.7)))
+    return ExperimentConfig(
+        model=model, scf=ScfParams(tol=1e-12, max_iter=400, damping=0.3),
+        response=ResponseParams(strategy="pgrt", tau=1e-10, m=10,
+                                perturbation=Perturbation(gaussian=0, direction=(1.0, 0.5, 0.2))))
+
+
+FD_STEPS = ((1e-3, 1e-12), (2e-4, 1e-13))   # (h in Bohr, SCF tolerance)
+
+
+@pytest.mark.parametrize("name", ["toy_insulator", "lda_x_metal"])
+def test_dyson_solution_is_the_finite_difference_of_the_density(name):
+    # x = d rho / dR, against two SCFs moved by -h and +h. The difference quotient errs
+    # by (h^2 / 6) |d^3 rho / dR^3| (1.0-1.7 h^2 relative here) plus the SCFs' error
+    # over h: held to 4 h^2 + 100 tol / h, and to the h^2 rate between the two steps
+    config = reference_config("toy_insulator") if name == "toy_insulator" else _lda_x_metal_config()
+    scf = config.scf
+    gs = run_scf(config.model, tol=1e-12, max_iter=scf.max_iter, mixing=scf.mixing,
+                 kerker_alpha=scf.kerker_alpha, damping=scf.damping)
+    if name == "lda_x_metal":
+        assert abs(gs.fprime_occ().sum()) > 1e-6, "must be metallic"
+    x = run_response(config, gs=gs).solution
+    rel = []
+    for h, tol in FD_STEPS:
+        fd = finite_difference_density(config, h, tol)
+        rel.append(np.linalg.norm(x - fd) / np.linalg.norm(fd))
+        assert rel[-1] <= 4.0 * h**2 + 100.0 * tol / h, (h, rel[-1])
+    (h1, _), (h2, _) = FD_STEPS
+    assert 0.8 <= (rel[0] / rel[1]) / (h1 / h2) ** 2 <= 1.2, rel
 
 
 def test_perturbation_zero_direction_rejected(metal_gs):
@@ -268,6 +305,14 @@ META_CORRUPTIONS = {
                        "format version '2', expected 2"),
     "model-without-e_cut": (lambda text: _edit(text, "model", {
         k: v for k, v in json.loads(text)["model"].items() if k != "e_cut"}), "'model'.*e_cut"),
+    "nan-eps": (lambda text: _edit(text, "eps", json.loads(text)["eps"][:-1] + [float("nan")]),
+                "'eps' must be a list of finite numbers"),
+    "infinite-occ": (lambda text: _edit(text, "occ", [float("inf")] + json.loads(text)["occ"][1:]),
+                     "'occ' must be a list of finite numbers"),
+    "nan-fermi_level": (lambda text: _edit(text, "fermi_level", float("nan")),
+                        "'fermi_level' must be a finite number"),
+    "infinite-scf_residual": (lambda text: _edit(text, "scf_residual", float("-inf")),
+                              "'scf_residual' must be a finite number"),
 }
 _DELETED = object()
 
@@ -300,6 +345,24 @@ def test_malformed_archive_metadata_raises_archive_error(metal_gs, tmp_path, mon
         ensure_ground_state(tiny_config(metal_gs), archive_path=path)
     with open(meta_path) as fh:
         assert fh.read() == text
+
+
+@pytest.mark.parametrize("blob", ["u.bin", "rho.bin", "v_local.bin"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_blob_raises_archive_error(metal_gs, tmp_path, monkeypatch, blob, value):
+    path = str(tmp_path / "archive")
+    save_ground_state(path, metal_gs)
+    blob_path = os.path.join(path, blob)
+    data = np.fromfile(blob_path, dtype="<f8")
+    data[3] = value
+    data.tofile(blob_path)
+    message = f"{blob}: 1 non-finite value\\(s\\), the first {value} at index 3"
+    with pytest.raises(ArchiveError, match=message):
+        load_ground_state(path)
+    monkeypatch.setattr("pwdyson.harness.run_scf", lambda *args, **kwargs: pytest.fail("SCF"))
+    with pytest.raises(ArchiveError, match=message):
+        ensure_ground_state(tiny_config(metal_gs), archive_path=path)
+    np.testing.assert_array_equal(np.fromfile(blob_path, dtype="<f8"), data)
 
 
 # the keys load_ground_state reads, and JSON values none of them may take
@@ -346,6 +409,25 @@ def test_cli_exits_4_on_a_truncated_archive(metal_gs, tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and "meta.json" in err[0]
     assert os.path.getsize(meta_path) == 40
+
+
+def test_cli_exits_4_on_a_nan_eigenvalue_in_the_archive(metal_gs, tmp_path, capsys):
+    # the NaN must not reach grt, which would refuse it as its gap (a configuration error)
+    d = _config_dict(metal_gs)
+    d["archive"] = str(tmp_path / "archive")
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(d))
+    save_ground_state(d["archive"], metal_gs)
+    meta_path = os.path.join(d["archive"], "meta.json")
+    meta = json.load(open(meta_path))
+    meta["eps"][-1] = float("nan")
+    json.dump(meta, open(meta_path, "w"))
+    text = open(meta_path).read()
+    status = cli.main(["respond", str(path), "--strategy", "grt", "-o", str(tmp_path / "out")])
+    assert status == cli.EXIT_IO
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "'eps'" in err[0]
+    assert open(meta_path).read() == text
 
 
 def test_ensure_ground_state_rebuilds_older_format_archive(metal_gs, tmp_path, monkeypatch):

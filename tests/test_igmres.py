@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from pwdyson import NonConvergenceError
 from pwdyson.igmres import (
+    STAGE_FACTOR,
     IGmresState,
     estimated_residual_update,
     hessenberg_min_singular,
@@ -37,11 +38,29 @@ def well_conditioned(rng, n):
 
 
 def test_identity_operator_one_iteration():
+    # ||b|| <= STAGE_FACTOR tau: no first stage, one step at tau
     rng = np.random.default_rng(0)
+    tau = 1e-10
     b = rng.standard_normal(40)
-    report = igmres_solve(exact_op(np.eye(40)), b, m=10, tau=1e-10)
+    b *= 0.5 * STAGE_FACTOR * tau / np.linalg.norm(b)
+    report = igmres_solve(exact_op(np.eye(40)), b, m=10, tau=tau)
     assert report.converged
-    assert report.iterations == 1
+    assert report.iterations == 1 and report.total_cost == 1 and not report.restarts
+    np.testing.assert_allclose(report.solution, b, rtol=1e-12)
+
+
+def test_identity_operator_hands_over_after_one_step():
+    # the first step ends stage 1; the refresh at tau/3 and one step at tau certify
+    rng = np.random.default_rng(0)
+    tau = 1e-10
+    b = rng.standard_normal(40)
+    report = igmres_solve(exact_op(np.eye(40)), b, m=10, tau=tau)
+    assert report.converged
+    assert report.iterations == 2 and report.total_cost == 3
+    assert [r.reason for r in report.restarts] == ["hand-over"]
+    assert [(r.iteration, r.cycle, r.target) for r in report.budgets] == [
+        (1, 1, STAGE_FACTOR * tau), (0, 2, tau), (2, 2, tau)]
+    assert report.budgets[1].budget_raw == tau / 3.0
     np.testing.assert_allclose(report.solution, b, rtol=1e-12)
 
 
@@ -74,9 +93,11 @@ def test_nonzero_initial_guess():
     report = igmres_solve(exact_op(a), b, x0=x0, m=15, tau=tau)
     assert report.converged
     assert np.linalg.norm(b - a @ report.solution) <= tau
-    # the x0 refresh must have been granted its tau/3 budget
+    # the x0 refresh must have been granted its tau/3 budget, and no first stage runs
     assert report.budgets[0].iteration == 0
     assert report.budgets[0].budget_raw == tau / 3.0
+    assert all(rec.target == tau for rec in report.budgets)
+    assert all(r.reason in ("cycle-full", "s-violation") for r in report.restarts)
 
 
 def test_adversarial_budget_saturation_keeps_guarantee():
@@ -106,6 +127,38 @@ def test_adversarial_budget_saturation_keeps_guarantee_on_drawn_problems(n, m, l
     report = igmres_solve(adversarial_op(a, rng), b, m=m, tau=tau)
     assert report.converged
     assert np.linalg.norm(b - a @ report.solution) <= tau
+
+
+@given(n=st.integers(20, 80), m=st.integers(1, 12), log_tau=st.floats(-10.0, -6.0),
+       seed=st.integers(0, 2**32 - 1), log_scale=st.floats(-1.0, 9.0))
+@settings(max_examples=40, deadline=None)
+def test_two_stages_keep_guarantee_on_drawn_problems(n, m, log_tau, seed, log_scale):
+    # ||b|| = 10^log_scale STAGE_FACTOR tau: below 1 no first stage runs; above,
+    # it hands over mid-cycle or after implicit restarts, drawn with m and ||b||
+    rng = np.random.default_rng(seed)
+    a = well_conditioned(rng, n)
+    tau = 10.0 ** log_tau
+    b = rng.standard_normal(n)
+    b *= 10.0 ** log_scale * STAGE_FACTOR * tau / np.linalg.norm(b)
+    report = igmres_solve(adversarial_op(a, rng), b, m=m, tau=tau)
+    assert report.converged
+    assert np.linalg.norm(b - a @ report.solution) <= tau
+    reasons = [r.reason for r in report.restarts]
+    staged = np.linalg.norm(b) > STAGE_FACTOR * tau
+    assert reasons.count("hand-over") == int(staged)
+    if staged:
+        # implicit restarts only before the hand-over, refreshed ones only after
+        k = reasons.index("hand-over")
+        assert set(reasons[:k]) <= {"implicit"}
+        assert "implicit" not in reasons[k:]
+    else:
+        assert "implicit" not in reasons
+    final = report.budgets[-1].cycle
+    certifying = [rec for rec in report.budgets if rec.cycle == final]
+    assert all(rec.target == tau for rec in certifying)
+    if report.restarts:
+        # the certifying cycle starts from a refresh at tau/3
+        assert certifying[0].iteration == 0 and certifying[0].budget_raw == tau / 3.0
 
 
 def test_restart_involved_convergence():
@@ -152,6 +205,26 @@ def test_nonconvergence_carries_report():
     assert not err.value.report.converged
 
 
+def test_iteration_cap_counts_both_stages():
+    # a cap two steps past the hand-over stops in the second stage, refresh included
+    rng = np.random.default_rng(5)
+    a = well_conditioned(rng, 40)
+    b = rng.standard_normal(40)
+    tau = 1e-13
+    full = igmres_solve(exact_op(a), b, m=2, tau=tau)
+    hand_over = next(r for r in full.budgets if r.target == tau).cycle
+    steps_before = max(r.iteration for r in full.budgets if r.cycle < hand_over)
+    cap = steps_before + 2
+    assert cap < full.iterations
+    with pytest.raises(NonConvergenceError) as err:
+        igmres_solve(exact_op(a), b, m=2, tau=tau, max_total_iterations=cap)
+    report = err.value.report
+    assert report is not None and not report.converged
+    assert report.iterations == cap
+    assert report.budgets[-1].target == tau
+    assert report.total_cost == len(report.budgets) == cap + 1      # one refresh
+
+
 # -- invariants -------------------------------------------------------------------
 
 
@@ -165,15 +238,23 @@ def test_estimated_residual_monotone_within_cycles():
 
 
 def test_budget_formula_audit():
+    # every step's budget follows the formula at its own target: STAGE_FACTOR tau
+    # up to the hand-over, tau from the hand-over's refresh (granted tau/3) on
     rng = np.random.default_rng(7)
     a = well_conditioned(rng, 45)
     b = rng.standard_normal(45)
     m, tau = 8, 1e-9
     report = igmres_solve(adversarial_op(a, rng), b, m=m, tau=tau)
+    targets = [rec.target for rec in report.budgets]
+    first = targets.index(tau)
+    assert targets[:first] == [STAGE_FACTOR * tau] * first and first > 0
+    assert set(targets[first:]) == {tau}
+    assert report.budgets[first].iteration == 0
     for rec in report.budgets:
         if rec.iteration == 0:
+            assert rec.budget_raw == tau / 3.0
             continue
-        assert rec.budget_raw == (rec.s / (3.0 * m)) * tau / rec.est_res_prev
+        assert rec.budget_raw == (rec.s / (3.0 * m)) * rec.target / rec.est_res_prev
         if not rec.clamped:
             assert rec.budget == rec.budget_raw
 
