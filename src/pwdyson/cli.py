@@ -5,11 +5,11 @@
     pwdyson compare <config.json> --strategies pbal,pgrt,pd10 [-o <dir>]
     pwdyson verify <config.json> [-o <dir>]
 
-`compare` tabulates cost next to the true residual: grt carries the
-guarantee true residual <= tau, pgrt guarantees only the Kerker-
-preconditioned residual ||P r|| <= tau, and bal/agr are heuristics that
-can miss it.  Exit codes: 0 ok, 1 configuration error (an unknown config key, say),
-2 non-convergence, 3 invariant violation, 4 I/O or archive problems.
+`compare` tabulates cost next to the true residual: grt and pgrt carry
+the guarantee true residual <= tau, and bal/agr are heuristics that can
+miss it.  Exit codes: 0 ok, 1 configuration error (an unknown config
+key, say), 2 non-convergence, 3 invariant violation, 4 I/O or archive
+problems.
 """
 
 import argparse

@@ -4,17 +4,20 @@ Wires the dielectric application into a budgeted operator for the outer
 inexact GMRES: each granted budget is translated into per-band Sternheimer
 tolerances by the configured strategy, and held to it by the computable
 bound before chi0 is applied (`checked_tolerances`, the one such path for
-the right-hand side and the operator).  Costs are measured in Hamiltonian
-applications (one per band per inner CG iteration), the metric every
-report uses.  Each call returns what it spent and the harness adds the
-returned costs up: `n_ham` is the right-hand-side build plus the outer
-solve, and the true-residual diagnostics, run at tight tolerances outside
-the solve, are never part of it.
+the right-hand side and the operator).  A `p` strategy puts Kerker on the
+right: GMRES solves E P y = b through E~ P and the run reports x = P y,
+so its certificate covers the true residual b - E x.  Costs are measured
+in Hamiltonian applications (one per band per inner CG iteration), the
+metric every report uses.  Each call returns what it spent and the
+harness adds the returned costs up: `n_ham` is the right-hand-side build
+plus the outer solve, and the true-residual diagnostics, run at tight
+tolerances outside the solve, are never part of it.
 """
 
 import json
 import os
 from dataclasses import dataclass, field, fields, replace
+from functools import partial
 
 import numpy as np
 
@@ -50,7 +53,7 @@ from .strategies import (
 TIGHT_CG_TOL = 1e-16
 BOUND_RTOL = 1e-12                  # round-off allowed on grt's bound-to-budget ratio
 HISTORY_COLUMNS = ("iter", "est_res", "true_res", "cum_ham", "mean_cg_tol", "mean_cg_iters")
-REPORT_FORMAT_VERSION = 1
+REPORT_FORMAT_VERSION = 2
 
 
 @dataclass
@@ -63,7 +66,6 @@ class RunMetrics:
     n_ham_rhs: int                  # share spent building the right-hand side
     final_est_res: float
     final_true_res: float
-    final_true_res_precond: float   # nan for unpreconditioned runs
     true_res0: float
     eta: float
     s_final: float = np.nan
@@ -198,15 +200,15 @@ def build_perturbation(gs: GroundState, pert, spec: StrategySpec):
 
 
 def budgeted_dielectric(gs: GroundState, spec: StrategySpec, kernel: KernelSpec,
-                        kerker: KerkerSpec, rhs_norm: float):
-    """The budgeted Dyson operator (v, budget) -> (E~v or P E~v, cost) of `igmres_solve`.
+                        precondition, rhs_norm: float):
+    """The budgeted Dyson operator (v, budget) -> (E~ P v, cost) of `igmres_solve`.
 
-    `apply_dielectric` takes each granted budget's `checked_tolerances` at
-    |Kv|, so a grt application its bound refuses raises before its
-    Sternheimer solve, with cost 0.  With `kerker` the output is
-    preconditioned.  Returns the operator and the list it appends every
-    (`bound_margin`, DielectricApplication) to, the latter without its
-    output; the margin is inf when Kv = 0 and nothing was solved.
+    `precondition` is v -> P v, or None for P = I.  Each granted budget's
+    `checked_tolerances` are taken at |K P v|, so the budget bounds
+    ||(E~ - E) P v||, and a grt application its bound refuses raises
+    before its Sternheimer solve, with cost 0.  Returns the operator and
+    the list it appends every (`bound_margin`, DielectricApplication) to,
+    the latter without its output; the margin is inf when K P v = 0.
     """
     ctx = tolerance_context(gs, rhs_norm)
     applications = []
@@ -218,10 +220,9 @@ def budgeted_dielectric(gs: GroundState, spec: StrategySpec, kernel: KernelSpec,
             tols, margin[0] = checked_tolerances(gs, spec, ctx, budget, kv_norm)
             return tols
 
-        app = apply_dielectric(gs, kernel, v, tolerances)
-        out = apply_kerker(kerker, gs.grids, app.output) if kerker else app.output
+        app = apply_dielectric(gs, kernel, precondition(v) if precondition else v, tolerances)
         applications.append((margin[0], replace(app, output=None)))   # keep no n_g vectors
-        return out, app.ham_applications
+        return app.output, app.ham_applications
 
     return op, applications
 
@@ -266,13 +267,14 @@ def run_response(config: ExperimentConfig, gs: GroundState = None,
 def _solve_response(config: ExperimentConfig, spec: StrategySpec, gs: GroundState,
                     out_dir: str) -> RunMetrics:
     resp = config.response
-    grids = gs.grids
     kernel = KernelSpec(xc=config.model.xc)
-    kerker = KerkerSpec(alpha=resp.kerker_alpha) if spec.preconditioned else None
+    precondition = (partial(apply_kerker, KerkerSpec(alpha=resp.kerker_alpha), gs.grids)
+                    if spec.preconditioned else None)
+    to_x = precondition or (lambda y: y)
 
     dv0, b, n_ham_rhs = build_perturbation(gs, resp.perturbation, spec)
     b_norm = float(np.linalg.norm(b))
-    op, applications = budgeted_dielectric(gs, spec, kernel, kerker, b_norm)
+    op, applications = budgeted_dielectric(gs, spec, kernel, precondition, b_norm)
     history = []
     every = resp.true_residual_every
 
@@ -280,33 +282,29 @@ def _solve_response(config: ExperimentConfig, spec: StrategySpec, gs: GroundStat
         app = applications[-1][1]
         t_res = np.nan
         if every and info["iteration"] % every == 0:
-            t_res = float(np.linalg.norm(true_residual(gs, kernel, info["get_x"](), b)))
+            t_res = float(np.linalg.norm(true_residual(gs, kernel, to_x(info["get_x"]()), b)))
         history.append((info["iteration"], info["est_res"], t_res,
                         n_ham_rhs + info["total_cost"], *_mean_cg(app)))
 
-    b_solver = apply_kerker(kerker, grids, b) if kerker else b
     try:
-        report = igmres_solve(op, b_solver, x0=None, m=spec.m, tau=spec.tau,
+        report = igmres_solve(op, b, x0=None, m=spec.m, tau=spec.tau,
                               s_init=1.0, monitor=monitor)
         converged = True
     except NonConvergenceError as err:
         if err.report is None:          # an inner Sternheimer solve, not GMRES
             spent = sum(app.ham_applications for _, app in applications) + err.cost
-            partial = RunMetrics(
+            stalled = RunMetrics(
                 strategy=spec.name, tau=spec.tau, m=spec.m, converged=False,
                 n_ham=n_ham_rhs + spent, n_ham_rhs=n_ham_rhs, final_est_res=np.nan,
-                final_true_res=np.nan, final_true_res_precond=np.nan, true_res0=b_norm,
-                eta=np.nan, history=history)
+                final_true_res=np.nan, true_res0=b_norm, eta=np.nan, history=history)
             raise NonConvergenceError(f"Dyson solve ({spec.name}) stopped: {err}",
-                                      residual=err.residual, report=partial) from err
+                                      residual=err.residual, report=stalled) from err
         report = err.report
         converged = False
 
     n_ham = n_ham_rhs + report.total_cost
-    residual = true_residual(gs, kernel, report.solution, b)
-    final_true = float(np.linalg.norm(residual))
-    final_true_precond = (float(np.linalg.norm(apply_kerker(kerker, grids, residual)))
-                          if kerker else np.nan)
+    x = to_x(report.solution)
+    final_true = float(np.linalg.norm(true_residual(gs, kernel, x, b)))
     eta = (float(-np.log10(final_true / b_norm) / n_ham)
            if (n_ham > 0 and final_true > 0 and b_norm > 0) else np.nan)
 
@@ -314,16 +312,15 @@ def _solve_response(config: ExperimentConfig, spec: StrategySpec, gs: GroundStat
         strategy=spec.name, tau=spec.tau, m=spec.m, converged=converged,
         n_ham=n_ham, n_ham_rhs=n_ham_rhs,
         final_est_res=report.final_est_res, final_true_res=final_true,
-        final_true_res_precond=final_true_precond, true_res0=b_norm, eta=eta,
-        history=history,
+        true_res0=b_norm, eta=eta, history=history,
         restarts=[{"cycle": r.cycle, "reason": r.reason, "s_before": r.s_before,
                    "s_after": r.s_after} for r in report.restarts],
         s_final=report.s_final,
         bound_margin_min=float(min((margin for margin, _ in applications), default=np.inf)),
     )
-    metrics.solution = report.solution
+    metrics.solution = x
     metrics.rhs = b
-    metrics.igmres = report
+    metrics.igmres = replace(report, solution=None)     # its y is kept only as x = P y
 
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
@@ -344,9 +341,9 @@ def compare_strategies(config: ExperimentConfig, strategies, out_dir: str = None
 
     eta_rel references the d10 baseline (pd10 when only the preconditioned
     run is present, or an explicit `reference`).  Failures are recorded
-    per row instead of aborting the table.  Only grt rows carry the
-    guarantee final_true_res <= tau; bal and agr are heuristics whose rows
-    can miss tau, so compare final_true_res before cost.
+    per row instead of aborting the table.  Only grt and pgrt rows carry
+    the guarantee final_true_res <= tau; bal and agr are heuristics whose
+    rows can miss tau, so compare final_true_res before cost.
     """
     if gs is None:
         gs = ensure_ground_state(config)
@@ -359,11 +356,11 @@ def compare_strategies(config: ExperimentConfig, strategies, out_dir: str = None
                          "final_true_res": metrics.final_true_res,
                          "n_ham": metrics.n_ham, "eta": metrics.eta})
         except NonConvergenceError as err:
-            partial = err.report
+            stopped = err.report
             rows.append({"strategy": name, "converged": False,
-                         "final_true_res": getattr(partial, "final_true_res", np.nan),
-                         "n_ham": getattr(partial, "n_ham", 0),
-                         "eta": getattr(partial, "eta", np.nan)})
+                         "final_true_res": getattr(stopped, "final_true_res", np.nan),
+                         "n_ham": getattr(stopped, "n_ham", 0),
+                         "eta": getattr(stopped, "eta", np.nan)})
 
     names = [r["strategy"] for r in rows]
     if reference is None:

@@ -36,11 +36,11 @@ STAGE_FACTOR = 1e3 makes stage 1's budgets 1e3 times looser, and leaves
 stage 2 about 3.5 decades to cover from its refresh, over which the
 tau-budget cycles finish in a few restarts.  Measured `n_ham` of the two
 benchmark workloads at seed 0 (metal pbal + pd10; chain, two pgrt
-solves), against 24,421 and 6,790 without stage 1: 21,019 and 5,856 at
-a factor of 30, 20,347 and 5,489 at 100, 20,019 and 5,568 at 300,
-20,415 and 5,371 at 1e3, 21,263 and 5,289 at 3e3, 21,754 and 5,409 at
-1e4.  At 100 pbal ended the metal solve at 0.99 tau and at 300 at 1.04
-tau (pbal carries no guarantee); at 1e3 it ends at 0.92 tau.
+solves; Kerker on the right), against 25,823 and 6,680 without stage 1:
+21,705 and 5,706 at a factor of 30, 21,508 and 5,538 at 100, 21,330 and
+5,489 at 300, 20,660 and 5,280 at 1e3, 21,225 and 5,207 at 3e3, 20,871
+and 5,263 at 1e4.  pbal, which carries no guarantee, ended the metal
+solve at 0.87-0.98 tau at every factor, and at 0.95 tau at 1e3.
 
 Vectors are real; the Dyson system this was built for is real
 non-symmetric.  Arnoldi uses modified Gram-Schmidt with one
@@ -217,9 +217,9 @@ def igmres_solve(op, b: np.ndarray, x0: np.ndarray = None, m: int = 10,
         s_init: initial estimate of sigma_m(H_m).
         max_total_iterations: cap on Arnoldi steps over all cycles
             (default 100 m).
-        monitor: optional callable(info dict) invoked after every step;
-            `total_cost` in it is the cost spent so far, x0 refreshes
-            included.
+        monitor: optional callable({iteration, est_res, total_cost, get_x})
+            invoked after every step and after a refresh that finds x
+            exact; `total_cost` is the cost so far, x0 refreshes included.
 
     Raises:
         NonConvergenceError: iteration cap reached; carries the report.
@@ -248,6 +248,11 @@ def igmres_solve(op, b: np.ndarray, x0: np.ndarray = None, m: int = 10,
             restarts=restarts, s_final=s, sigma_final=sigma, y_final=y, final_est_res=est,
         )
 
+    def notify(est, get_x):
+        if monitor is not None:
+            monitor({"iteration": total_iters, "est_res": est, "total_cost": total_cost,
+                     "get_x": get_x})
+
     # stage 1 (target STAGE_FACTOR tau) only for a zero initial guess and a far target
     target = tau
     if not np.any(x) and norm_b > STAGE_FACTOR * tau:
@@ -269,6 +274,8 @@ def igmres_solve(op, b: np.ndarray, x0: np.ndarray = None, m: int = 10,
             r0 = b.copy()
         if np.linalg.norm(r0) == 0.0:
             # x solves the system exactly: a cycle of no step and no coefficient
+            if budgets and budgets[-1].cycle == cycle:        # found by this cycle's refresh
+                notify(0.0, lambda: x)
             cycle_est_res.append([0.0])
             return make_report(x, True, y=np.zeros(0), est=0.0)
         state.start(r0)
@@ -288,12 +295,7 @@ def igmres_solve(op, b: np.ndarray, x0: np.ndarray = None, m: int = 10,
                                         budget=budget, clamped=budget > raw, cost=cost))
             hcol = state.arnoldi_step(w)
             est = estimated_residual_update(state, hcol)
-            if monitor is not None:
-                monitor({
-                    "iteration": total_iters, "cycle": cycle, "est_res": est,
-                    "budget": budget, "cost": cost, "total_cost": total_cost, "s": s,
-                    "get_x": lambda: state.assemble(x, state.solution_coefficients()),
-                })
+            notify(est, lambda: state.assemble(x, state.solution_coefficients()))
 
             if target > tau and est <= target:
                 # hand-over: the next cycle refreshes at tau/3 and runs at tau

@@ -49,7 +49,7 @@ class StrategySpec:
 
 
 def parse_strategy(name: str, tau: float, m: int) -> StrategySpec:
-    """Parse a CLI strategy name; a leading 'p' selects Kerker preconditioning."""
+    """Parse a CLI strategy name; a leading 'p' selects Kerker preconditioning on the right."""
     key = name.strip().lower()
     preconditioned = key.startswith("p")
     if preconditioned:

@@ -101,7 +101,7 @@ def test_criterion_2_static_tolerance_failure(toy_metal, metal_runs):
 
     Measured on the shipped toy_metal config: d10 stops at 1.56e-9
     (1.56 tau) against a floor of 1.57e-9, estimate 1.25e-10; pd10 stops
-    at 1.66e-9.  The paper's larger gap shows before the refresh: with
+    at 1.59e-9.  The paper's larger gap shows before the refresh: with
     m = 250 the first tau/3 flag came at iteration 38 with the true
     residual at 7.65e-8 (76.5 tau), measured before the Sternheimer solves
     moved to the complement of the kept extra bands; the s-violation

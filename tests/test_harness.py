@@ -7,6 +7,7 @@ import stat
 import subprocess
 import sys
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -538,14 +539,10 @@ def test_run_response_applies_tight_operator_once(metal_gs, monkeypatch, h_appli
     after_solve = events[events.index("solved") + 1:]
     assert len(after_solve) == 1
     tight = after_solve[0]
-    # both final residuals come from one tight application, outside n_ham
+    # the final residual comes from one tight application, outside n_ham
     assert tight.ham_applications > 0
     assert h_applications() - metrics.n_ham == tight.ham_applications
-    residual = metrics.rhs - tight.output
-    assert metrics.final_true_res == np.linalg.norm(residual)
-    kerker = KerkerSpec(alpha=config.response.kerker_alpha)
-    assert metrics.final_true_res_precond == np.linalg.norm(
-        apply_kerker(kerker, metal_gs.grids, residual))
+    assert metrics.final_true_res == np.linalg.norm(metrics.rhs - tight.output)
 
 
 def test_diagnostics_never_count_as_solver_work(metal_gs):
@@ -558,6 +555,8 @@ def test_diagnostics_never_count_as_solver_work(metal_gs):
     assert np.isnan(plain.history[0][2]) and np.isfinite(checked.history[0][2])
     assert plain.n_ham == checked.n_ham
     assert [row[3] for row in plain.history] == [row[3] for row in checked.history]
+    # the monitor maps the solver's last iterate y to x = P y, as the final residual does
+    assert checked.history[-1][2] == checked.final_true_res
     for metrics in runs:
         assert metrics.n_ham == metrics.n_ham_rhs + sum(rec.cost for rec in metrics.igmres.budgets)
         assert metrics.history[-1][3] == metrics.n_ham
@@ -681,20 +680,37 @@ def test_grt_honours_every_budget_it_is_granted(metal_gs):
         assert metrics.final_true_res <= 1e-7
 
 
+def test_pgrt_meets_tau_on_the_true_residual_with_strong_kerker(toy_metal):
+    # the shipped toy_metal at alpha 4, where ||P^-1|| is large: a certificate on
+    # ||P (b - E x)|| would leave b - E x at 2.79 tau; pgrt's covers b - E x itself
+    config, gs = toy_metal
+    config = replace(config, response=replace(config.response, strategy="pgrt",
+                                              kerker_alpha=4.0))
+    assert config.response.tau == 1e-9 and config.response.m == 8
+    assert config.response.perturbation == Perturbation(gaussian=0, direction=(1.0, 0.0, 0.0))
+    metrics = run_response(config, gs=gs)
+    assert metrics.converged and metrics.final_true_res <= 1e-9
+    assert metrics.bound_margin_min >= 1.0 - BOUND_RTOL
+
+
 @settings(max_examples=12, deadline=None)
 @given(center=st.tuples(*[st.floats(0.0, 1.0, exclude_max=True)] * 3),
        direction=st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
            lambda d: np.linalg.norm(d) >= 0.1),
-       log_tau=st.floats(-10.0, -6.0))
+       log_tau=st.floats(-10.0, -6.0), strategy=st.sampled_from(["grt", "pgrt"]),
+       kerker_alpha=st.floats(0.2, 8.0))
 def test_grt_meets_tau_and_honours_its_budgets_on_drawn_problems(tiny_oracle_gs, center,
-                                                                 direction, log_tau):
-    # well 0 of the tiny model moved to a drawn centre, displaced along a drawn direction
+                                                                 direction, log_tau, strategy,
+                                                                 kerker_alpha):
+    # well 0 of the tiny model moved to a drawn centre, displaced along a drawn direction;
+    # pgrt with a drawn Kerker alpha (grt ignores it)
     wells = tiny_oracle_gs.model.gaussians
     model = replace(tiny_oracle_gs.model, gaussians=(replace(wells[0], center=center), wells[1]))
     gs = run_scf(model, tol=1e-11, max_iter=600, damping=0.3)
     tau = 10.0 ** log_tau
     config = ExperimentConfig(model=model, response=ResponseParams(
-        strategy="grt", tau=tau, m=8, perturbation=Perturbation(gaussian=0, direction=direction)))
+        strategy=strategy, tau=tau, m=8, kerker_alpha=kerker_alpha,
+        perturbation=Perturbation(gaussian=0, direction=direction)))
     metrics = run_response(config, gs=gs)
     assert metrics.converged and metrics.final_true_res <= tau
     assert metrics.bound_margin_min >= 1.0 - BOUND_RTOL
@@ -716,8 +732,9 @@ def test_grt_guard_raises_when_a_bound_exceeds_its_budget(metal_gs, monkeypatch,
         run_response(tiny_config(metal_gs, strategy="pgrt"), gs=metal_gs)
     assert metal_gs._derived == {} and h_applications() == 0
     spec = StrategySpec("grt", True, 1e-7, 8)
+    kerker = partial(apply_kerker, KerkerSpec(alpha=0.8), metal_gs.grids)
     op, applications = budgeted_dielectric(metal_gs, spec, KernelSpec(xc=metal_gs.model.xc),
-                                           KerkerSpec(alpha=0.8), 1.0)
+                                           kerker, 1.0)
     v = np.random.default_rng(18).standard_normal(metal_gs.grids.n_g)
     with pytest.raises(InvariantViolationError, match=r"margin 0\.5"):
         op(v, 1e-8)

@@ -64,6 +64,18 @@ def test_identity_operator_hands_over_after_one_step():
     np.testing.assert_allclose(report.solution, b, rtol=1e-12)
 
 
+def test_monitor_sees_a_refresh_that_finds_x_exact():
+    # hand-over, then an s-violation whose refresh r0 = b - x is exactly zero: that
+    # refresh's cost reaches the monitor, so its last total_cost is the report's
+    b = np.random.default_rng(4).standard_normal(40)
+    rows = []
+    report = igmres_solve(exact_op(np.eye(40)), b, tau=1e-10, monitor=rows.append)
+    assert [r.reason for r in report.restarts] == ["hand-over", "s-violation"]
+    assert report.total_cost == 4 and rows[-1]["total_cost"] == 4
+    assert rows[-1]["est_res"] == 0.0 and rows[-1]["iteration"] == report.iterations
+    np.testing.assert_array_equal(rows[-1]["get_x"](), report.solution)
+
+
 def test_matches_dense_solve():
     rng = np.random.default_rng(1)
     a = well_conditioned(rng, 50)
@@ -77,8 +89,11 @@ def test_matches_dense_solve():
 
 
 def test_zero_rhs():
-    # x = 0 solves it: one cycle of no step, whose coefficients are empty
-    report = igmres_solve(exact_op(np.eye(8)), np.zeros(8), m=4, tau=1e-8)
+    # x = 0 solves it: one cycle of no step, whose coefficients are empty, and no refresh
+    # for the monitor to see
+    rows = []
+    report = igmres_solve(exact_op(np.eye(8)), np.zeros(8), m=4, tau=1e-8, monitor=rows.append)
+    assert rows == []
     assert report.converged and report.iterations == 0 and report.total_cost == 0
     np.testing.assert_array_equal(report.solution, np.zeros(8))
     assert report.y_final.shape == (0,) and report.cycle_est_res == [[0.0]]
