@@ -13,7 +13,10 @@ every run's JSON line and `n_ham` per solve, each side's median and
 quartiles of every end-to-end metric, the per-pair change/base ratios
 and the machine the runs were made on.  After the pairs, each side runs
 one traced round (`--trace 1 --seconds 0`) per workload at --first-seed,
-and `traces` holds its per-layer metrics.
+and `traces` holds its per-layer metrics.  Then `scripts/round_probe.py`
+runs each workload once per side at --first-seed, and `probes` holds the
+Dyson preconditioner's build share of a round and tracemalloc's array
+peak of one round next to that process's ru_maxrss.
 """
 
 import argparse
@@ -61,6 +64,17 @@ def run_once(root, workload, seed, seconds, trace=0):
             "solves": solves,
             "checks_over": [line for line in proc.stderr.splitlines()
                             if line.startswith(("over", "FAIL"))]}
+
+
+def probe(root, workload, seed):
+    """`round_probe.py`'s JSON line for one workload on the checkout at `root`."""
+    script = os.path.join(os.path.dirname(os.path.abspath(__file__)), "round_probe.py")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    env.update({k: "1" for k in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")})
+    proc = subprocess.run([sys.executable, script, "--root", root, "--workload", workload,
+                           "--seed", str(seed)], env=env, stdout=subprocess.PIPE, text=True,
+                          check=True)
+    return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
 def quartiles(values):
@@ -142,6 +156,8 @@ def main(argv=None):
                       f"correct {run['result']['correct']}", file=sys.stderr)
     traces = {w: {side: run_once(roots[side], w, args.first_seed, 0, trace=1)
                   for side in ("base", "change")} for w in workloads}
+    probes = {w: {side: probe(roots[side], w, args.first_seed)
+                  for side in ("base", "change")} for w in workloads}
     report = {
         "sides": {"base": args.base, "change": args.change},
         "workloads": workloads, "pairs": args.pairs, "first_seed": args.first_seed,
@@ -149,6 +165,7 @@ def main(argv=None):
         "summary": {w: summarise(runs, w) for w in workloads},
         "runs": runs,
         "traces": traces,
+        "probes": probes,
     }
     with open(args.out, "w") as fh:
         json.dump(report, fh, indent=1)

@@ -31,7 +31,7 @@ class ResponseParams:
     strategy: str = "pbal"
     tau: float = 1e-9
     m: int = 10
-    kerker_alpha: float = 0.8
+    kerker_alpha: float = 0.8      # read by verify's Kerker lemma only
     perturbation: Perturbation = field(default_factory=Perturbation)
     true_residual_every: int = 0
     seed: int = 0

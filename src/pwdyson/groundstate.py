@@ -495,14 +495,17 @@ class GroundState:
     chi0 transforms it to the grid and the archive writes it.
 
     Quantities derived for a response solve are cached until
-    `drop_derived`, which `run_response` calls when it ends: the occupied
-    orbitals on the grid (`psi_occ_real`), the Sternheimer operator
+    `drop_derived`, which `run_response` calls when it ends: the kept
+    orbitals on the grid (`psi_kept_real`, whose first n_occ rows are
+    `psi_occ_real`), the Sternheimer operator
     (`sternheimer.hamiltonian`), the kept bands and the preconditioner
     in its sectors (`sternheimer.sector_constants`) and their cuts for each
     set of kept sectors a CG group meets (`sternheimer._group_constants`),
     the bands' kinetic energies (`sternheimer.kinetic_energies`), the
-    occupied pair weights (`response._occupied_pair_weights`) and the row
-    norm (`response._cached_row_norm`).
+    occupied pair weights (`response._occupied_pair_weights`), the row
+    norm (`response._cached_row_norm`), the kept sum over states
+    (`response.kept_sum_over_states`) and the Woodbury matrix of the
+    Dyson preconditioner (`response.dyson_preconditioner`).
     """
 
     model: ModelSpec
@@ -526,9 +529,14 @@ class GroundState:
         return self.u[:, : self.n_occ]
 
     @property
+    def psi_kept_real(self) -> np.ndarray:
+        """Every kept orbital on the grid, real (n_kept, n_g) float64, computed once."""
+        return self.derived("psi_kept_real", lambda: self.grids.to_real_many(self.u.T))
+
+    @property
     def psi_occ_real(self) -> np.ndarray:
-        """Every occupied orbital on the grid, real (n_occ, n_g) float64, computed once."""
-        return self.derived("psi_occ_real", lambda: self.grids.to_real_many(self.u_occ.T))
+        """The occupied orbitals on the grid: the first n_occ rows of `psi_kept_real`."""
+        return self.psi_kept_real[: self.n_occ]
 
     def derived(self, key: str, compute):
         """The quantity `key` derived from this state: `compute()` on first use.

@@ -4,9 +4,11 @@ Wires the dielectric application into a budgeted operator for the outer
 inexact GMRES: each granted budget is translated into per-band Sternheimer
 tolerances by the configured strategy, and held to it by the computable
 bound before chi0 is applied (`checked_tolerances`, the one such path for
-the right-hand side and the operator).  A `p` strategy puts Kerker on the
-right: GMRES solves E P y = b through E~ P and the run reports x = P y,
-so its certificate covers the true residual b - E x.  Costs are measured
+the right-hand side and the operator).  A `p` strategy puts the kept-band
+Dyson preconditioner P = (I - chi0_K K)^-1 (`response.dyson_preconditioner`)
+on the right: GMRES solves E P y = b through E~ P and the run reports
+x = P y, so its certificate covers the true residual b - E x.  Applying
+P costs no Hamiltonian application.  Costs are measured
 in Hamiltonian applications (one per band per inner CG iteration), the
 metric every report uses.  Each call returns what it spent and the
 harness adds the returned costs up: `n_ham` is the right-hand-side build
@@ -17,7 +19,6 @@ tolerances outside the solve, are never part of it.
 import json
 import os
 from dataclasses import dataclass, field, fields, replace
-from functools import partial
 
 import numpy as np
 
@@ -40,6 +41,7 @@ from .response import (
     apply_chi0,
     apply_dielectric,
     dielectric_error_bound,
+    dyson_preconditioner,
 )
 from .sternheimer import hamiltonian, project_out_occupied, solve_sternheimer
 from .strategies import (
@@ -268,8 +270,9 @@ def _solve_response(config: ExperimentConfig, spec: StrategySpec, gs: GroundStat
                     out_dir: str) -> RunMetrics:
     resp = config.response
     kernel = KernelSpec(xc=config.model.xc)
-    precondition = (partial(apply_kerker, KerkerSpec(alpha=resp.kerker_alpha), gs.grids)
-                    if spec.preconditioned else None)
+    # built before the right-hand side, so that its transient memory and the
+    # Sternheimer operator's are not held at once
+    precondition = dyson_preconditioner(gs, kernel) if spec.preconditioned else None
     to_x = precondition or (lambda y: y)
 
     dv0, b, n_ham_rhs = build_perturbation(gs, resp.perturbation, spec)

@@ -17,6 +17,12 @@ E is always applied in rescaled form, E v = v - |Kv| chi0(Kv / |Kv|),
 so the Sternheimer right-hand sides stay O(1) and small Kv cannot
 underflow.  The same rescaling links the solve tolerances to the
 computable error bound of `dielectric_error_bound`.
+
+The explicit sums over the kept bands give chi0_K, the exact low-energy
+part of chi0, held as A D A^T (`KeptSumOverStates`).
+`dyson_preconditioner` inverts I - chi0_K K from it by Woodbury: the
+`p` strategies' right preconditioner, the LDOS reasoning of Herbst and
+Levitt (J. Phys.: Condens. Matter 33, 085503 (2021)) on the kept set.
 """
 
 from dataclasses import dataclass
@@ -49,17 +55,24 @@ def _occupied_matrix(gs: GroundState, dv: np.ndarray):
     return rows, gs.u_occ.T @ rows.T
 
 
+def _occupations_fixed(gs: GroundState, fprime: np.ndarray) -> bool:
+    """Whether the state is gapped: T |sum_n f'_n| <= 1e-14 per band.
+
+    A gapped state's top band sits where its occupation rounds to 2,
+    where T f' is about 2 eps_machine at any T.
+    """
+    return abs(fprime.sum()) * gs.model.temperature <= 1e-14 * gs.n_occ
+
+
 def _first_order_occupations(gs: GroundState, m: np.ndarray):
     """(delta_eps, delta_eps_F, delta_f) from M[m, n] = <phi_m, dv phi_n>.
 
-    Occupations move only when T |sum_n f'_n| exceeds 1e-14 per band: a
-    gapped state's top band sits where its occupation rounds to 2, where
-    T f' is about 2 eps_machine at any T.
+    Occupations move only when `_occupations_fixed` is false.
     """
     delta_eps = np.diag(m)
     fprime = gs.fprime_occ()
     fp_sum = fprime.sum()
-    if abs(fp_sum) * gs.model.temperature <= 1e-14 * gs.n_occ:
+    if _occupations_fixed(gs, fprime):
         return delta_eps, 0.0, np.zeros_like(delta_eps)
     delta_eps_f = float(fprime @ delta_eps / fp_sum)
     return delta_eps, delta_eps_f, fprime * (delta_eps - delta_eps_f)
@@ -99,8 +112,117 @@ def _occupied_orbital_response(gs: GroundState, m: np.ndarray) -> np.ndarray:
 def _extra_band_response(gs: GroundState, dvpsi: np.ndarray) -> np.ndarray:
     """-sum_e u_e <phi_e, dv phi_n> / (eps_e - eps_n), (n_b, n_occ) in the cos/sin basis."""
     extra = gs.u[:, gs.n_occ:]
-    gaps = gs.eps[gs.n_occ:, None] - gs.eps_occ[None, :]
-    return -(extra @ ((extra.T @ dvpsi.T) / gaps))
+    return -(extra @ ((extra.T @ dvpsi.T) / _extra_band_gaps(gs)))
+
+
+def _extra_band_gaps(gs: GroundState) -> np.ndarray:
+    """eps_e - eps_n at [e, n], extra band e, occupied band n: the extra-band denominators."""
+    return gs.eps[gs.n_occ:, None] - gs.eps_occ[None, :]
+
+
+@dataclass(frozen=True)
+class KeptSumOverStates:
+    """chi0_K = A D A^T: the share of chi0 that `apply_chi0` sums over the kept bands.
+
+    Entry j pairs the kept band m = kept[j] with the occupied band
+    n = occupied[j], m >= n.  Column j of A is the pair density
+    psi_m psi_n on the grid, so A^T x = dvol sum_r psi_m psi_n x.  D,
+    `weights`, is block-diagonal:
+    - an entry m > n has 2 (f_n - f_m)/(eps_n - eps_m) on the diagonal,
+      f' for a degenerate pair and f_m = 0 for an extra band, from the
+      weights `apply_chi0` uses (`_occupied_pair_weights`,
+      `_extra_band_gaps`);
+    - the entries m = n hold diag(f') - f' f'^T / sum f', the first-order
+      occupations and their Fermi-level shift, and are absent from a
+      state that `_occupations_fixed` calls gapped.
+
+    Only entries of nonzero weight are listed.  chi0_K is symmetric and
+    negative semidefinite, and it maps a constant to zero.
+    """
+
+    psi: np.ndarray          # (n_kept, n_g): the kept orbitals on the grid
+    n_occ: int
+    dvol: float
+    kept: np.ndarray         # (p,): m of each entry
+    occupied: np.ndarray     # (p,): n of each entry
+    weights: np.ndarray      # (p, p): D
+
+    def __post_init__(self):
+        for part in (self.kept, self.occupied, self.weights):     # shared through gs.derived
+            part.flags.writeable = False
+
+    def coefficients(self, x: np.ndarray) -> np.ndarray:
+        """A^T x, (p,), for a grid vector x: one GEMM against the kept orbitals."""
+        overlaps = self.psi @ (x * self.psi[:self.n_occ]).T          # (n_kept, n_occ)
+        return self.dvol * overlaps[self.kept, self.occupied]
+
+    def density(self, c: np.ndarray) -> np.ndarray:
+        """A c = sum_j c_j psi_m psi_n on the grid: one GEMM against the kept orbitals."""
+        table = np.zeros((self.n_occ, len(self.psi)))
+        table[self.occupied, self.kept] = c
+        return np.vecdot(table @ self.psi, self.psi[:self.n_occ], axis=0)
+
+    def pair_densities(self, entries: slice) -> np.ndarray:
+        """The columns `entries` of A, one row each."""
+        return self.psi[self.kept[entries]] * self.psi[self.occupied[entries]]
+
+
+def kept_sum_over_states(gs: GroundState) -> KeptSumOverStates:
+    """The state's `KeptSumOverStates`, computed once per state."""
+    def compute():
+        f, n_occ = gs.occ_occ, gs.n_occ
+        weighted = f[None, :] * _occupied_pair_weights(gs)          # f_n W[m, n]
+        pair = np.zeros((gs.n_kept, n_occ))
+        pair[:n_occ] = 2.0 * np.tril(weighted + weighted.T, -1)
+        pair[n_occ:] = -2.0 * f[None, :] / _extra_band_gaps(gs)
+        kept, occupied = np.nonzero(pair)
+        fprime = gs.fprime_occ()
+        moving = (np.zeros(0, dtype=int) if _occupations_fixed(gs, fprime)
+                  else np.flatnonzero(fprime))
+        fp, n_moving = fprime[moving], len(moving)
+        weights = np.zeros((n_moving + len(kept),) * 2)
+        weights[:n_moving, :n_moving] = np.diag(fp) - np.outer(fp, fp) / fprime.sum()
+        weights[n_moving:, n_moving:] = np.diag(pair[kept, occupied])
+        return KeptSumOverStates(
+            psi=gs.psi_kept_real, n_occ=n_occ, dvol=gs.grids.lattice.volume / gs.grids.n_g,
+            kept=np.concatenate([moving, kept]), occupied=np.concatenate([moving, occupied]),
+            weights=weights)
+    return gs.derived("kept_sum_over_states", compute)
+
+
+def dyson_preconditioner(gs: GroundState, kernel: KernelSpec):
+    """v -> P v, P = (I - chi0_K K)^-1 by Woodbury from the `KeptSumOverStates`.
+
+    P = I + A (I - D G)^-1 D A^T K with G = A^T K A, (p, p), so applying
+    P costs one application of K and the two GEMMs of A^T and A, and no
+    Hamiltonian application.  (I - D G)^-1 D is built once per state and
+    kernel, so once per solve.  G is formed a block of at most n_occ
+    entries at a time, K applied to pair densities recomputed from the
+    orbitals, so no (n_g, p) array is held; K is symmetric, so each block
+    below the diagonal is the transpose of one above it.  P maps a constant c to
+    c + chi0_K K c, itself for the Hartree kernel, and keeps the mean of
+    any vector, as chi0_K's output has none.
+    """
+    sos = kept_sum_over_states(gs)
+
+    def kernel_of(x):
+        return apply_kernel(kernel, gs.grids, gs.rho, x)
+
+    def compute():
+        p = len(sos.kept)
+        blocks = [slice(start, start + gs.n_occ) for start in range(0, p, gs.n_occ)]
+        gram = np.empty((p, p))
+        for j, cols in enumerate(blocks):
+            kernel_block = np.array([kernel_of(a) for a in sos.pair_densities(cols)])
+            for rows in blocks[:j + 1]:
+                gram[rows, cols] = sos.dvol * (sos.pair_densities(rows) @ kernel_block.T)
+                gram[cols, rows] = gram[rows, cols].T
+        return np.linalg.solve(np.eye(p) - sos.weights @ gram, sos.weights)
+    woodbury = gs.derived(f"dyson_woodbury_{kernel.xc}", compute)
+
+    def apply(v):
+        return v + sos.density(woodbury @ sos.coefficients(kernel_of(v)))
+    return apply
 
 
 def apply_chi0(gs: GroundState, dv: np.ndarray, tolerances) -> tuple:

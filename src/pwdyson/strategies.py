@@ -49,7 +49,11 @@ class StrategySpec:
 
 
 def parse_strategy(name: str, tau: float, m: int) -> StrategySpec:
-    """Parse a CLI strategy name; a leading 'p' selects Kerker preconditioning on the right."""
+    """Parse a CLI strategy name.
+
+    A leading 'p' puts the kept-band Dyson preconditioner
+    P = (I - chi0_K K)^-1 (`response.dyson_preconditioner`) on the right.
+    """
     key = name.strip().lower()
     preconditioned = key.startswith("p")
     if preconditioned:

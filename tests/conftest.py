@@ -114,6 +114,23 @@ def tiny_oracle_gs():
     return run_scf(model, tol=1e-11, max_iter=600, damping=0.3)
 
 
+def lda_x_metal_model():
+    """`metal_gs`'s two wells with LDA exchange: an xc kernel and moving occupations."""
+    return ModelSpec(
+        lattice=Lattice.cubic(4.0), e_cut=3.0, n_electrons=4, temperature=5e-3,
+        smearing="fermi_dirac", xc="lda_x",
+        gaussians=(GaussianWell(center=(0.3, 0.4, 0.5), amplitude=-3.0, width=0.8),
+                   GaussianWell(center=(0.7, 0.6, 0.4), amplitude=-2.0, width=0.7)))
+
+
+@pytest.fixture(scope="session")
+def lda_x_metal_gs():
+    """The ground state of `lda_x_metal_model`."""
+    gs = run_scf(lda_x_metal_model(), tol=1e-12, max_iter=400, damping=0.3)
+    assert abs(gs.fprime_occ().sum()) > 1e-6, "fixture must be metallic"
+    return gs
+
+
 def chain_model():
     """Six jittered wells 3.5 Bohr apart at y = z = 0.5, like the benchmark's chain."""
     x = (3.5 * np.arange(6) + np.array([0.02, -0.01, 0.015, 0.0, -0.02, 0.01])) / 21.0

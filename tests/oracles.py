@@ -16,7 +16,8 @@ basis, so it is also the reference for other complements, such as that
 of the occupied bands alone.  Last, two central differences: of the
 external potential, the oracle of the analytic dV0 that every
 right-hand side is built from, and of the SCF density, the oracle of
-the Dyson solution itself.
+the Dyson solution itself.  And the dense matrix of any linear map of
+vectors, `assemble_dense`.
 """
 
 from dataclasses import replace
@@ -27,6 +28,11 @@ from pwdyson.groundstate import external_potential, run_scf
 
 _SQRT_HALF = np.sqrt(0.5)
 REAL_FUNCTION_RTOL = 1e-12  # |Im T c| / |T c| above this: c is not a real function
+
+
+def assemble_dense(op, n: int) -> np.ndarray:
+    """The (n, n) matrix of a linear map op of n-vectors, column by column."""
+    return np.array([op(e) for e in np.eye(n)]).T
 
 
 def to_cos_sin(coeffs: np.ndarray) -> np.ndarray:

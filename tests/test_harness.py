@@ -51,10 +51,11 @@ from pwdyson.harness import (
 )
 from pwdyson.igmres import igmres_solve
 from pwdyson.kernels import KernelSpec, KerkerSpec, apply_kerker
-from pwdyson.response import apply_dielectric
+from pwdyson.response import apply_dielectric, dyson_preconditioner
 from pwdyson.sternheimer import hamiltonian
 from pwdyson.strategies import TOLERANCE_FLOOR, StrategySpec, parse_strategy, select_tolerances
 
+from conftest import lda_x_metal_model
 from oracles import finite_difference_density, finite_difference_potential, phi
 
 
@@ -79,14 +80,9 @@ def test_perturbation_finite_difference(metal_gs):
 
 
 def _lda_x_metal_config():
-    """`metal_gs`'s two wells with LDA exchange, displaced obliquely: xc kernel and delta_f."""
-    model = ModelSpec(
-        lattice=Lattice.cubic(4.0), e_cut=3.0, n_electrons=4, temperature=5e-3,
-        smearing="fermi_dirac", xc="lda_x",
-        gaussians=(GaussianWell(center=(0.3, 0.4, 0.5), amplitude=-3.0, width=0.8),
-                   GaussianWell(center=(0.7, 0.6, 0.4), amplitude=-2.0, width=0.7)))
+    """`lda_x_metal_model` displaced obliquely: xc kernel and delta_f."""
     return ExperimentConfig(
-        model=model, scf=ScfParams(tol=1e-12, max_iter=400, damping=0.3),
+        model=lda_x_metal_model(), scf=ScfParams(tol=1e-12, max_iter=400, damping=0.3),
         response=ResponseParams(strategy="pgrt", tau=1e-10, m=10,
                                 perturbation=Perturbation(gaussian=0, direction=(1.0, 0.5, 0.2))))
 
@@ -651,7 +647,9 @@ def test_run_response_drops_what_the_solve_derived(metal_gs, monkeypatch):
     monkeypatch.setattr("pwdyson.harness.apply_dielectric", stall)
     with pytest.raises(NonConvergenceError, match="Sternheimer"):
         run_response(tiny_config(metal_gs), gs=metal_gs)
-    assert {"psi_occ_real", "hamiltonian", "sector_constants"} <= set(cached)
+    # pbal builds its preconditioner from the kept sum over states before the solve
+    assert {"psi_kept_real", "kept_sum_over_states", "dyson_woodbury_none", "hamiltonian",
+            "sector_constants"} <= set(cached)
     assert any(key.startswith("sternheimer_group_") for key in cached)
     assert metal_gs._derived == {}
 
@@ -681,35 +679,70 @@ def test_grt_honours_every_budget_it_is_granted(metal_gs):
 
 
 def test_pgrt_meets_tau_on_the_true_residual_with_strong_kerker(toy_metal):
-    # the shipped toy_metal at alpha 4, where ||P^-1|| is large: a certificate on
-    # ||P (b - E x)|| would leave b - E x at 2.79 tau; pgrt's covers b - E x itself
+    # any fixed P in the preconditioner slot: Kerker at alpha 4 on the shipped toy_metal,
+    # where ||P^-1|| is large and a certificate on ||P (b - E x)|| left b - E x at 2.79
+    # tau; the right-preconditioned solve's covers b - E x itself, x = P y
     config, gs = toy_metal
-    config = replace(config, response=replace(config.response, strategy="pgrt",
-                                              kerker_alpha=4.0))
-    assert config.response.tau == 1e-9 and config.response.m == 8
-    assert config.response.perturbation == Perturbation(gaussian=0, direction=(1.0, 0.0, 0.0))
-    metrics = run_response(config, gs=gs)
-    assert metrics.converged and metrics.final_true_res <= 1e-9
-    assert metrics.bound_margin_min >= 1.0 - BOUND_RTOL
+    resp = config.response
+    assert resp.tau == 1e-9 and resp.m == 8
+    assert resp.perturbation == Perturbation(gaussian=0, direction=(1.0, 0.0, 0.0))
+    spec = parse_strategy("pgrt", tau=resp.tau, m=resp.m)
+    kernel = KernelSpec(xc=gs.model.xc)
+    kerker = partial(apply_kerker, KerkerSpec(alpha=4.0), gs.grids)
+    try:
+        _, b, _ = build_perturbation(gs, resp.perturbation, spec)
+        op, applications = budgeted_dielectric(gs, spec, kernel, kerker, float(np.linalg.norm(b)))
+        report = igmres_solve(op, b, m=spec.m, tau=spec.tau)
+        true = float(np.linalg.norm(true_residual(gs, kernel, kerker(report.solution), b)))
+    finally:
+        gs.drop_derived()
+    assert report.converged and true <= spec.tau
+    assert min(margin for margin, _ in applications) >= 1.0 - BOUND_RTOL
+
+
+def test_refreshed_residual_of_a_right_preconditioned_run_is_the_true_residual(metal_gs,
+                                                                                monkeypatch):
+    # each refresh r0 = b - E~ P y is granted tau/3, so it lies within tau/3 of the true
+    # residual b - E x of the iterate x = P y the run reports
+    calls = []
+
+    def recording(op, b, **kwargs):
+        def recorded(v, budget):
+            w, cost = op(v, budget)
+            calls.append((v.copy(), w))
+            return w, cost
+        return igmres_solve(recorded, b, **kwargs)
+
+    monkeypatch.setattr("pwdyson.harness.igmres_solve", recording)
+    metrics = run_response(tiny_config(metal_gs, strategy="pgrt"), gs=metal_gs)
+    refreshes = [call for call, record in zip(calls, metrics.igmres.budgets)
+                 if record.iteration == 0]
+    assert len(calls) == len(metrics.igmres.budgets) and refreshes
+    kernel = KernelSpec(xc=metal_gs.model.xc)
+    b = metrics.rhs
+    try:
+        precondition = dyson_preconditioner(metal_gs, kernel)
+        for y, w in refreshes:
+            true = true_residual(metal_gs, kernel, precondition(y), b)
+            assert np.linalg.norm((b - w) - true) <= 1e-7 / 3.0
+    finally:
+        metal_gs.drop_derived()
 
 
 @settings(max_examples=12, deadline=None)
 @given(center=st.tuples(*[st.floats(0.0, 1.0, exclude_max=True)] * 3),
        direction=st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
            lambda d: np.linalg.norm(d) >= 0.1),
-       log_tau=st.floats(-10.0, -6.0), strategy=st.sampled_from(["grt", "pgrt"]),
-       kerker_alpha=st.floats(0.2, 8.0))
+       log_tau=st.floats(-10.0, -6.0), strategy=st.sampled_from(["grt", "pgrt"]))
 def test_grt_meets_tau_and_honours_its_budgets_on_drawn_problems(tiny_oracle_gs, center,
-                                                                 direction, log_tau, strategy,
-                                                                 kerker_alpha):
-    # well 0 of the tiny model moved to a drawn centre, displaced along a drawn direction;
-    # pgrt with a drawn Kerker alpha (grt ignores it)
+                                                                 direction, log_tau, strategy):
+    # well 0 of the tiny model moved to a drawn centre, displaced along a drawn direction
     wells = tiny_oracle_gs.model.gaussians
     model = replace(tiny_oracle_gs.model, gaussians=(replace(wells[0], center=center), wells[1]))
     gs = run_scf(model, tol=1e-11, max_iter=600, damping=0.3)
     tau = 10.0 ** log_tau
     config = ExperimentConfig(model=model, response=ResponseParams(
-        strategy=strategy, tau=tau, m=8, kerker_alpha=kerker_alpha,
+        strategy=strategy, tau=tau, m=8,
         perturbation=Perturbation(gaussian=0, direction=direction)))
     metrics = run_response(config, gs=gs)
     assert metrics.converged and metrics.final_true_res <= tau

@@ -6,19 +6,12 @@ import pytest
 from pwdyson import Lattice, build_grids
 from pwdyson.kernels import KernelSpec, KerkerSpec, apply_kernel, apply_kerker
 
+from oracles import assemble_dense
+
 
 def small_grids(alat=3.0, e_cut=2.0):
     # e_cut chosen so the dense assembly stays tiny (n_g <= 512)
     return build_grids(Lattice.cubic(alat), e_cut)
-
-
-def assemble_dense(op, n):
-    cols = []
-    for j in range(n):
-        e = np.zeros(n)
-        e[j] = 1.0
-        cols.append(op(e))
-    return np.array(cols).T
 
 
 def test_kernel_annihilates_constants():

@@ -17,11 +17,18 @@ from pwdyson.response import (
     apply_chi0,
     apply_dielectric,
     dielectric_error_bound,
+    dyson_preconditioner,
+    kept_sum_over_states,
 )
-from pwdyson.sternheimer import kinetic_energies, project_out_occupied, solve_sternheimer
+from pwdyson.sternheimer import (
+    SternheimerResult,
+    kinetic_energies,
+    project_out_occupied,
+    solve_sternheimer,
+)
 
 from conftest import dense_chi0_oracle
-from oracles import dense_sternheimer, from_cos_sin, phi, to_fourier, to_real
+from oracles import assemble_dense, dense_sternheimer, from_cos_sin, phi, to_fourier, to_real
 
 TIGHT = 1e-13
 
@@ -96,9 +103,12 @@ def test_complex_perturbation_is_refused(metal_gs, h_applications):
 
 
 def test_occupied_orbitals_in_real_space_are_kept_read_only(metal_gs):
+    # the first n_occ rows of the one cached array of every kept orbital, bit for bit
+    # the occupied orbitals transformed alone
     gs = metal_gs
     psi_r = gs.psi_occ_real
-    assert psi_r is gs.psi_occ_real
+    assert gs.psi_kept_real is gs.psi_kept_real and np.shares_memory(psi_r, gs.psi_kept_real)
+    assert gs.psi_kept_real.shape == (gs.n_kept, gs.grids.n_g)
     assert psi_r.dtype == np.float64 and psi_r.shape == (gs.n_occ, gs.grids.n_g)
     np.testing.assert_array_equal(psi_r, gs.grids.to_real_many(gs.u_occ.T))
     for n in (0, gs.n_occ - 1):
@@ -436,3 +446,62 @@ def test_row_norm_matches_direct_evaluation(metal_gs):
     # the orbitals are real functions: their real parts carry the whole norm
     real_part = np.sqrt(np.max(np.sum(psi.real.T ** 2, axis=1)))
     assert _cached_row_norm(gs) == pytest.approx(real_part, rel=1e-14)
+
+
+# -- the kept sum over states and the Dyson preconditioner --------------------------
+
+
+@pytest.mark.parametrize("fixture", ["tiny_oracle_gs", "lda_x_metal_gs"])
+def test_dyson_preconditioner_inverts_one_minus_kept_chi0_k(fixture, request, monkeypatch,
+                                                            h_applications):
+    # chi0_K assembled from apply_chi0 with its Sternheimer term removed, independently of
+    # `kept_sum_over_states`: the Woodbury form must invert I - chi0_K K against it, so a
+    # kept sum over states that lost its Fermi-level term or its extra-band pairs fails
+    gs = request.getfixturevalue(fixture)
+    assert abs(gs.fprime_occ().sum()) > 1e-6 and gs.n_kept > gs.n_occ
+    n = gs.grids.n_g
+    kernel = KernelSpec(xc=gs.model.xc)
+    try:
+        sos = kept_sum_over_states(gs)
+        precondition = dyson_preconditioner(gs, kernel)
+        chi0_k = assemble_dense(lambda x: sos.density(sos.weights @ sos.coefficients(x)), n)
+
+        def no_solve(gs, rhs, tol):
+            return SternheimerResult(np.zeros_like(rhs), np.zeros(len(rhs)), 0, [0] * len(rhs))
+
+        monkeypatch.setattr("pwdyson.response.solve_sternheimer", no_solve)
+        chi0_sos = assemble_dense(lambda x: apply_chi0(gs, x, tight_tols(gs))[0], n)
+        k = assemble_dense(lambda x: apply_kernel(kernel, gs.grids, gs.rho, x), n)
+        p = assemble_dense(precondition, n)
+    finally:
+        gs.drop_derived()
+    scale = np.linalg.norm(chi0_sos, 2)
+    assert np.linalg.norm(chi0_k - chi0_sos, 2) <= 1e-12 * scale
+    # symmetric and negative semidefinite, zero on constants
+    assert np.linalg.norm(chi0_k - chi0_k.T, 2) <= 1e-13 * scale
+    assert np.max(np.linalg.eigvalsh(0.5 * (chi0_k + chi0_k.T))) <= 1e-13 * scale
+    assert np.linalg.norm(chi0_k @ np.ones(n)) <= 1e-13 * scale * np.sqrt(n)
+    # P (I - chi0_K K) = I
+    assert np.linalg.norm(p @ (np.eye(n) - chi0_sos @ k) - np.eye(n), 2) <= 1e-10
+    # P keeps the mean of every vector; it maps a constant to itself when K does
+    # (Hartree alone), while LDA exchange's K c is not zero
+    assert np.max(np.abs(np.sum(p - np.eye(n), axis=0))) <= 1e-12
+    if gs.model.xc == "none":
+        assert np.linalg.norm(p @ np.ones(n) - np.ones(n)) <= 1e-12 * np.sqrt(n)
+    assert h_applications() == 0
+
+
+def test_kept_sum_over_states_of_a_gapped_state_has_no_occupation_terms(insulator_gs):
+    # no entry m = n; every entry pairs an occupied band with an extra one, whose weight
+    # 2 f_n / (eps_n - eps_e) is negative; the cached arrays are read-only
+    gs = insulator_gs
+    try:
+        sos = kept_sum_over_states(gs)
+    finally:
+        gs.drop_derived()
+    assert not any(a.flags.writeable for a in (sos.psi, sos.kept, sos.occupied, sos.weights))
+    assert np.all(sos.kept >= gs.n_occ) and np.all(sos.occupied < gs.n_occ)
+    assert len(sos.kept) == gs.n_occ * (gs.n_kept - gs.n_occ)
+    weights = np.diag(sos.weights)
+    np.testing.assert_array_equal(sos.weights, np.diag(weights))
+    assert np.all(weights < 0)
