@@ -16,7 +16,9 @@ one traced round (`--trace 1 --seconds 0`) per workload at --first-seed,
 and `traces` holds its per-layer metrics.  Then `scripts/round_probe.py`
 runs each workload once per side at --first-seed, and `probes` holds the
 Dyson preconditioner's build share of a round and tracemalloc's array
-peak of one round next to that process's ru_maxrss.
+peak of one round, with the peaks over the preconditioner's build and
+over `build_perturbation` inside that round, next to that process's
+ru_maxrss.
 """
 
 import argparse

@@ -7,9 +7,14 @@ process, on the program in CHECKOUT/src.  The first round warms up.
 The next --rounds are timed, and so is every call of
 `harness.dyson_preconditioner` inside them (0 where the program has
 none).  One more round runs under tracemalloc alone, as tracing slows
-allocation down.  Prints one JSON line: the round walls, the build's
-seconds per round and its share of the round, tracemalloc's peak over
-that round and ru_maxrss after it, both in MB.  Set the BLAS thread
+allocation down; in it, the peak of the traced memory is also taken
+over each call of the preconditioner's build and of
+`harness.build_perturbation`, everything live at the time counted, so
+either can be compared with the round's peak.  Prints one JSON line:
+the round walls, the build's seconds per round and its share of the
+round, tracemalloc's peak over that round, the largest peak over one
+build and over one `build_perturbation` (0 where a round makes no such
+call) and ru_maxrss after the round, all in MB.  Set the BLAS thread
 variables to 1 before the run, as perfbench/run.py does.
 """
 
@@ -38,17 +43,28 @@ def main(argv=None):
     import worker
     from pwdyson import harness
 
-    builds = []
-    if hasattr(harness, "dyson_preconditioner"):
-        build = harness.dyson_preconditioner
+    builds, peaks, round_peak = [], {}, [0]
 
-        def timed(*a, **kw):
+    def watched(name, function):
+        # times every call; under tracemalloc, also the traced peak over the call
+        def call(*a, **kw):
+            tracing = tracemalloc.is_tracing()
+            if tracing:
+                round_peak[0] = max(round_peak[0], tracemalloc.get_traced_memory()[1])
+                tracemalloc.reset_peak()
             t0 = time.perf_counter()
             try:
-                return build(*a, **kw)
+                return function(*a, **kw)
             finally:
-                builds.append(time.perf_counter() - t0)
-        harness.dyson_preconditioner = timed
+                if name == "dyson_preconditioner":
+                    builds.append(time.perf_counter() - t0)
+                if tracing:
+                    peaks[name] = max(peaks.get(name, 0), tracemalloc.get_traced_memory()[1])
+        return call
+
+    for name in ("dyson_preconditioner", "build_perturbation"):
+        if hasattr(harness, name):
+            setattr(harness, name, watched(name, getattr(harness, name)))
 
     scratch = tempfile.mkdtemp(prefix="round-probe-")
     try:
@@ -66,7 +82,7 @@ def main(argv=None):
             build_s.append(sum(builds))
         tracemalloc.start()
         work(ctx)
-        peak = tracemalloc.get_traced_memory()[1]
+        peak = max(round_peak[0], tracemalloc.get_traced_memory()[1])
         tracemalloc.stop()
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
@@ -74,6 +90,8 @@ def main(argv=None):
     print(json.dumps({
         "walls": walls, "build_s": build_s, "wall_s": wall, "build_s_median": built,
         "build_share": built / wall, "tracemalloc_peak_mb": peak / 2**20,
+        "build_peak_mb": peaks.get("dyson_preconditioner", 0) / 2**20,
+        "perturbation_peak_mb": peaks.get("build_perturbation", 0) / 2**20,
         "ru_maxrss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
     }))
 

@@ -52,15 +52,22 @@ def apply_kernel(spec: KernelSpec, grids: FourierGrids, rho_ref: np.ndarray,
                  v: np.ndarray) -> np.ndarray:
     """Apply K = K_Hartree (+ K_x) to a real grid vector.
 
-    The Hartree part is `hartree_potential`; the exchange part is the
-    pointwise derivative of the LDA exchange potential at rho_ref, with
-    the density floored to keep rho^(-2/3) bounded.
+    The Hartree part is `hartree_potential`; the exchange part multiplies
+    v pointwise by `lda_x_kernel` at rho_ref.
     """
     out = hartree_potential(grids, v)
     if spec.xc == "lda_x":
-        rho = np.clip(rho_ref, LDA_X_DENSITY_FLOOR, None)
-        out = out - (1.0 / 3.0) * (3.0 / np.pi) ** (1.0 / 3.0) * rho ** (-2.0 / 3.0) * v
+        out = out + lda_x_kernel(rho_ref) * v
     return out
+
+
+def lda_x_kernel(rho_ref: np.ndarray) -> np.ndarray:
+    """f_x = dv_x/drho of LDA exchange at rho_ref on the grid.
+
+    The density is floored at LDA_X_DENSITY_FLOOR to keep rho^(-2/3) bounded.
+    """
+    rho = np.clip(rho_ref, LDA_X_DENSITY_FLOOR, None)
+    return -(1.0 / 3.0) * (3.0 / np.pi) ** (1.0 / 3.0) * rho ** (-2.0 / 3.0)
 
 
 def apply_kerker(spec: KerkerSpec, grids: FourierGrids, v: np.ndarray) -> np.ndarray:

@@ -73,6 +73,16 @@ class Mirror(NamedTuple):
     cube: np.ndarray        # (n_g,) int: flat cube index of R n (mod N) for every point n
 
 
+class PairSupport(NamedTuple):
+    """The half-spectrum points a product of two sphere functions reaches (`FourierGrids.pair_support`)."""
+
+    half: np.ndarray            # (s,) int: flat index into the half spectrum (Nz, Ny, Nx//2 + 1)
+    multiplicity: np.ndarray    # (s,): full-spectrum points each stands for, 1 on kx = 0 and Nx/2
+    plane_h: np.ndarray         # (l, Ny Nz) complex: forward DFT from the plane to the support's lines
+    at: np.ndarray              # (s,) int: flat index of each point in (line, kx)
+    n_x: int                    # kx of every point lies below it
+
+
 _AXES = "xyz"
 
 
@@ -178,10 +188,10 @@ def _integer_box(b: np.ndarray, a: np.ndarray, radius: float) -> np.ndarray:
 class FourierGrids:
     """Spherical orbital grid and cubic density grid for one cutoff.
 
-    Immutable after construction, apart from `sphere_difference_index`
-    and the bases of `sector_basis`, which are built on first use; every
-    stored array is read-only, and transforms are pure functions of the
-    stored index tables.
+    Immutable after construction, apart from `sphere_difference_index`,
+    `pair_support` and the bases of `sector_basis`, which are built on
+    first use; every stored array is read-only, and transforms are pure
+    functions of the stored index tables.
 
     Attributes:
         lattice: the unit cell.
@@ -203,6 +213,8 @@ class FourierGrids:
             also needs equal cube dimensions along them.
         sphere_difference_index: (n_b, n_b) flat cube index of
             g_int[i] - g_int[j], read-only.
+        pair_support: the half-spectrum points of the sumset sphere +
+            sphere (`PairSupport`), where `pair_spectra` evaluates the DFT.
     """
 
     def __init__(self, lattice: Lattice, e_cut: float):
@@ -255,11 +267,7 @@ class FourierGrids:
         lines, line_of = np.unique(wy[half] + ny * wz[half], return_inverse=True)
         self._n_x = int(np.max(wx[half])) + 1
         self._half_at = line_of * self._n_x + wx[half]   # flat index in (line, kx)
-        # _plane[iy + ny iz, l] = exp(2 pi i (ky_l iy / ny + kz_l iz / nz)),
-        # the inverse DFT of the plane from line l, phases reduced mod N
-        phase_y = np.exp(2j * np.pi * (np.outer(np.arange(ny), lines % ny) % ny) / ny)
-        phase_z = np.exp(2j * np.pi * (np.outer(np.arange(nz), lines // ny) % nz) / nz)
-        self._plane = (phase_z[:, None] * phase_y[None]).reshape(ny * nz, len(lines))
+        self._plane = self._plane_from(lines)
         self._plane_h = np.ascontiguousarray(self._plane.conj().T)
         # c_s = (a_s u[cos_s] + i b_s u[sin_s]) / sqrt|Omega| for the half's
         # points s, from T^H; G = 0 has a = 1, b = 0
@@ -318,6 +326,60 @@ class FourierGrids:
         for value in vars(self).values():
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
+
+    def _plane_from(self, lines: np.ndarray) -> np.ndarray:
+        """(Ny Nz, l) matrix exp(2 pi i (ky iy / ny + kz iz / nz)) at [iy + ny iz, line ky + ny kz].
+
+        The inverse DFT of the (ky, kz) plane from each of the `lines`
+        (wrapped ky, kz), phases reduced mod N.
+        """
+        nz, ny, _ = self._cube_shape
+        phase_y = np.exp(2j * np.pi * (np.outer(np.arange(ny), lines % ny) % ny) / ny)
+        phase_z = np.exp(2j * np.pi * (np.outer(np.arange(nz), lines // ny) % nz) / nz)
+        return (phase_z[:, None] * phase_y[None]).reshape(ny * nz, len(lines))
+
+    @cached_property
+    def pair_support(self) -> "PairSupport":
+        """Where the DFT of a product of two sphere functions can be nonzero, on the half spectrum.
+
+        That is the sumset sphere + sphere mod N, G = 0 included: the
+        points where the autocorrelation of the sphere's indicator on the
+        cube, an integer count of sphere pairs, is positive (the sphere is
+        symmetric, so its differences are its sums).  The cube holds twice
+        every sphere vector, so the sumset does not wrap and never reaches
+        the plane kx = Nx/2.  Depends on the grid alone; built on first use.
+        """
+        nx = self.cube_dims[0]
+        n_half = nx // 2 + 1
+        indicator = np.zeros(self.n_g)
+        indicator[self.sphere_flat] = 1.0
+        spectrum = self.cube_rfft(indicator)
+        counts = self.cube_irfft(np.abs(spectrum) ** 2).reshape(self._cube_shape)
+        half = np.flatnonzero(counts[..., :n_half].ravel() > 0.5)
+        kx = half % n_half
+        lines, line_of = np.unique(half // n_half, return_inverse=True)
+        n_x = int(np.max(kx)) + 1
+        support = PairSupport(
+            half=half, multiplicity=np.where((kx == 0) | (kx == nx // 2), 1.0, 2.0),
+            plane_h=np.ascontiguousarray(self._plane_from(lines).conj().T),
+            at=line_of * n_x + kx, n_x=n_x)
+        for table in support[:-1]:
+            table.flags.writeable = False
+        return support
+
+    def pair_spectra(self, values: np.ndarray) -> np.ndarray:
+        """`cube_rfft` of (k, n_g) real grid values at the points of `pair_support`, (k, s) complex.
+
+        Exact, to round-off, for products of two sphere functions, whose
+        DFT vanishes off the support.  One `rfft` along x, then the
+        support's (ky, kz) lines from the plane by one matrix product, as
+        in `to_fourier_many`.
+        """
+        nz, ny, nx = self._cube_shape
+        support = self.pair_support
+        spectrum = np.fft.rfft(values.reshape(len(values), ny * nz, nx), axis=2)
+        lines = np.matmul(support.plane_h, spectrum[..., :support.n_x])
+        return lines.reshape(len(values), -1)[:, support.at]
 
     @cached_property
     def sphere_difference_index(self) -> np.ndarray:

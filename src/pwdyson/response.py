@@ -30,8 +30,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .groundstate import DEGENERACY_RTOL, GroundState
-from .kernels import KernelSpec, apply_kernel
+from .kernels import KernelSpec, apply_kernel, lda_x_kernel
 from .sternheimer import project_out_occupied, solve_sternheimer
+
+_GRAM_ROWS = 2              # pair densities per block of `kept_kernel_gram`
 
 
 @dataclass
@@ -190,38 +192,70 @@ def kept_sum_over_states(gs: GroundState) -> KeptSumOverStates:
     return gs.derived("kept_sum_over_states", compute)
 
 
+def kept_kernel_gram(gs: GroundState, kernel: KernelSpec) -> np.ndarray:
+    """G = A^T K A, (p, p), for the state's `KeptSumOverStates` A.
+
+    The Hartree part is diagonal in Fourier space, 4 pi / |G|^2 there
+    (`coulomb_half`), so by Parseval on the half spectrum G_H = S S^T, row
+    j of S holding sqrt(dvol m c / n_g) (Re a_j, Im a_j): a_j the DFT of
+    pair density j, c the Coulomb multiplier and m the number of points
+    of the full spectrum that a half-spectrum point stands for.  a_j is
+    taken only on the grids' `pair_support`, where a product of two
+    sphere functions lives, `_GRAM_ROWS` pair densities at a time,
+    recomputed from the orbitals: one forward transform each, and G_H
+    is exactly symmetric.  LDA exchange adds dvol A^T diag(f_x) A,
+    pointwise in real space, a block of at most n_occ entries at a time;
+    each block below the diagonal is the transpose of one above it.  No
+    (n_g, p) array is held.
+    """
+    sos, grids = kept_sum_over_states(gs), gs.grids
+    p = len(sos.kept)
+    support = grids.pair_support
+    weight = np.sqrt(sos.dvol / grids.n_g * support.multiplicity
+                     * grids.coulomb_half.ravel()[support.half])
+    n = len(weight)
+    spectra = np.empty((p, 2 * n))
+    for start in range(0, p, _GRAM_ROWS):
+        rows = slice(start, start + _GRAM_ROWS)
+        spectrum = grids.pair_spectra(sos.pair_densities(rows))
+        np.multiply(spectrum.real, weight, out=spectra[rows, :n])
+        np.multiply(spectrum.imag, weight, out=spectra[rows, n:])
+    gram = spectra @ spectra.T
+    del spectra
+    if kernel.xc == "lda_x":
+        f_x = sos.dvol * lda_x_kernel(gs.rho)
+        blocks = [slice(start, start + gs.n_occ) for start in range(0, p, gs.n_occ)]
+        for j, cols in enumerate(blocks):
+            weighted = f_x * sos.pair_densities(cols)
+            for rows in blocks[:j + 1]:
+                block = sos.pair_densities(rows) @ weighted.T
+                gram[rows, cols] += block
+                if rows != cols:
+                    gram[cols, rows] += block.T
+    return gram
+
+
 def dyson_preconditioner(gs: GroundState, kernel: KernelSpec):
     """v -> P v, P = (I - chi0_K K)^-1 by Woodbury from the `KeptSumOverStates`.
 
-    P = I + A (I - D G)^-1 D A^T K with G = A^T K A, (p, p), so applying
-    P costs one application of K and the two GEMMs of A^T and A, and no
-    Hamiltonian application.  (I - D G)^-1 D is built once per state and
-    kernel, so once per solve.  G is formed a block of at most n_occ
-    entries at a time, K applied to pair densities recomputed from the
-    orbitals, so no (n_g, p) array is held; K is symmetric, so each block
-    below the diagonal is the transpose of one above it.  P maps a constant c to
-    c + chi0_K K c, itself for the Hartree kernel, and keeps the mean of
-    any vector, as chi0_K's output has none.
+    P = I + A (I - D G)^-1 D A^T K with G = A^T K A, (p, p)
+    (`kept_kernel_gram`), so applying P costs one application of K and
+    the two GEMMs of A^T and A, and no Hamiltonian application; building
+    it costs one forward transform per pair density and no application of
+    K.  (I - D G)^-1 D is built once per state and kernel, so once per
+    solve.  P maps a constant c to c + chi0_K K c, itself for the Hartree
+    kernel, and keeps the mean of any vector, as chi0_K's output has none.
     """
     sos = kept_sum_over_states(gs)
 
-    def kernel_of(x):
-        return apply_kernel(kernel, gs.grids, gs.rho, x)
-
     def compute():
-        p = len(sos.kept)
-        blocks = [slice(start, start + gs.n_occ) for start in range(0, p, gs.n_occ)]
-        gram = np.empty((p, p))
-        for j, cols in enumerate(blocks):
-            kernel_block = np.array([kernel_of(a) for a in sos.pair_densities(cols)])
-            for rows in blocks[:j + 1]:
-                gram[rows, cols] = sos.dvol * (sos.pair_densities(rows) @ kernel_block.T)
-                gram[cols, rows] = gram[rows, cols].T
-        return np.linalg.solve(np.eye(p) - sos.weights @ gram, sos.weights)
+        gram = kept_kernel_gram(gs, kernel)
+        return np.linalg.solve(np.eye(len(gram)) - sos.weights @ gram, sos.weights)
     woodbury = gs.derived(f"dyson_woodbury_{kernel.xc}", compute)
 
     def apply(v):
-        return v + sos.density(woodbury @ sos.coefficients(kernel_of(v)))
+        kv = apply_kernel(kernel, gs.grids, gs.rho, v)
+        return v + sos.density(woodbury @ sos.coefficients(kv))
     return apply
 
 

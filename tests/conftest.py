@@ -141,6 +141,15 @@ def chain_model():
                         for xi in x))
 
 
+def sheared_model(centers=((0.1, 0.8, 0.3), (0.95, 0.05, 0.5))):
+    """A non-orthogonal cell with one well wider than the plane spacing and one narrow well."""
+    lattice = Lattice.from_vectors([3.2, 0, 0], [1.3, 2.9, 0], [0.7, -0.9, 3.1])
+    wells = (GaussianWell(center=centers[0], amplitude=-2.0, width=1.4),
+             GaussianWell(center=centers[1], amplitude=-4.0, width=0.4))
+    return ModelSpec(lattice=lattice, e_cut=3.0, n_electrons=2, temperature=1e-2,
+                     gaussians=wells)
+
+
 def full_spectrum(gs):
     """All n_b eigenpairs (eps, u) of the stored Hamiltonian plus their occupations."""
     from pwdyson.groundstate import diagonalize_dense, smearing_function

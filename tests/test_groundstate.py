@@ -23,7 +23,7 @@ from pwdyson.groundstate import (
     smearing_function,
 )
 
-from conftest import chain_model, full_spectrum
+from conftest import chain_model, full_spectrum, sheared_model
 from oracles import (apply_hamiltonian, dense_from_matvec, dense_hamiltonian,
                      finite_difference_potential, from_cos_sin, phi, to_cos_sin, to_real)
 
@@ -108,15 +108,6 @@ def test_hermiticity():
 # -- lattice sums of Gaussian wells ---------------------------------------------
 
 DIRECTION = np.array([0.48, -0.6, 0.64])
-
-
-def sheared_model(centers=((0.1, 0.8, 0.3), (0.95, 0.05, 0.5))):
-    """A non-orthogonal cell with one well wider than the plane spacing and one narrow well."""
-    lattice = Lattice.from_vectors([3.2, 0, 0], [1.3, 2.9, 0], [0.7, -0.9, 3.1])
-    wells = (GaussianWell(center=centers[0], amplitude=-2.0, width=1.4),
-             GaussianWell(center=centers[1], amplitude=-4.0, width=0.4))
-    return ModelSpec(lattice=lattice, e_cut=3.0, n_electrons=2, temperature=1e-2,
-                     gaussians=wells)
 
 
 def box_image_sum(model, grids, well, n=10):

@@ -1,12 +1,15 @@
 """Tests for chi0, the dielectric adjoint and the computable error bound."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from pwdyson import InvariantViolationError, Lattice
+from pwdyson.config import Perturbation
 from pwdyson.groundstate import GaussianWell, ModelSpec, diagonalize_dense, run_scf
+from pwdyson.harness import build_perturbation
 from pwdyson.kernels import KernelSpec, apply_kernel
 from pwdyson.response import (
     _cached_row_norm,
@@ -18,6 +21,7 @@ from pwdyson.response import (
     apply_dielectric,
     dielectric_error_bound,
     dyson_preconditioner,
+    kept_kernel_gram,
     kept_sum_over_states,
 )
 from pwdyson.sternheimer import (
@@ -26,8 +30,9 @@ from pwdyson.sternheimer import (
     project_out_occupied,
     solve_sternheimer,
 )
+from pwdyson.strategies import parse_strategy
 
-from conftest import dense_chi0_oracle
+from conftest import chain_model, dense_chi0_oracle, sheared_model
 from oracles import assemble_dense, dense_sternheimer, from_cos_sin, phi, to_fourier, to_real
 
 TIGHT = 1e-13
@@ -489,6 +494,83 @@ def test_dyson_preconditioner_inverts_one_minus_kept_chi0_k(fixture, request, mo
     if gs.model.xc == "none":
         assert np.linalg.norm(p @ np.ones(n) - np.ones(n)) <= 1e-12 * np.sqrt(n)
     assert h_applications() == 0
+
+
+@pytest.mark.parametrize("fixture", ["tiny_oracle_gs", "lda_x_metal_gs", "metal_gs"])
+def test_kept_kernel_gram_is_a_t_k_a(fixture, request):
+    # the reference applies K to one pair density at a time through `apply_kernel`, so a
+    # Parseval weight, a missing support point or a lost exchange term shows here
+    gs = request.getfixturevalue(fixture)
+    kernel = KernelSpec(xc=gs.model.xc)
+    try:
+        sos = kept_sum_over_states(gs)
+        gram = kept_kernel_gram(gs, kernel)
+        pairs = sos.pair_densities(slice(None))
+        reference = np.stack([sos.dvol * pairs @ apply_kernel(kernel, gs.grids, gs.rho, a)
+                              for a in pairs], axis=1)
+    finally:
+        gs.drop_derived()
+    assert np.linalg.norm(gram - reference) <= 1e-13 * np.linalg.norm(reference)
+    if gs.model.xc == "none":
+        np.testing.assert_array_equal(gram, gram.T)
+
+
+@pytest.mark.parametrize("name", ["toy_metal", "toy_insulator", "chain", "sheared"])
+def test_pair_densities_live_on_the_pair_support(name, request):
+    # every kept x occupied pair density's half spectrum vanishes off `pair_support`, which is
+    # the sumset of two sphere vectors read from the difference table, and never reaches the
+    # plane kx = Nx/2; `pair_spectra` is `cube_rfft` there
+    if name in ("chain", "sheared"):
+        gs = run_scf({"chain": chain_model, "sheared": sheared_model}[name](), tol=1e-10,
+                     max_iter=400)
+    else:
+        _, gs = request.getfixturevalue(name)
+    grids = gs.grids
+    nz, ny, nx = grids.cube_dims[::-1]
+    support = grids.pair_support
+    sums = np.unique(grids.sphere_difference_index)
+    kx, line = sums % nx, sums // nx
+    np.testing.assert_array_equal(support.half, (kx + (nx // 2 + 1) * line)[kx <= nx // 2])
+    assert np.all(support.half % (nx // 2 + 1) < nx // 2)
+    off = np.ones(nz * ny * (nx // 2 + 1), dtype=bool)
+    off[support.half] = False
+    psi = grids.to_real_many(gs.u[:, :gs.n_kept].T)
+    for n in range(gs.n_occ):
+        pairs = psi * psi[n]
+        spectra = np.array([grids.cube_rfft(a).ravel() for a in pairs])
+        scale = np.max(np.abs(spectra), axis=1)
+        assert np.all(np.max(np.abs(spectra[:, off]), axis=1) <= 1e-14 * scale)
+        on = grids.pair_spectra(pairs)
+        assert np.all(np.max(np.abs(on - spectra[:, support.half]), axis=1) <= 1e-13 * scale)
+
+
+def test_dyson_preconditioner_build_holds_less_than_the_right_hand_side(metal_gs, monkeypatch,
+                                                                        h_applications):
+    # in the order `run_response` takes them: tracemalloc's peak over the build stays below
+    # that of `build_perturbation`, so the build holds no (n_g, p) array; the build applies
+    # neither K nor H
+    gs = metal_gs
+    spec = parse_strategy("pbal", tau=1e-9, m=10)
+    gs.grids.pair_support                           # a per-grid table, built once
+    gs.drop_derived()
+
+    def no_kernel(*args):
+        raise AssertionError("the build applied K")
+
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr("pwdyson.response.apply_kernel", no_kernel)
+            tracemalloc.start()
+            dyson_preconditioner(gs, KernelSpec())
+            build = tracemalloc.get_traced_memory()[1]
+        assert h_applications() == 0
+        tracemalloc.reset_peak()
+        build_perturbation(gs, Perturbation(), spec)
+        rhs = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        gs.drop_derived()
+    assert build < rhs
 
 
 def test_kept_sum_over_states_of_a_gapped_state_has_no_occupation_terms(insulator_gs):
